@@ -17,6 +17,7 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.metrics import PhaseMetrics
 from repro.coconut.provisioner import Provisioner
+from repro.stream import PhaseAccumulator
 
 
 def run_fabric(node_count):
@@ -28,7 +29,10 @@ def run_fabric(node_count):
     for client in rig.clients:
         client.run_phase("DoNothing", 0.0)
     rig.sim.run(until=config.scaled_total)
-    metrics = PhaseMetrics.from_clients(rig.clients, "DoNothing", 0)
+    merged = PhaseAccumulator.merged(
+        [client.stream.accumulator("DoNothing") for client in rig.clients], "DoNothing"
+    )
+    metrics = PhaseMetrics.from_accumulator(merged, 0)
     node = rig.system.nodes[rig.system.node_ids[0]]
     duration = max(metrics.duration, config.scaled_send)
     node_side_tps = node.chain.total_payloads() / duration

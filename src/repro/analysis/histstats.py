@@ -1,6 +1,6 @@
-"""Latency-histogram analysis for streamed results.
+"""Latency-histogram analysis of unit results.
 
-Streamed repetitions carry a serialized
+Every repetition carries a serialized
 :class:`~repro.stream.LogHistogram` next to their scalar metrics; this
 module turns those back into distribution views the scalar summaries
 cannot express — a cross-repetition percentile profile (the merge is
@@ -17,7 +17,8 @@ from repro.stream.histogram import LogHistogram
 
 
 def merged_histogram(phase_result: PhaseResult) -> typing.Optional[LogHistogram]:
-    """All repetitions' latencies as one histogram, or None if exact-path.
+    """All repetitions' latencies as one histogram, or None if the result
+    predates recorded histograms.
 
     Merging is exact (bucket counts add), so percentiles read off the
     merged histogram describe the pooled sample — unlike the scalar
@@ -37,12 +38,12 @@ def percentile_profile(
     phase_result: PhaseResult,
     quantiles: typing.Sequence[float] = (50.0, 90.0, 95.0, 99.0, 99.9),
 ) -> typing.Dict[float, float]:
-    """Pooled percentiles across repetitions (streamed results only)."""
+    """Pooled percentiles across repetitions."""
     histogram = merged_histogram(phase_result)
     if histogram is None:
         raise ValueError(
-            "phase result carries no latency histograms (exact-path run? "
-            "re-run with stream_metrics=True)"
+            "phase result carries no latency histograms (written before "
+            "runs recorded them? re-run the unit)"
         )
     return {q: histogram.percentile(q) for q in quantiles}
 
@@ -77,12 +78,12 @@ def render_histogram(
 
 
 def unit_latency_report(result: UnitResult) -> str:
-    """Per-phase pooled percentile lines for one streamed unit."""
+    """Per-phase pooled percentile lines for one unit."""
     lines = [f"Latency profile {result.label}"]
     for phase_name, phase_result in result.phases.items():
         histogram = merged_histogram(phase_result)
         if histogram is None:
-            lines.append(f"  {phase_name}: (exact path, no histogram)")
+            lines.append(f"  {phase_name}: (no histogram recorded)")
             continue
         profile = percentile_profile(phase_result)
         rendered = "  ".join(

@@ -101,14 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             latency=EUROPEAN_WAN_LATENCY if args.netem else None,
             fault_plan=fault_plan,
             workload=workload,
-            stream_metrics=args.stream_metrics,
             scale=args.scale,
             seed=args.seed,
         )
     except ValueError as error:
         raise SystemExit(f"coconut run: error: {error}")
-    if args.stream_spill and not args.stream_metrics:
-        raise SystemExit("coconut run: error: --stream-spill requires --stream-metrics")
     spill = None
     if args.stream_spill:
         from repro.stream import SpillSink
@@ -147,12 +144,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if spill is not None:
             spill.close()
     print(unit_summary(result))
-    if runner.last_stream_peak is not None:
-        line = f"stream: peak live records/client {runner.last_stream_peak}"
-        if spill is not None:
-            line += (f", {runner.last_stream_spilled} records spilled "
-                     f"-> {args.stream_spill}")
-        print(line)
+    if spill is not None:
+        print(f"stream: peak live records/client {runner.last_stream_peak}, "
+              f"{runner.last_stream_spilled} records spilled -> {args.stream_spill}")
     if args.verbose:
         from repro.coconut.report import latency_table
 
@@ -220,13 +214,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     run_parameters = inspect.signature(experiment.run).parameters
     if args.systems and "systems" in run_parameters:
         kwargs["systems"] = args.systems.split(",")
-    if args.stream_metrics:
-        if "stream_metrics" not in run_parameters:
-            raise SystemExit(
-                f"coconut experiment: error: {args.experiment_id} does not "
-                "support --stream-metrics"
-            )
-        kwargs["stream_metrics"] = True
     run = experiment.run(**kwargs)
     print(run.render())
     if executor is not None:
@@ -327,7 +314,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             scale=args.scale,
             repetitions=args.repetitions,
             seed=args.seed,
-            stream_metrics=args.stream_metrics,
         )
     except ValueError as error:
         raise SystemExit(f"coconut search: error: {error}")
@@ -402,15 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(arrival process, access distribution, "
                                  "operation mix, per-phase overrides); "
                                  "see examples/workloads/")
-    run_parser.add_argument("--stream-metrics", action="store_true",
-                            help="measure through the constant-memory streaming "
-                                 "path: records retire as they resolve and "
-                                 "percentiles come from a log-bucketed "
-                                 "histogram (exact to one bucket)")
     run_parser.add_argument("--stream-spill", metavar="PATH",
-                            help="with --stream-metrics, append every retired "
-                                 "record to PATH as JSONL for offline "
-                                 "full-fidelity analysis")
+                            help="append every retired payload record to PATH "
+                                 "as JSONL for offline full-fidelity analysis")
     run_parser.add_argument("--scale", type=float, default=0.1,
                             help="window scale (1.0 = the paper's 300 s send window)")
     run_parser.add_argument("--seed", type=int, default=0)
@@ -447,9 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("experiment_id", choices=EXPERIMENT_IDS)
     experiment_parser.add_argument("--scale", type=float, default=None)
     experiment_parser.add_argument("--systems", help="comma-separated subset (figures only)")
-    experiment_parser.add_argument("--stream-metrics", action="store_true",
-                                   help="measure every case through the "
-                                        "constant-memory streaming path")
     experiment_parser.add_argument("--jobs", type=_positive_int, default=1,
                                    help="worker processes for independent cases "
                                         "(1 = in-process; results are identical "
@@ -532,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--workload", metavar="PLAN_JSON",
                                help="offer load from a JSON workload spec "
                                     "during every probe")
-    search_parser.add_argument("--stream-metrics", action="store_true",
-                               help="measure every probe through the "
-                                    "constant-memory streaming path (long "
-                                    "high-rate probes stay memory-bounded)")
     search_parser.add_argument("--output", metavar="PATH",
                                help="write the capacity report as JSON to PATH")
     search_parser.add_argument("--trace", metavar="PATH",

@@ -8,6 +8,13 @@ grace period after sending stops and terminates at the total deadline.
 All timestamps of Figure 2 are taken here, on the client: ``starttime``
 just before a payload is sent, ``endtime`` when its confirmation (a
 commit on *all* nodes) arrives.
+
+A payload's record lives only while the payload is in flight: the
+moment it resolves, its contribution is folded into the phase's
+:class:`~repro.stream.accumulator.PhaseAccumulator` and the record is
+retired (handed to the stream's sink, if one is attached). Client
+memory is therefore bounded by the payloads in flight, not by the
+offered load.
 """
 
 from __future__ import annotations
@@ -79,18 +86,16 @@ class CoconutClient(Endpoint):
             spec=config.workload,
             rng_streams=sim.rng.stream,
         )
-        #: phase -> payload_id -> record. On the exact path this holds
-        #: every payload ever offered; with ``config.stream_metrics`` it
-        #: holds only payloads still in flight (records are retired into
-        #: ``self.stream`` the moment they resolve).
+        #: phase -> payload_id -> record of the payloads still in flight;
+        #: records retire into ``self.stream`` the moment they resolve.
         self.records: typing.Dict[str, typing.Dict[str, PayloadRecord]] = {}
+        #: payload_id -> phase of in-flight payloads, and of payloads that
+        #: never resolved inside their window (so a late receipt is known).
         self._payload_phase: typing.Dict[str, str] = {}
         self._listen_deadline: typing.Dict[str, float] = {}
         self.ignored_late_receipts = 0
-        #: Streaming accumulators (None = exact path).
-        self.stream: typing.Optional[ClientStream] = (
-            ClientStream(client_id) if config.stream_metrics else None
-        )
+        #: The per-phase accumulators every metric is computed from.
+        self.stream = ClientStream(client_id)
 
     # ------------------------------------------------------------------
     # Driving a phase
@@ -99,8 +104,7 @@ class CoconutClient(Endpoint):
         """Launch the phase's workload threads; fires at client shutdown."""
         config = self.config
         self.records.setdefault(phase, {})
-        if self.stream is not None:
-            self.stream.begin_phase(phase)
+        self.stream.begin_phase(phase)
         send_deadline = start_at + config.scaled_send
         self._listen_deadline[phase] = start_at + config.scaled_listen
         threads = [
@@ -159,15 +163,14 @@ class CoconutClient(Endpoint):
         tracer = sim.tracer
         trace_txs = tracer.enabled and tracer.wants("client")
         stream = self.stream
-        accumulator = stream.accumulator(phase) if stream is not None else None
+        accumulator = stream.accumulator(phase)
         while sim.now < send_deadline:
             payloads = []
             for __ in range(group):
                 function, args = payload_for(iel, phase, thread)
                 payloads.append(Payload.create(endpoint_id, iel, function, args))
             now = sim.now
-            if accumulator is not None:
-                accumulator.on_send(now, count=len(payloads))
+            accumulator.on_send(now, count=len(payloads))
             for payload in payloads:
                 payload_id = payload.payload_id
                 phase_records[payload_id] = PayloadRecord(
@@ -185,8 +188,7 @@ class CoconutClient(Endpoint):
                     )
             if trace_txs:
                 tracer.metrics.counter("client.sent", node=endpoint_id).inc(len(payloads))
-            if stream is not None:
-                stream.note_live(len(phase_records))
+            stream.note_live(len(phase_records))
             bundle = wrap(payloads)
             self.send(
                 self.gateway_id,
@@ -225,9 +227,11 @@ class CoconutClient(Endpoint):
             if tracer.enabled:
                 tracer.end(("tx", payload_id), status="late")
             return
-        record = self.records[phase][payload_id]
-        if record.end_time is not None:
+        record = self.records[phase].pop(payload_id, None)
+        if record is None:
+            # Already expired at phase teardown.
             return
+        del self._payload_phase[payload_id]
         record.end_time = self.sim.now
         record.status = status
         record.invalid = invalid
@@ -238,104 +242,31 @@ class CoconutClient(Endpoint):
                 tracer.metrics.histogram("client.fls", node=self.endpoint_id).record(
                     record.latency
                 )
-        if self.stream is not None:
-            # Streaming path: the record's contribution is folded into
-            # the phase accumulator and the record itself is dropped —
-            # live records track in-flight payloads, not offered load.
-            self.stream.retire(phase, record)
-            del self.records[phase][payload_id]
-            del self._payload_phase[payload_id]
+        # The record's contribution is folded into the phase accumulator
+        # and the record itself is dropped: live records track in-flight
+        # payloads, not offered load.
+        self.stream.retire(phase, record)
 
     # ------------------------------------------------------------------
-    # Phase accounting
-
-    def phase_records(self, phase: str) -> typing.List[PayloadRecord]:
-        """All records of one phase (in flight only on the stream path)."""
-        return list(self.records.get(phase, {}).values())
-
-    def phase_summary(self, phase: str) -> "PhaseSummary":
-        """Counts, extremes and received records of one phase, one pass.
-
-        The metrics layer needs five quantities per client per phase;
-        computing them in a single traversal replaces the ~6 fresh list
-        materializations the per-quantity helpers below would perform
-        (they now all read from this). Exact path only — with
-        ``stream_metrics`` the same quantities live in the accumulators.
-        """
-        sent = 0
-        failed = 0
-        received: typing.List[PayloadRecord] = []
-        first_send: typing.Optional[float] = None
-        last_receive: typing.Optional[float] = None
-        for record in self.records.get(phase, {}).values():
-            sent += 1
-            if first_send is None or record.start_time < first_send:
-                first_send = record.start_time
-            if record.received:
-                received.append(record)
-                if last_receive is None or record.end_time > last_receive:
-                    last_receive = record.end_time
-            elif record.status == "failed":
-                failed += 1
-        return PhaseSummary(
-            sent=sent,
-            failed=failed,
-            received=received,
-            first_send=first_send,
-            last_receive=last_receive,
-        )
-
-    def sent_count(self, phase: str) -> int:
-        """Payloads this client offered in one phase."""
-        if self.stream is not None and phase in self.stream.accumulators:
-            return self.stream.accumulator(phase).sent
-        return len(self.records.get(phase, {}))
-
-    def received_records(self, phase: str) -> typing.List[PayloadRecord]:
-        """Records that got a timely finalization confirmation."""
-        return self.phase_summary(phase).received
-
-    def first_send_time(self, phase: str) -> typing.Optional[float]:
-        """t_fstx contribution of this client."""
-        if self.stream is not None and phase in self.stream.accumulators:
-            return self.stream.accumulator(phase).first_send
-        return self.phase_summary(phase).first_send
-
-    def last_receive_time(self, phase: str) -> typing.Optional[float]:
-        """t_lrtx contribution of this client."""
-        if self.stream is not None and phase in self.stream.accumulators:
-            return self.stream.accumulator(phase).last_receive
-        return self.phase_summary(phase).last_receive
+    # Phase teardown
 
     def finish_phase(self, phase: str) -> int:
-        """Streaming teardown: spill and drop still-pending records.
+        """Spill and drop the phase's still-pending records.
 
         Called by the runner after the phase's metrics are taken. Any
         record left is a payload that never resolved inside the listen
         window; it already counts in ``sent`` (and as an in-window loss
         when resilience is armed), so it only needs spilling — keeping
-        it would grow memory phase over phase. Returns how many records
-        were dropped. No-op on the exact path.
+        it would grow memory phase over phase. The payload's id stays
+        mapped to its phase, so a receipt that arrives after teardown
+        is still counted (and traced) as late. Returns how many records
+        were dropped.
         """
-        if self.stream is None:
-            return 0
         leftover = self.records.get(phase)
         if not leftover:
             return 0
-        for payload_id, record in leftover.items():
+        for record in leftover.values():
             self.stream.expire(phase, record)
-            self._payload_phase.pop(payload_id, None)
         dropped = len(leftover)
         leftover.clear()
         return dropped
-
-
-@dataclasses.dataclass
-class PhaseSummary:
-    """One client's single-pass phase accounting (exact path)."""
-
-    sent: int
-    failed: int
-    received: typing.List[PayloadRecord]
-    first_send: typing.Optional[float]
-    last_receive: typing.Optional[float]

@@ -64,11 +64,6 @@ class BenchmarkConfig:
     #: operation mix, scenario script). None or the default spec keep
     #: the paper's generator, byte-identical to pre-workloads runs.
     workload: typing.Optional[WorkloadSpec] = None
-    #: Measure through the constant-memory streaming path
-    #: (:mod:`repro.stream`): payload records retire as they resolve and
-    #: percentiles come from a log-bucketed histogram. False keeps the
-    #: exact per-record path, byte-identical to previous releases.
-    stream_metrics: bool = False
     seed: int = 0
     #: Scales the three timing windows below (0.1 = a 30 s send window).
     scale: float = 1.0
@@ -169,10 +164,6 @@ class BenchmarkConfig:
             parts.append(f"faults{len(self.fault_plan)}")
         if self.workload is not None and not self.workload.is_default:
             parts.append(f"wl-{self.workload.short_label()}")
-        if self.stream_metrics:
-            # Streamed results carry histogram fields; keep their files
-            # from overwriting an exact run's.
-            parts.append("stream")
         if self.node_count != 4:
             parts.append(f"n{self.node_count}")
         return "-".join(parts)

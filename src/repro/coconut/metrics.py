@@ -11,6 +11,12 @@
 
 Per-repetition values carry SD, SEM and the 95% confidence interval
 (Student t, matching the paper's r=3 statistics).
+
+Every quantity is read off the clients' streaming accumulators
+(:mod:`repro.stream`), folded in as each payload resolves: counts,
+t_fstx/t_lrtx, duration and TPS are exact, MFLS is the correctly
+rounded mean of an exact latency sum, and p50/p95/p99 come from a
+log-bucketed histogram, exact to one ~2.6% bucket.
 """
 
 from __future__ import annotations
@@ -19,10 +25,7 @@ import dataclasses
 import math
 import typing
 
-from repro.coconut.client import CoconutClient
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stream.accumulator import PhaseAccumulator
+from repro.stream.accumulator import PhaseAccumulator
 
 
 #: Two-sided 95% Student-t critical values (t_{0.975, df}) for df 1-30.
@@ -94,21 +97,6 @@ def confidence_interval(values: typing.Sequence[float]) -> typing.Tuple[float, f
     return summary.mean - summary.ci95, summary.mean + summary.ci95
 
 
-def percentile(sorted_values: typing.Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample.
-
-    Nearest-rank (not interpolated) so the value is always one actually
-    observed latency; 0.0 for an empty sample, mirroring the total-
-    failure convention of the other metrics.
-    """
-    if not sorted_values:
-        return 0.0
-    if not 0.0 < q <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {q}")
-    rank = math.ceil(q / 100.0 * len(sorted_values))
-    return sorted_values[max(0, rank - 1)]
-
-
 @dataclasses.dataclass
 class PhaseMetrics:
     """One repetition's end-to-end numbers for one phase."""
@@ -123,8 +111,9 @@ class PhaseMetrics:
     duration: float
     tps: float
     mean_fls: float
-    #: Finalization-latency percentiles (nearest rank) of the
-    #: repetition's received transactions — the tail the mean hides.
+    #: Finalization-latency percentiles of the repetition's received
+    #: transactions (nearest rank, exact to one histogram bucket) — the
+    #: tail the mean hides.
     p50_fls: float = 0.0
     p95_fls: float = 0.0
     p99_fls: float = 0.0
@@ -141,10 +130,8 @@ class PhaseMetrics:
     #: checked (the report spans all phases); None otherwise.
     invariants: typing.Optional[dict] = None
     #: Serialized :class:`repro.stream.LogHistogram` of the repetition's
-    #: finalization latencies when the run measured through the
-    #: streaming path; None on the exact path (and omitted from
-    #: :meth:`to_dict`, keeping exact-path result JSON byte-identical
-    #: to previous releases).
+    #: finalization latencies. None only on results written before
+    #: runs recorded it (and then omitted from :meth:`to_dict`).
     latency_histogram: typing.Optional[dict] = None
 
     @property
@@ -153,92 +140,23 @@ class PhaseMetrics:
         return self.expected - self.received
 
     @classmethod
-    def from_clients(
-        cls, clients: typing.Sequence[CoconutClient], phase: str, repetition: int
+    def from_accumulator(
+        cls, merged: PhaseAccumulator, repetition: int
     ) -> "PhaseMetrics":
-        """Compute Formulas (1)-(3) from the clients of one repetition.
+        """Formulas (1)-(3) from one phase's accumulator, merged over clients.
 
-        Each client's records are traversed exactly once
-        (:meth:`~repro.coconut.client.CoconutClient.phase_summary`); the
-        aggregation below is arithmetic over those single-pass
-        summaries, byte-identical to the per-quantity rebuild it
-        replaced (pinned by the tests/perf seed-equivalence goldens).
+        Counts, extremes, duration and TPS equal a brute-force pass over
+        every record bit for bit (sums and min/max are order-insensitive);
+        MFLS is the correctly rounded mean of an exact (Shewchuk) latency
+        sum; p50/p95/p99 come from the merged log-bucketed histogram and
+        are exact to one bucket. ``tests/stream/test_equivalence.py``
+        pins the contract against the retained records, run for run.
         """
-        summaries = [client.phase_summary(phase) for client in clients]
-        expected = sum(summary.sent for summary in summaries)
-        received_records = [
-            record for summary in summaries for record in summary.received
-        ]
-        failed = sum(summary.failed for summary in summaries)
-        first_sends = [
-            summary.first_send for summary in summaries if summary.first_send is not None
-        ]
-        last_receives = [
-            summary.last_receive
-            for summary in summaries
-            if summary.last_receive is not None
-        ]
-        if not received_records or not first_sends or not last_receives:
+        histogram = merged.histogram.to_dict()
+        if merged.received == 0 or merged.first_send is None or merged.last_receive is None:
             # Total failure: the paper reports 0 MTPS / 0 s (Table 15).
             return cls(
-                phase=phase,
-                repetition=repetition,
-                expected=expected,
-                received=0,
-                failed=failed,
-                t_first_send=min(first_sends) if first_sends else 0.0,
-                t_last_receive=0.0,
-                duration=0.0,
-                tps=0.0,
-                mean_fls=0.0,
-            )
-        t_fstx = min(first_sends)
-        t_lrtx = max(last_receives)
-        duration = t_lrtx - t_fstx
-        tps = len(received_records) / duration if duration > 0 else 0.0
-        latencies = sorted(record.latency for record in received_records)
-        mean_fls = sum(latencies) / len(latencies)
-        return cls(
-            phase=phase,
-            repetition=repetition,
-            expected=expected,
-            received=len(received_records),
-            failed=failed,
-            t_first_send=t_fstx,
-            t_last_receive=t_lrtx,
-            duration=duration,
-            tps=tps,
-            mean_fls=mean_fls,
-            p50_fls=percentile(latencies, 50),
-            p95_fls=percentile(latencies, 95),
-            p99_fls=percentile(latencies, 99),
-            invalidated=sum(1 for record in received_records if record.invalid),
-        )
-
-    @classmethod
-    def from_stream(
-        cls,
-        accumulators: typing.Sequence["PhaseAccumulator"],
-        phase: str,
-        repetition: int,
-    ) -> "PhaseMetrics":
-        """Formulas (1)-(3) from streaming accumulators, one per client.
-
-        Counts, extremes, duration and TPS equal the exact path's
-        bit for bit (sums and min/max are order-insensitive); MFLS is
-        the correctly rounded mean of an exact (Shewchuk) latency sum;
-        p50/p95/p99 come from the merged log-bucketed histogram and are
-        exact to one bucket. ``tests/stream/test_equivalence.py`` pins
-        the contract against :meth:`from_clients` run for run.
-        """
-        from repro.stream.accumulator import PhaseAccumulator
-
-        merged = PhaseAccumulator.merged(list(accumulators), phase)
-        if merged.received == 0 or merged.first_send is None or merged.last_receive is None:
-            # Total failure: the paper reports 0 MTPS / 0 s (Table 15),
-            # mirroring the exact path's shape exactly.
-            return cls(
-                phase=phase,
+                phase=merged.phase,
                 repetition=repetition,
                 expected=merged.sent,
                 received=0,
@@ -248,7 +166,7 @@ class PhaseMetrics:
                 duration=0.0,
                 tps=0.0,
                 mean_fls=0.0,
-                latency_histogram=merged.histogram.to_dict(),
+                latency_histogram=histogram,
             )
         t_fstx = merged.first_send
         t_lrtx = merged.last_receive
@@ -256,7 +174,7 @@ class PhaseMetrics:
         tps = merged.received / duration if duration > 0 else 0.0
         p50, p95, p99 = merged.histogram.percentiles((50, 95, 99))
         return cls(
-            phase=phase,
+            phase=merged.phase,
             repetition=repetition,
             expected=merged.sent,
             received=merged.received,
@@ -270,15 +188,14 @@ class PhaseMetrics:
             p95_fls=p95,
             p99_fls=p99,
             invalidated=merged.invalidated,
-            latency_histogram=merged.histogram.to_dict(),
+            latency_histogram=histogram,
         )
 
     def to_dict(self) -> dict:
         """JSON-ready representation.
 
-        The histogram field only appears on streamed metrics; dropping
-        it when None keeps exact-path result JSON byte-identical to
-        files written before the field existed.
+        A missing histogram (a result loaded from a file written before
+        runs recorded one) stays missing rather than becoming null.
         """
         data = dataclasses.asdict(self)
         if data.get("latency_histogram") is None:

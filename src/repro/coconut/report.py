@@ -121,8 +121,5 @@ def unit_summary(result: UnitResult) -> str:
         )
         if phase.invalidated.mean > 0:
             line += f"  invalid={phase.invalidated.mean:.0f}"
-        if phase.streamed:
-            # Percentiles are histogram-backed (exact to one bucket).
-            line += "  [streamed]"
         lines.append(line)
     return "\n".join(lines)

@@ -63,16 +63,12 @@ class PhaseResult:
         """Expected NoT across repetitions."""
         return aggregate([float(rep.expected) for rep in self.repetitions])
 
-    @property
-    def streamed(self) -> bool:
-        """Whether the repetitions were measured through repro.stream."""
-        return any(rep.latency_histogram is not None for rep in self.repetitions)
-
     def latency_histograms(self) -> typing.List[dict]:
-        """Serialized per-repetition latency histograms (streamed runs).
+        """Serialized per-repetition latency histograms.
 
-        Empty on exact-path results; :mod:`repro.analysis.histstats`
-        merges these for cross-repetition percentile curves.
+        Empty on results written before runs recorded them;
+        :mod:`repro.analysis.histstats` merges these for cross-repetition
+        percentile curves.
         """
         return [
             rep.latency_histogram

@@ -4,7 +4,7 @@ Runs one benchmark unit: for each repetition, provision a fresh rig
 (Section 4.1), wait out the system's stabilization time (Section 4.4),
 then execute the unit's phases back to back — every phase is a full
 send/listen/terminate cycle (Section 4.3) — and compute the Section 4.5
-metrics from the clients' records.
+metrics from the clients' streaming accumulators.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
 from repro.faults import FaultInjector, ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
-from repro.stream.accumulator import ResilienceAccumulator
+from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stream.spill import SpillSink
+    from repro.stream.spill import RecordSink
     from repro.trace.tracer import Tracer
 
 
@@ -36,7 +36,7 @@ class BenchmarkRunner:
         keep_last_rig: bool = True,
         check: bool = False,
         check_level: str = "basic",
-        spill: typing.Optional["SpillSink"] = None,
+        spill: typing.Optional["RecordSink"] = None,
     ) -> None:
         self.store = store
         self.provisioner = provisioner or Provisioner()
@@ -63,16 +63,16 @@ class BenchmarkRunner:
         #: The most recent unit's merged invariant report (None when the
         #: unit ran unchecked).
         self.last_invariants: typing.Optional[InvariantReport] = None
-        #: Full-fidelity record sink attached to streaming clients (the
-        #: spill path of :mod:`repro.stream`); ignored on exact runs.
+        #: Full-fidelity record sink attached to every client (a
+        #: :class:`~repro.stream.SpillSink` file or an in-memory
+        #: :class:`~repro.stream.RetainingSink`): each payload record is
+        #: handed to it once, when it retires or expires.
         self.spill = spill
         #: Most payload records simultaneously tracked by any client of
-        #: the most recent streaming unit — the bounded-memory
-        #: observable (None after exact runs, whose live count equals
-        #: the total offered load by construction).
-        self.last_stream_peak: typing.Optional[int] = None
+        #: the most recent unit — the bounded-memory observable.
+        self.last_stream_peak = 0
         #: Records written to the spill sink by the most recent unit.
-        self.last_stream_spilled: int = 0
+        self.last_stream_spilled = 0
 
     def run(self, config: BenchmarkConfig) -> UnitResult:
         """Run one benchmark unit, all repetitions, all phases."""
@@ -80,7 +80,7 @@ class BenchmarkRunner:
         # previous unit's resilience data after a healthy run.
         self.last_resilience = {}
         self.last_invariants = None
-        self.last_stream_peak = None
+        self.last_stream_peak = 0
         self.last_stream_spilled = 0
         phases = config.phase_sequence
         per_phase: typing.Dict[str, typing.List[PhaseMetrics]] = {p: [] for p in phases}
@@ -88,10 +88,9 @@ class BenchmarkRunner:
         for repetition in range(config.repetitions):
             self.progress(f"{config.label()} repetition {repetition + 1}/{config.repetitions}")
             rig = self.provisioner.provision(config, repetition)
-            if config.stream_metrics and self.spill is not None:
+            if self.spill is not None:
                 self.spill.set_context(label=config.label(), repetition=repetition)
                 for client in rig.clients:
-                    assert client.stream is not None
                     client.stream.sink = self.spill
             if self.tracer is not None:
                 rig.sim.set_tracer(self.tracer)
@@ -145,7 +144,6 @@ class BenchmarkRunner:
             injector.install(epoch=clock)
             self.last_resilience = {}
         checker = rig.sim.checker
-        streaming = config.stream_metrics
         for phase in config.phase_sequence:
             if checker.enabled:
                 checker.set_phase(phase)
@@ -155,11 +153,10 @@ class BenchmarkRunner:
             for client in rig.clients:
                 client.run_phase(phase, clock)
             clock += config.scaled_total
-            if streaming:
-                # Both windows are known before anything executes, so
-                # the streaming resilience timeline can be armed now and
-                # filled as payloads resolve.
-                self._arm_stream_resilience(rig, injector, phase, phase_start, clock)
+            # Both windows are known before anything executes, so the
+            # resilience timeline can be armed now and filled as
+            # payloads resolve.
+            self._arm_resilience(rig, injector, phase, phase_start, clock)
             rig.sim.run(until=clock)
             if tracer.enabled:
                 tracer.record_span(
@@ -167,37 +164,30 @@ class BenchmarkRunner:
                     phase=phase, repetition=repetition, system=config.system,
                     iel=config.iel,
                 )
-            if streaming:
-                metrics[phase] = PhaseMetrics.from_stream(
-                    [client.stream.accumulator(phase) for client in rig.clients],
-                    phase,
-                    repetition,
-                )
-            else:
-                metrics[phase] = PhaseMetrics.from_clients(rig.clients, phase, repetition)
-            self._attach_resilience(
-                metrics[phase], injector, rig, phase, phase_start, clock
+            merged = PhaseAccumulator.merged(
+                [client.stream.accumulator(phase) for client in rig.clients], phase
             )
-            if streaming:
-                # Records that never resolved are spilled and dropped so
-                # live state cannot accumulate phase over phase.
-                for client in rig.clients:
-                    client.finish_phase(phase)
+            metrics[phase] = PhaseMetrics.from_accumulator(merged, repetition)
+            if merged.resilience is not None:
+                report = merged.resilience.report()
+                metrics[phase].resilience = report.to_dict()
+                self.last_resilience[phase] = report
+                self.progress(f"  {phase} resilience: {report.render()}")
+            # Records that never resolved are spilled and dropped so live
+            # state cannot accumulate phase over phase.
+            for client in rig.clients:
+                client.finish_phase(phase)
             self.progress(
                 f"  {phase}: {metrics[phase].received}/{metrics[phase].expected} received, "
                 f"tps={metrics[phase].tps:.2f}, fls={metrics[phase].mean_fls:.2f}s"
             )
-        if streaming:
-            peak = max(client.stream.peak_live for client in rig.clients)
-            if self.last_stream_peak is None or peak > self.last_stream_peak:
-                self.last_stream_peak = peak
-            self.last_stream_spilled += sum(
-                client.stream.spilled for client in rig.clients
-            )
-            self.progress(f"  stream: peak live records/client {peak}")
+        peak = max(client.stream.peak_live for client in rig.clients)
+        self.last_stream_peak = max(self.last_stream_peak, peak)
+        self.last_stream_spilled += sum(client.stream.spilled for client in rig.clients)
+        self.progress(f"  stream: peak live records/client {peak}")
         return metrics
 
-    def _arm_stream_resilience(
+    def _arm_resilience(
         self,
         rig: Rig,
         injector: typing.Optional[FaultInjector],
@@ -205,72 +195,20 @@ class BenchmarkRunner:
         phase_start: float,
         phase_end: float,
     ) -> None:
-        """Arm per-client streaming resilience accumulators for a phase
-        the fault window touches (same gate as ``_attach_resilience``)."""
+        """Arm every client's resilience accumulator for a phase the
+        fault window touches; healthy phases stay unarmed."""
         if injector is None:
             return
         window = injector.fault_window()
         if window is None or window[0] >= phase_end or window[1] <= phase_start:
             return
         for client in rig.clients:
-            assert client.stream is not None
             client.stream.accumulator(phase).resilience = ResilienceAccumulator(
                 fault_start=max(window[0], phase_start),
                 fault_end=min(window[1], phase_end),
                 phase_start=phase_start,
                 phase_end=phase_end,
             )
-
-    def _attach_resilience(
-        self,
-        phase_metrics: PhaseMetrics,
-        injector: typing.Optional[FaultInjector],
-        rig: Rig,
-        phase: str,
-        phase_start: float,
-        phase_end: float,
-    ) -> None:
-        """Compute the fault-window report for a phase the faults touched."""
-        if injector is None:
-            return
-        window = injector.fault_window()
-        if window is None or window[0] >= phase_end or window[1] <= phase_start:
-            return
-        if rig.clients and rig.clients[0].stream is not None:
-            # Streaming path: merge the armed per-client accumulators;
-            # their counters feed the same arithmetic from_records runs
-            # over retained records, so the report is byte-identical.
-            merged: typing.Optional[ResilienceAccumulator] = None
-            for client in rig.clients:
-                assert client.stream is not None
-                accumulator = client.stream.accumulator(phase).resilience
-                assert accumulator is not None
-                if merged is None:
-                    merged = ResilienceAccumulator(
-                        fault_start=accumulator.fault_start,
-                        fault_end=accumulator.fault_end,
-                        phase_start=accumulator.phase_start,
-                        phase_end=accumulator.phase_end,
-                        bucket_width=accumulator.bucket_width,
-                        tolerance=accumulator.tolerance,
-                    )
-                merged.merge(accumulator)
-            assert merged is not None
-            report = merged.report()
-        else:
-            records = [
-                record for client in rig.clients for record in client.phase_records(phase)
-            ]
-            report = ResilienceReport.from_records(
-                records,
-                fault_start=max(window[0], phase_start),
-                fault_end=min(window[1], phase_end),
-                phase_start=phase_start,
-                phase_end=phase_end,
-            )
-        phase_metrics.resilience = report.to_dict()
-        self.last_resilience[phase] = report
-        self.progress(f"  {phase} resilience: {report.render()}")
 
     def run_many(self, configs: typing.Iterable[BenchmarkConfig]) -> typing.List[UnitResult]:
         """Run a batch of units, dropping rigs between them.

@@ -68,7 +68,6 @@ class Case:
         self,
         scale: typing.Optional[float] = None,
         repetitions: typing.Optional[int] = None,
-        stream_metrics: typing.Optional[bool] = None,
     ) -> BenchmarkConfig:
         """Materialise the benchmark configuration, applying overrides."""
         env_scale = os.environ.get("REPRO_SCALE")
@@ -97,13 +96,8 @@ class Case:
                 ) from None
         else:
             effective_reps = self.recommended_repetitions
-        kwargs = dict(self.config_kwargs)
-        if stream_metrics is not None:
-            # An override beats a case-level setting; None leaves the
-            # case's own kwargs (usually absent -> exact path) alone.
-            kwargs["stream_metrics"] = stream_metrics
         return BenchmarkConfig(
-            scale=effective_scale, repetitions=effective_reps, **kwargs
+            scale=effective_scale, repetitions=effective_reps, **self.config_kwargs
         )
 
 
@@ -179,7 +173,6 @@ class Experiment:
         repetitions: typing.Optional[int] = None,
         case_filter: typing.Optional[typing.Callable[[Case], bool]] = None,
         executor: typing.Optional["Executor"] = None,
-        stream_metrics: bool = False,
     ) -> ExperimentRun:
         """Execute (a subset of) the experiment's cases.
 
@@ -194,11 +187,7 @@ class Experiment:
             if case_filter is None or case_filter(case)
         ]
         configs = [
-            case.build_config(
-                scale=scale,
-                repetitions=repetitions,
-                stream_metrics=stream_metrics or None,
-            )
+            case.build_config(scale=scale, repetitions=repetitions)
             for case in selected
         ]
         if executor is not None:

@@ -124,15 +124,10 @@ class WorkloadExperiment:
         scale: typing.Optional[float] = None,
         repetitions: typing.Optional[int] = None,
         executor: typing.Optional["Executor"] = None,
-        stream_metrics: bool = False,
     ) -> WorkloadRun:
         """Execute the cases serially or over an executor's pool."""
         configs = [
-            case.build_config(
-                scale=scale,
-                repetitions=repetitions,
-                stream_metrics=stream_metrics or None,
-            )
+            case.build_config(scale=scale, repetitions=repetitions)
             for case in self.cases
         ]
         if executor is not None:

@@ -1,4 +1,4 @@
-"""Resilience metrics derived from client-side payload records.
+"""Resilience metrics derived from client-side payload timestamps.
 
 The COCONUT client already timestamps every payload (start on submit,
 end on the all-nodes finality confirmation). Bucketing those
@@ -13,13 +13,15 @@ the quantities a resilience experiment reports:
   window vs payloads submitted during it that never confirmed.
 
 Everything here is pure arithmetic over simulated timestamps, so two
-runs with the same seed and plan produce identical reports.
+runs with the same seed and plan produce identical reports. The
+arithmetic runs as payloads resolve, in
+:class:`repro.stream.accumulator.ResilienceAccumulator`; this module
+holds the report it produces.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 #: Fraction of the pre-fault baseline that counts as "recovered".
@@ -51,91 +53,6 @@ class ResilienceReport:
     def recovered(self) -> bool:
         """Whether throughput returned after the fault window."""
         return self.time_to_recover is not None
-
-    @classmethod
-    def from_records(
-        cls,
-        records: typing.Iterable[object],
-        *,
-        fault_start: float,
-        fault_end: float,
-        phase_start: float,
-        phase_end: float,
-        bucket_width: float = 1.0,
-        tolerance: float = RECOVERY_TOLERANCE,
-    ) -> "ResilienceReport":
-        """Build a report from client ``PayloadRecord``-shaped objects.
-
-        Records need ``start_time``, ``end_time`` and ``received``.
-        Times are absolute sim times; the fault window must lie inside
-        the phase window.
-        """
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
-        if phase_end <= phase_start:
-            raise ValueError("phase_end must be after phase_start")
-        records = list(records)
-        span = phase_end - phase_start
-        bucket_count = max(1, int(math.ceil(span / bucket_width)))
-        counts = [0] * bucket_count
-        sent_in_window = committed_in_window = lost_in_window = 0
-        pre_fault_commits = 0
-        for record in records:
-            start = typing.cast(float, getattr(record, "start_time"))
-            end = typing.cast(typing.Optional[float], getattr(record, "end_time"))
-            received = bool(getattr(record, "received"))
-            in_window = fault_start <= start <= fault_end
-            if in_window:
-                sent_in_window += 1
-                if not received:
-                    lost_in_window += 1
-            if not received or end is None:
-                continue
-            if fault_start <= end <= fault_end:
-                committed_in_window += 1
-            if end < fault_start:
-                pre_fault_commits += 1
-            index = int((end - phase_start) / bucket_width)
-            if 0 <= index < bucket_count:
-                counts[index] += 1
-        timeline = [count / bucket_width for count in counts]
-        baseline_window = max(0.0, fault_start - phase_start)
-        baseline_tps = pre_fault_commits / baseline_window if baseline_window > 0 else 0.0
-        # Worst bucket whose span intersects the fault window.
-        first_fault_bucket = max(0, int((fault_start - phase_start) / bucket_width))
-        last_fault_bucket = min(
-            bucket_count - 1, int((fault_end - phase_start) / bucket_width)
-        )
-        if first_fault_bucket <= last_fault_bucket:
-            dip_tps = min(timeline[first_fault_bucket : last_fault_bucket + 1])
-        else:
-            dip_tps = baseline_tps
-        dip_depth = 0.0
-        if baseline_tps > 0:
-            dip_depth = max(0.0, 1.0 - dip_tps / baseline_tps)
-        time_to_recover: typing.Optional[float] = None
-        if baseline_tps > 0:
-            threshold = tolerance * baseline_tps
-            first_post_bucket = int(math.ceil((fault_end - phase_start) / bucket_width))
-            for index in range(max(0, first_post_bucket), bucket_count):
-                if timeline[index] >= threshold:
-                    bucket_end = phase_start + (index + 1) * bucket_width
-                    time_to_recover = max(0.0, bucket_end - fault_end)
-                    break
-        return cls(
-            fault_start=fault_start,
-            fault_end=fault_end,
-            bucket_width=bucket_width,
-            timeline=timeline,
-            timeline_start=phase_start,
-            baseline_tps=baseline_tps,
-            dip_tps=dip_tps,
-            dip_depth=dip_depth,
-            time_to_recover=time_to_recover,
-            sent_in_window=sent_in_window,
-            committed_in_window=committed_in_window,
-            lost_in_window=lost_in_window,
-        )
 
     def to_dict(self) -> typing.Dict[str, object]:
         """A JSON-ready dict (stored on the phase metrics)."""

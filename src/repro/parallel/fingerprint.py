@@ -30,7 +30,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: 2: BenchmarkConfig grew the ``workload`` field.
 #: 3: BenchmarkConfig grew ``stream_metrics`` (streamed results carry
 #:    histogram fields, so the two paths must never share a cache slot).
-FINGERPRINT_SCHEMA = 3
+#: 4: ``stream_metrics`` is gone: every result is measured through the
+#:    accumulators and carries a latency histogram, so no result cached
+#:    by an older scheme may be replayed.
+FINGERPRINT_SCHEMA = 4
 
 
 def _default_code_version() -> str:

@@ -66,7 +66,6 @@ class CapacitySearch:
         scale: float = 0.05,
         repetitions: int = 1,
         seed: int = 0,
-        stream_metrics: bool = False,
     ) -> None:
         self.system = system
         self.iel = iel
@@ -85,12 +84,6 @@ class CapacitySearch:
         build_strategy(strategy, space.rate)
         self.judge = judge or SustainabilityJudge()
         self.config_kwargs = dict(config_kwargs or {})
-        #: Probe through the constant-memory streaming path. High-rate
-        #: saturation probes are exactly where per-record retention
-        #: peaks (the offered load the search exists to push), so the
-        #: judge's loss/latency inputs are computed identically either
-        #: way — see tests/stream/test_equivalence.py.
-        self.stream_metrics = stream_metrics
         self.scale = scale
         self.repetitions = repetitions
         self.seed = seed
@@ -114,7 +107,6 @@ class CapacitySearch:
             scale=self.scale,
             repetitions=self.repetitions,
             seed=self.seed,
-            stream_metrics=self.stream_metrics,
             **kwargs,
         )
 

@@ -1,23 +1,21 @@
-"""Memory-bounded streaming metrics (`repro.stream`).
+"""Memory-bounded streaming metrics (`repro.stream`): how runs are measured.
 
-The exact measurement path retains one record per payload and
-post-processes the full list per phase — O(offered load) memory and
-work, the harness's own scalability ceiling (Gromit, arXiv:2208.11254,
-makes the general point: a benchmark is only credible while its own
-overhead stays flat). This subsystem is the constant-memory
-alternative: per-phase counters, running extremes, an exact
-(Shewchuk-summed) latency total and a log-bucketed histogram are folded
-in as each payload resolves, after which the payload's record is
-retired. ``BenchmarkConfig(stream_metrics=True)`` — or
-``--stream-metrics`` on ``coconut run / experiment / search`` — turns
-it on; the default path is untouched and byte-identical to previous
-releases.
+Retaining one record per payload and post-processing the full list per
+phase costs O(offered load) memory and work, the harness's own
+scalability ceiling (Gromit, arXiv:2208.11254, makes the general point:
+a benchmark is only credible while its own overhead stays flat). Every
+run is therefore measured in constant memory: per-phase counters,
+running extremes, an exact (Shewchuk-summed) latency total and a
+log-bucketed histogram are folded in as each payload resolves, after
+which the payload's record is retired. Callers that need the raw
+records attach a sink (:class:`SpillSink`, :class:`RetainingSink`).
 
 Equivalence contract (pinned by ``tests/stream/``): for any fixed seed
-the streaming path reports the same expected/received/failed/
-invalidated counts, the same t_fstx/t_lrtx/duration/TPS, the same
-(correctly rounded) MFLS, and p50/p95/p99 within one histogram bucket
-of the exact path, for any client/thread/worker merge order.
+the accumulators report the same expected/received/failed/invalidated
+counts, the same t_fstx/t_lrtx/duration/TPS and the (correctly rounded)
+MFLS that a brute-force pass over all retained records gives, and
+p50/p95/p99 within one histogram bucket of its nearest-rank values, for
+any client/thread/worker merge order.
 """
 
 from repro.stream.accumulator import (
@@ -27,7 +25,7 @@ from repro.stream.accumulator import (
     ResilienceAccumulator,
 )
 from repro.stream.histogram import BASE, RESOLUTION, LogHistogram
-from repro.stream.spill import SpillSink, read_spill
+from repro.stream.spill import RecordSink, RetainingSink, SpillSink, read_spill
 
 __all__ = [
     "BASE",
@@ -36,7 +34,9 @@ __all__ = [
     "ExactSum",
     "LogHistogram",
     "PhaseAccumulator",
+    "RecordSink",
     "ResilienceAccumulator",
+    "RetainingSink",
     "SpillSink",
     "read_spill",
 ]

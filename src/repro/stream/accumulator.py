@@ -1,19 +1,19 @@
-"""Online per-phase metric accumulators: the streaming measurement path.
+"""Online per-phase metric accumulators: how every run is measured.
 
-The exact path keeps one :class:`~repro.coconut.client.PayloadRecord`
-per payload for the whole run and post-processes the full list; these
+Rather than keep one :class:`~repro.coconut.client.PayloadRecord` per
+payload for the whole run and post-process the full list, these
 accumulators fold every quantity the Section 4.5 formulas need into
-constant state *as each payload resolves*, so a record can be retired
-the moment its confirmation (or rejection) arrives and client memory
-stays bounded by the number of payloads in flight.
+constant state *as each payload resolves*, so a record is retired the
+moment its confirmation (or rejection) arrives and client memory stays
+bounded by the number of payloads in flight.
 
 What is accumulated, and why it is enough:
 
 * **Counters** — sent / received / failed / invalidated are sums, so
-  per-event increments reproduce the exact path's counts identically.
+  per-event increments reproduce a pass over all records identically.
 * **t_fstx / t_lrtx** — running min of send times and max of receive
   times; min/max are order-insensitive, so the merged extremes equal
-  the exact path's.
+  those of the full record list.
 * **Latency sum** — kept as a Shewchuk exact-sum expansion (the
   algorithm behind :func:`math.fsum`): the partials represent the *true*
   real-number sum with no rounding, so accumulation order, client
@@ -23,10 +23,11 @@ What is accumulated, and why it is enough:
   whose bucketing is a pure function of the value, making merges
   associative and percentiles exact to one bucket.
 * **Resilience timeline** — when a fault plan's window touches the
-  phase, the same bucketed-confirmations arithmetic that
-  :meth:`repro.faults.metrics.ResilienceReport.from_records` performs
-  over retained records is computed incrementally, window bounds being
-  known before the phase starts.
+  phase, confirmations are bucketed into a throughput timeline and the
+  window's sent/committed/lost payloads counted incrementally, window
+  bounds being known before the phase starts; the
+  :class:`~repro.faults.metrics.ResilienceReport` is computed from
+  those counters.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.stream.histogram import LogHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coconut.client import PayloadRecord
-    from repro.stream.spill import SpillSink
+    from repro.stream.spill import RecordSink
 
 
 class ExactSum:
@@ -84,13 +85,12 @@ class ExactSum:
 
 
 class ResilienceAccumulator:
-    """Streaming replacement for ``ResilienceReport.from_records``.
+    """The throughput timeline and window counts around one fault window.
 
     Armed before the phase runs (fault and phase windows are both known
-    then), it ingests send and retire events and reproduces the exact
-    path's report field by field: every count is a sum and the timeline
-    buckets confirmations by end time, so the merged accumulators yield
-    byte-identical arithmetic inputs.
+    then), it ingests send and retire events; every count is a sum and
+    the timeline buckets confirmations by end time, so merging the
+    clients' accumulators in any order yields the same report.
     """
 
     __slots__ = (
@@ -130,9 +130,9 @@ class ResilienceAccumulator:
         self.counts = [0] * max(1, int(math.ceil(span / bucket_width)))
         self.sent_in_window = 0
         #: Received payloads whose *send* fell in the window; losses are
-        #: ``sent_in_window`` minus this, which equals the exact path's
-        #: per-record "sent in window and never received" count (pending
-        #: payloads never retire as received, so they count as lost).
+        #: ``sent_in_window`` minus this — the payloads sent in the window
+        #: and never received (pending payloads never retire as
+        #: received, so they count as lost).
         self.received_in_window = 0
         self.committed_in_window = 0
         self.pre_fault_commits = 0
@@ -170,7 +170,7 @@ class ResilienceAccumulator:
         self.pre_fault_commits += other.pre_fault_commits
 
     def report(self) -> ResilienceReport:
-        """The same report ``from_records`` builds, from the counters."""
+        """The window's report: baseline, dip, recovery and counts."""
         bucket_width = self.bucket_width
         bucket_count = len(self.counts)
         timeline = [count / bucket_width for count in self.counts]
@@ -355,10 +355,9 @@ class ClientStream:
         self.client_id = client_id
         self.accumulators: typing.Dict[str, PhaseAccumulator] = {}
         #: Optional full-fidelity record sink; shared across clients.
-        self.sink: typing.Optional["SpillSink"] = None
+        self.sink: typing.Optional["RecordSink"] = None
         #: Most records simultaneously tracked (in flight) at any point —
-        #: the quantity the exact path lets grow to the total offered
-        #: load and this path keeps bounded.
+        #: bounded by the load in flight, not the total offered load.
         self.peak_live = 0
         self.spilled = 0
 

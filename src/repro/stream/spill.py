@@ -1,12 +1,14 @@
-"""Optional JSONL spill sink for full-fidelity payload records.
+"""Optional sinks for full-fidelity payload records.
 
-The streaming path deliberately forgets individual payloads the moment
-they resolve; analyses that need the raw records (per-transaction
-latency scatter, custom windows, post-hoc resilience slicing) can
-attach a spill sink instead of falling back to the O(offered load)
-exact path. Every retired record — and every record still pending at
-phase teardown — is appended as one JSON line, in simulation order, so
-the file is itself deterministic for a fixed seed.
+Clients deliberately forget individual payloads the moment they
+resolve; analyses that need the raw records (per-transaction latency
+scatter, custom windows, post-hoc resilience slicing) attach a sink
+through ``BenchmarkRunner(spill=...)`` (or ``client.stream.sink`` on a
+hand-driven rig). Every retired record — and every record still pending
+at phase teardown — is handed to the sink exactly once, in simulation
+order. :class:`SpillSink` appends each as one JSON line, so the file is
+itself deterministic for a fixed seed; :class:`RetainingSink` keeps the
+records in memory, which grows with the offered load.
 """
 
 from __future__ import annotations
@@ -72,3 +74,25 @@ def read_spill(path: typing.Union[str, pathlib.Path]) -> typing.List[dict]:
             if line:
                 entries.append(json.loads(line))
     return entries
+
+
+class RetainingSink:
+    """In-memory sink: keeps every record it is handed, in order.
+
+    Records of every client, phase and repetition land in one list;
+    filter on ``record.phase`` as needed.
+    """
+
+    def __init__(self) -> None:
+        self.records: typing.List["PayloadRecord"] = []
+
+    def set_context(self, **fields: object) -> None:
+        """Context is not stamped onto retained records."""
+
+    def write_record(self, client_id: str, record: "PayloadRecord") -> None:
+        """Keep one payload record."""
+        self.records.append(record)
+
+
+#: Anything the runner and clients can hand retired records to.
+RecordSink = typing.Union[SpillSink, RetainingSink]

@@ -38,6 +38,33 @@ class TestRunCommand:
         assert "DoNothing" in out
         assert "MTPS=" in out
 
+    def test_stream_spill_writes_every_record(self, tmp_path, capsys):
+        from repro.stream import read_spill
+
+        spill = tmp_path / "records.jsonl"
+        code = main([
+            "run", "--system", "fabric", "--iel", "DoNothing",
+            "--rate", "20", "--scale", "0.02", "--seed", "5",
+            "--stream-spill", str(spill),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        entries = read_spill(spill)
+        assert f"{len(entries)} records spilled" in out
+        assert f"NoT={sum(e['status'] == 'received' for e in entries)}/{len(entries)}" in out
+        assert len({entry["payload_id"] for entry in entries}) == len(entries)
+
+    @pytest.mark.parametrize("verb", (
+        ["run", "--system", "fabric"],
+        ["experiment", "table13_14"],
+        ["search", "--system", "fabric"],
+    ))
+    def test_stream_metrics_flag_is_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(verb + ["--stream-metrics"])
+        assert error.value.code == 2
+        assert "--stream-metrics" in capsys.readouterr().err
+
     def test_run_with_params_and_output(self, tmp_path, capsys):
         code = main([
             "run", "--system", "quorum", "--iel", "DoNothing",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coconut.client import PayloadRecord, PhaseSummary
+from repro.coconut.client import PayloadRecord
 from repro.coconut.metrics import (
     MetricSummary,
     PhaseMetrics,
@@ -12,38 +12,32 @@ from repro.coconut.metrics import (
     confidence_interval,
     t_critical,
 )
+from repro.stream import LogHistogram
+from repro.stream.accumulator import PhaseAccumulator
 
 
-class FakeClient:
-    """Just enough of CoconutClient for metric computation."""
+def accumulate(records, phase="Set"):
+    """One client's accumulator, fed its records as a client would."""
+    accumulator = PhaseAccumulator(phase)
+    for record in records:
+        accumulator.on_send(record.start_time)
+        if record.status != "pending":
+            accumulator.on_retire(record)
+    return accumulator
 
-    def __init__(self, records):
-        self._records = records
 
-    def phase_records(self, phase):
-        return self._records
+def phase_metrics(record_lists, repetition=0, phase="Set"):
+    """PhaseMetrics over several clients' records."""
+    merged = PhaseAccumulator.merged([accumulate(rs, phase) for rs in record_lists], phase)
+    return PhaseMetrics.from_accumulator(merged, repetition)
 
-    def sent_count(self, phase):
-        return len(self._records)
 
-    def received_records(self, phase):
-        return [r for r in self._records if r.received]
-
-    def first_send_time(self, phase):
-        return min((r.start_time for r in self._records), default=None)
-
-    def last_receive_time(self, phase):
-        received = self.received_records(phase)
-        return max((r.end_time for r in received), default=None)
-
-    def phase_summary(self, phase):
-        return PhaseSummary(
-            sent=self.sent_count(phase),
-            failed=sum(1 for r in self._records if r.status == "failed"),
-            received=self.received_records(phase),
-            first_send=self.first_send_time(phase),
-            last_receive=self.last_receive_time(phase),
-        )
+def percentile(values, q):
+    """Nearest-rank percentile through the one histogram every run uses."""
+    histogram = LogHistogram()
+    for value in values:
+        histogram.record(value)
+    return histogram.percentile(q)
 
 
 def record(start, end=None, status="pending"):
@@ -116,9 +110,9 @@ class TestPhaseMetrics:
     def test_formulas_on_known_records(self):
         # Client A sends at t=0 and t=1; confirmations at 2 and 4.
         # Client B sends at t=0.5; confirmation at 3.
-        a = FakeClient([record(0.0, 2.0, "received"), record(1.0, 4.0, "received")])
-        b = FakeClient([record(0.5, 3.0, "received")])
-        metrics = PhaseMetrics.from_clients([a, b], "Set", repetition=0)
+        a = [record(0.0, 2.0, "received"), record(1.0, 4.0, "received")]
+        b = [record(0.5, 3.0, "received")]
+        metrics = phase_metrics([a, b])
         assert metrics.expected == 3
         assert metrics.received == 3
         assert metrics.t_first_send == 0.0  # t_fstx across clients
@@ -128,12 +122,12 @@ class TestPhaseMetrics:
         assert metrics.mean_fls == pytest.approx((2.0 + 3.0 + 2.5) / 3)  # Formula (1)
 
     def test_unconfirmed_payloads_counted_as_lost(self):
-        client = FakeClient([
+        client = [
             record(0.0, 2.0, "received"),
             record(1.0),  # never confirmed
             record(2.0, 5.0, "failed"),  # rejected
-        ])
-        metrics = PhaseMetrics.from_clients([client], "Set", repetition=0)
+        ]
+        metrics = phase_metrics([client])
         assert metrics.expected == 3
         assert metrics.received == 1
         assert metrics.not_received == 2
@@ -141,68 +135,57 @@ class TestPhaseMetrics:
 
     def test_total_failure_reports_zeros(self):
         # Table 15's 0.00 rows: nothing received -> MTPS 0, duration 0.
-        client = FakeClient([record(0.0), record(1.0)])
-        metrics = PhaseMetrics.from_clients([client], "Set", repetition=0)
+        metrics = phase_metrics([[record(0.0), record(1.0)]])
         assert metrics.received == 0
         assert metrics.tps == 0.0
         assert metrics.duration == 0.0
         assert metrics.mean_fls == 0.0
 
     def test_round_trip_serialization(self):
-        client = FakeClient([record(0.0, 2.0, "received")])
-        metrics = PhaseMetrics.from_clients([client], "Set", repetition=1)
+        metrics = phase_metrics([[record(0.0, 2.0, "received")]], repetition=1)
+        assert metrics.latency_histogram is not None
         assert PhaseMetrics.from_dict(metrics.to_dict()) == metrics
 
     def test_latency_percentiles(self):
         # 100 confirmations with latencies 1..100 s: nearest-rank
-        # percentiles land exactly on the 50th/95th/99th values.
-        client = FakeClient(
-            [record(float(i), float(i) + i + 1, "received") for i in range(100)]
-        )
-        metrics = PhaseMetrics.from_clients([client], "Set", repetition=0)
-        assert metrics.p50_fls == 50.0
-        assert metrics.p95_fls == 95.0
-        assert metrics.p99_fls == 99.0
+        # percentiles land on the 50th/95th/99th values, to one bucket.
+        client = [record(float(i), float(i) + i + 1, "received") for i in range(100)]
+        metrics = phase_metrics([client])
+        width = LogHistogram().relative_width
+        for value, exact in ((metrics.p50_fls, 50.0), (metrics.p95_fls, 95.0),
+                             (metrics.p99_fls, 99.0)):
+            assert exact / width <= value <= exact * width
 
     def test_invalidated_count(self):
         records = [record(0.0, 2.0, "received"), record(1.0, 3.0, "received")]
         records[1].invalid = True
-        metrics = PhaseMetrics.from_clients([FakeClient(records)], "Set", repetition=0)
+        metrics = phase_metrics([records])
         assert metrics.invalidated == 1
 
 
 class TestPercentile:
     def test_nearest_rank(self):
-        from repro.coconut.metrics import percentile
-
         values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 50) == 2.0
-        assert percentile(values, 75) == 3.0
-        assert percentile(values, 100) == 4.0
+        rel = LogHistogram().relative_width - 1
+        assert percentile(values, 50) == pytest.approx(2.0, rel=rel)
+        assert percentile(values, 75) == pytest.approx(3.0, rel=rel)
+        assert percentile(values, 100) == pytest.approx(4.0, rel=rel)
         assert percentile([7.0], 99) == 7.0
 
     def test_empty_and_bounds(self):
-        from repro.coconut.metrics import percentile
-
         assert percentile([], 50) == 0.0
         with pytest.raises(ValueError, match="percentile"):
             percentile([1.0], 0)
 
     def test_empty_sample_is_zero_for_every_quantile(self):
-        from repro.coconut.metrics import percentile
-
         for q in (0.1, 1, 25, 50, 90, 99, 100):
             assert percentile([], q) == 0.0
 
     def test_single_element_dominates_every_quantile(self):
-        from repro.coconut.metrics import percentile
-
         for q in (0.1, 1, 50, 99, 100):
             assert percentile([3.5], q) == 3.5
 
     def test_bounds_checked_even_for_empty_shortcut(self):
-        from repro.coconut.metrics import percentile
-
         # The empty shortcut returns before validation; pinned so a
         # refactor that reorders the guards keeps the documented shape.
         assert percentile([], -1) == 0.0

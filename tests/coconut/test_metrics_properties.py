@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coconut.client import PayloadRecord
-from repro.coconut.metrics import PhaseMetrics
-from tests.coconut.test_metrics import FakeClient
+from tests.coconut.test_metrics import phase_metrics
 
 # Random client record sets: (start, latency-or-None) pairs.
 record_sets = st.lists(
@@ -33,7 +32,7 @@ def build_clients(spec_lists):
                         end_time=start + latency, status="received",
                     )
                 )
-        clients.append(FakeClient(records))
+        clients.append(records)
     return clients
 
 
@@ -42,7 +41,7 @@ class TestFormulasAgainstReference:
     @given(st.lists(record_sets, min_size=1, max_size=4))
     def test_formulas_match_brute_force(self, spec_lists):
         clients = build_clients(spec_lists)
-        metrics = PhaseMetrics.from_clients(clients, "Set", repetition=0)
+        metrics = phase_metrics(clients)
 
         # Brute-force reference straight from Section 4.5.
         all_specs = [spec for specs in spec_lists for spec in specs]
@@ -67,11 +66,11 @@ class TestFormulasAgainstReference:
     def test_time_shift_invariance(self, spec_lists, shift):
         # MTPS/MFLS/Duration depend only on differences, never on the
         # absolute clock (the stabilization offset must not matter).
-        base = PhaseMetrics.from_clients(build_clients(spec_lists), "Set", 0)
+        base = phase_metrics(build_clients(spec_lists))
         shifted_lists = [
             [(start + shift, latency) for start, latency in specs] for specs in spec_lists
         ]
-        shifted = PhaseMetrics.from_clients(build_clients(shifted_lists), "Set", 0)
+        shifted = phase_metrics(build_clients(shifted_lists))
         assert shifted.tps == pytest.approx(base.tps)
         assert shifted.mean_fls == pytest.approx(base.mean_fls)
         assert shifted.duration == pytest.approx(base.duration)

@@ -1,11 +1,15 @@
-"""Tests for resilience metrics arithmetic."""
+"""Tests for resilience metrics arithmetic.
+
+Records are fed to a :class:`ResilienceAccumulator` the way clients feed
+it during a run: every send, then every confirmation.
+"""
 
 import dataclasses
 import typing
 
 import pytest
 
-from repro.faults import ResilienceReport
+from repro.stream import ResilienceAccumulator
 
 
 @dataclasses.dataclass
@@ -26,11 +30,21 @@ def steady_records(start, end, rate=10, latency=0.2):
     return records
 
 
+def report_from(records, **windows):
+    """The resilience report of a phase whose payloads are ``records``."""
+    accumulator = ResilienceAccumulator(**windows)
+    for record in records:
+        accumulator.on_send(record.start_time)
+        if record.received:
+            accumulator.on_receive(record.start_time, record.end_time)
+    return accumulator.report()
+
+
 class TestHappyArithmetic:
     def test_full_outage_then_recovery(self):
         # 10 tps for 10 s, nothing during the fault [10, 15], 10 tps after.
         records = steady_records(0.0, 10.0) + steady_records(15.0, 30.0)
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert report.baseline_tps == pytest.approx(10.0, rel=0.1)
@@ -41,7 +55,7 @@ class TestHappyArithmetic:
 
     def test_partial_dip(self):
         records = steady_records(0.0, 10.0) + steady_records(10.0, 30.0, rate=5)
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert 0.0 < report.dip_depth < 1.0
@@ -49,7 +63,7 @@ class TestHappyArithmetic:
 
     def test_never_recovers(self):
         records = steady_records(0.0, 10.0)
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert not report.recovered
@@ -62,7 +76,7 @@ class TestHappyArithmetic:
             Record(start_time=2.0, end_time=13.0, received=True),    # committed in window only
             Record(start_time=20.0, end_time=21.0, received=True),   # outside entirely
         ]
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert report.sent_in_window == 2
@@ -72,7 +86,7 @@ class TestHappyArithmetic:
     def test_no_baseline_means_no_dip_judgement(self):
         # Fault at phase start: there is nothing to compare against.
         records = steady_records(5.0, 10.0)
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=0.0, fault_end=2.0, phase_start=0.0, phase_end=10.0
         )
         assert report.baseline_tps == 0.0
@@ -83,20 +97,20 @@ class TestHappyArithmetic:
 class TestValidationAndShape:
     def test_bad_bucket_width_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceReport.from_records(
+            report_from(
                 [], fault_start=0, fault_end=1, phase_start=0, phase_end=10,
                 bucket_width=0,
             )
 
     def test_empty_phase_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceReport.from_records(
+            report_from(
                 [], fault_start=0, fault_end=1, phase_start=5, phase_end=5
             )
 
     def test_to_dict_round_trips_scalars(self):
         records = steady_records(0.0, 10.0) + steady_records(15.0, 30.0)
-        report = ResilienceReport.from_records(
+        report = report_from(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         data = report.to_dict()
@@ -105,7 +119,7 @@ class TestValidationAndShape:
         assert data["lost_in_window"] == report.lost_in_window
 
     def test_render_mentions_window_and_verdict(self):
-        report = ResilienceReport.from_records(
+        report = report_from(
             steady_records(0.0, 10.0),
             fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0,
         )

@@ -5,69 +5,81 @@ import pytest
 from repro.coconut import BenchmarkConfig, BenchmarkRunner
 from repro.coconut.provisioner import Provisioner
 from repro.net.latency import EUROPEAN_WAN_LATENCY
+from repro.stream import RetainingSink
 
 BLOCK_SYSTEMS = ("bitshares", "fabric", "quorum", "sawtooth", "diem")
 ALL_SYSTEMS = BLOCK_SYSTEMS + ("corda_os", "corda_enterprise")
 
 
 def run_rig(system, iel="KeyValue", phase="Set", rate=50, scale=0.03, seed=2, **kwargs):
+    """Run one phase on a fresh rig; also returns every payload record,
+    retained by a sink the clients hand each record to once."""
     config = BenchmarkConfig(
         system=system, iel=iel, rate_limit=rate, scale=scale,
         repetitions=1, seed=seed, **kwargs,
     )
     rig = Provisioner().provision(config, 0)
+    sink = RetainingSink()
     clock = rig.system.stabilization_time
     for client in rig.clients:
+        client.stream.sink = sink
         client.run_phase(phase, clock)
     rig.sim.run(until=clock + config.scaled_total)
-    return rig, config
+    for client in rig.clients:
+        client.finish_phase(phase)
+    return rig, config, sink.records
+
+
+def received(records):
+    """The records that got a timely confirmation."""
+    return [record for record in records if record.received]
 
 
 class TestChainSafety:
     @pytest.mark.parametrize("system", BLOCK_SYSTEMS)
     def test_all_replicas_converge_and_validate(self, system):
-        rig, config = run_rig(system)
+        rig, __, __ = run_rig(system)
         rig.system.validate_all_chains()
         heights = set(rig.system.total_chain_height().values())
         assert max(heights) >= 0  # something was committed
 
     @pytest.mark.parametrize("system", BLOCK_SYSTEMS)
     def test_committed_payloads_exist_on_chain(self, system):
-        rig, config = run_rig(system)
+        rig, __, records = run_rig(system)
         chain_payloads = set()
         node = rig.system.nodes[rig.system.node_ids[0]]
         for block in node.chain.blocks():
             for tx in block.transactions:
                 for payload in tx.payloads:
                     chain_payloads.add(payload.payload_id)
-        for client in rig.clients:
-            for record in client.received_records("Set"):
-                assert record.payload_id in chain_payloads
+        for record in received(records):
+            assert record.payload_id in chain_payloads
 
 
 class TestReceiptSanity:
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_latencies_positive_and_within_window(self, system):
-        rig, config = run_rig(system, rate=20)
+        rig, config, records = run_rig(system, rate=20)
         listen_deadline = rig.system.stabilization_time + config.scaled_listen
         got_any = False
-        for client in rig.clients:
-            for record in client.received_records("Set"):
-                got_any = True
-                assert record.end_time > record.start_time
-                assert record.end_time <= listen_deadline + 1e-9
+        for record in received(records):
+            got_any = True
+            assert record.end_time > record.start_time
+            assert record.end_time <= listen_deadline + 1e-9
         assert got_any, f"{system} confirmed nothing at trivial load"
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_every_payload_has_exactly_one_fate(self, system):
-        rig, config = run_rig(system, rate=20)
-        for client in rig.clients:
-            for record in client.phase_records("Set"):
-                assert record.status in ("received", "failed", "pending")
-                if record.status == "pending":
-                    assert record.end_time is None
-                else:
-                    assert record.end_time is not None
+        rig, __, records = run_rig(system, rate=20)
+        offered = sum(client.stream.accumulator("Set").sent for client in rig.clients)
+        assert len({record.payload_id for record in records}) == offered
+        assert len(records) == offered
+        for record in records:
+            assert record.status in ("received", "failed", "pending")
+            if record.status == "pending":
+                assert record.end_time is None
+            else:
+                assert record.end_time is not None
 
 
 class TestMoneyConservation:
@@ -128,14 +140,12 @@ class TestDeterminism:
 class TestNetworkEmulation:
     @pytest.mark.parametrize("system", ("fabric", "quorum"))
     def test_netem_adds_latency_never_breaks(self, system):
-        base_rig, config = run_rig(system, rate=25, seed=6)
-        wan_rig, __ = run_rig(system, rate=25, seed=6, latency=EUROPEAN_WAN_LATENCY)
+        __, __, base = run_rig(system, rate=25, seed=6)
+        __, __, wan = run_rig(system, rate=25, seed=6, latency=EUROPEAN_WAN_LATENCY)
 
-        def mean_latency(rig):
-            records = [
-                r for client in rig.clients for r in client.received_records("Set")
-            ]
+        def mean_latency(records):
+            records = received(records)
             assert records
             return sum(r.latency for r in records) / len(records)
 
-        assert mean_latency(wan_rig) > mean_latency(base_rig)
+        assert mean_latency(wan) > mean_latency(base)

@@ -1,19 +1,23 @@
-"""Exact-vs-streaming equivalence: the subsystem's acceptance bar.
+"""Accumulators vs. retained records: the measurement's acceptance bar.
 
-For any seeded config, a run measured through :mod:`repro.stream` must
-report the same benchmark outcome as the exact per-record path:
+Every run is measured through :mod:`repro.stream`, so its outcome is
+checked against a brute-force pass over every payload record of the
+same run, retained through a :class:`~repro.stream.RetainingSink`:
 
 * expected/received/failed/invalidated NoT, t_fstx, t_lrtx, duration
   and TPS **exactly equal** (sums and min/max are order-insensitive);
-* MFLS equal up to the last float ulps (the streaming sum is the
-  *correctly rounded* mean via a Shewchuk exact sum; the exact path's
-  naive left-to-right sum over the sorted list can round differently
-  in its final bits, bounded here at 1e-12 relative);
+* MFLS equal up to the last float ulps (the accumulated sum is the
+  *correctly rounded* mean via a Shewchuk exact sum; a naive
+  left-to-right sum over the sorted list can round differently in its
+  final bits, bounded here at 1e-12 relative);
 * p50/p95/p99 within one histogram bucket (~2.6% relative) of the
-  exact nearest-rank values;
-* resilience reports under fault plans **byte-identical**;
-* parallel fan-out of streamed units byte-identical to serial.
+  nearest-rank values of the sorted latencies;
+* resilience reports under fault plans **identical** to the counts and
+  timeline the records give;
+* parallel fan-out of units byte-identical to serial.
 """
+
+import math
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.faults import FaultPlan
 from repro.parallel import ParallelExecutor, SerialExecutor
-from repro.stream import BASE, RESOLUTION
+from repro.stream import BASE, RESOLUTION, RetainingSink
 from repro.workloads import AccessSpec, ArrivalSpec, PhaseOverride, WorkloadSpec
 
 #: One bucket's relative span: the documented percentile error bound.
@@ -43,67 +47,72 @@ ALL_SYSTEMS = sorted(RATES)
 
 
 def run_pair(system, iel="KeyValue", scale=0.02, seed=3, **kwargs):
-    """The same unit measured exactly and through the stream."""
-    outcomes = {}
-    runners = {}
-    for stream in (False, True):
-        config = BenchmarkConfig(
-            system=system, iel=iel, rate_limit=RATES[system], scale=scale,
-            repetitions=1, seed=seed, stream_metrics=stream, **kwargs,
-        )
-        runner = BenchmarkRunner(keep_last_rig=False)
-        outcomes[stream] = runner.run(config)
-        runners[stream] = runner
-    return outcomes[False], outcomes[True], runners
+    """One unit's result, every payload record it produced, and its runner."""
+    config = BenchmarkConfig(
+        system=system, iel=iel, rate_limit=RATES[system], scale=scale,
+        repetitions=1, seed=seed, **kwargs,
+    )
+    sink = RetainingSink()
+    runner = BenchmarkRunner(keep_last_rig=False, spill=sink)
+    return runner.run(config), sink.records, runner
 
 
-def assert_equivalent(exact, stream):
-    assert set(exact.phases) == set(stream.phases)
+def nearest_rank(ordered, q):
+    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
+
+
+def assert_equivalent(result, records):
+    offered = {record.payload_id for record in records}
+    assert len(offered) == len(records), "a record reached the sink twice"
     confirmed_any = False
-    for phase in exact.phases:
-        pairs = zip(exact.phases[phase].repetitions, stream.phases[phase].repetitions)
-        for e, s in pairs:
-            context = f"{exact.label} {phase}"
-            assert s.expected == e.expected, context
-            assert s.received == e.received, context
-            assert s.failed == e.failed, context
-            assert s.invalidated == e.invalidated, context
-            assert s.t_first_send == e.t_first_send, context
-            assert s.t_last_receive == e.t_last_receive, context
-            assert s.duration == e.duration, context
-            assert s.tps == e.tps, context
-            assert s.mean_fls == pytest.approx(e.mean_fls, rel=1e-12, abs=1e-12), context
-            for q_exact, q_stream in (
-                (e.p50_fls, s.p50_fls),
-                (e.p95_fls, s.p95_fls),
-                (e.p99_fls, s.p99_fls),
-            ):
-                if q_exact == 0.0:
-                    assert q_stream == 0.0, context
-                else:
-                    assert q_exact / BUCKET_WIDTH <= q_stream <= q_exact * BUCKET_WIDTH, (
-                        f"{context}: {q_stream} vs exact {q_exact}"
-                    )
-            assert s.latency_histogram is not None, context
-            if s.received:
-                confirmed_any = True
-                assert s.latency_histogram["total"] == s.received, context
-    assert confirmed_any, f"{exact.label}: nothing confirmed; test proves nothing"
+    for phase, phase_result in result.phases.items():
+        (s,) = phase_result.repetitions
+        context = f"{result.label} {phase}"
+        mine = [r for r in records if r.phase == phase]
+        received = [r for r in mine if r.received]
+        assert s.expected == len(mine), context
+        assert s.received == len(received), context
+        assert s.failed == sum(1 for r in mine if r.status == "failed"), context
+        assert s.invalidated == sum(1 for r in received if r.invalid), context
+        latencies = sorted(r.latency for r in received)
+        assert s.latency_histogram is not None, context
+        assert s.latency_histogram["total"] == s.received, context
+        if not received:
+            assert (s.tps, s.duration, s.mean_fls) == (0.0, 0.0, 0.0), context
+            continue
+        confirmed_any = True
+        t_fstx = min(r.start_time for r in mine)
+        t_lrtx = max(r.end_time for r in received)
+        assert s.t_first_send == t_fstx, context
+        assert s.t_last_receive == t_lrtx, context
+        assert s.duration == t_lrtx - t_fstx, context
+        assert s.tps == len(received) / (t_lrtx - t_fstx), context
+        mean = sum(latencies) / len(latencies)
+        assert s.mean_fls == pytest.approx(mean, rel=1e-12, abs=1e-12), context
+        for q, value in ((50, s.p50_fls), (95, s.p95_fls), (99, s.p99_fls)):
+            exact = nearest_rank(latencies, q)
+            assert exact / BUCKET_WIDTH <= value <= exact * BUCKET_WIDTH, (
+                f"{context}: p{q} {value} vs nearest rank {exact}"
+            )
+    assert confirmed_any, f"{result.label}: nothing confirmed; test proves nothing"
 
 
 class TestAllSystems:
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_keyvalue_equivalent(self, system):
-        exact, stream, runners = run_pair(system)
-        assert_equivalent(exact, stream)
+        result, records, runner = run_pair(system)
+        assert_equivalent(result, records)
         # The bounded-memory observable: in-flight records, not offered
         # load. A slow system at this tiny scale may legitimately hold
         # every payload in flight, so the hard bound is the per-client
         # offered load; systems that confirm within the send window must
         # stay strictly under it.
-        peak = runners[True].last_stream_peak
-        expected_per_client = exact.phases[next(iter(exact.phases))].repetitions[0].expected // 4
-        assert peak is not None and 0 < peak <= expected_per_client
+        peak = runner.last_stream_peak
+        expected_per_client = result.phases[next(iter(result.phases))].repetitions[0].expected // 4
+        assert 0 < peak <= expected_per_client
         if system in ("fabric", "quorum"):
             assert peak < expected_per_client // 2
 
@@ -116,11 +125,11 @@ class TestRepresentativeWorkloads:
             access=AccessSpec(kind="zipfian", theta=0.99, key_space=200, shared=True),
             phases=(("Set", PhaseOverride(mix=(("Rmw", 1.0),))),),
         )
-        exact, stream, __ = run_pair(
+        result, records, __ = run_pair(
             "fabric", workload=workload, phases=("Set",), seed=2330
         )
-        assert_equivalent(exact, stream)
-        set_metrics = exact.phases["Set"].repetitions[0]
+        assert_equivalent(result, records)
+        set_metrics = result.phases["Set"].repetitions[0]
         assert set_metrics.invalidated > 0  # the workload did contend
 
     def test_quorum_burst_arrival(self):
@@ -128,39 +137,61 @@ class TestRepresentativeWorkloads:
             name="burst",
             arrival=ArrivalSpec(kind="burst", on_s=1.0, off_s=1.0),
         )
-        exact, stream, __ = run_pair("quorum", workload=workload, seed=2330)
-        assert_equivalent(exact, stream)
+        assert_equivalent(*run_pair("quorum", workload=workload, seed=2330)[:2])
 
     def test_multi_phase_banking_unit(self):
-        exact, stream, __ = run_pair("quorum", iel="BankingApp", seed=5)
-        assert_equivalent(exact, stream)
+        assert_equivalent(*run_pair("quorum", iel="BankingApp", seed=5)[:2])
+
+
+def resilience_from_records(records, report):
+    """Window counts, baseline and timeline of ``report``'s window,
+    recomputed from the phase's records."""
+    start, end = report.fault_start, report.fault_end
+    width = report.bucket_width
+    counts = [0] * len(report.timeline)
+    sent = lost = committed = before = 0
+    for record in records:
+        if start <= record.start_time <= end:
+            sent += 1
+            lost += not record.received
+        if not record.received:
+            continue
+        committed += start <= record.end_time <= end
+        before += record.end_time < start
+        index = int((record.end_time - report.timeline_start) / width)
+        if 0 <= index < len(counts):
+            counts[index] += 1
+    baseline_window = start - report.timeline_start
+    return dict(
+        sent_in_window=sent, lost_in_window=lost, committed_in_window=committed,
+        baseline_tps=before / baseline_window if baseline_window > 0 else 0.0,
+        timeline=[count / width for count in counts],
+    )
 
 
 class TestUnderFaults:
     @pytest.mark.parametrize("system", ("fabric", "quorum"))
     def test_resilience_reports_byte_identical(self, system):
         plan = FaultPlan().kill_leader(at=0.5).restart("leader", at=1.5)
-        exact, stream, runners = run_pair(
+        result, records, runner = run_pair(
             system, iel="DoNothing", fault_plan=plan, seed=7
         )
-        assert_equivalent(exact, stream)
-        exact_res = {p: r.to_dict() for p, r in runners[False].last_resilience.items()}
-        stream_res = {p: r.to_dict() for p, r in runners[True].last_resilience.items()}
-        assert exact_res  # the fault run did produce reports
-        assert stream_res == exact_res
-        # The report also rides on the phase metrics.
-        for phase in exact.phases:
-            for e, s in zip(
-                exact.phases[phase].repetitions, stream.phases[phase].repetitions
-            ):
-                assert s.resilience == e.resilience
+        assert_equivalent(result, records)
+        assert runner.last_resilience  # the fault run did produce reports
+        for phase, report in runner.last_resilience.items():
+            want = resilience_from_records([r for r in records if r.phase == phase], report)
+            got = {key: getattr(report, key) for key in want}
+            assert got == want, phase
+            # The report also rides on the phase metrics.
+            (metrics,) = result.phases[phase].repetitions
+            assert metrics.resilience == report.to_dict()
 
 
 class TestParallelMerge:
     def test_jobs2_matches_serial(self):
         configs = [
             BenchmarkConfig(system=system, iel="DoNothing", rate_limit=RATES[system],
-                            scale=0.02, repetitions=1, seed=11, stream_metrics=True)
+                            scale=0.02, repetitions=1, seed=11)
             for system in ("fabric", "quorum", "bitshares")
         ]
         serial = [o.result.to_dict() for o in SerialExecutor().run_units(configs)]
@@ -168,7 +199,7 @@ class TestParallelMerge:
             o.result.to_dict() for o in ParallelExecutor(jobs=2).run_units(configs)
         ]
         assert parallel == serial
-        # Streamed payloads round-trip the worker boundary intact.
+        # Latency histograms round-trip the worker boundary intact.
         for unit in serial:
             assert any(
                 "latency_histogram" in rep
@@ -179,6 +210,6 @@ class TestParallelMerge:
 
 class TestDeterminism:
     def test_streamed_run_repeats_byte_identical(self):
-        first = run_pair("fabric")[1]
-        second = run_pair("fabric")[1]
+        first = run_pair("fabric")[0]
+        second = run_pair("fabric")[0]
         assert first.to_dict() == second.to_dict()

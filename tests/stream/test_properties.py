@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coconut.client import PayloadRecord
-from repro.coconut.metrics import percentile as exact_percentile
-from repro.stream import ExactSum, LogHistogram
+from repro.stream import ExactSum, LogHistogram, RetainingSink
 from repro.stream.accumulator import PhaseAccumulator
 
 latencies = st.lists(
@@ -76,7 +75,7 @@ class TestPercentileBounds:
         ordered = sorted(values)
         width = h.relative_width
         for q in (50, 95, 99):
-            exact = exact_percentile(ordered, q)
+            exact = ordered[math.ceil(q / 100.0 * len(ordered)) - 1]
             approx = h.percentile(q)
             assert exact / width <= approx <= exact * width
 
@@ -107,34 +106,51 @@ def record(payload_id, start, end):
     )
 
 
+def client_with_pending_payload(listen_deadline):
+    """A client whose "Set" phase has one payload, ``p1``, in flight."""
+    from repro.coconut.client import CoconutClient
+    from repro.coconut.config import BenchmarkConfig
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator(seed=0)
+    config = BenchmarkConfig(system="fabric", iel="KeyValue", rate_limit=10)
+    client = CoconutClient("client-0", sim, config, gateway_id="gw")
+    client.records["Set"] = {}
+    accumulator = client.stream.begin_phase("Set")
+    client._listen_deadline["Set"] = listen_deadline
+    accumulator.on_send(0.0)
+    client.records["Set"]["p1"] = PayloadRecord(
+        payload_id="p1", phase="Set", start_time=0.0
+    )
+    client._payload_phase["p1"] = "Set"
+    return client, accumulator
+
+
 class TestRetireIdempotence:
     def test_client_ignores_double_receipt(self):
         """A retired payload's late duplicate receipt must not be
         folded twice. ``_record_end`` drops the payload->phase mapping
         at retire time, so the second call is a no-op."""
-        from repro.coconut.config import BenchmarkConfig
-        from repro.coconut.client import CoconutClient
-        from repro.sim.kernel import Simulator
-
-        sim = Simulator(seed=0)
-        config = BenchmarkConfig(
-            system="fabric", iel="KeyValue", rate_limit=10, stream_metrics=True
-        )
-        client = CoconutClient("client-0", sim, config, gateway_id="gw")
-        client.records["Set"] = {}
-        client.stream.begin_phase("Set")
-        client._listen_deadline["Set"] = 100.0
-        accumulator = client.stream.accumulator("Set")
-        accumulator.on_send(0.0)
-        client.records["Set"]["p1"] = PayloadRecord(
-            payload_id="p1", phase="Set", start_time=0.0
-        )
-        client._payload_phase["p1"] = "Set"
+        client, accumulator = client_with_pending_payload(listen_deadline=100.0)
         client._record_end("p1", "received")
         snapshot = accumulator.to_dict()
         client._record_end("p1", "received")
         assert accumulator.to_dict() == snapshot
         assert accumulator.received == 1
+
+    def test_receipt_after_teardown_counts_late(self):
+        """A payload still pending at phase teardown is spilled once and
+        its record dropped; a receipt that arrives afterwards is counted
+        as late, not folded in."""
+        client, accumulator = client_with_pending_payload(listen_deadline=-1.0)
+        sink = RetainingSink()
+        client.stream.sink = sink
+        assert client.finish_phase("Set") == 1
+        assert client.records["Set"] == {}
+        client._record_end("p1", "received")
+        assert client.ignored_late_receipts == 1
+        assert accumulator.received == 0
+        assert [(r.payload_id, r.status) for r in sink.records] == [("p1", "pending")]
 
 
 class TestDeterministicSerialization:
