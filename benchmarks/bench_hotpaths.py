@@ -3,8 +3,8 @@
 Each micro target times the *current* implementation against a verbatim
 copy of the pre-optimization code (``_Legacy*`` below), so the speedups
 written into the baseline are measured live on the same machine rather
-than quoted from a one-off run. The end-to-end targets time two short
-full benchmark-unit runs; their pre-optimization reference timings are
+than quoted from a one-off run. The end-to-end targets time short full
+benchmark-unit runs; their pre-optimization reference timings are
 recorded in the baseline notes (they cannot be re-measured live, since
 the legacy runner no longer exists as a whole).
 
@@ -33,7 +33,7 @@ from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_bytes, hash_object
 from repro.crypto.merkle import MerkleTree
 from repro.net.host import Host
-from repro.net.latency import ConstantLatency
+from repro.net.latency import ConstantLatency, NetemLatency
 from repro.net.network import Endpoint, Message, Network
 from repro.perf import TimingResult, check_baseline, load_baseline, time_callable, write_baseline
 from repro.sim.kernel import Simulator
@@ -49,6 +49,9 @@ PRE_PR_E2E_SECONDS = {
     # timer pass: a 12-validator Sawtooth PBFT unit, where every batch
     # gossips to 11 peers and every consensus message fans out n-wide.
     "e2e_sawtooth_n12": 2.849,
+    # Captured immediately before replicated execution ran once per
+    # deployment: all 32 validators executed every decided block.
+    "e2e_quorum_n32": 4.027,
 }
 
 E2E_CONFIGS = {
@@ -58,6 +61,12 @@ E2E_CONFIGS = {
                        scale=0.05, repetitions=1, seed=3),
     "e2e_sawtooth_n12": dict(system="sawtooth", iel="KeyValue", rate_limit=50,
                              scale=0.05, repetitions=1, seed=3, node_count=12),
+    # Fig. 5's n=32 point over the netem WAN: IBFT fans every round out
+    # to 31 peers and 32 validators apply every decided block.
+    "e2e_quorum_n32": dict(system="quorum", iel="DoNothing", rate_limit=400,
+                           params={"istanbul.blockperiod": 5.0}, node_count=32,
+                           latency=NetemLatency(mean=0.012, jitter=0.002),
+                           scale=0.04, repetitions=1, seed=58),
 }
 
 

@@ -12,24 +12,33 @@ world state, a single-threaded CPU (service times serialise on it) and an
 event-delivery queue through which all client notifications flow, so an
 overloaded delivery path loses notifications exactly the way the paper
 observes on Fabric (Sections 5.4, 5.8.2).
+
+Execution is deterministic, so a decided block is executed once per
+deployment: the first replica to apply it records the outcome in the
+system's :attr:`SystemModel.execution_memo` and every other replica whose
+world state has the same lineage replays the recorded read/write sets.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import itertools
 import typing
 
 from repro.chains.profiles import PerformanceProfile, profile_for
+from repro.crypto.merkle import MerkleTree
 from repro.iel import create_iel
-from repro.iel.base import InterfaceExecutionLayer
+from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
 from repro.net import Endpoint, Host, Message, Network
 from repro.net.latency import DATACENTER_LATENCY, LatencyModel
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stores import Store
-from repro.storage import Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState
+from repro.storage import (
+    Block, Chain, Payload, ReadWriteSet, Receipt, Transaction, TxStatus, WorldState,
+)
 
 _proposal_counter = itertools.count(1)
 
@@ -107,6 +116,40 @@ class BlockProposal:
     def is_empty(self) -> bool:
         """Whether the proposal carries no transactions."""
         return not self.transactions
+
+    @functools.cached_property
+    def merkle_root(self) -> str:
+        """Merkle root over the transactions, built once for every
+        replica that seals this proposal."""
+        return MerkleTree(self.transactions).root
+
+    def execution_time(self, node: "BaseNode") -> float:
+        """``node.execution_time`` of the transactions, computed once per
+        performance profile (every node of a system shares one)."""
+        cached = self.__dict__.get("_execution_time")
+        if cached is None or cached[0] is not node.profile:
+            cached = (node.profile, node.execution_time(self.transactions))
+            object.__setattr__(self, "_execution_time", cached)
+        return cached[1]
+
+
+@dataclasses.dataclass
+class ExecutedBlock:
+    """One replica's execution of a decided proposal, for the others to
+    replay (:meth:`BaseNode.apply_payloads`)."""
+
+    #: The executed proposal's transaction tuple (identity-checked).
+    transactions: typing.Tuple[Transaction, ...]
+    #: Read/write set of every applied transaction, in order; discarded
+    #: transactions applied nothing and have none.
+    rwsets: typing.List[ReadWriteSet]
+    outcome: typing.Dict[str, typing.Tuple[TxStatus, str]]
+    #: Payloads that executed successfully.
+    executed: int
+    #: World-state lineage after the block.
+    lineage: int
+    #: Replicas still expected to replay; the entry is dropped at zero.
+    replays_left: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,35 +247,68 @@ class BaseNode(Endpoint):
     # State application
 
     def apply_payloads(
-        self, transactions: typing.Iterable[Transaction], atomic_tx: bool = True
+        self, proposal: BlockProposal, atomic_tx: bool = True
     ) -> typing.Dict[str, typing.Tuple[TxStatus, str]]:
-        """Order-execute application: run every payload on world state.
+        """Order-execute application: run every payload of a decided
+        proposal on world state.
 
         Returns ``payload_id -> (status, detail)``. With ``atomic_tx``, a
         failing payload discards its whole transaction (BitShares
         operations, Sawtooth batches map batches separately).
-        """
-        from repro.iel.base import ReadWriteSetAdapter
 
-        outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-        for tx in transactions:
-            # Buffer each transaction's writes so an atomic failure
-            # leaves the world state untouched. Payloads inside the
-            # transaction see each other's writes through the buffer.
-            adapter = ReadWriteSetAdapter(self.state)
-            results = [(payload, self.iel.execute(payload, adapter)) for payload in tx.payloads]
-            failed = [(p, r) for p, r in results if not r.ok]
-            if failed and atomic_tx:
-                for payload in tx.payloads:
-                    outcome[payload.payload_id] = (TxStatus.DISCARDED, failed[0][1].error)
-                continue
-            self.state.apply(adapter.rwset)
-            for payload, result in results:
-                if result.ok:
-                    self.executed_payloads += 1
-                    outcome[payload.payload_id] = (TxStatus.COMMITTED, "")
-                else:
-                    outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+        When another replica already executed ``proposal`` from a state
+        with the same lineage, its recorded read/write sets are applied
+        instead (still MVCC-validated and counted per replica); a state
+        without a lineage always executes.
+        """
+        state = self.state
+        memo = self.system.execution_memo
+        key = (state.lineage, proposal.proposal_id)
+        entry = memo.get(key) if key[0] is not None else None
+        if entry is not None and entry.transactions is proposal.transactions:
+            for rwset in entry.rwsets:
+                state.apply(rwset)
+            self.executed_payloads += entry.executed
+            state.lineage = entry.lineage
+            outcome = dict(entry.outcome)
+            entry.replays_left -= 1
+            if not entry.replays_left:
+                del memo[key]
+        else:
+            outcome = {}
+            rwsets: typing.List[ReadWriteSet] = []
+            executed = 0
+            for tx in proposal.transactions:
+                # Buffer each transaction's writes so an atomic failure
+                # leaves the world state untouched. Payloads inside the
+                # transaction see each other's writes through the buffer.
+                adapter = ReadWriteSetAdapter(state)
+                results = [(payload, self.iel.execute(payload, adapter)) for payload in tx.payloads]
+                failed = [(p, r) for p, r in results if not r.ok]
+                if failed and atomic_tx:
+                    for payload in tx.payloads:
+                        outcome[payload.payload_id] = (TxStatus.DISCARDED, failed[0][1].error)
+                    continue
+                state.apply(adapter.rwset)
+                rwsets.append(adapter.rwset)
+                for payload, result in results:
+                    if result.ok:
+                        executed += 1
+                        outcome[payload.payload_id] = (TxStatus.COMMITTED, "")
+                    else:
+                        outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+            self.executed_payloads += executed
+            if key[0] is not None:
+                state.lineage = next(self.system._lineage_tokens)
+                replays = sum(
+                    1 for node in self.system.nodes.values()
+                    if node is not self and node.state.lineage is not None
+                )
+                if replays and key not in memo:
+                    memo[key] = ExecutedBlock(
+                        proposal.transactions, rwsets, dict(outcome), executed,
+                        state.lineage, replays,
+                    )
         self._trace_execution(len(outcome))
         checker = self.sim.checker
         if checker.enabled:
@@ -260,8 +336,6 @@ class BaseNode(Endpoint):
         DISCARDED. Otherwise the buffer is applied and all report
         COMMITTED.
         """
-        from repro.iel.base import ReadWriteSetAdapter
-
         adapter = ReadWriteSetAdapter(self.state)
         outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
         ok = True
@@ -298,9 +372,10 @@ class BaseNode(Endpoint):
         block = Block.seal(
             height=self.chain.height + 1,
             parent_hash=self.chain.head_hash,
-            transactions=list(proposal.transactions),
+            transactions=proposal.transactions,
             proposer=proposer,
             timestamp=proposal.created_at,
+            merkle_root=proposal.merkle_root,
         )
         # Sealed here from the decided proposal, so its Merkle root is
         # correct by construction; skip the per-transaction re-hash.
@@ -417,6 +492,10 @@ class SystemModel(abc.ABC):
             self.nodes[node_id] = node
         self.finality = FinalityTracker(self.node_ids)
         self.finality.on_final(self._on_final)
+        #: ``(pre-state lineage, proposal id) -> ExecutedBlock`` awaiting
+        #: replay by the other replicas (see :meth:`BaseNode.apply_payloads`).
+        self.execution_memo: typing.Dict[typing.Tuple[int, str], ExecutedBlock] = {}
+        self._lineage_tokens = itertools.count(1)
         #: client_id -> gateway node id (set on subscribe).
         self.subscriptions: typing.Dict[str, str] = {}
         #: proposal/tx id -> pending finalization context.

@@ -91,9 +91,9 @@ class BitSharesNode(BaseNode):
                 self.seal_and_append(proposal, decision.proposer)
                 continue
             yield from self.busy(
-                self.profile.block_overhead + self.execution_time(proposal.transactions)
+                self.profile.block_overhead + proposal.execution_time(self)
             )
-            outcome = self.apply_payloads(proposal.transactions, atomic_tx=True)
+            outcome = self.apply_payloads(proposal, atomic_tx=True)
             self.seal_and_append(proposal, decision.proposer)
             system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
             system.record_commit(proposal.proposal_id, self.endpoint_id)

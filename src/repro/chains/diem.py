@@ -94,9 +94,9 @@ class DiemValidator(BaseNode):
                 continue
             yield from self.busy(
                 commit_overhead(self.system.spec.node_count)
-                + self.execution_time(proposal.transactions)
+                + proposal.execution_time(self)
             )
-            outcome = self.apply_payloads(proposal.transactions)
+            outcome = self.apply_payloads(proposal)
             self.seal_and_append(proposal, decision.proposer)
             system.release_committed(proposal)
             system.stage_finality(proposal.proposal_id, outcome, self.chain.height)

@@ -68,9 +68,9 @@ class QuorumValidator(BaseNode):
                 self.seal_and_append(proposal, decision.proposer)
                 continue
             yield from self.busy(
-                self.profile.block_overhead + self.execution_time(proposal.transactions)
+                self.profile.block_overhead + proposal.execution_time(self)
             )
-            outcome = self.apply_payloads(proposal.transactions)
+            outcome = self.apply_payloads(proposal)
             self.seal_and_append(proposal, decision.proposer)
             system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
             system.record_commit(proposal.proposal_id, self.endpoint_id)

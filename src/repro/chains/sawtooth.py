@@ -77,9 +77,9 @@ class SawtoothValidator(BaseNode):
                 # The builder already executed during publishing; every
                 # other validator re-executes to verify the state root.
                 yield from self.busy(
-                    self.profile.block_overhead + self.execution_time(proposal.transactions)
+                    self.profile.block_overhead + proposal.execution_time(self)
                 )
-                self.apply_payloads(proposal.transactions)
+                self.apply_payloads(proposal)
             self.seal_and_append(proposal, decision.proposer)
             system.record_commit(proposal.proposal_id, self.endpoint_id)
 

@@ -62,9 +62,13 @@ class Block:
         transactions: typing.Sequence[Transaction],
         proposer: str,
         timestamp: float,
+        merkle_root: typing.Optional[str] = None,
     ) -> "Block":
-        """Build a block, computing the Merkle root over ``transactions``."""
-        merkle_root = MerkleTree(transactions).root
+        """Build a block, computing the Merkle root over ``transactions``
+        unless the caller already holds it (the decided proposal every
+        replica seals computes it once)."""
+        if merkle_root is None:
+            merkle_root = MerkleTree(transactions).root
         header = BlockHeader(
             height=height,
             parent_hash=parent_hash,

@@ -6,6 +6,10 @@ validates that every read version is still current (Section 5.4: stale
 transactions are *still appended to the chain*, flagged invalid, and never
 reach the world state). Order-execute systems (Quorum, Diem, Sawtooth,
 BitShares) use the same store but apply writes directly at execution time.
+
+Every state carries a :attr:`WorldState.lineage` token naming the sequence
+of decided blocks that produced its content, so replicas can tell that
+their states are identical without comparing them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,13 @@ class WorldState:
         self._data: typing.Dict[str, typing.Tuple[object, int]] = {}
         self.commit_count = 0
         self.invalidated_count = 0
+        #: Which history produced this content: ``0`` for the empty state,
+        #: a token handed out by block application
+        #: (:meth:`repro.chains.base.BaseNode.apply_payloads`), or ``None``
+        #: once anything else has written. Block application is
+        #: deterministic, so two states with the same token hold the same
+        #: keys, values and versions.
+        self.lineage: typing.Optional[int] = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -85,36 +96,42 @@ class WorldState:
 
     def set(self, key: str, value: object) -> int:
         """Write directly (order-execute path); returns the new version."""
+        self.lineage = None
         new_version = self.version(key) + 1
         self._data[key] = (value, new_version)
         return new_version
 
     def delete(self, key: str) -> None:
         """Remove ``key`` if present."""
+        self.lineage = None
         self._data.pop(key, None)
 
     def keys(self) -> typing.Iterator[str]:
         """Iterate all keys (Corda's vault-scan path iterates these)."""
         return iter(self._data)
 
-    def validate(self, rwset: ReadWriteSet) -> bool:
-        """MVCC check: every read version must still be current."""
-        return all(self.version(key) == version for key, version in rwset.reads.items())
-
     def apply(self, rwset: ReadWriteSet) -> bool:
         """Validate then apply a read/write set (validate phase).
 
+        The MVCC check: every read version must still be current.
         Returns ``True`` when applied; on stale reads nothing is written
         and ``False`` is returned (the transaction is marked invalid but,
         as in Fabric, remains on the chain).
         """
-        if not self.validate(rwset):
-            self.invalidated_count += 1
-            return False
+        # Versions are read and bumped inline rather than through
+        # version()/set(): every replica applies every transaction here.
+        data = self._data
+        for key, version in rwset.reads.items():
+            entry = data.get(key)
+            if (entry[1] if entry else MISSING_VERSION) != version:
+                self.invalidated_count += 1
+                return False
+        self.lineage = None
         for key, value in rwset.writes.items():
-            self.set(key, value)
+            entry = data.get(key)
+            data[key] = (value, (entry[1] if entry else MISSING_VERSION) + 1)
         for key in rwset.deletes:
-            self.delete(key)
+            data.pop(key, None)
         self.commit_count += 1
         return True
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import GENESIS_HASH
+from repro.crypto.merkle import MerkleTree
 from repro.storage import Block, Chain, ChainValidationError, Payload, Transaction
 
 
@@ -44,6 +45,17 @@ class TestBlock:
         header = BlockHeader(0, GENESIS_HASH, "0" * 64, "n", 0.0, tx_count=5)
         with pytest.raises(ValueError):
             Block(header, [make_tx()])
+
+    def test_supplied_merkle_root_seals_the_same_block(self):
+        txs = [make_tx("a"), make_tx("b"), make_tx("c")]
+        computed = Block.seal(3, GENESIS_HASH, txs, "node-1", 1.0)
+        supplied = Block.seal(
+            3, GENESIS_HASH, txs, "node-1", 1.0,
+            merkle_root=MerkleTree(txs).root,
+        )
+        assert supplied.header == computed.header
+        assert supplied.block_hash == computed.block_hash
+        assert supplied.verify_merkle_root()
 
     def test_hash_depends_on_content(self):
         a = Block.seal(0, GENESIS_HASH, [make_tx("a")], "node-1", 1.0)
@@ -98,6 +110,14 @@ class TestChain:
         # loop, which computed the root itself a moment earlier.
         chain.append(sealed, verify_merkle=False)
         assert chain.height == 1
+
+    def test_wrong_supplied_merkle_root_rejected(self):
+        chain = build_chain(1)
+        bad = Block.seal(1, chain.head_hash, [make_tx("x")], "node-1", 2.0,
+                         merkle_root="0" * 64)
+        with pytest.raises(ChainValidationError, match="merkle"):
+            chain.append(bad, verify_merkle=True)
+        assert chain.height == 0
 
     def test_failed_append_leaves_chain_unmodified(self):
         chain = build_chain(2)

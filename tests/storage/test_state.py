@@ -67,6 +67,64 @@ class TestWorldState:
         assert "k" not in state
 
 
+class TestLineage:
+    def test_empty_state_has_lineage_zero(self):
+        assert WorldState().lineage == 0
+
+    def test_set_clears_lineage(self):
+        state = WorldState()
+        state.set("k", "v")
+        assert state.lineage is None
+
+    def test_delete_clears_lineage(self):
+        state = WorldState()
+        state.lineage = 7
+        state.delete("absent")
+        assert state.lineage is None
+
+    def test_apply_clears_lineage_even_without_writes(self):
+        state = WorldState()
+        state.lineage = 7
+        rwset = ReadWriteSet()
+        rwset.record_read("k", MISSING_VERSION)
+        assert state.apply(rwset)
+        assert state.lineage is None
+
+    def test_rejected_apply_keeps_lineage(self):
+        state = WorldState()
+        state.set("k", "v1")
+        state.lineage = 7
+        stale = ReadWriteSet()
+        stale.record_read("k", MISSING_VERSION)
+        stale.record_write("k", "v2")
+        assert not state.apply(stale)
+        assert state.lineage == 7
+
+    def test_replayed_rwsets_match_fresh_execution(self):
+        # One replica executes (reads and writes through an rwset per
+        # transaction); another applies the recorded sets. Versions,
+        # values and commit counts must agree.
+        executed, replayed = WorldState(), WorldState()
+        recorded = []
+        for step in range(6):
+            rwset = ReadWriteSet()
+            for key in ("a", "b") if step % 2 else ("a", "c"):
+                rwset.record_read(key, executed.version(key))
+                rwset.record_write(key, f"{key}{step}")
+            if step == 4:
+                rwset.record_delete("c")
+            assert executed.apply(rwset)
+            recorded.append(rwset)
+        for rwset in recorded:
+            assert replayed.apply(rwset)
+        assert replayed.snapshot_versions() == executed.snapshot_versions()
+        assert {k: replayed.get(k) for k in replayed.keys()} == {
+            k: executed.get(k) for k in executed.keys()
+        }
+        assert replayed.commit_count == executed.commit_count == 6
+        assert replayed.invalidated_count == 0
+
+
 class TestReadWriteSet:
     def test_first_read_version_wins(self):
         rwset = ReadWriteSet()
