@@ -393,7 +393,7 @@ class BaseNode(Endpoint):
             tracer.metrics.counter("storage.blocks", system=self.system.name,
                                    node=self.endpoint_id).inc()
             tracer.metrics.histogram(
-                "storage.block_payloads", system=self.system.name, base=1.0,
+                "storage.block_payloads", system=self.system.name,
             ).record(proposal.payload_count)
         return block
 

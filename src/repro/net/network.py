@@ -89,10 +89,10 @@ class Endpoint:
 class _Route:
     """Per-directed-pair routing state, built lazily on first send.
 
-    One dict lookup recovers everything ``send`` needs — destination
-    endpoint, link, both hosts, the FIFO clock (an attribute here, not
-    a per-message dict get/set with a fresh tuple key) and the
-    precomputed delay of jitter-free latency models.
+    One route-table lookup recovers everything :meth:`Network._transmit`
+    needs — destination endpoint, link, both hosts, the FIFO clock (an
+    attribute here, not a per-message dict get/set with a fresh tuple
+    key) and the precomputed delay of jitter-free latency models.
     """
 
     __slots__ = ("endpoint", "link", "src_host", "dst_host", "fifo_clock", "const_delay")
@@ -121,18 +121,12 @@ class Network:
         self.partitions = PartitionController()
         self._endpoints: typing.Dict[str, Endpoint] = {}
         self._links: typing.Dict[typing.Tuple[str, str], Link] = {}
-        self._routes: typing.Dict[typing.Tuple[str, str], _Route] = {}
-        #: The same _Route records as ``_routes``, re-indexed as
-        #: ``src -> dst -> route`` so the broadcast fan-out resolves its
-        #: whole target set with one outer lookup and no per-destination
-        #: tuple-key allocation. Both tables share record objects — the
-        #: FIFO clock must be one clock per directed pair no matter
-        #: which path sent the message.
-        self._routes_from: typing.Dict[str, typing.Dict[str, _Route]] = {}
+        #: Routing records keyed ``src -> dst -> route``. Each source's
+        #: table is created on attach; its routes are built on first use.
+        self._routes: typing.Dict[str, typing.Dict[str, _Route]] = {}
         #: Bound once so the per-message schedule() call does not
         #: allocate a fresh bound method (let alone a closure).
         self._deliver_cb = self._deliver
-        self._deliver_shared_cb = self._deliver_shared
         self._rng = sim.rng.stream(f"network:{name}")
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -152,6 +146,7 @@ class Network:
         endpoint.host = host
         host.attach(endpoint.endpoint_id)
         self._endpoints[endpoint.endpoint_id] = endpoint
+        self._routes[endpoint.endpoint_id] = {}
 
     def endpoint(self, endpoint_id: str) -> Endpoint:
         """Look up an endpoint by id."""
@@ -204,100 +199,13 @@ class Network:
         if dst not in self._endpoints:
             raise KeyError(f"unknown destination {dst!r}")
         route = _Route(self._endpoints[dst], self.link_between(src, dst))
-        self._routes[(src, dst)] = route
-        self._routes_from.setdefault(src, {})[dst] = route
+        self._routes[src][dst] = route
         return route
 
     def send(self, message: Message) -> None:
         """Route ``message``, scheduling delivery after the link delay."""
-        src = message.src
-        dst = message.dst
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._route_for(src, dst)
+        self._transmit(message, message.src, message.dst)
         self.messages_sent += 1
-        down = self._down_endpoints
-        if (not route.src_host.is_up or not route.dst_host.is_up
-                or (down and (src in down or dst in down))):
-            self._drop(message)
-            return
-        if not self.partitions.allows(src, dst, self._rng):
-            self._drop(message)
-            return
-        if route.const_delay is not None:
-            # Jitter-free link: the model's sample() never consults the
-            # RNG, so inlining propagation + serialisation draws nothing
-            # and produces the exact floats link.delay would.
-            delay = route.const_delay + message.size_bytes / route.src_host.bandwidth_bps
-        else:
-            delay = route.link.delay(message.size_bytes, self._rng)
-        if self.extra_latency:
-            delay += self.extra_latency
-        # FIFO per directed pair: clamp the arrival to be no earlier than
-        # the previous message on the same pair.
-        sim = self.sim
-        now = sim.now
-        arrival = now + delay
-        if arrival < route.fifo_clock:
-            arrival = route.fifo_clock
-        else:
-            route.fifo_clock = arrival
-        latency = arrival - now
-        tracer = sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.send", category="net", node=src,
-                dst=dst, kind=message.kind, size=message.size_bytes,
-            )
-            tracer.metrics.counter("net.sent", system=self.name).inc()
-            tracer.metrics.counter("net.bytes", system=self.name).inc(message.size_bytes)
-        sim.schedule(latency, self._deliver_cb, route.endpoint, message, latency)
-
-    def _deliver(self, endpoint: Endpoint, message: Message, latency: float = 0.0) -> None:
-        """Hand a message to its destination — unless it crashed meanwhile.
-
-        The up-check re-runs at delivery time so that a crash drops
-        messages already in flight toward the endpoint. Delivery-side
-        trace records — the ``net.deliver`` event and the ``net.latency``
-        histogram — are emitted here rather than at send time, so a
-        message dropped in flight never shows up as delivered and the
-        trace agrees with ``messages_dropped``.
-        """
-        if not self.endpoint_is_up(message.dst):
-            self._drop(message)
-            return
-        tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.deliver", category="net", node=message.dst,
-                src=message.src, kind=message.kind, latency=round(latency, 9),
-            )
-            tracer.metrics.histogram("net.latency", system=self.name).record(latency)
-        endpoint.on_message(message)
-
-    def _deliver_shared(
-        self, endpoint: Endpoint, message: Message, dst: str, latency: float
-    ) -> None:
-        """Deliver one fan-out of a broadcast's shared wire record.
-
-        The record is shared by every destination of the logical
-        broadcast, so its ``dst`` field is stamped here — deliveries run
-        one at a time on the event loop, and handlers read the message
-        synchronously — before the same crash re-check and delivery-side
-        trace records as :meth:`_deliver`.
-        """
-        message.dst = dst
-        if not self.endpoint_is_up(dst):
-            self._drop(message)
-            return
-        tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.deliver", category="net", node=dst,
-                src=message.src, kind=message.kind, latency=round(latency, 9),
-            )
-            tracer.metrics.histogram("net.latency", system=self.name).record(latency)
-        endpoint.on_message(message)
 
     def broadcast(
         self,
@@ -314,12 +222,11 @@ class Network:
         list fails atomically (KeyError, nothing sent) instead of after
         a partial fan-out. Returns the number of messages sent.
 
-        Fast path: one shared wire record is allocated per logical
-        broadcast and the per-destination routing — drop checks,
-        partition filter, delay, FIFO clamp, trace records — is inlined
-        over the cached route table, replicating :meth:`send`'s work
-        (same RNG draws, same schedule order) without its per-destination
-        ``Message`` construction.
+        One wire record is shared by every destination of the logical
+        broadcast; :meth:`_deliver` stamps its ``dst`` per delivery.
+        Each destination then takes the same per-route path as
+        :meth:`send`, in target order, so RNG draws, schedule order and
+        trace records match one ``send`` per destination.
         """
         endpoints = self._endpoints
         targets = []
@@ -340,56 +247,78 @@ class Network:
         if not targets:
             return 0
         message = Message(src, "", kind, payload, size_bytes)
-        routes = self._routes_from.get(src)
-        if routes is None:
-            routes = self._routes_from.setdefault(src, {})
+        self.messages_sent += len(targets)
+        transmit = self._transmit
+        for dst in targets:
+            transmit(message, src, dst)
+        return len(targets)
+
+    def _transmit(self, message: Message, src: str, dst: str) -> None:
+        """Route one message over the directed pair ``src -> dst``.
+
+        Drops it if either side is down or a partition cuts the pair;
+        otherwise samples the link delay, adds any ``extra_latency``,
+        clamps the arrival behind the pair's previous message (FIFO, like
+        TCP) and schedules :meth:`_deliver`.
+        """
+        route = self._routes[src].get(dst) or self._route_for(src, dst)
+        down = self._down_endpoints
+        if (not route.src_host.is_up or not route.dst_host.is_up
+                or (down and (src in down or dst in down))
+                or not self.partitions.allows(src, dst, self._rng)):
+            message.dst = dst  # a broadcast's shared record: _drop reads dst
+            self._drop(message)
+            return
+        size = message.size_bytes
+        if route.const_delay is not None:
+            # Jitter-free link: the model's sample() never consults the
+            # RNG, so inlining propagation + serialisation draws nothing
+            # and produces the exact floats link.delay would.
+            delay = route.const_delay + size / route.src_host.bandwidth_bps
+        else:
+            delay = route.link.delay(size, self._rng)
+        if self.extra_latency:
+            delay += self.extra_latency
         sim = self.sim
         now = sim.now
-        schedule = sim.schedule
-        deliver = self._deliver_shared_cb
+        arrival = now + delay
+        if arrival < route.fifo_clock:
+            arrival = route.fifo_clock
+        else:
+            route.fifo_clock = arrival
+        latency = arrival - now
         tracer = sim.tracer
-        traced = tracer.enabled and tracer.wants("net")
-        partitions = self.partitions
-        rng = self._rng
-        down = self._down_endpoints
-        src_down = bool(down) and src in down
-        extra = self.extra_latency
-        self.messages_sent += len(targets)
-        live = 0
-        for dst in targets:
-            route = routes.get(dst)
-            if route is None:
-                route = self._route_for(src, dst)
-            if (not route.src_host.is_up or not route.dst_host.is_up
-                    or src_down or (down and dst in down)):
-                message.dst = dst
-                self._drop(message)
-                continue
-            if not partitions.allows(src, dst, rng):
-                message.dst = dst
-                self._drop(message)
-                continue
-            if route.const_delay is not None:
-                delay = route.const_delay + size_bytes / route.src_host.bandwidth_bps
-            else:
-                delay = route.link.delay(size_bytes, rng)
-            if extra:
-                delay += extra
-            arrival = now + delay
-            if arrival < route.fifo_clock:
-                arrival = route.fifo_clock
-            else:
-                route.fifo_clock = arrival
-            latency = arrival - now
-            if traced:
-                tracer.event(
-                    "net.send", category="net", node=src,
-                    dst=dst, kind=kind, size=size_bytes,
-                )
-                live += 1
-            schedule(latency, deliver, route.endpoint, message, dst, latency)
-        if traced and live:
-            metrics = tracer.metrics
-            metrics.counter("net.sent", system=self.name).inc(live)
-            metrics.counter("net.bytes", system=self.name).inc(size_bytes * live)
-        return len(targets)
+        if tracer.enabled and tracer.wants("net"):
+            tracer.event(
+                "net.send", category="net", node=src,
+                dst=dst, kind=message.kind, size=size,
+            )
+            tracer.metrics.counter("net.sent", system=self.name).inc()
+            tracer.metrics.counter("net.bytes", system=self.name).inc(size)
+        sim.schedule(latency, self._deliver_cb, route.endpoint, message, dst, latency)
+
+    def _deliver(self, endpoint: Endpoint, message: Message, dst: str, latency: float) -> None:
+        """Hand a message to ``dst`` — unless it crashed meanwhile.
+
+        ``dst`` is stamped on the message first: a broadcast shares one
+        record across its destinations, and deliveries run one at a time
+        on the event loop, with handlers reading the message
+        synchronously. The up-check re-runs at delivery time so that a
+        crash drops messages already in flight toward the endpoint.
+        Delivery-side trace records — the ``net.deliver`` event and the
+        ``net.latency`` histogram — are emitted here rather than at send
+        time, so a message dropped in flight never shows up as delivered
+        and the trace agrees with ``messages_dropped``.
+        """
+        message.dst = dst
+        if not self.endpoint_is_up(dst):
+            self._drop(message)
+            return
+        tracer = self.sim.tracer
+        if tracer.enabled and tracer.wants("net"):
+            tracer.event(
+                "net.deliver", category="net", node=dst,
+                src=message.src, kind=message.kind, latency=round(latency, 9),
+            )
+            tracer.metrics.histogram("net.latency", system=self.name).record(latency)
+        endpoint.on_message(message)

@@ -31,8 +31,9 @@ class TimerHandle:
     dead entries instead of dispatching a fire-and-check no-op. The entry
     keeps its ``(time, sequence)`` heap position, so sequence numbering,
     RNG draws and the order of live events are untouched — a run with
-    cancellations stays byte-identical to one where the stale timers
-    fired as no-ops.
+    cancellations gives the same results as one where the stale timers
+    fired as no-ops. Traced runs count each skipped pop in
+    ``sim.timers_cancelled`` rather than ``sim.dispatches``.
     """
 
     __slots__ = ("_entry", "_callback", "_fired")
@@ -153,6 +154,10 @@ class Simulator:
         Returns the simulated time at which execution stopped. When
         ``until`` is given, time is advanced to exactly ``until`` even if
         the queue drained earlier, mirroring wall-clock benchmark windows.
+
+        With a live tracer, every pop sets the ``sim.queue_depth`` gauge
+        and counts once: in ``sim.dispatches``, or in
+        ``sim.timers_cancelled`` when it was a cancelled timer.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -167,22 +172,23 @@ class Simulator:
         pop = heapq.heappop
         try:
             if self.tracer.enabled:
+                metrics = self.tracer.metrics
                 while queue:
                     entry = queue[0]
                     if entry[0] > bound:
                         break
                     pop(queue)
                     self._now = entry[0]
-                    if entry[2] is None:
-                        # Tombstoned (cancelled) timer: skip the dispatch
-                        # but keep the per-pop instrumentation identical
-                        # to what the fire-and-check no-op produced, so
-                        # metric snapshots stay byte-identical.
-                        metrics = self.tracer.metrics
-                        metrics.gauge("sim.queue_depth", system="sim").set(len(queue))
-                        metrics.counter("sim.dispatches", system="sim").inc()
+                    metrics.gauge("sim.queue_depth", system="sim").set(len(queue))
+                    callback = entry[2]
+                    if callback is None:
+                        metrics.counter("sim.timers_cancelled", system="sim").inc()
                         continue
-                    self._traced_dispatch(entry[2], entry[3])
+                    metrics.counter("sim.dispatches", system="sim").inc()
+                    if entry[3]:
+                        callback(*entry[3])
+                    else:
+                        callback()
             else:
                 while queue:
                     entry = queue[0]
@@ -202,68 +208,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def _traced_dispatch(self, callback: typing.Callable[..., None],
-                         args: tuple = ()) -> None:
-        """One dispatch with instrumentation: queue-depth gauge, dispatch
-        counter and (when configured) a per-callback span whose ``wall_us``
-        attribute carries the host-clock cost of the callback."""
-        tracer = self.tracer
-        tracer.metrics.gauge("sim.queue_depth", system="sim").set(len(self._queue))
-        tracer.metrics.counter("sim.dispatches", system="sim").inc()
-        if tracer.config.dispatch_spans and tracer.wants("sim"):
-            name = getattr(callback, "__qualname__", None) or type(callback).__name__
-            with tracer.span("dispatch", category="sim", fn=name):
-                callback(*args)
-        elif args:
-            callback(*args)
-        else:
-            callback()
-
-    def run_until_complete(self, process: Process, limit: float = 1e9) -> object:
-        """Run until ``process`` finishes and return its value.
-
-        ``limit`` bounds the run to guard against livelock in tests.
-        Dispatch goes through the same instrumented path as :meth:`run`
-        (dispatch counters and spans stay accurate) under the same
-        re-entrancy guard, and an over-limit event is peeked before it
-        is popped, so it stays queued for a later :meth:`run`.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        queue = self._queue
-        pop = heapq.heappop
-        traced = self.tracer.enabled
-        try:
-            while not process.triggered:
-                if not queue:
-                    raise SimulationError(f"deadlock: {process!r} never completed")
-                entry = queue[0]
-                if entry[0] > limit:
-                    raise SimulationError(
-                        f"exceeded time limit {limit} waiting for {process!r}"
-                    )
-                pop(queue)
-                self._now = entry[0]
-                callback = entry[2]
-                if callback is None:
-                    # Tombstoned (cancelled) timer: skip, mirroring the
-                    # per-pop instrumentation when traced (see run()).
-                    if traced:
-                        metrics = self.tracer.metrics
-                        metrics.gauge("sim.queue_depth", system="sim").set(len(queue))
-                        metrics.counter("sim.dispatches", system="sim").inc()
-                    continue
-                if traced:
-                    self._traced_dispatch(callback, entry[3])
-                elif entry[3]:
-                    callback(*entry[3])
-                else:
-                    callback()
-        finally:
-            self._running = False
-        return process.value
 
     def pending_events(self) -> int:
         """Number of entries still queued (diagnostic).

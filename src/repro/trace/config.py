@@ -2,7 +2,7 @@
 
 A :class:`TraceConfig` decides *what* a :class:`~repro.trace.tracer.Tracer`
 records. Categories partition the instrumentation hooks by layer —
-``sim`` (kernel dispatch), ``net`` (message events), ``consensus``
+``sim`` (the kernel, which records only metrics), ``net`` (message events), ``consensus``
 (protocol rounds/phases), ``chain`` (block finality), ``iel`` (payload
 execution), ``storage`` (block persistence), ``client`` (per-transaction
 submit→confirm spans), ``bench`` (phase windows), ``faults``
@@ -44,15 +44,13 @@ class TraceConfig:
     ``categories=None`` records everything; otherwise only the named
     categories. ``sample_rate`` thins high-cardinality per-key spans
     (the client's per-transaction spans); structural spans and metrics
-    are never sampled. ``dispatch_spans`` additionally records one span
-    per kernel callback dispatch (very hot — off by default).
-    ``max_records`` bounds memory; once either the span or the event
-    list reaches it, further records are counted as dropped.
+    are never sampled. ``max_records`` bounds memory; once either the
+    span or the event list reaches it, further records are counted as
+    dropped.
     """
 
     categories: typing.Optional[typing.FrozenSet[str]] = None
     sample_rate: float = 1.0
-    dispatch_spans: bool = False
     max_records: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -83,10 +81,9 @@ class TraceConfig:
         cls,
         categories: typing.Optional[str] = None,
         sample_rate: float = 1.0,
-        dispatch_spans: bool = False,
     ) -> "TraceConfig":
         """Build a config from CLI-style inputs (``"net,consensus"``)."""
         parsed: typing.Optional[typing.FrozenSet[str]] = None
         if categories:
             parsed = frozenset(part.strip() for part in categories.split(",") if part.strip())
-        return cls(categories=parsed, sample_rate=sample_rate, dispatch_spans=dispatch_spans)
+        return cls(categories=parsed, sample_rate=sample_rate)

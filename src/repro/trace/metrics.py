@@ -3,15 +3,19 @@
 The :class:`MetricsRegistry` keys every metric by ``(system, node, name)``
 so the same instrument ("net.latency") aggregates separately per system
 and per node while staying trivially joinable across either axis.
-Histograms use geometric (log-scale) buckets, which is the right shape
-for the quantities the simulator produces: latencies and sizes spanning
-four to six orders of magnitude.
+Histograms use the streaming path's log-scale buckets (2.6 % wide),
+which is the right shape for the quantities the simulator produces:
+latencies and sizes spanning four to six orders of magnitude.
 """
 
 from __future__ import annotations
 
 import math
 import typing
+
+# The module, not the package: the trace layer needs the bucket scheme
+# only, not the stream accumulators (or what they import).
+from repro.stream.histogram import LogHistogram
 
 
 class Counter:
@@ -65,100 +69,47 @@ class Gauge:
         }
 
 
-class Histogram:
-    """A log-scale histogram.
+class Histogram(LogHistogram):
+    """A :class:`~repro.stream.histogram.LogHistogram` that also keeps an
+    exact running sum, so snapshots report the mean.
 
-    Bucket ``i`` covers ``(base * factor**(i-1), base * factor**i]``;
-    values at or below zero land in a dedicated underflow bucket and
-    values below ``base`` in bucket 0. With the defaults (``base`` 1 µs,
-    ``factor`` 2) sub-second latencies resolve to ~20 buckets.
+    Buckets are the streaming path's: about 2.6 % wide, with percentiles
+    exact to one bucket and clamped into the observed ``[min, max]``.
+    Values at or below zero land in the underflow count.
     """
 
-    __slots__ = ("base", "factor", "_log_factor", "_counts", "underflow",
-                 "count", "total", "min_value", "max_value")
+    __slots__ = ("sum",)
 
-    def __init__(self, base: float = 1e-6, factor: float = 2.0) -> None:
-        if base <= 0:
-            raise ValueError(f"base must be positive, got {base}")
-        if factor <= 1:
-            raise ValueError(f"factor must exceed 1, got {factor}")
-        self.base = base
-        self.factor = factor
-        self._log_factor = math.log(factor)
-        self._counts: typing.Dict[int, int] = {}
-        self.underflow = 0
-        self.count = 0
-        self.total = 0.0
-        self.min_value = math.inf
-        self.max_value = -math.inf
+    def __init__(self) -> None:
+        super().__init__()
+        self.sum = 0.0
 
-    def bucket_index(self, value: float) -> typing.Optional[int]:
-        """The bucket a value falls into (None for the underflow bucket)."""
-        if value <= 0:
-            return None
-        if value <= self.base:
-            return 0
-        # ceil with a nudge so exact bucket bounds stay in their bucket.
-        index = math.ceil(math.log(value / self.base) / self._log_factor - 1e-9)
-        return max(0, index)
-
-    def bucket_bound(self, index: int) -> float:
-        """The inclusive upper bound of bucket ``index``."""
-        return self.base * self.factor ** index
-
-    def record(self, value: float) -> None:
-        """Add one observation."""
-        self.count += 1
-        self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        index = self.bucket_index(value)
-        if index is None:
-            self.underflow += 1
-        else:
-            self._counts[index] = self._counts.get(index, 0) + 1
+    def record(self, value: float, count: int = 1) -> None:
+        """Add ``count`` observations of ``value``."""
+        LogHistogram.record(self, value, count)
+        self.sum += value * count
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations."""
-        return self.total / self.count if self.count else 0.0
-
-    def buckets(self) -> typing.List[typing.Tuple[float, int]]:
-        """``(upper_bound, count)`` pairs, ascending, empty buckets skipped."""
-        return [
-            (self.bucket_bound(index), self._counts[index])
-            for index in sorted(self._counts)
-        ]
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the covering bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = self.underflow
-        if seen >= rank and self.underflow:
-            return 0.0
-        for bound, bucket_count in self.buckets():
-            seen += bucket_count
-            if seen >= rank:
-                return bound
-        return self.max_value
+        return self.sum / self.total if self.total else 0.0
 
     def snapshot(self) -> dict:
-        """JSON-ready state."""
+        """JSON-ready state; ``buckets`` lists ``(upper_bound, count)``
+        pairs in ascending order, each bucket covering ``[low, upper)``."""
+        empty = not self.total
         return {
-            "count": self.count,
+            "count": self.total,
             "mean": self.mean,
-            "min": self.min_value if self.count else 0.0,
-            "max": self.max_value if self.count else 0.0,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
+            "min": 0.0 if empty else self.min_value,
+            "max": 0.0 if empty else self.max_value,
+            "p50": self.percentile(50.0),
+            "p99": self.percentile(99.0),
             "underflow": self.underflow,
-            "buckets": self.buckets(),
+            "buckets": [
+                (self.bucket_bounds(index)[1], self.counts[index])
+                for index in sorted(self.counts)
+            ],
         }
 
 
@@ -190,15 +141,12 @@ class MetricsRegistry:
             gauge = self._gauges[key] = Gauge()
         return gauge
 
-    def histogram(
-        self, name: str, system: str = "", node: str = "",
-        base: float = 1e-6, factor: float = 2.0,
-    ) -> Histogram:
+    def histogram(self, name: str, system: str = "", node: str = "") -> Histogram:
         """The histogram for a key, created on first use."""
         key = (system, node, name)
         histogram = self._histograms.get(key)
         if histogram is None:
-            histogram = self._histograms[key] = Histogram(base=base, factor=factor)
+            histogram = self._histograms[key] = Histogram()
         return histogram
 
     def __len__(self) -> int:

@@ -170,7 +170,7 @@ class TestDeliverySideTrace:
         names = [event.name for event in tracer.events]
         assert names.count("net.send") == 1
         assert names.count("net.deliver") == 1
-        assert tracer.metrics.histogram("net.latency", system="net").count == 1
+        assert tracer.metrics.histogram("net.latency", system="net").total == 1
 
     def test_in_flight_message_to_crashed_endpoint_never_appears_delivered(self):
         sim, tracer, network, alice, bob = self._traced_rig()
@@ -187,7 +187,7 @@ class TestDeliverySideTrace:
         assert names.count("net.drop") == 1
         # The latency histogram counts deliveries, so it agrees with the
         # deliver events rather than the sends.
-        assert tracer.metrics.histogram("net.latency", system="net").count == 0
+        assert tracer.metrics.histogram("net.latency", system="net").total == 0
 
     def test_undelivered_message_at_run_bound_not_recorded(self):
         sim, tracer, network, alice, bob = self._traced_rig()
@@ -196,4 +196,4 @@ class TestDeliverySideTrace:
         names = [event.name for event in tracer.events]
         assert names.count("net.send") == 1
         assert names.count("net.deliver") == 0
-        assert tracer.metrics.histogram("net.latency", system="net").count == 0
+        assert tracer.metrics.histogram("net.latency", system="net").total == 0

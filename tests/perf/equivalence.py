@@ -33,6 +33,23 @@ one), and ``p50_fls``/``p95_fls``/``p99_fls`` moved by at most 1.2 %
 (a histogram bucket's midpoint instead of the nearest-rank sample;
 one bucket is 2.6 %). Counts, TPS, durations, resilience reports,
 metrics snapshots and trace digests were bit-equal.
+
+They were re-captured a third time when the sim core was deduplicated
+(one traced and one untraced dispatch loop, one per-route network
+routine, one histogram). The deduplication alone passed against the
+previous goldens unchanged; the re-capture then took two metric fixes,
+with this audited delta in the instrumented metrics only. A cancelled
+timer's pop now counts in ``sim.timers_cancelled`` instead of
+``sim.dispatches``: dispatches fell by exactly that counter's value
+(fabric-keyvalue-wan 37157 -> 36121 with 1036 cancelled, quorum-banking
+43326 -> 42394 with 932; corda-keyvalue cancels none and gains no
+counter), and the two now sum to the ``sim.queue_depth`` gauge's
+updates. Trace histograms moved from factor-2 buckets to the streaming
+path's 2.6 % buckets, so every histogram's ``buckets`` layout and its
+``p50``/``p99`` changed (quorum-banking ``client.fls`` p99 2.097 s,
+above its 1.147 s max, became 1.147 s). Plain and instrumented results,
+trace digests, histogram count/min/max/mean/underflow and every other
+counter and gauge were bit-equal.
 """
 
 from __future__ import annotations

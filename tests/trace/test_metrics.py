@@ -32,58 +32,71 @@ class TestGauge:
 
 
 class TestHistogramBucketing:
-    def test_bucket_boundaries_are_inclusive_upper(self):
-        # Bucket i covers (base*2^(i-1), base*2^i] with base=1.
-        hist = Histogram(base=1.0, factor=2.0)
+    def test_bucket_boundaries_are_inclusive_lower(self):
+        # The streaming scheme: bucket i covers [10**(i/90), 10**((i+1)/90)).
+        hist = Histogram()
         assert hist.bucket_index(1.0) == 0
-        assert hist.bucket_index(2.0) == 1
-        assert hist.bucket_index(2.0001) == 2
-        assert hist.bucket_index(4.0) == 2
-        assert hist.bucket_index(0.5) == 0  # below base -> bucket 0
-        assert hist.bucket_bound(3) == 8.0
+        assert hist.bucket_index(1.02) == 0
+        assert hist.bucket_index(1.03) == 1
+        assert hist.bucket_index(0.99) == -1
+        assert hist.bucket_bounds(0) == (1.0, pytest.approx(1.0259, abs=1e-4))
+        for value in (3e-4, 0.7, 5.0, 112.0):
+            low, high = hist.bucket_bounds(hist.bucket_index(value))
+            assert low <= value < high
 
     def test_nonpositive_values_underflow(self):
-        hist = Histogram(base=1.0)
-        assert hist.bucket_index(0.0) is None
-        assert hist.bucket_index(-3.0) is None
+        hist = Histogram()
         hist.record(0.0)
         hist.record(-1.0)
         assert hist.underflow == 2
-        assert hist.buckets() == []
+        assert hist.counts == {}
+        assert hist.snapshot()["buckets"] == []
 
     def test_default_base_resolves_sub_millisecond_latencies(self):
-        hist = Histogram()  # base 1 us, factor 2
+        hist = Histogram()
         hist.record(0.0004)  # a typical datacenter link latency
-        ((bound, count),) = hist.buckets()
+        ((bound, count),) = hist.snapshot()["buckets"]
         assert count == 1
-        # 0.0004 s lands in the bucket bounded by ~512 us.
-        assert bound == pytest.approx(512e-6)
+        # The bucket's upper bound is within one 2.6 % bucket of 400 us.
+        assert 0.0004 < bound <= 0.0004 * hist.relative_width
 
     def test_mean_min_max(self):
-        hist = Histogram(base=1.0)
+        hist = Histogram()
         for value in (1.0, 2.0, 9.0):
             hist.record(value)
         assert hist.mean == pytest.approx(4.0)
         assert hist.min_value == 1.0
         assert hist.max_value == 9.0
-        assert hist.count == 3
+        assert hist.total == 3
 
-    def test_quantile_returns_covering_bucket_bound(self):
-        hist = Histogram(base=1.0, factor=2.0)
+    def test_percentile_is_exact_to_one_bucket(self):
+        hist = Histogram()
         for __ in range(99):
-            hist.record(1.5)  # bucket bound 2.0
-        hist.record(100.0)  # bucket bound 128.0
-        assert hist.quantile(0.5) == 2.0
-        assert hist.quantile(1.0) == 128.0
-        assert Histogram().quantile(0.5) == 0.0
+            hist.record(1.7)
+        hist.record(100.0)
+        width = hist.relative_width
+        assert 1.7 / width <= hist.percentile(50) <= 1.7 * width
+        assert 100.0 / width <= hist.percentile(100) <= 100.0
+        assert Histogram().percentile(50) == 0.0
         with pytest.raises(ValueError):
-            hist.quantile(1.5)
+            hist.percentile(150)
+
+    def test_snapshot_percentiles_lie_within_min_max(self):
+        registry = MetricsRegistry()
+        lat = registry.histogram("lat")
+        for value in (0.0015, 0.0015, 0.0016):
+            lat.record(value)
+        snapshot = registry.snapshot()["histograms"]["lat"]
+        for field in ("p50", "p99"):
+            assert snapshot["min"] <= snapshot[field] <= snapshot["max"]
+        assert snapshot["p99"] == 0.0016
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
+        # One bucket scheme for every trace histogram: no knobs.
+        with pytest.raises(TypeError):
             Histogram(base=0.0)
-        with pytest.raises(ValueError):
-            Histogram(factor=1.0)
+        with pytest.raises(TypeError):
+            MetricsRegistry().histogram("lat", factor=2.0)
 
 
 class TestMetricsRegistry:
