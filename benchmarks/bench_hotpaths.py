@@ -1,4 +1,4 @@
-"""Hot-path benchmarks: kernel dispatch, network send, hashing, end-to-end.
+"""Hot-path benchmarks: kernel, process wake-ups, network, hashing, end-to-end.
 
 The micro targets time the current kernel, network and hashing code;
 the end-to-end targets time short full benchmark-unit runs. The
@@ -32,6 +32,7 @@ from repro.net.latency import ConstantLatency, NetemLatency
 from repro.net.network import Endpoint, Message, Network
 from repro.perf import TimingResult, check_baseline, load_baseline, time_callable, write_baseline
 from repro.sim.kernel import Simulator
+from repro.sim.resources import Resource
 from repro.storage.transaction import Payload, Transaction, reset_id_counters
 
 #: Pre-optimization end-to-end timings (seconds, min-of-3 after warmup)
@@ -55,7 +56,10 @@ PRE_PR_E2E_SECONDS = {
 #: the kernel and network send path before the hot-path pass, the
 #: frozen-dataclass per-destination broadcast and the generation-checked
 #: no-op timers before the fan-out and timer pass, and per-build leaf
-#: re-hashing for Merkle roots.
+#: re-hashing for Merkle roots. ``process_wakeup`` is instead the ratio
+#: of min-of-5 timings, 4 interleaved process pairs, against a checkout
+#: of the single-heap kernel with closure-per-event wake-ups that the
+#: two-lane queue replaced (median of the pairs).
 SPEEDUPS_VS_LEGACY = {
     "dispatch": 0.94,
     "net_send": 1.473,
@@ -63,6 +67,7 @@ SPEEDUPS_VS_LEGACY = {
     "broadcast_n16": 2.294,
     "broadcast_n32": 1.856,
     "timer_churn": 0.862,
+    "process_wakeup": 1.92,
     "hashing": 14.711,
 }
 
@@ -166,6 +171,37 @@ def bench_timer_churn(churns: int, repeats: int) -> TimingResult:
     return time_callable(run_churn, "timer_churn", repeats=repeats)
 
 
+def bench_process_wakeup(wakeups: int, repeats: int) -> TimingResult:
+    """Generator processes waking on events: one process yields
+    ``sim.timeout`` ``wakeups`` times, alternating delay 0 (a same-instant
+    wake-up) and a positive delay, and four workers share a 2-slot
+    resource the way a node's ``busy()`` helper does (acquire, timeout,
+    release), ``wakeups`` acquisitions between them."""
+
+    def run_wakeups():
+        sim = Simulator(seed=1)
+        cpu = Resource(sim, capacity=2, name="cpu")
+
+        def sleeper():
+            for i in range(wakeups):
+                yield sim.timeout(0.0 if i % 2 else 1e-3)
+
+        def worker():
+            for __ in range(wakeups // 4):
+                yield cpu.acquire()
+                try:
+                    yield sim.timeout(1e-3)
+                finally:
+                    cpu.release()
+
+        sim.spawn(sleeper())
+        for __ in range(4):
+            sim.spawn(worker())
+        sim.run()
+
+    return time_callable(run_wakeups, "process_wakeup", repeats=repeats)
+
+
 def bench_hashing(transactions: int, rebuilds: int, repeats: int) -> TimingResult:
     """Merkle roots over one transaction list, rebuilt per replica.
 
@@ -223,6 +259,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         bench_broadcast(16, 500, repeats),
         bench_broadcast(32, 250, repeats),
         bench_timer_churn(20_000, repeats),
+        bench_process_wakeup(10_000, repeats),
         bench_hashing(100, 20, repeats),
     ]
     e2e_repeats = 1 if quick else 3

@@ -362,9 +362,7 @@ class CordaSystemBase(SystemModel):
             # calibrated flow time, the wire round trip is real.
             self.sim.schedule(
                 self.profile.signing_cost * corda_node.degradation(),
-                lambda: node.send(
-                    message.src, "corda/sign_reply", {"tx_id": request["tx_id"]}
-                ),
+                node.send, message.src, "corda/sign_reply", {"tx_id": request["tx_id"]},
             )
         elif message.kind == "corda/sign_reply":
             request = typing.cast(dict, message.payload)

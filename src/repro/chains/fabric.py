@@ -238,7 +238,7 @@ class FabricOrderer(Endpoint):
             else:
                 # No leader known (election in progress): hold briefly
                 # and retry, as the real broadcast client reconnects.
-                self.sim.schedule(0.1, lambda: self._accept_envelope(envelope))
+                self.sim.schedule(0.1, self._accept_envelope, envelope)
             return
         self.pending.append(envelope)
         max_count = int(self.system.params["MaxMessageCount"])

@@ -118,7 +118,7 @@ class CoconutClient(Endpoint):
         shutdown_at = start_at + config.scaled_total
         # The threads stop at the send deadline; the client itself (and
         # its event listening) terminates at the total deadline.
-        self.sim.schedule(max(0.0, shutdown_at - self.sim.now), lambda: done.succeed(threads))
+        self.sim.schedule(max(0.0, shutdown_at - self.sim.now), done.succeed, threads)
         return done
 
     def _workload_thread(

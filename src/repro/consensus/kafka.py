@@ -61,7 +61,7 @@ class KafkaBroker:
         starting from offset 0).
         """
         for offset, message in enumerate(self._log):
-            self.sim.schedule(0.0, lambda o=offset, m=message: callback(o, m))
+            self.sim.schedule(0.0, callback, offset, message)
         self._subscribers.append(callback)
 
     def replay(self, from_offset: int, callback: typing.Callable[[int, object], None]) -> None:
@@ -74,8 +74,7 @@ class KafkaBroker:
         if from_offset < 0:
             raise ValueError(f"negative offset: {from_offset}")
         for offset in range(from_offset, len(self._log)):
-            message = self._log[offset]
-            self.sim.schedule(0.0, lambda o=offset, m=message: callback(o, m))
+            self.sim.schedule(0.0, callback, offset, self._log[offset])
 
     def publish(self, message: object) -> None:
         """Enqueue a message for ordering.
@@ -84,7 +83,7 @@ class KafkaBroker:
         ack) delays arrival but does not occupy the broker; only the
         per-message processing serialises.
         """
-        self.sim.schedule(self.publish_latency, lambda: self._queue.try_put(message))
+        self.sim.schedule(self.publish_latency, self._queue.try_put, message)
 
     def _commit_loop(self) -> typing.Generator:
         while True:

@@ -20,6 +20,11 @@ from repro.net.partition import PartitionController
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
+#: Why a message was dropped: a crashed host on either side, a crashed
+#: endpoint on either side (at send or in flight), an isolation or cut
+#: pair, or a random loss draw.
+DROP_CAUSES = ("host_down", "endpoint_down", "partition", "loss")
+
 
 class Message:
     """An envelope routed by the network.
@@ -130,6 +135,9 @@ class Network:
         self._rng = sim.rng.stream(f"network:{name}")
         self.messages_sent = 0
         self.messages_dropped = 0
+        #: ``messages_dropped`` split by cause (see :data:`DROP_CAUSES`);
+        #: the values always sum to ``messages_dropped``.
+        self.drops_by_cause: typing.Dict[str, int] = dict.fromkeys(DROP_CAUSES, 0)
         #: Endpoints taken down by a crash fault. A down endpoint neither
         #: sends nor receives; messages already in flight toward it are
         #: dropped at delivery time, like a TCP connection reset.
@@ -183,9 +191,10 @@ class Network:
         host = self._endpoints[endpoint_id].host
         return host is None or host.is_up
 
-    def _drop(self, message: Message) -> None:
-        """Account for one dropped message."""
+    def _drop(self, message: Message, cause: str) -> None:
+        """Account for one dropped message, lost to ``cause``."""
         self.messages_dropped += 1
+        self.drops_by_cause[cause] += 1
         tracer = self.sim.tracer
         if tracer.enabled and tracer.wants("net"):
             tracer.event(
@@ -263,11 +272,18 @@ class Network:
         """
         route = self._routes[src].get(dst) or self._route_for(src, dst)
         down = self._down_endpoints
-        if (not route.src_host.is_up or not route.dst_host.is_up
-                or (down and (src in down or dst in down))
-                or not self.partitions.allows(src, dst, self._rng)):
+        if not route.src_host.is_up or not route.dst_host.is_up:
+            cause = "host_down"
+        elif down and (src in down or dst in down):
+            cause = "endpoint_down"
+        elif not self.partitions.allows(src, dst, self._rng):
+            # A refusal that no cut explains was a loss draw.
+            cause = "partition" if self.partitions.cuts(src, dst) else "loss"
+        else:
+            cause = None
+        if cause is not None:
             message.dst = dst  # a broadcast's shared record: _drop reads dst
-            self._drop(message)
+            self._drop(message, cause)
             return
         size = message.size_bytes
         if route.const_delay is not None:
@@ -312,7 +328,7 @@ class Network:
         """
         message.dst = dst
         if not self.endpoint_is_up(dst):
-            self._drop(message)
+            self._drop(message, "endpoint_down" if dst in self._down_endpoints else "host_down")
             return
         tracer = self.sim.tracer
         if tracer.enabled and tracer.wants("net"):

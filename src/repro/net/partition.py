@@ -82,6 +82,13 @@ class PartitionController:
         """The per-pair loss rate currently configured for a path."""
         return self._pair_loss.get((a, b), 0.0)
 
+    def cuts(self, src: str, dst: str) -> bool:
+        """Whether an isolation or a blocked pair cuts ``src -> dst``.
+
+        Unlike :meth:`allows`, this ignores loss and never draws.
+        """
+        return src in self._isolated or dst in self._isolated or (src, dst) in self._blocked_pairs
+
     def allows(self, src: str, dst: str, rng: random.Random) -> bool:
         """Whether a message from ``src`` to ``dst`` may be delivered now."""
         # Fast path for the overwhelmingly common unimpaired network: no
@@ -90,9 +97,7 @@ class PartitionController:
         if not (self._isolated or self._blocked_pairs or self._pair_loss
                 or self.drop_probability):
             return True
-        if src in self._isolated or dst in self._isolated:
-            return False
-        if (src, dst) in self._blocked_pairs:
+        if self.cuts(src, dst):
             return False
         pair_loss = self._pair_loss.get((src, dst)) if self._pair_loss else None
         if pair_loss is not None and rng.random() < pair_loss:

@@ -85,17 +85,18 @@ class Event:
         If the event already fired, the callback runs on the next kernel
         step (never synchronously), preserving deterministic ordering.
         """
-        if self.triggered:
-            self.sim.schedule(0.0, lambda: callback(self))
+        if self._value is not _PENDING or self._exception is not None:
+            self.sim.schedule(0.0, callback, self)
         else:
             self._callbacks.append(callback)
 
     def succeed(self, value: object = None) -> "Event":
         """Fire the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
-        self._flush()
+        if self._callbacks:
+            self._flush()
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -103,25 +104,31 @@ class Event:
 
         Waiting processes receive the exception at their yield point.
         """
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
-        self._flush()
+        if self._callbacks:
+            self._flush()
         return self
 
     def _flush(self) -> None:
+        # Each callback rides on its own queue entry with the event as
+        # its argument: no closure per callback.
         callbacks, self._callbacks = self._callbacks, []
+        schedule = self.sim.schedule
         for callback in callbacks:
-            self.sim.schedule(0.0, lambda cb=callback: cb(self))
+            schedule(0.0, callback, self)
+
+    def _label(self) -> str:
+        return self._name or self.__class__.__name__
 
     def __repr__(self) -> str:
         state = "pending"
         if self.triggered:
             state = "ok" if self.ok else "failed"
-        label = self._name or self.__class__.__name__
-        return f"<{label} {state} at t={self.sim.now:.6f}>"
+        return f"<{self._label()} {state} at t={self.sim.now:.6f}>"
 
 
 class Timeout(Event):
@@ -132,9 +139,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
+        # Event.__init__, inlined: every simulated wait builds a Timeout.
+        self.sim = sim
+        self._callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._name = ""
         self.delay = delay
-        sim.schedule(delay, lambda: self.succeed(value))
+        sim.schedule(delay, self.succeed, value)
+
+    def _label(self) -> str:
+        return f"Timeout({self.delay})"
 
 
 class _Condition(Event):
@@ -147,7 +162,7 @@ class _Condition(Event):
         self.events = list(events)
         self._remaining = len(self.events)
         if not self.events:
-            sim.schedule(0.0, lambda: self.succeed({}))
+            sim.schedule(0.0, self.succeed, {})
             return
         for event in self.events:
             event.add_callback(self._on_child)
@@ -169,10 +184,10 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if not event.ok:
-            self.fail(event.exception)
+        if event._exception is not None:
+            self.fail(event._exception)
             return
         self.succeed(self._results())
 
@@ -187,10 +202,10 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if not event.ok:
-            self.fail(event.exception)
+        if event._exception is not None:
+            self.fail(event._exception)
             return
         self._remaining -= 1
         if self._remaining == 0:

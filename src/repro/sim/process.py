@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt, SimulationError
+from repro.sim.events import _PENDING, Event, Interrupt, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -35,7 +35,7 @@ class Process(Event):
         self._waiting_on: typing.Optional[Event] = None
         self._suspended = False
         self._pending_wake: typing.Optional[typing.Tuple[object, typing.Optional[BaseException]]] = None
-        sim.schedule(0.0, lambda: self._step(None, None))
+        sim.schedule(0.0, self._step, None)
 
     @property
     def is_alive(self) -> bool:
@@ -51,7 +51,7 @@ class Process(Event):
         if self.triggered:
             return
         self._waiting_on = None
-        self.sim.schedule(0.0, lambda: self._step(None, Interrupt(cause)))
+        self.sim.schedule(0.0, self._step, None, None, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process immediately, without running its body.
@@ -89,10 +89,27 @@ class Process(Event):
         if self._pending_wake is not None:
             value, exception = self._pending_wake
             self._pending_wake = None
-            self.sim.schedule(0.0, lambda: self._step(value, exception))
+            self.sim.schedule(0.0, self._step, None, value, exception)
 
-    def _step(self, value: object, exception: typing.Optional[BaseException]) -> None:
-        if self.triggered:
+    def _step(
+        self,
+        event: typing.Optional[Event],
+        value: object = None,
+        exception: typing.Optional[BaseException] = None,
+    ) -> None:
+        """Resume the generator: the one wake-up path.
+
+        As the wait target's callback, ``event`` is that target and its
+        outcome is sent (or thrown) in; a target an interrupt replaced is
+        stale and ignored. The start, an interrupt and a replayed wake-up
+        pass ``event=None`` with an explicit ``value``/``exception``.
+        """
+        if event is not None:
+            if event is not self._waiting_on:
+                return
+            value = event._value
+            exception = event._exception
+        if self._value is not _PENDING or self._exception is not None:
             return
         if self._suspended:
             self._pending_wake = (value, exception)
@@ -114,13 +131,8 @@ class Process(Event):
             self.fail(SimulationError(f"process {self._name!r} yielded non-event {target!r}"))
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        # Stale wakeups occur when an interrupt replaced the wait target.
-        if self._waiting_on is not event:
-            return
-        if event.ok:
-            self._step(event.value, None)
+        # Event.add_callback, inlined: one per yield.
+        if target._value is _PENDING and target._exception is None:
+            target._callbacks.append(self._step)
         else:
-            self._step(None, event.exception)
+            self.sim.schedule(0.0, self._step, target)

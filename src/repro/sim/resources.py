@@ -27,6 +27,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: collections.deque = collections.deque()
+        #: Every request event's name, formatted once per resource.
+        self._acquire_label = f"acquire:{name}"
 
     @property
     def in_use(self) -> int:
@@ -45,7 +47,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event fires once it is granted."""
-        event = Event(self.sim, name=f"acquire:{self.name}")
+        event = Event(self.sim, name=self._acquire_label)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()

@@ -38,6 +38,9 @@ class Store:
         self._items: collections.deque = collections.deque()
         self._getters: collections.deque = collections.deque()
         self._putters: collections.deque = collections.deque()
+        #: Every request event's name, formatted once per store.
+        self._put_label = f"put:{name}"
+        self._get_label = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -49,7 +52,7 @@ class Store:
 
     def put(self, item: object) -> Event:
         """Insert ``item``, returning an event that fires once it is stored."""
-        event = Event(self.sim, name=f"put:{self.name}")
+        event = Event(self.sim, name=self._put_label)
         if self.is_full:
             self._putters.append((event, item))
         else:
@@ -66,7 +69,7 @@ class Store:
 
     def get(self) -> Event:
         """Remove the oldest item, returning an event firing with it."""
-        event = Event(self.sim, name=f"get:{self.name}")
+        event = Event(self.sim, name=self._get_label)
         if self._items:
             event.succeed(self._items.popleft())
             self._admit_waiting_putter()

@@ -131,3 +131,39 @@ class TestConditions:
         sim.run()
         assert all_event.triggered
         assert not all_event.ok
+
+
+class TestRepr:
+    """Labels are formatted when shown, with the same text as ever."""
+
+    def test_timeout(self, sim):
+        timeout = sim.timeout(0.5)
+        assert repr(timeout) == "<Timeout(0.5) pending at t=0.000000>"
+        sim.run()
+        assert repr(timeout) == "<Timeout(0.5) ok at t=0.500000>"
+
+    def test_resource_acquire(self, sim):
+        from repro.sim import Resource
+
+        pool = Resource(sim, capacity=1, name="cpu")
+        granted, queued = pool.acquire(), pool.acquire()
+        assert repr(granted) == "<acquire:cpu ok at t=0.000000>"
+        assert repr(queued) == "<acquire:cpu pending at t=0.000000>"
+
+    def test_store_get_and_put(self, sim):
+        from repro.sim import Store
+
+        store = Store(sim, capacity=1, name="pool")
+        waiting_get = store.get()
+        assert repr(waiting_get) == "<get:pool pending at t=0.000000>"
+        assert repr(store.put("a")) == "<put:pool ok at t=0.000000>"
+        assert repr(waiting_get) == "<get:pool ok at t=0.000000>"
+        store.put("b")
+        assert repr(store.put("c")) == "<put:pool pending at t=0.000000>"
+
+    def test_plain_and_unnamed_events(self, sim):
+        assert repr(sim.event("ready")) == "<ready pending at t=0.000000>"
+        assert repr(sim.event()) == "<Event pending at t=0.000000>"
+        failed = sim.event()
+        failed.fail(RuntimeError("boom"))
+        assert repr(failed) == "<Event failed at t=0.000000>"

@@ -154,3 +154,71 @@ class TestRunUntilComplete:
 
         assert build_trace(42) == build_trace(42)
         assert build_trace(42) != build_trace(43)
+
+
+class TestReadyLane:
+    """Entries due at the current instant ride a FIFO lane beside the heap."""
+
+    def test_pending_events_counts_both_lanes(self):
+        sim = Simulator()
+        sim.schedule(0.0, lambda: None)  # due now: the ready lane
+        sim.schedule(1.0, lambda: None)  # due later: the heap
+        handle = sim.schedule_cancellable(0.0, lambda: None)
+        handle.cancel()  # a tombstone still counts, in either lane
+        assert sim.pending_events() == 3
+        sim.run(until=0.5)
+        assert sim.pending_events() == 1
+        sim.run()
+        assert sim.pending_events() == 0
+
+    def test_heap_entries_due_now_run_before_same_instant_newcomers(self):
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0.0, order.append, "zero-delay")
+            sim.schedule(1e-300, order.append, "rounds-to-now")
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, order.append, "second")
+        sim.schedule(1.0 + 1e-9, order.append, "later")
+        sim.run()
+        assert order == ["first", "second", "zero-delay", "rounds-to-now", "later"]
+
+    def test_ready_entries_wait_for_a_run_that_reaches_now(self):
+        sim = Simulator()
+        fired = []
+        sim.run(until=2.0)
+        sim.schedule(0.0, fired.append, "now")
+        assert sim.run(until=1.0) == 2.0  # a bound in the past dispatches nothing
+        assert fired == []
+        assert sim.run(until=2.0) == 2.0
+        assert fired == ["now"]
+
+    def test_traced_run_over_empty_queue_creates_no_instruments(self):
+        from repro.trace.config import TraceConfig
+        from repro.trace.tracer import Tracer
+
+        sim = Simulator()
+        tracer = Tracer(TraceConfig())
+        sim.set_tracer(tracer)
+        sim.run()
+        sim.run(until=5.0)
+        assert len(tracer.metrics) == 0
+        assert tracer.metrics.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_traced_queue_depth_counts_both_lanes(self):
+        from repro.trace.config import TraceConfig
+        from repro.trace.tracer import Tracer
+
+        sim = Simulator()
+        tracer = Tracer(TraceConfig())
+        sim.set_tracer(tracer)
+        sim.schedule(0.0, lambda: None)
+        sim.schedule(0.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        depth = tracer.metrics.gauge("sim.queue_depth", system="sim")
+        assert (depth.updates, depth.max_value, depth.value) == (3, 2, 0)
+        assert "sim/sim.timers_cancelled" not in tracer.metrics.snapshot()["counters"]
