@@ -1,37 +1,17 @@
 """Analysis helpers: shape comparison against the paper, block
-statistics, time series, streamed latency histograms."""
+statistics, streamed latency histograms."""
 
 from repro.analysis.blockstats import BlockStats, collect_block_stats, production_pace_held
-from repro.analysis.histstats import (
-    merged_histogram,
-    percentile_profile,
-    render_histogram,
-    unit_latency_report,
-)
-from repro.analysis.compare import (
-    LatencyProfile,
-    ShapeCheck,
-    latency_profile,
-    ordering_preserved,
-    tail_check,
-    within_factor,
-)
-from repro.analysis.timeseries import latency_percentiles, throughput_over_time
+from repro.analysis.histstats import merged_histogram, percentile_profile
+from repro.analysis.compare import ShapeCheck, ordering_preserved, within_factor
 
 __all__ = [
     "BlockStats",
-    "LatencyProfile",
     "ShapeCheck",
     "collect_block_stats",
-    "latency_percentiles",
-    "latency_profile",
     "merged_histogram",
     "ordering_preserved",
     "percentile_profile",
     "production_pace_held",
-    "render_histogram",
-    "tail_check",
-    "throughput_over_time",
-    "unit_latency_report",
     "within_factor",
 ]

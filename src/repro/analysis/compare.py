@@ -11,9 +11,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.coconut.results import PhaseResult
-
 
 def within_factor(measured: float, reference: float, factor: float) -> bool:
     """Whether ``measured`` is within ``x factor`` of ``reference``.
@@ -92,58 +89,6 @@ class ShapeCheck:
             detail=f"received={measured_received:.0f}, expected "
             + ("failure" if expect_failure else "success"),
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class LatencyProfile:
-    """One phase's finalization-latency distribution summary."""
-
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-
-    @property
-    def tail_amplification(self) -> float:
-        """p99/p50 — how much worse the tail is than the typical case.
-
-        Near 1 means latency is set by batching cadence (every
-        transaction waits for the same block timer); large values mean
-        queueing or contention stretch the tail. 0.0 when the phase
-        received nothing.
-        """
-        if self.p50 <= 0:
-            return 0.0
-        return self.p99 / self.p50
-
-    def describe(self) -> str:
-        return (
-            f"mean={self.mean:.2f}s p50={self.p50:.2f}s p95={self.p95:.2f}s "
-            f"p99={self.p99:.2f}s tail x{self.tail_amplification:.2f}"
-        )
-
-
-def latency_profile(phase: "PhaseResult") -> LatencyProfile:
-    """The latency profile of one aggregated phase result."""
-    return LatencyProfile(
-        mean=phase.mfls.mean,
-        p50=phase.p50.mean,
-        p95=phase.p95.mean,
-        p99=phase.p99.mean,
-    )
-
-
-def tail_check(
-    name: str, phase: "PhaseResult", max_amplification: float
-) -> ShapeCheck:
-    """A ShapeCheck asserting the p99/p50 tail stays within a bound."""
-    profile = latency_profile(phase)
-    amplification = profile.tail_amplification
-    return ShapeCheck(
-        name=name,
-        passed=0.0 < amplification <= max_amplification,
-        detail=f"{profile.describe()} bound=x{max_amplification:.1f}",
-    )
 
 
 def render_checks(checks: typing.Sequence[ShapeCheck]) -> str:

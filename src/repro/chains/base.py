@@ -194,10 +194,6 @@ class FinalityTracker:
             return True
         return False
 
-    def pending_keys(self) -> int:
-        """Keys committed somewhere but not yet everywhere."""
-        return len(self._commits)
-
 
 class BaseNode(Endpoint):
     """One blockchain node: chain replica, state, CPU, event delivery."""

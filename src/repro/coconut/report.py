@@ -20,47 +20,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def metrics_table(results: typing.Sequence[typing.Tuple[str, PhaseResult]]) -> str:
-    """The paper's MTPS/MFLS table shape (e.g. Tables 7, 9, 11...)."""
-    headers = ["Config", "MTPS", "SD", "SEM", "95% CI", "MFLS", "SD", "SEM", "95% CI"]
-    rows = []
-    for label, phase in results:
-        mtps, mfls = phase.mtps, phase.mfls
-        rows.append(
-            [
-                label,
-                f"{mtps.mean:.2f}",
-                f"{mtps.sd:.2f}",
-                f"{mtps.sem:.2f}",
-                f"±{mtps.ci95:.2f}",
-                f"{mfls.mean:.2f}",
-                f"{mfls.sd:.2f}",
-                f"{mfls.sem:.2f}",
-                f"±{mfls.ci95:.2f}",
-            ]
-        )
-    return format_table(headers, rows)
-
-
-def transactions_table(results: typing.Sequence[typing.Tuple[str, PhaseResult]]) -> str:
-    """The paper's NoT table shape (e.g. Tables 8, 10, 12...)."""
-    headers = ["Config", "Received NoT", "Expected NoT", "SD", "SEM", "95% CI"]
-    rows = []
-    for label, phase in results:
-        received = phase.received
-        rows.append(
-            [
-                label,
-                f"{received.mean:.2f}",
-                f"{phase.expected.mean:.2f}",
-                f"{received.sd:.2f}",
-                f"{received.sem:.2f}",
-                f"±{received.ci95:.2f}",
-            ]
-        )
-    return format_table(headers, rows)
-
-
 def heatmap(
     cell_results: typing.Mapping[typing.Tuple[str, str], PhaseResult],
     row_labels: typing.Sequence[str],

@@ -5,7 +5,8 @@ through an :class:`EngineContext`, which hides the node plumbing: sending
 and broadcasting protocol messages, timers, RNG, and the upcall that
 delivers a :class:`Decision` to the hosting node. Engines agree on opaque
 *proposals* (the node layer passes block-shaped payloads) identified by a
-monotonically increasing sequence number.
+monotonically increasing sequence number. The quorum arithmetic the
+voting engines and the quorum oracle share lives here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,37 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     from repro.sim.events import Event
     from repro.sim.kernel import Simulator, TimerHandle
+
+
+def quorum_size(n: int, kind: str = "bft") -> int:
+    """Votes required for consensus over ``n`` replicas.
+
+    ``bft`` gives the PBFT/IBFT/DiemBFT quorum — ceil((n+f+1)/2), which
+    equals the textbook 2f+1 when n = 3f+1; ``crash`` gives Raft's
+    simple majority.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one replica, got {n}")
+    if kind == "bft":
+        f = (n - 1) // 3
+        # ceil((n + f + 1) / 2): any two quorums intersect in >= f+1
+        # replicas, i.e. at least one correct one, for any n (not just
+        # n = 3f + 1).
+        return (n + f + 2) // 2
+    if kind == "crash":
+        return n // 2 + 1
+    raise ValueError(f"unknown quorum kind {kind!r}")
+
+
+def max_faulty(n: int, kind: str = "bft") -> int:
+    """Maximum tolerated faulty replicas for ``n`` replicas."""
+    if n < 1:
+        raise ValueError(f"need at least one replica, got {n}")
+    if kind == "bft":
+        return (n - 1) // 3
+    if kind == "crash":
+        return (n - 1) // 2
+    raise ValueError(f"unknown quorum kind {kind!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine, quorum_size
 from repro.consensus.pbft import proposal_digest
-from repro.crypto.signatures import quorum_size
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle

@@ -49,11 +49,6 @@ class KafkaBroker:
         self._subscribers: typing.List[typing.Callable[[int, object], None]] = []
         self.sim.spawn(self._commit_loop(), name=f"{name}-committer")
 
-    @property
-    def next_offset(self) -> int:
-        """The offset the next committed message will get."""
-        return len(self._log)
-
     def subscribe(self, callback: typing.Callable[[int, object], None]) -> None:
         """Deliver every committed (offset, message) to ``callback``.
 

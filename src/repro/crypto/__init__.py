@@ -1,24 +1,18 @@
 """Cryptographic substrate.
 
-Real SHA-256 content hashing and Merkle trees (tamper evidence is checked
-in tests), plus simulated signatures: signing and verification produce
-structurally verifiable tokens while their *cost* comes from a configurable
-time model, since the paper's performance effects (e.g. Corda OS signing
-every transaction on every node, serially) are about signing time, not
-about the maths.
+Real SHA-256 content hashing and Merkle roots, so tamper evidence is
+checked rather than assumed. Signing, notarisation and validation are
+not run at all: the paper's performance effects (e.g. Corda OS signing
+every transaction on every node, serially) are about their *time*, which
+the per-system profiles model (:mod:`repro.chains.profiles`).
 """
 
 from repro.crypto.hashing import hash_bytes, hash_object, GENESIS_HASH
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.signatures import KeyPair, Signature, SignatureError, Signer
 
 __all__ = [
     "GENESIS_HASH",
-    "KeyPair",
     "MerkleTree",
-    "Signature",
-    "SignatureError",
-    "Signer",
     "hash_bytes",
     "hash_object",
 ]

@@ -1,7 +1,7 @@
 """Merkle trees over transaction lists.
 
-Block headers commit to their transactions through a Merkle root; clients
-could verify inclusion proofs without the full block. The tree duplicates
+Block headers commit to their transactions through a Merkle root, which
+chain validation and the strict oracles recompute. The tree duplicates
 the last node on odd levels (Bitcoin-style), so any list length works.
 """
 
@@ -47,38 +47,3 @@ class MerkleTree:
 
     def __len__(self) -> int:
         return len(self.leaf_hashes)
-
-    def proof(self, index: int) -> typing.List[typing.Tuple[str, str]]:
-        """Inclusion proof for leaf ``index`` as (sibling_hash, side) pairs.
-
-        ``side`` is ``"left"`` when the sibling is the left operand of the
-        pair hash.
-        """
-        if not 0 <= index < len(self.leaf_hashes):
-            raise IndexError(f"leaf index {index} out of range")
-        path = []
-        position = index
-        for level in self._levels[:-1]:
-            nodes = level if len(level) % 2 == 0 else level + [level[-1]]
-            if position % 2 == 0:
-                path.append((nodes[position + 1], "right"))
-            else:
-                path.append((nodes[position - 1], "left"))
-            position //= 2
-        return path
-
-    @classmethod
-    def verify_proof(
-        cls,
-        leaf: object,
-        proof: typing.Sequence[typing.Tuple[str, str]],
-        root: str,
-    ) -> bool:
-        """Check an inclusion proof against a known root."""
-        current = leaf_hash(leaf)
-        for sibling, side in proof:
-            if side == "left":
-                current = cls._pair_hash(sibling, current)
-            else:
-                current = cls._pair_hash(current, sibling)
-        return current == root

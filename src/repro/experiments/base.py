@@ -112,10 +112,6 @@ class CaseResult:
     def measured_mtps(self) -> float:
         return self.phase_result.mtps.mean
 
-    @property
-    def measured_mfls(self) -> float:
-        return self.phase_result.mfls.mean
-
     def comparison_row(self) -> typing.List[str]:
         """One row of the paper-vs-measured table."""
         phase = self.phase_result

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.coconut.runner import BenchmarkRunner
-from repro.experiments.base import Case, Experiment, ExperimentRun, PaperValue
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import Executor
+from repro.experiments.base import Case, Experiment, PaperValue
 
 
 def table7_8_corda_os() -> Experiment:
@@ -242,29 +238,3 @@ TABLE_BUILDERS: typing.Dict[str, typing.Callable[[], Experiment]] = {
     "table17_18": table17_18_sawtooth,
     "table19_20": table19_20_diem,
 }
-
-
-def run_tables(
-    table_ids: typing.Optional[typing.Sequence[str]] = None,
-    runner: typing.Optional[BenchmarkRunner] = None,
-    executor: typing.Optional["Executor"] = None,
-    scale: typing.Optional[float] = None,
-    repetitions: typing.Optional[int] = None,
-) -> typing.Dict[str, ExperimentRun]:
-    """Run several result-table experiments through one shared driver.
-
-    The EXPERIMENTS.md regeneration path: with an ``executor``, every
-    table's cases share the same worker pool and result cache, so a
-    re-run after an unrelated change replays only the affected units.
-    """
-    runs: typing.Dict[str, ExperimentRun] = {}
-    for table_id in table_ids if table_ids is not None else TABLE_BUILDERS:
-        if table_id not in TABLE_BUILDERS:
-            raise KeyError(
-                f"unknown table experiment {table_id!r}; known: {sorted(TABLE_BUILDERS)}"
-            )
-        experiment = TABLE_BUILDERS[table_id]()
-        runs[table_id] = experiment.run(
-            runner=runner, executor=executor, scale=scale, repetitions=repetitions
-        )
-    return runs

@@ -106,15 +106,34 @@ class FaultAction:
 
     @classmethod
     def from_dict(cls, data: typing.Mapping[str, object]) -> "FaultAction":
+        if not isinstance(data, typing.Mapping):
+            raise ValueError(f"a fault action must be an object, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown fault action fields: {sorted(unknown)}")
+        missing = {"kind", "at"} - set(data)
+        if missing:
+            raise ValueError(f"fault action lacks {sorted(missing)}")
+        for name in ("at", "probability", "duration", "extra_ms"):
+            if name in data and not _is_number(data[name]):
+                raise ValueError(f"fault action {name!r} must be a number, got {data[name]!r}")
         kwargs = dict(data)
         for group in ("group_a", "group_b"):
             if group in kwargs:
-                kwargs[group] = tuple(typing.cast(typing.Iterable[str], kwargs[group]))
+                members = kwargs[group]
+                if not isinstance(members, (list, tuple)) or not all(
+                    isinstance(member, str) for member in members
+                ):
+                    raise ValueError(f"fault action {group!r} must be a list of endpoint ids")
+                kwargs[group] = tuple(members)
+        if not isinstance(kwargs.get("target", ""), (str, type(None))):
+            raise ValueError(f"fault action 'target' must be a string, got {kwargs['target']!r}")
         return cls(**typing.cast(typing.Dict[str, typing.Any], kwargs))
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class FaultPlan:

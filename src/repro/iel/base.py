@@ -92,8 +92,6 @@ class ReadWriteSetAdapter(StateInterface):
         self.work += 1.0
         if key in self.rwset.writes:
             return self.rwset.writes[key]
-        if key in self.rwset.deletes:
-            return None
         value, version = self.state.get_versioned(key)
         self.rwset.record_read(key, version)
         return value

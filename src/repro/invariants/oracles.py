@@ -39,7 +39,6 @@ from __future__ import annotations
 import typing
 
 from repro.crypto.hashing import GENESIS_HASH
-from repro.crypto.signatures import quorum_size
 from repro.iel.banking import CHECKING_PREFIX, SAVING_PREFIX
 from repro.storage.receipts import TxStatus
 from repro.storage.utxo import StateRef
@@ -181,6 +180,10 @@ class QuorumOracle:
     def on_qc(
         self, ch: "InvariantChecker", engine: str, round_number: int, votes: int, n: int
     ) -> None:
+        # Late import: the consensus package imports the simulator, which
+        # imports this module.
+        from repro.consensus.base import quorum_size
+
         ch.observed(self.name)
         need = quorum_size(n, "bft")
         if votes < need:
@@ -215,6 +218,8 @@ class QuorumOracle:
             )
         kind = evidence.get("kind")
         if kind in ("bft-votes", "crash-votes"):
+            from repro.consensus.base import quorum_size
+
             quorum_kind = "bft" if kind == "bft-votes" else "crash"
             votes = int(typing.cast(int, evidence.get("votes", 0)))
             need = quorum_size(n, quorum_kind)

@@ -24,11 +24,6 @@ class Link:
         else:
             self.latency_model = latency_model
 
-    @property
-    def is_loopback(self) -> bool:
-        """Whether both ends are the same host."""
-        return self.src is self.dst
-
     def delay(self, size_bytes: int, rng: random.Random) -> float:
         """Total one-way delay for a message of ``size_bytes``."""
         propagation = self.latency_model.sample(rng)

@@ -74,10 +74,6 @@ class PartitionController:
         self._pair_loss.pop((a, b), None)
         self._pair_loss.pop((b, a), None)
 
-    def clear_all_loss(self) -> None:
-        """Remove every per-pair loss rate (``drop_probability`` stays)."""
-        self._pair_loss.clear()
-
     def loss_between(self, a: str, b: str) -> float:
         """The per-pair loss rate currently configured for a path."""
         return self._pair_loss.get((a, b), 0.0)

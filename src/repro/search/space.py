@@ -73,10 +73,6 @@ class Domain:
         raw = round((value - self.low) / self.step)
         return max(0, min(self.count - 1, int(raw)))
 
-    def quantize(self, value: float) -> typing.Union[int, float]:
-        """Snap ``value`` to the nearest grid point, clamped to the domain."""
-        return self.value_at(self.index_of(value))
-
     def grid(self) -> typing.Tuple[typing.Union[int, float], ...]:
         """Every grid point, ascending."""
         return tuple(self.value_at(index) for index in range(self.count))

@@ -16,7 +16,7 @@ from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
-from repro.sim.stores import Store, StoreFullError
+from repro.sim.stores import Store
 
 __all__ = [
     "AllOf",
@@ -28,7 +28,6 @@ __all__ = [
     "RngRegistry",
     "Simulator",
     "Store",
-    "StoreFullError",
     "Timeout",
     "TimerHandle",
 ]

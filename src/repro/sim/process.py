@@ -25,7 +25,7 @@ class Process(Event):
     process event, propagating to any process waiting on it.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_suspended", "_pending_wake")
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -33,8 +33,6 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: typing.Optional[Event] = None
-        self._suspended = False
-        self._pending_wake: typing.Optional[typing.Tuple[object, typing.Optional[BaseException]]] = None
         sim.schedule(0.0, self._step, None)
 
     @property
@@ -64,32 +62,8 @@ class Process(Event):
         if self.triggered:
             return
         self._waiting_on = None
-        self._pending_wake = None
-        self._suspended = False
         self._generator.close()
         self.succeed(None)
-
-    def suspend(self) -> None:
-        """Freeze the process: wakeups are buffered, not delivered.
-
-        The process stays parked at its current yield point. If its wait
-        target fires while suspended, the wakeup is held and replayed on
-        :meth:`resume` — the process observes a longer wait, not a lost
-        event. Suspending a finished process is a no-op.
-        """
-        if self.triggered:
-            return
-        self._suspended = True
-
-    def resume(self) -> None:
-        """Unfreeze a suspended process, replaying any buffered wakeup."""
-        if not self._suspended:
-            return
-        self._suspended = False
-        if self._pending_wake is not None:
-            value, exception = self._pending_wake
-            self._pending_wake = None
-            self.sim.schedule(0.0, self._step, None, value, exception)
 
     def _step(
         self,
@@ -101,8 +75,8 @@ class Process(Event):
 
         As the wait target's callback, ``event`` is that target and its
         outcome is sent (or thrown) in; a target an interrupt replaced is
-        stale and ignored. The start, an interrupt and a replayed wake-up
-        pass ``event=None`` with an explicit ``value``/``exception``.
+        stale and ignored. The start and an interrupt pass ``event=None``
+        with an explicit ``value``/``exception``.
         """
         if event is not None:
             if event is not self._waiting_on:
@@ -110,9 +84,6 @@ class Process(Event):
             value = event._value
             exception = event._exception
         if self._value is not _PENDING or self._exception is not None:
-            return
-        if self._suspended:
-            self._pending_wake = (value, exception)
             return
         self._waiting_on = None
         try:

@@ -29,8 +29,3 @@ class RngRegistry:
             digest = hashlib.sha256(f"{self.master_seed}:{name}".encode("utf-8")).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def reseed(self, master_seed: int) -> None:
-        """Reset the registry with a new master seed, dropping all streams."""
-        self.master_seed = master_seed
-        self._streams.clear()

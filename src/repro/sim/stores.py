@@ -18,10 +18,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
-class StoreFullError(Exception):
-    """Raised by :meth:`Store.try_put` callers that treat rejection as an error."""
-
-
 class Store:
     """A FIFO buffer of items with an optional capacity.
 

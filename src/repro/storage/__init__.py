@@ -5,8 +5,8 @@ client-side accounting unit), transactions and batches
 (:mod:`repro.storage.transaction`), hash-linked blocks and chains
 (:mod:`repro.storage.block`, :mod:`repro.storage.chain`), the versioned
 key-value world state with MVCC validation used by Fabric-style
-execute-order-validate (:mod:`repro.storage.state`), the UTXO store used by
-Corda (:mod:`repro.storage.utxo`) and commit receipts
+execute-order-validate (:mod:`repro.storage.state`), the UTXO state
+references used by Corda (:mod:`repro.storage.utxo`) and commit receipts
 (:mod:`repro.storage.receipts`).
 """
 
@@ -15,7 +15,7 @@ from repro.storage.chain import Chain, ChainValidationError
 from repro.storage.receipts import Receipt, TxStatus
 from repro.storage.state import ReadWriteSet, WorldState
 from repro.storage.transaction import Batch, Payload, Transaction
-from repro.storage.utxo import DoubleSpendError, StateRef, UTXOStore, UTXOState
+from repro.storage.utxo import StateRef
 
 __all__ = [
     "Batch",
@@ -23,14 +23,11 @@ __all__ = [
     "BlockHeader",
     "Chain",
     "ChainValidationError",
-    "DoubleSpendError",
     "Payload",
     "ReadWriteSet",
     "Receipt",
     "StateRef",
     "Transaction",
     "TxStatus",
-    "UTXOState",
-    "UTXOStore",
     "WorldState",
 ]

@@ -24,7 +24,6 @@ class ReadWriteSet:
 
     reads: typing.Dict[str, int] = dataclasses.field(default_factory=dict)
     writes: typing.Dict[str, object] = dataclasses.field(default_factory=dict)
-    deletes: typing.Set[str] = dataclasses.field(default_factory=set)
 
     def record_read(self, key: str, version: int) -> None:
         """Remember that ``key`` was read at ``version``."""
@@ -34,24 +33,6 @@ class ReadWriteSet:
     def record_write(self, key: str, value: object) -> None:
         """Remember a pending write."""
         self.writes[key] = value
-        self.deletes.discard(key)
-
-    def record_delete(self, key: str) -> None:
-        """Remember a pending delete."""
-        self.deletes.add(key)
-        self.writes.pop(key, None)
-
-    def conflicts_with(self, other: "ReadWriteSet") -> bool:
-        """Write-write or read-write overlap with another set."""
-        my_writes = set(self.writes) | self.deletes
-        their_writes = set(other.writes) | other.deletes
-        if my_writes & their_writes:
-            return True
-        if set(self.reads) & their_writes:
-            return True
-        if set(other.reads) & my_writes:
-            return True
-        return False
 
 
 #: Version number reported for keys that do not exist.
@@ -101,11 +82,6 @@ class WorldState:
         self._data[key] = (value, new_version)
         return new_version
 
-    def delete(self, key: str) -> None:
-        """Remove ``key`` if present."""
-        self.lineage = None
-        self._data.pop(key, None)
-
     def keys(self) -> typing.Iterator[str]:
         """Iterate all keys (Corda's vault-scan path iterates these)."""
         return iter(self._data)
@@ -130,8 +106,6 @@ class WorldState:
         for key, value in rwset.writes.items():
             entry = data.get(key)
             data[key] = (value, (entry[1] if entry else MISSING_VERSION) + 1)
-        for key in rwset.deletes:
-            data.pop(key, None)
         self.commit_count += 1
         return True
 

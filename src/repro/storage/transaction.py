@@ -31,25 +31,20 @@ _batch_counter = itertools.count(1)
 def reset_id_counters() -> None:
     """Restart every global id sequence (deterministic ids for tests).
 
-    Covers payload/transaction/batch ids here plus the signature key
-    serials, UTXO state ids and consensus proposal ids — any globally
-    counted identifier that can surface in results or traces, so a
-    fixed-seed run reproduces byte-identically regardless of what ran
-    earlier in the process.
+    Covers payload/transaction/batch ids here plus the consensus proposal
+    ids — any globally counted identifier that can surface in results or
+    traces, so a fixed-seed run reproduces byte-identically regardless of
+    what ran earlier in the process.
     """
     global _payload_counter, _tx_counter, _batch_counter
     _payload_counter = itertools.count(1)
     _tx_counter = itertools.count(1)
     _batch_counter = itertools.count(1)
-    # Late imports: these modules must not become import-time
-    # dependencies of the transaction module (chains imports storage).
+    # Late import: chains must not become an import-time dependency of
+    # the transaction module (chains imports storage).
     from repro.chains.base import reset_proposal_counter
-    from repro.crypto.signatures import reset_key_counter
-    from repro.storage.utxo import reset_state_counter
 
-    reset_key_counter()
     reset_proposal_counter()
-    reset_state_counter()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,32 +1,16 @@
-"""UTXO state store for the Corda models.
+"""UTXO state references for the Corda models.
 
 Corda has no blocks: a transaction consumes input *states* and creates
 output states; the notary's only job is refusing transactions whose inputs
-were already consumed (Section 2). :class:`UTXOStore` implements exactly
-that — unconsumed state tracking with atomic consume-and-create.
+were already consumed (Section 2). A :class:`StateRef` names one such
+state. The vault (:class:`repro.chains.corda_os.VaultEntry`) and the
+notary's spent set (:class:`repro.consensus.notary.NotaryService`) key on
+it; the notary check itself lives in the notary.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import typing
-
-_state_counter = itertools.count(1)
-
-
-def reset_state_counter() -> None:
-    """Restart the state-id sequence (deterministic ids for tests)."""
-    global _state_counter
-    _state_counter = itertools.count(1)
-
-
-class DoubleSpendError(Exception):
-    """An input state was already consumed (notary rejection)."""
-
-    def __init__(self, refs: typing.Sequence["StateRef"]) -> None:
-        super().__init__(f"states already consumed: {[str(r) for r in refs]}")
-        self.refs = list(refs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,104 +22,3 @@ class StateRef:
 
     def __str__(self) -> str:
         return f"{self.tx_id}:{self.index}"
-
-
-@dataclasses.dataclass(frozen=True)
-class UTXOState:
-    """An on-ledger state object (a vault entry)."""
-
-    ref: StateRef
-    contract: str
-    data: typing.Tuple[typing.Tuple[str, object], ...]
-    participants: typing.Tuple[str, ...]
-
-    @classmethod
-    def create(
-        cls,
-        tx_id: str,
-        index: int,
-        contract: str,
-        data: dict,
-        participants: typing.Sequence[str],
-    ) -> "UTXOState":
-        """Build a state for output ``index`` of ``tx_id``."""
-        return cls(
-            ref=StateRef(tx_id=tx_id, index=index),
-            contract=contract,
-            data=tuple(sorted(data.items())),
-            participants=tuple(participants),
-        )
-
-    def field(self, name: str, default: object = None) -> object:
-        """Look up one data field."""
-        for key, value in self.data:
-            if key == name:
-                return value
-        return default
-
-
-class UTXOStore:
-    """Tracks unconsumed states — a node's vault, or the notary's spent set."""
-
-    def __init__(self, owner: str = "") -> None:
-        self.owner = owner
-        self._unconsumed: typing.Dict[StateRef, UTXOState] = {}
-        self._consumed: typing.Set[StateRef] = set()
-
-    def __len__(self) -> int:
-        return len(self._unconsumed)
-
-    def __contains__(self, ref: StateRef) -> bool:
-        return ref in self._unconsumed
-
-    def add(self, state: UTXOState) -> None:
-        """Record a newly created output state."""
-        if state.ref in self._unconsumed or state.ref in self._consumed:
-            raise ValueError(f"duplicate state ref {state.ref}")
-        self._unconsumed[state.ref] = state
-
-    def is_consumed(self, ref: StateRef) -> bool:
-        """Whether ``ref`` was spent already."""
-        return ref in self._consumed
-
-    def get(self, ref: StateRef) -> typing.Optional[UTXOState]:
-        """The unconsumed state at ``ref``, or ``None``."""
-        return self._unconsumed.get(ref)
-
-    def consume_and_create(
-        self,
-        inputs: typing.Sequence[StateRef],
-        outputs: typing.Sequence[UTXOState],
-    ) -> None:
-        """Atomically spend ``inputs`` and add ``outputs``.
-
-        Raises :class:`DoubleSpendError` (before any mutation) when an
-        input is already consumed or unknown — the notary check.
-        """
-        conflicting = [ref for ref in inputs if ref not in self._unconsumed]
-        if conflicting:
-            raise DoubleSpendError(conflicting)
-        for ref in inputs:
-            self._consumed.add(ref)
-            del self._unconsumed[ref]
-        for state in outputs:
-            self.add(state)
-
-    def scan(self, predicate: typing.Callable[[UTXOState], bool]) -> typing.List[UTXOState]:
-        """Linear scan of unconsumed states — Corda OS's slow read path.
-
-        The cost of iterating the whole vault per query is what makes the
-        Corda OS KeyValue-Get benchmark collapse in the paper; the Corda
-        node model charges time proportional to ``len(self)`` when using
-        this method.
-        """
-        return [state for state in self._unconsumed.values() if predicate(state)]
-
-    def unconsumed_states(self) -> typing.List[UTXOState]:
-        """All unconsumed states (insertion order)."""
-        return list(self._unconsumed.values())
-
-
-def next_state_index() -> int:
-    """A process-wide monotonically increasing index for synthetic states."""
-    return next(_state_counter)

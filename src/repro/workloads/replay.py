@@ -27,9 +27,9 @@ def replay_times(
     """Send offsets (seconds from first send) of a trace's ``tx`` spans.
 
     ``records`` is a JSONL trace loaded with
-    :func:`repro.trace.jsonl.read_jsonl`; ``phase``/``client`` filter by
-    the span's attributes. Offsets are rounded to microseconds so a
-    round-trip through JSON stays deterministic.
+    :func:`repro.trace.jsonl.read_jsonl`; ``phase`` filters by the span's
+    attribute and ``client`` by its node. Offsets are rounded to
+    microseconds so a round-trip through JSON stays deterministic.
     """
     starts: typing.List[float] = []
     for record in records:
@@ -40,7 +40,7 @@ def replay_times(
         attrs = typing.cast(typing.Mapping[str, object], record.get("attrs", {}))
         if phase is not None and attrs.get("phase") != phase:
             continue
-        if client is not None and attrs.get("node") != client:
+        if client is not None and record.get("node") != client:
             continue
         starts.append(float(typing.cast(float, record["start"])))
     if not starts:

@@ -50,6 +50,29 @@ ACCESS_KINDS: typing.Tuple[str, ...] = (
 )
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_fields(
+    data: object,
+    what: str,
+    known: typing.Collection[str],
+    numbers: typing.Collection[str] = (),
+) -> typing.Mapping[str, object]:
+    """``data`` as a JSON object with only ``known`` keys and the
+    ``numbers`` keys numeric; :class:`ValueError` otherwise."""
+    if not isinstance(data, typing.Mapping):
+        raise ValueError(f"{what} must be an object, got {data!r}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for name in numbers:
+        if name in data and not _is_number(data[name]):
+            raise ValueError(f"{what} {name!r} must be a number, got {data[name]!r}")
+    return data
+
+
 @dataclasses.dataclass(frozen=True)
 class ArrivalSpec:
     """How one workload thread spaces its sends.
@@ -122,15 +145,15 @@ class ArrivalSpec:
 
     @classmethod
     def from_dict(cls, data: typing.Mapping[str, object]) -> "ArrivalSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown arrival fields: {sorted(unknown)}")
-        kwargs = dict(data)
+        kwargs = dict(_check_fields(
+            data, "arrival", {f.name for f in dataclasses.fields(cls)},
+            numbers=("on_s", "off_s", "factor", "start_factor", "end_factor"),
+        ))
         if "times" in kwargs:
-            kwargs["times"] = tuple(
-                float(t) for t in typing.cast(typing.Iterable[float], kwargs["times"])
-            )
+            times = kwargs["times"]
+            if not isinstance(times, (list, tuple)) or not all(_is_number(t) for t in times):
+                raise ValueError(f"arrival 'times' must be a list of numbers, got {times!r}")
+            kwargs["times"] = tuple(float(t) for t in times)
         return cls(**typing.cast(typing.Dict[str, typing.Any], kwargs))
 
 
@@ -202,11 +225,17 @@ class AccessSpec:
 
     @classmethod
     def from_dict(cls, data: typing.Mapping[str, object]) -> "AccessSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown access fields: {sorted(unknown)}")
-        return cls(**typing.cast(typing.Dict[str, typing.Any], dict(data)))
+        kwargs = _check_fields(
+            data, "access", {f.name for f in dataclasses.fields(cls)},
+            numbers=("theta", "hot_fraction", "hot_prob"),
+        )
+        key_space = kwargs.get("key_space", cls.key_space)
+        if not isinstance(key_space, int) or isinstance(key_space, bool):
+            raise ValueError(f"access 'key_space' must be an integer, got {key_space!r}")
+        shared = kwargs.get("shared", cls.shared)
+        if not isinstance(shared, bool):
+            raise ValueError(f"access 'shared' must be true or false, got {shared!r}")
+        return cls(**typing.cast(typing.Dict[str, typing.Any], dict(kwargs)))
 
 
 #: An operation mix: ((function, weight), ...), weights > 0.
@@ -219,7 +248,14 @@ def normalize_mix(
     """Canonicalise a mix to a sorted tuple of (function, weight) pairs."""
     if mix is None:
         return None
-    pairs = list(mix.items()) if isinstance(mix, typing.Mapping) else list(mix)
+    if isinstance(mix, typing.Mapping):
+        pairs = list(mix.items())
+    elif isinstance(mix, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in mix
+    ):
+        pairs = list(mix)
+    else:
+        raise ValueError(f"a mix must map operations to weights, got {mix!r}")
     if not pairs:
         return None
     for function, weight in pairs:
@@ -255,9 +291,7 @@ class PhaseOverride:
 
     @classmethod
     def from_dict(cls, data: typing.Mapping[str, object]) -> "PhaseOverride":
-        unknown = set(data) - {"arrival", "access", "mix"}
-        if unknown:
-            raise ValueError(f"unknown phase override fields: {sorted(unknown)}")
+        _check_fields(data, "phase override", {"arrival", "access", "mix"})
         return cls(
             arrival=(
                 ArrivalSpec.from_dict(typing.cast(dict, data["arrival"]))

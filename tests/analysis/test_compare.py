@@ -74,49 +74,3 @@ class TestShapeCheck:
         assert "[PASS] good" in text
         assert "[FAIL] bad" in text
         assert "1/2" in text
-
-
-def _phase(p50=1.0, p95=2.0, p99=4.0, mean=1.2):
-    from repro.coconut.metrics import PhaseMetrics
-    from repro.coconut.results import PhaseResult
-
-    rep = PhaseMetrics(
-        phase="Set", repetition=0, expected=10, received=10, failed=0,
-        t_first_send=0.0, t_last_receive=10.0, duration=10.0, tps=1.0,
-        mean_fls=mean, p50_fls=p50, p95_fls=p95, p99_fls=p99,
-    )
-    return PhaseResult(phase="Set", repetitions=[rep])
-
-
-class TestLatencyProfile:
-    def test_profile_and_amplification(self):
-        from repro.analysis.compare import latency_profile
-
-        profile = latency_profile(_phase())
-        assert profile.p50 == 1.0
-        assert profile.p99 == 4.0
-        assert profile.tail_amplification == pytest.approx(4.0)
-        assert "p99" in profile.describe()
-
-    def test_zero_p50_has_zero_amplification(self):
-        from repro.analysis.compare import latency_profile
-
-        assert latency_profile(_phase(p50=0.0)).tail_amplification == 0.0
-
-
-class TestTailCheck:
-    def test_passes_within_budget(self):
-        from repro.analysis.compare import tail_check
-
-        assert tail_check("t", _phase(), max_amplification=5.0).passed
-
-    def test_fails_beyond_budget(self):
-        from repro.analysis.compare import tail_check
-
-        check = tail_check("t", _phase(p99=8.0), max_amplification=5.0)
-        assert not check.passed
-
-    def test_degenerate_distribution_fails(self):
-        from repro.analysis.compare import tail_check
-
-        assert not tail_check("t", _phase(p50=0.0), max_amplification=5.0).passed

@@ -180,13 +180,20 @@ class TestFaultPlanFlag:
                 "--faults", "/nonexistent/plan.json",
             ])
 
-    def test_malformed_plan_json_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--faults", '{"actions": [{"kind": "meteor", "at": 1.0}]}', "bad fault plan"),
+        ("--faults", '{"actions": [5]}', "bad fault plan"),
+        ("--faults", '{"actions": [{"at": "x", "kind": "crash", "target": "n0"}]}',
+         "bad fault plan"),
+        ("--workload", '{"arrival": 5}', "bad workload spec"),
+    ], ids=["unknown-kind", "non-object-action", "non-numeric-at", "non-object-arrival"])
+    def test_malformed_plan_json_is_a_usage_error(self, tmp_path, flag, text, message):
         path = tmp_path / "bad.json"
-        path.write_text('{"actions": [{"kind": "meteor", "at": 1.0}]}')
-        with pytest.raises(SystemExit, match="bad fault plan"):
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=f"^coconut run: error: {message}: [^\\n]+$"):
             main([
                 "run", "--system", "fabric", "--iel", "DoNothing",
-                "--rate", "50", "--scale", "0.02", "--faults", str(path),
+                "--rate", "50", "--scale", "0.02", flag, str(path),
             ])
 
 

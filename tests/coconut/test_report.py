@@ -1,7 +1,7 @@
 """Unit tests for the text report renderers."""
 
 from repro.coconut.metrics import PhaseMetrics
-from repro.coconut.report import format_table, heatmap, metrics_table, transactions_table
+from repro.coconut.report import format_table, heatmap
 from repro.coconut.results import PhaseResult
 
 
@@ -39,15 +39,6 @@ class TestFormatTable:
 
 
 class TestMetricTables:
-    def test_metrics_table_has_statistics_columns(self):
-        table = metrics_table([("RL=20", phase_result())])
-        assert "SD" in table and "SEM" in table and "±" in table
-        assert "11.00" in table  # mean of 10, 11, 12
-
-    def test_transactions_table_counts(self):
-        table = transactions_table([("RL=20", phase_result())])
-        assert "100.00" in table and "120.00" in table
-
     def test_heatmap_failure_cells(self):
         dead = phase_result(received=0, expected=100, tps=0.0)
         grid = heatmap(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coconut import BenchmarkConfig, BenchmarkRunner, ResultStore
-from repro.coconut.report import heatmap, metrics_table, transactions_table, unit_summary
+from repro.coconut.report import heatmap, unit_summary
 from repro.coconut.results import UnitResult
 from repro.faults import FaultPlan
 
@@ -140,14 +140,6 @@ class TestResultStore:
 
 
 class TestReport:
-    def test_metrics_table_renders(self, fabric_result):
-        table = metrics_table([("RL=400", fabric_result.phase("Set"))])
-        assert "MTPS" in table and "95% CI" in table and "RL=400" in table
-
-    def test_transactions_table_renders(self, fabric_result):
-        table = transactions_table([("RL=400", fabric_result.phase("Set"))])
-        assert "Received NoT" in table and "Expected NoT" in table
-
     def test_unit_summary_mentions_phases(self, fabric_result):
         text = unit_summary(fabric_result)
         assert "Set" in text and "Get" in text

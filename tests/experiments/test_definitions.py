@@ -36,12 +36,6 @@ class TestRegistry:
             assert isinstance(config, BenchmarkConfig)
             assert case.phase in config.phase_sequence
 
-    def test_run_tables_rejects_unknown_ids(self):
-        from repro.experiments.tables import run_tables
-
-        with pytest.raises(KeyError):
-            run_tables(["table42"])
-
 
 class TestEnvOverrides:
     CASE = Case("c", dict(system="fabric", iel="DoNothing", rate_limit=50), "DoNothing")

@@ -28,12 +28,6 @@ class TestDomain:
         assert domain.index_of(999) == 3
         assert domain.index_of(-5) == 0
 
-    def test_quantize_snaps_to_grid(self):
-        domain = Domain(name="rate_limit", low=10, high=40, step=10)
-        assert domain.quantize(23) == 20
-        assert domain.quantize(0) == 10
-        assert domain.quantize(100) == 40
-
     def test_value_at_bounds(self):
         domain = Domain(name="rate_limit", low=10, high=40, step=10)
         with pytest.raises(IndexError):

@@ -147,64 +147,7 @@ class TestInterrupt:
 
 
 class TestWakeupSemantics:
-    """Interrupt, suspend/resume and kill over the one wake-up path."""
-
-    def test_suspended_wakeup_is_replayed_on_resume(self, sim):
-        log = []
-
-        def proc():
-            value = yield sim.timeout(1.0, value="tick")
-            log.append((value, sim.now))
-
-        process = sim.spawn(proc())
-        sim.schedule(0.5, process.suspend)
-        sim.schedule(3.0, process.resume)
-        sim.run()
-        assert log == [("tick", 3.0)]
-        assert process.ok
-
-    def test_suspended_failure_is_thrown_on_resume(self, sim):
-        log = []
-        trigger = sim.event()
-
-        def proc():
-            try:
-                yield trigger
-            except RuntimeError as error:
-                log.append((str(error), sim.now))
-
-        process = sim.spawn(proc())
-        sim.schedule(0.5, process.suspend)
-        sim.schedule(1.0, trigger.fail, RuntimeError("boom"))
-        sim.schedule(2.0, process.resume)
-        sim.run()
-        assert log == [("boom", 2.0)]
-
-    def test_resume_without_suspend_is_noop(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-            return "done"
-
-        process = sim.spawn(proc())
-        process.resume()
-        sim.run()
-        assert process.value == "done" and sim.now == 1.0
-
-    def test_interrupt_while_suspended_waits_for_resume(self, sim):
-        log = []
-
-        def proc():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt as interrupt:
-                log.append((interrupt.cause, sim.now))
-
-        process = sim.spawn(proc())
-        sim.schedule(0.5, process.suspend)
-        sim.schedule(1.0, process.interrupt, "halt")
-        sim.schedule(4.0, process.resume)
-        sim.run()
-        assert log == [("halt", 4.0)]
+    """Interrupt and kill over the one wake-up path."""
 
     def test_kill_closes_generator_and_releases_waiters(self, sim):
         log = []
@@ -229,20 +172,6 @@ class TestWakeupSemantics:
         assert not process.is_alive
         process.kill()  # killing a finished process is a no-op
         assert process.ok
-
-    def test_kill_discards_buffered_wakeup(self, sim):
-        log = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            log.append("resumed")
-
-        process = sim.spawn(proc())
-        sim.schedule(0.5, process.suspend)
-        sim.schedule(2.0, process.kill)
-        sim.schedule(3.0, process.resume)
-        sim.run()
-        assert log == [] and process.ok and process.value is None
 
     def test_double_interrupt_throws_twice(self, sim):
         causes = []

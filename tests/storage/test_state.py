@@ -20,13 +20,6 @@ class TestWorldState:
         assert state.set("k", "v2") == 2
         assert state.get_versioned("k") == ("v2", 2)
 
-    def test_delete(self):
-        state = WorldState()
-        state.set("k", "v")
-        state.delete("k")
-        assert state.get("k") is None
-        state.delete("absent")  # no error
-
     def test_apply_valid_rwset(self):
         state = WorldState()
         state.set("k", "v1")
@@ -58,14 +51,6 @@ class TestWorldState:
         assert state.apply(rwset)
         assert state.get("new") == "v"
 
-    def test_apply_deletes(self):
-        state = WorldState()
-        state.set("k", "v")
-        rwset = ReadWriteSet()
-        rwset.record_delete("k")
-        assert state.apply(rwset)
-        assert "k" not in state
-
 
 class TestLineage:
     def test_empty_state_has_lineage_zero(self):
@@ -74,12 +59,6 @@ class TestLineage:
     def test_set_clears_lineage(self):
         state = WorldState()
         state.set("k", "v")
-        assert state.lineage is None
-
-    def test_delete_clears_lineage(self):
-        state = WorldState()
-        state.lineage = 7
-        state.delete("absent")
         assert state.lineage is None
 
     def test_apply_clears_lineage_even_without_writes(self):
@@ -111,8 +90,6 @@ class TestLineage:
             for key in ("a", "b") if step % 2 else ("a", "c"):
                 rwset.record_read(key, executed.version(key))
                 rwset.record_write(key, f"{key}{step}")
-            if step == 4:
-                rwset.record_delete("c")
             assert executed.apply(rwset)
             recorded.append(rwset)
         for rwset in recorded:
@@ -131,32 +108,6 @@ class TestReadWriteSet:
         rwset.record_read("k", 1)
         rwset.record_read("k", 2)  # repeated read in same tx
         assert rwset.reads["k"] == 1
-
-    def test_write_then_delete(self):
-        rwset = ReadWriteSet()
-        rwset.record_write("k", "v")
-        rwset.record_delete("k")
-        assert "k" not in rwset.writes
-        assert "k" in rwset.deletes
-
-    def test_delete_then_write(self):
-        rwset = ReadWriteSet()
-        rwset.record_delete("k")
-        rwset.record_write("k", "v")
-        assert "k" not in rwset.deletes
-        assert rwset.writes["k"] == "v"
-
-    def test_conflicts(self):
-        write_k = ReadWriteSet()
-        write_k.record_write("k", 1)
-        read_k = ReadWriteSet()
-        read_k.record_read("k", 1)
-        disjoint = ReadWriteSet()
-        disjoint.record_write("other", 1)
-        assert write_k.conflicts_with(read_k)
-        assert read_k.conflicts_with(write_k)
-        assert not write_k.conflicts_with(disjoint)
-        assert not read_k.conflicts_with(disjoint)
 
 
 class TestStateProperties:

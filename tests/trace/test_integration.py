@@ -7,7 +7,8 @@ import pytest
 from repro.cli import main
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
-from repro.trace import TraceConfig, Tracer
+from repro.trace import TraceConfig, Tracer, write_jsonl
+from repro.workloads import replay_spec_from_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,25 @@ class TestTracedBenchmark:
         assert tracer.spans
         assert {s.category for s in tracer.spans} == {"consensus"}
         assert {e.category for e in tracer.events} <= {"consensus"}
+
+
+class TestReplayFromTrace:
+    def test_spec_replays_one_clients_send_offsets(self, traced_run, tmp_path):
+        tracer, __, __ = traced_run
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(tracer, path)
+        client = next(s.node for s in tracer.spans if s.name == "tx")
+        sends = sorted(s.start for s in tracer.spans if s.name == "tx" and s.node == client)
+        spec = replay_spec_from_jsonl(str(path), phase="Set", client=client, name="again")
+        assert spec.name == "again" and spec.arrival.kind == "replay"
+        assert spec.arrival.times == tuple(round(t - sends[0], 6) for t in sends)
+
+    def test_unmatched_filter_is_an_error(self, traced_run, tmp_path):
+        tracer, __, __ = traced_run
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(tracer, path)
+        with pytest.raises(ValueError, match="no client tx spans matched"):
+            replay_spec_from_jsonl(str(path), phase="Get")
 
 
 class TestCliTraceFlag:

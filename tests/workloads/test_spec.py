@@ -123,11 +123,26 @@ class TestWorkloadSpec:
         )
         assert WorkloadSpec.from_json(spec.to_json()) == spec
 
-    def test_unknown_json_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown workload fields"):
-            WorkloadSpec.from_json('{"arrivals": {"kind": "poisson"}}')
-        with pytest.raises(ValueError, match="unknown arrival fields"):
-            WorkloadSpec.from_json('{"arrival": {"kind": "poisson", "rate": 3}}')
+    @pytest.mark.parametrize("text, message", [
+        ('{"arrivals": {"kind": "poisson"}}', "unknown workload fields"),
+        ('{"arrival": {"kind": "poisson", "rate": 3}}', "unknown arrival fields"),
+        ('{"arrival": 5}', "arrival must be an object"),
+        ('{"arrival": {"kind": "burst", "factor": "x"}}', "'factor' must be a number"),
+        ('{"arrival": {"kind": "replay", "times": [{}]}}', "'times' must be a list of numbers"),
+        ('{"access": [1]}', "access must be an object"),
+        ('{"access": {"kind": "zipfian", "theta": "0.9"}}', "'theta' must be a number"),
+        ('{"access": {"kind": "uniform", "key_space": 2.5}}', "'key_space' must be an integer"),
+        ('{"mix": 5}', "a mix must map operations to weights"),
+        ('{"phases": {"Set": 5}}', "phase override must be an object"),
+    ], ids=[
+        "unknown-workload-field", "unknown-arrival-field", "non-object-arrival",
+        "non-numeric-factor", "non-numeric-times", "non-object-access",
+        "non-numeric-theta", "fractional-key-space", "non-object-mix",
+        "non-object-phase-override",
+    ])
+    def test_malformed_json_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            WorkloadSpec.from_json(text)
 
     def test_short_label_is_stable_and_distinct(self):
         a = WorkloadSpec(access=AccessSpec(kind="uniform"))
