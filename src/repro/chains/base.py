@@ -28,6 +28,7 @@ import itertools
 import typing
 
 from repro.chains.profiles import PerformanceProfile, profile_for
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 from repro.crypto.merkle import MerkleTree
 from repro.iel import create_iel
 from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
@@ -243,14 +244,14 @@ class BaseNode(Endpoint):
     # State application
 
     def apply_payloads(
-        self, proposal: BlockProposal, atomic_tx: bool = True
+        self, proposal: BlockProposal
     ) -> typing.Dict[str, typing.Tuple[TxStatus, str]]:
         """Order-execute application: run every payload of a decided
         proposal on world state.
 
-        Returns ``payload_id -> (status, detail)``. With ``atomic_tx``, a
-        failing payload discards its whole transaction (BitShares
-        operations, Sawtooth batches map batches separately).
+        Returns ``payload_id -> (status, detail)``. Transactions are
+        atomic: a failing payload discards its whole transaction
+        (BitShares operations; Sawtooth maps batches separately).
 
         When another replica already executed ``proposal`` from a state
         with the same lineage, its recorded read/write sets are applied
@@ -279,20 +280,16 @@ class BaseNode(Endpoint):
                 # leaves the world state untouched. Payloads inside the
                 # transaction see each other's writes through the buffer.
                 adapter = ReadWriteSetAdapter(state)
-                results = [(payload, self.iel.execute(payload, adapter)) for payload in tx.payloads]
-                failed = [(p, r) for p, r in results if not r.ok]
-                if failed and atomic_tx:
-                    for payload in tx.payloads:
-                        outcome[payload.payload_id] = (TxStatus.DISCARDED, failed[0][1].error)
+                results = [self.iel.execute(payload, adapter) for payload in tx.payloads]
+                error = next((r.error for r in results if not r.ok), None)
+                status = (TxStatus.COMMITTED, "") if error is None else (TxStatus.DISCARDED, error)
+                for payload in tx.payloads:
+                    outcome[payload.payload_id] = status
+                if error is not None:
                     continue
                 state.apply(adapter.rwset)
                 rwsets.append(adapter.rwset)
-                for payload, result in results:
-                    if result.ok:
-                        executed += 1
-                        outcome[payload.payload_id] = (TxStatus.COMMITTED, "")
-                    else:
-                        outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+                executed += len(tx.payloads)
             self.executed_payloads += executed
             if key[0] is not None:
                 state.lineage = next(self.system._lineage_tokens)
@@ -459,6 +456,49 @@ class BaseNode(Endpoint):
             )
 
 
+class ReplicaNode(BaseNode):
+    """A validator of an order-execute chain (Quorum, Diem, BitShares,
+    Sawtooth): its consensus engine decides blocks, and the node
+    executes, seals and reports each one in decision order."""
+
+    def __init__(self, system: "SystemModel", node_id: str) -> None:
+        super().__init__(system, node_id)
+        #: Set by the system's ``build()`` (see :meth:`SystemModel.engine_context`).
+        self.engine: typing.Optional[ReplicaEngine] = None
+        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
+        self.empty_blocks = 0
+        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
+
+    def enqueue_commit(self, decision: Decision) -> None:
+        """The engine decided a slot; queue its block for execution.
+        A slot without a block (a DiemBFT NIL round) is dropped."""
+        if decision.proposal is not None:
+            self._commit_queue.try_put(decision)
+
+    def _commit_loop(self) -> typing.Generator:
+        while True:
+            decision = yield self._commit_queue.get()
+            yield from self.commit_block(
+                typing.cast(BlockProposal, decision.proposal), decision.proposer
+            )
+
+    def block_cost(self, proposal: BlockProposal) -> float:
+        """CPU seconds this node spends committing a non-empty block."""
+        return self.profile.block_overhead + proposal.execution_time(self)
+
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
+        """Execute, seal and report one decided block (generator helper)."""
+        if proposal.is_empty:
+            self.empty_blocks += 1
+            self.seal_and_append(proposal, proposer)
+            return
+        yield from self.busy(self.block_cost(proposal))
+        outcome = self.apply_payloads(proposal)
+        self.seal_and_append(proposal, proposer)
+        self.system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
+        self.system.record_commit(proposal.proposal_id, self.endpoint_id)
+
+
 class SystemModel(abc.ABC):
     """One deployed blockchain system under test."""
 
@@ -494,6 +534,9 @@ class SystemModel(abc.ABC):
         self._lineage_tokens = itertools.count(1)
         #: client_id -> gateway node id (set on subscribe).
         self.subscriptions: typing.Dict[str, str] = {}
+        #: payload_id -> submitting client id, recorded on admission
+        #: (:meth:`remember_owner`) to route receipts.
+        self._owners: typing.Dict[str, str] = {}
         #: proposal/tx id -> pending finalization context.
         self._pending_final: typing.Dict[str, typing.Dict[str, typing.Tuple[TxStatus, str]]] = {}
         self._pending_height: typing.Dict[str, typing.Optional[int]] = {}
@@ -528,9 +571,25 @@ class SystemModel(abc.ABC):
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         """Admit one client submission arriving at ``node``."""
 
+    def engine_context(
+        self,
+        replica_id: str,
+        peers: typing.Sequence[str],
+        decide_fn: typing.Callable[[Decision], None],
+        rng_name: str,
+    ) -> EngineContext:
+        """The context an engine replica on ``replica_id`` talks through:
+        this deployment's network and simulator, and the RNG stream
+        ``rng_name``."""
+        return EngineContext(
+            self.sim, self.network, replica_id, peers, decide_fn, self.sim.rng.stream(rng_name)
+        )
+
     def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        """Deliver a consensus message to the node's engine (override)."""
-        raise NotImplementedError(f"{self.name} has no engine router")
+        """Deliver a consensus message to the node's engine."""
+        engine = typing.cast(ReplicaNode, node).engine
+        assert engine is not None
+        engine.on_message(message.kind, message.src, message.payload)
 
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         """Handle non-engine, non-submit node traffic (override as needed)."""
@@ -549,9 +608,14 @@ class SystemModel(abc.ABC):
         return getattr(node, "engine", None) if node is not None else None
 
     def leader_id(self) -> typing.Optional[str]:
-        """The endpoint currently coordinating consensus, if the system
-        has such a role (Raft leader, PBFT primary, IBFT proposer, DPoS
-        slot witness, Corda notary). ``None`` for leaderless systems."""
+        """The endpoint currently coordinating consensus (Raft leader,
+        PBFT primary, IBFT proposer, DiemBFT round leader, DPoS slot
+        witness), as the first live engine sees it; ``None`` when every
+        engine is stopped."""
+        for node_id in self.node_ids:
+            engine = self.engine_of(node_id)
+            if engine is not None and not engine.stopped:
+                return engine.leader_id
         return None
 
     def enter_fault_mode(self) -> None:
@@ -661,14 +725,6 @@ class SystemModel(abc.ABC):
             if gateway_id is None:
                 continue
             self.nodes[gateway_id].notify_client(client_id, receipts)
-
-    #: payload_id -> submitting client id, maintained by subclasses on
-    #: admission (needed to route receipts).
-    @property
-    def _owners(self) -> typing.Dict[str, str]:
-        if not hasattr(self, "_owner_map"):
-            self._owner_map: typing.Dict[str, str] = {}
-        return self._owner_map
 
     def remember_owner(self, payloads: typing.Iterable[Payload]) -> None:
         """Record which client each payload belongs to."""

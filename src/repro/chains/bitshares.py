@@ -24,11 +24,9 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.dpos import DposEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Fraction of the block interval budgeted for applying transactions.
@@ -69,36 +67,6 @@ def has_interacting_operations(transaction: Transaction) -> bool:
     return False
 
 
-class BitSharesNode(BaseNode):
-    """One BitShares node (a witness when scheduled)."""
-
-    def __init__(self, system: "BitSharesSystem", node_id: str) -> None:
-        super().__init__(system, node_id)
-        self.engine: typing.Optional[DposEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
-
-    def enqueue_commit(self, decision: Decision) -> None:
-        """A witness block arrived; queue it for application."""
-        self._commit_queue.try_put(decision)
-
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("BitSharesSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if proposal.is_empty:
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                self.profile.block_overhead + proposal.execution_time(self)
-            )
-            outcome = self.apply_payloads(proposal, atomic_tx=True)
-            self.seal_and_append(proposal, decision.proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
-
-
 class BitSharesSystem(SystemModel):
     """A BitShares deployment (Table 4: n nodes, n-1 witnesses)."""
 
@@ -116,8 +84,8 @@ class BitSharesSystem(SystemModel):
             "PendingPoolCapacity": 60_000,
         }
 
-    def make_node(self, node_id: str) -> BitSharesNode:
-        return BitSharesNode(self, node_id)
+    def make_node(self, node_id: str) -> ReplicaNode:
+        return ReplicaNode(self, node_id)
 
     def build(self) -> None:
         #: Shared pending queue of (transaction, admitted_at).
@@ -130,21 +98,11 @@ class BitSharesSystem(SystemModel):
         witness_ids = self.node_ids[: max(1, self.spec.node_count - 1)]
         interval = float(self.params["block_interval"])
         for node_id, node in self.nodes.items():
-            bits_node = typing.cast(BitSharesNode, node)
-            context = EngineContext(
-                sim=self.sim,
-                replica_id=node_id,
-                peers=self.node_ids,
-                send_fn=lambda dst, kind, payload, size, src=node_id: self.network.send(
-                    Message(src, dst, kind, payload, size)
-                ),
-                broadcast_fn=lambda kind, payload, size, src=node_id: self.network.broadcast(
-                    src, self.node_ids, kind, payload, size
-                ),
-                decide_fn=bits_node.enqueue_commit,
-                rng=self.sim.rng.stream(f"dpos:{node_id}"),
+            replica = typing.cast(ReplicaNode, node)
+            context = self.engine_context(
+                node_id, self.node_ids, replica.enqueue_commit, f"dpos:{node_id}"
             )
-            bits_node.engine = DposEngine(
+            replica.engine = DposEngine(
                 context,
                 witnesses=witness_ids,
                 block_interval=interval,
@@ -154,18 +112,9 @@ class BitSharesSystem(SystemModel):
     def start(self) -> None:
         self.started = True
         for node in self.nodes.values():
-            engine = typing.cast(BitSharesNode, node).engine
+            engine = typing.cast(ReplicaNode, node).engine
             assert engine is not None
             engine.start()
-
-    def leader_id(self) -> typing.Optional[str]:
-        """The witness scheduled for the slot in progress."""
-        for node in self.nodes.values():
-            engine = typing.cast(BitSharesNode, node).engine
-            if engine is not None and not engine.stopped:
-                slot = int(self.sim.now / engine.block_interval)
-                return engine.witness_for_slot(slot)
-        return None
 
     # ------------------------------------------------------------------
     # Block production
@@ -232,11 +181,6 @@ class BitSharesSystem(SystemModel):
 
     # ------------------------------------------------------------------
     # Message routing and submission
-
-    def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        engine = typing.cast(BitSharesNode, node).engine
-        assert engine is not None
-        engine.on_message(message.kind, message.src, message.payload)
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         transaction = typing.cast(Transaction, message.payload)

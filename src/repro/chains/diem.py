@@ -21,11 +21,9 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.diembft import DiemBftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Pacing between chained rounds.
@@ -47,16 +45,13 @@ def commit_overhead(node_count: int) -> float:
     return PER_BLOCK_COMMIT_OVERHEAD * (1.0 + PER_VALIDATOR_COMMIT_OVERHEAD * extra)
 
 
-class DiemValidator(BaseNode):
+class DiemValidator(ReplicaNode):
     """One Diem validator."""
 
     def __init__(self, system: "DiemSystem", node_id: str) -> None:
         super().__init__(system, node_id)
-        self.engine: typing.Optional[DiemBftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.spiking_until = 0.0
         self.spike_count = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
         if system.profile.spike_interval > 0:
             self.sim.spawn(self._spike_loop(), name=f"{node_id}-spiker")
 
@@ -74,33 +69,15 @@ class DiemValidator(BaseNode):
             self.spiking_until = self.sim.now + rng.uniform(0.5 * duration, 1.5 * duration)
             self.spike_count += 1
 
-    def enqueue_commit(self, decision: Decision) -> None:
-        """DiemBFT committed a block; queue it for execution."""
-        proposal = decision.proposal
-        if proposal is None:
-            return  # NIL round
-        self._commit_queue.try_put(decision)
+    def block_cost(self, proposal: BlockProposal) -> float:
+        return commit_overhead(self.system.spec.node_count) + proposal.execution_time(self)
 
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("DiemSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if self.is_spiking:
-                # Execution stalls until the pause ends.
-                yield self.sim.timeout(max(0.0, self.spiking_until - self.sim.now))
-            if proposal.is_empty:
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                commit_overhead(self.system.spec.node_count)
-                + proposal.execution_time(self)
-            )
-            outcome = self.apply_payloads(proposal)
-            self.seal_and_append(proposal, decision.proposer)
-            system.release_committed(proposal)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
+        if self.is_spiking:
+            # Execution stalls until the pause ends.
+            yield self.sim.timeout(max(0.0, self.spiking_until - self.sim.now))
+        yield from super().commit_block(proposal, proposer)
+        typing.cast("DiemSystem", self.system).release_committed(proposal)
 
 
 class DiemSystem(SystemModel):
@@ -128,18 +105,8 @@ class DiemSystem(SystemModel):
         self.pool_rejections = 0
         for node_id, node in self.nodes.items():
             validator = typing.cast(DiemValidator, node)
-            context = EngineContext(
-                sim=self.sim,
-                replica_id=node_id,
-                peers=self.node_ids,
-                send_fn=lambda dst, kind, payload, size, src=node_id: self.network.send(
-                    Message(src, dst, kind, payload, size)
-                ),
-                broadcast_fn=lambda kind, payload, size, src=node_id: self.network.broadcast(
-                    src, self.node_ids, kind, payload, size
-                ),
-                decide_fn=validator.enqueue_commit,
-                rng=self.sim.rng.stream(f"diembft:{node_id}"),
+            context = self.engine_context(
+                node_id, self.node_ids, validator.enqueue_commit, f"diembft:{node_id}"
             )
             validator.engine = DiemBftEngine(
                 context,
@@ -154,15 +121,6 @@ class DiemSystem(SystemModel):
             engine = typing.cast(DiemValidator, node).engine
             assert engine is not None
             engine.start()
-
-    def leader_id(self) -> typing.Optional[str]:
-        """The pacemaker leader of the current round, as the first live
-        validator sees it."""
-        for node in self.nodes.values():
-            engine = typing.cast(DiemValidator, node).engine
-            if engine is not None and not engine.stopped:
-                return engine.leader_for(engine.current_round)
-        return None
 
     # ------------------------------------------------------------------
     # Block assembly
@@ -199,11 +157,6 @@ class DiemSystem(SystemModel):
 
     # ------------------------------------------------------------------
     # Message routing and submission
-
-    def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        engine = typing.cast(DiemValidator, node).engine
-        assert engine is not None
-        engine.on_message(message.kind, message.src, message.payload)
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         transaction = typing.cast(Transaction, message.payload)

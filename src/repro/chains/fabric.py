@@ -28,7 +28,7 @@ import collections
 import typing
 
 from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.consensus.base import Decision
 from repro.consensus.raft import RaftEngine
 from repro.iel.base import ReadWriteSetAdapter
 from repro.net import Endpoint, Message
@@ -389,14 +389,8 @@ class FabricSystem(SystemModel):
                 self.broker.subscribe(orderer.on_kafka_message)
         else:
             for orderer_id, orderer in self.orderers.items():
-                context = EngineContext(
-                    sim=self.sim,
-                    replica_id=orderer_id,
-                    peers=self.orderer_ids,
-                    send_fn=self._engine_sender(orderer_id),
-                    broadcast_fn=self._engine_broadcaster(orderer_id, self.orderer_ids),
-                    decide_fn=orderer.on_decision,
-                    rng=self.sim.rng.stream(f"raft:{orderer_id}"),
+                context = self.engine_context(
+                    orderer_id, self.orderer_ids, orderer.on_decision, f"raft:{orderer_id}"
                 )
                 orderer.engine = RaftEngine(context)
         self._event_service_broken = self.spec.node_count >= EVENT_SERVICE_PEER_LIMIT
@@ -405,18 +399,6 @@ class FabricSystem(SystemModel):
         #: ledger is durable on the orderers).
         self.block_log: typing.List[typing.Tuple[BlockProposal, str]] = []
         self._block_log_index: typing.Dict[str, int] = {}
-
-    def _engine_sender(self, src: str):
-        def sender(dst: str, kind: str, payload: object, size_bytes: int) -> None:
-            self.network.send(Message(src, dst, kind, payload, size_bytes))
-
-        return sender
-
-    def _engine_broadcaster(self, src: str, peers: typing.Sequence[str]):
-        def poster(kind: str, payload: object, size_bytes: int) -> None:
-            self.network.broadcast(src, peers, kind, payload, size_bytes)
-
-        return poster
 
     def start(self) -> None:
         self.started = True

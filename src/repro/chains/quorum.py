@@ -19,11 +19,9 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.ibft import IbftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Seconds of proposer CPU per pooled transaction scanned during block
@@ -44,38 +42,6 @@ BLOCK_FIXED_OVERHEAD = 0.3
 IBFT_MESSAGE_COST = 0.005
 
 
-class QuorumValidator(BaseNode):
-    """One Quorum validator node."""
-
-    def __init__(self, system: "QuorumSystem", node_id: str) -> None:
-        super().__init__(system, node_id)
-        self.engine: typing.Optional[IbftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
-        self.empty_blocks = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
-
-    def enqueue_commit(self, decision: Decision) -> None:
-        """IBFT decided a block; queue it for execution."""
-        self._commit_queue.try_put(decision)
-
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("QuorumSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if proposal.is_empty:
-                self.empty_blocks += 1
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                self.profile.block_overhead + proposal.execution_time(self)
-            )
-            outcome = self.apply_payloads(proposal)
-            self.seal_and_append(proposal, decision.proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
-
-
 class QuorumSystem(SystemModel):
     """A Quorum deployment (Table 4: four validators, nothing else)."""
 
@@ -92,8 +58,8 @@ class QuorumSystem(SystemModel):
             "TxPoolCapacity": 4096,
         }
 
-    def make_node(self, node_id: str) -> QuorumValidator:
-        return QuorumValidator(self, node_id)
+    def make_node(self, node_id: str) -> ReplicaNode:
+        return ReplicaNode(self, node_id)
 
     def build(self) -> None:
         #: The fully gossiped transaction pool (FIFO of Transaction).
@@ -102,19 +68,9 @@ class QuorumSystem(SystemModel):
         self.stalled_proposals = 0
         self._stall_latched = False
         for node_id, node in self.nodes.items():
-            validator = typing.cast(QuorumValidator, node)
-            context = EngineContext(
-                sim=self.sim,
-                replica_id=node_id,
-                peers=self.node_ids,
-                send_fn=lambda dst, kind, payload, size, src=node_id: self.network.send(
-                    Message(src, dst, kind, payload, size)
-                ),
-                broadcast_fn=lambda kind, payload, size, src=node_id: self.network.broadcast(
-                    src, self.node_ids, kind, payload, size
-                ),
-                decide_fn=validator.enqueue_commit,
-                rng=self.sim.rng.stream(f"ibft:{node_id}"),
+            validator = typing.cast(ReplicaNode, node)
+            context = self.engine_context(
+                node_id, self.node_ids, validator.enqueue_commit, f"ibft:{node_id}"
             )
             validator.engine = IbftEngine(
                 context,
@@ -125,28 +81,18 @@ class QuorumSystem(SystemModel):
     def start(self) -> None:
         self.started = True
         for node in self.nodes.values():
-            validator = typing.cast(QuorumValidator, node)
+            validator = typing.cast(ReplicaNode, node)
             assert validator.engine is not None
             validator.engine.start()
             self.sim.spawn(
-                self._blockperiod_ticker(validator), name=f"{node.endpoint_id}-ticker"
+                self._blockperiod_ticker(validator.engine), name=f"{node.endpoint_id}-ticker"
             )
 
-    def leader_id(self) -> typing.Optional[str]:
-        """The proposer of the current (height, round), as the first live
-        validator sees it."""
-        for node in self.nodes.values():
-            engine = typing.cast(QuorumValidator, node).engine
-            if engine is not None and not engine.stopped:
-                return engine.proposer_for(engine.height, engine.round)
-        return None
-
-    def _blockperiod_ticker(self, validator: QuorumValidator) -> typing.Generator:
+    def _blockperiod_ticker(self, engine: IbftEngine) -> typing.Generator:
         period = float(self.params["istanbul.blockperiod"])
         while True:
             yield self.sim.timeout(period)
-            assert validator.engine is not None
-            validator.engine.maybe_propose()
+            engine.maybe_propose()
 
     # ------------------------------------------------------------------
     # Block assembly
@@ -188,11 +134,6 @@ class QuorumSystem(SystemModel):
 
     # ------------------------------------------------------------------
     # Message routing and submission
-
-    def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        engine = typing.cast(QuorumValidator, node).engine
-        assert engine is not None
-        engine.on_message(message.kind, message.src, message.payload)
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         transaction = typing.cast(Transaction, message.payload)

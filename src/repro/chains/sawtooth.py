@@ -28,11 +28,9 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.pbft import PbftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Batch, Transaction, TxStatus
 
 #: Validator count at which the paper observes every transaction stuck in
@@ -50,38 +48,25 @@ MAX_CANDIDATE_TRANSACTIONS = 5000
 BATCH_OVERHEAD = 0.0255
 
 
-class SawtoothValidator(BaseNode):
+class SawtoothValidator(ReplicaNode):
     """One Sawtooth validator."""
 
     def __init__(self, system: "SawtoothSystem", node_id: str) -> None:
         super().__init__(system, node_id)
-        self.engine: typing.Optional[PbftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.queue_rejections = 0
         #: Executed-but-unpublished transactions (the candidate block).
         self.candidate_txs: typing.List[Transaction] = []
         self.candidate_outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
 
-    def enqueue_commit(self, decision: Decision) -> None:
-        """PBFT decided a block; queue it for (re-)execution."""
-        self._commit_queue.try_put(decision)
-
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("SawtoothSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            is_builder = decision.proposer == self.endpoint_id
-            if not is_builder:
-                # The builder already executed during publishing; every
-                # other validator re-executes to verify the state root.
-                yield from self.busy(
-                    self.profile.block_overhead + proposal.execution_time(self)
-                )
-                self.apply_payloads(proposal)
-            self.seal_and_append(proposal, decision.proposer)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
+        # The builder already executed during publishing, and staged
+        # finality when it published; every other validator re-executes
+        # to verify the state root.
+        if proposer != self.endpoint_id:
+            yield from self.busy(self.block_cost(proposal))
+            self.apply_payloads(proposal)
+        self.seal_and_append(proposal, proposer)
+        self.system.record_commit(proposal.proposal_id, self.endpoint_id)
 
 
 class SawtoothSystem(SystemModel):
@@ -110,18 +95,8 @@ class SawtoothSystem(SystemModel):
         self.discarded_batches = 0
         for node_id, node in self.nodes.items():
             validator = typing.cast(SawtoothValidator, node)
-            context = EngineContext(
-                sim=self.sim,
-                replica_id=node_id,
-                peers=self.node_ids,
-                send_fn=lambda dst, kind, payload, size, src=node_id: self.network.send(
-                    Message(src, dst, kind, payload, size)
-                ),
-                broadcast_fn=lambda kind, payload, size, src=node_id: self.network.broadcast(
-                    src, self.node_ids, kind, payload, size
-                ),
-                decide_fn=validator.enqueue_commit,
-                rng=self.sim.rng.stream(f"pbft:{node_id}"),
+            context = self.engine_context(
+                node_id, self.node_ids, validator.enqueue_commit, f"pbft:{node_id}"
             )
             validator.engine = PbftEngine(context, progress_timeout=10.0)
 
@@ -131,15 +106,6 @@ class SawtoothSystem(SystemModel):
             validator = typing.cast(SawtoothValidator, node)
             self.sim.spawn(self._executor(validator), name=f"{node.endpoint_id}-executor")
             self.sim.spawn(self._publisher(validator), name=f"{node.endpoint_id}-publisher")
-
-    def leader_id(self) -> typing.Optional[str]:
-        """The PBFT primary of the current view, as the first live
-        validator sees it."""
-        for node in self.nodes.values():
-            engine = typing.cast(SawtoothValidator, node).engine
-            if engine is not None and not engine.stopped:
-                return engine.primary_id
-        return None
 
     def _executor(self, validator: SawtoothValidator) -> typing.Generator:
         """The primary's batch pipeline: execute pending batches one at a
@@ -193,11 +159,6 @@ class SawtoothSystem(SystemModel):
 
     # ------------------------------------------------------------------
     # Message routing and submission
-
-    def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        engine = typing.cast(SawtoothValidator, node).engine
-        assert engine is not None
-        engine.on_message(message.kind, message.src, message.payload)
 
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         if message.kind == "sawtooth/gossip":

@@ -14,9 +14,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.net.network import Message
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
 
+    from repro.net.network import Network
     from repro.sim.events import Event
     from repro.sim.kernel import Simulator, TimerHandle
 
@@ -65,31 +68,26 @@ class Decision:
 class EngineContext:
     """The interface an engine replica uses to reach the outside world.
 
-    The hosting node constructs one context per engine replica, wiring
-    ``send_fn`` to the network, ``decide_fn`` to its commit path and
-    ``timer_fn`` to the simulator.
+    The hosting system builds one context per engine replica: protocol
+    messages go out on ``network`` from ``replica_id``, decided slots go
+    to ``decide_fn`` (the replica's commit path) and timers run on
+    ``sim``.
     """
 
     def __init__(
         self,
         sim: "Simulator",
+        network: "Network",
         replica_id: str,
         peers: typing.Sequence[str],
-        send_fn: typing.Callable[[str, str, object, int], None],
         decide_fn: typing.Callable[[Decision], None],
         rng: "random.Random",
-        broadcast_fn: typing.Optional[typing.Callable[[str, object, int], None]] = None,
     ) -> None:
         self.sim = sim
+        self.network = network
         self.replica_id = replica_id
         self.peers = list(peers)  # includes replica_id, stable order
-        self._send_fn = send_fn
         self._decide_fn = decide_fn
-        #: The whole-group fan-out. Hosting nodes wire this to
-        #: ``Network.broadcast`` so a logical broadcast takes the
-        #: zero-allocation shared-wire-record path; absent that, fall
-        #: back to one ``send_fn`` call per peer (identical semantics).
-        self._broadcast_fn = broadcast_fn or self._loop_broadcast
         self.rng = rng
         if replica_id not in self.peers:
             raise ValueError(f"replica {replica_id!r} missing from peer list {self.peers}")
@@ -120,17 +118,12 @@ class EngineContext:
 
     def send(self, dst: str, kind: str, payload: object, size_bytes: int = 256) -> None:
         """Send a protocol message to one peer."""
-        self._send_fn(dst, kind, payload, size_bytes)
+        self.network.send(Message(self.replica_id, dst, kind, payload, size_bytes))
 
     def broadcast(self, kind: str, payload: object, size_bytes: int = 256) -> None:
-        """Send a protocol message to every *other* peer."""
-        self._broadcast_fn(kind, payload, size_bytes)
-
-    def _loop_broadcast(self, kind: str, payload: object, size_bytes: int) -> None:
-        """Fallback fan-out: one send per peer, in peer-list order."""
-        for peer in self.peers:
-            if peer != self.replica_id:
-                self._send_fn(peer, kind, payload, size_bytes)
+        """Send a protocol message to every *other* peer, over the
+        network's shared-wire-record fan-out."""
+        self.network.broadcast(self.replica_id, self.peers, kind, payload, size_bytes)
 
     def decide(self, decision: Decision) -> None:
         """Deliver a decided slot to the hosting node."""

@@ -80,9 +80,14 @@ class DiemBftEngine(ReplicaEngine):
         return self.context.peers[round_number % self.context.n]
 
     @property
+    def leader_id(self) -> str:
+        """The pacemaker leader of the current round."""
+        return self.leader_for(self.current_round)
+
+    @property
     def is_leader(self) -> bool:
         """Whether this validator leads the current round."""
-        return self.replica_id == self.leader_for(self.current_round) and not self._stopped
+        return self.replica_id == self.leader_id and not self._stopped
 
     def start(self) -> None:
         """Kick off round 0."""

@@ -55,6 +55,11 @@ class DposEngine(ReplicaEngine):
         """The witness assigned to ``slot``."""
         return self.witnesses[slot % len(self.witnesses)]
 
+    @property
+    def leader_id(self) -> str:
+        """The witness scheduled for the slot in progress."""
+        return self.witness_for_slot(int(self.context.now / self.block_interval))
+
     def slot_time(self, slot: int) -> float:
         """The wall-clock start of ``slot``."""
         return (slot + 1) * self.block_interval

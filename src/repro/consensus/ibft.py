@@ -73,9 +73,14 @@ class IbftEngine(ReplicaEngine):
         return self.context.peers[(height + round_number) % self.context.n]
 
     @property
+    def leader_id(self) -> str:
+        """The proposer of the current (height, round)."""
+        return self.proposer_for(self.height, self.round)
+
+    @property
     def is_proposer(self) -> bool:
         """Whether this validator proposes the current round."""
-        return self.replica_id == self.proposer_for(self.height, self.round) and not self._stopped
+        return self.replica_id == self.leader_id and not self._stopped
 
     def stop(self) -> None:
         """Crash this validator."""

@@ -93,14 +93,14 @@ class PbftEngine(ReplicaEngine):
     # Roles
 
     @property
-    def primary_id(self) -> str:
+    def leader_id(self) -> str:
         """The stable primary of the current view."""
         return self.context.peers[self.view % self.context.n]
 
     @property
     def is_primary(self) -> bool:
         """Whether this replica leads the current view."""
-        return self.replica_id == self.primary_id and not self._stopped
+        return self.replica_id == self.leader_id and not self._stopped
 
     def stop(self) -> None:
         """Crash this replica."""
@@ -237,7 +237,7 @@ class PbftEngine(ReplicaEngine):
 
     def _on_pre_prepare(self, sender: str, message: dict) -> None:
         self._maybe_request_gap_sync(sender, message["seq"])
-        if message["view"] != self.view or sender != self.primary_id:
+        if message["view"] != self.view or sender != self.leader_id:
             return
         sequence = message["seq"]
         slot = self._slot(sequence)

@@ -76,8 +76,8 @@ def outcome_spy(monkeypatch):
     calls = []
     original = BaseNode.apply_payloads
 
-    def spy(self, proposal, atomic_tx=True):
-        outcome = original(self, proposal, atomic_tx)
+    def spy(self, proposal):
+        outcome = original(self, proposal)
         calls.append((self, proposal, outcome))
         return outcome
 

@@ -50,3 +50,51 @@ class TestUniformApi:
 
     def test_seven_systems_total(self, name):
         assert len(SYSTEM_NAMES) == 7
+
+
+def engine_view_of_leader(system):
+    """The coordinating endpoint as the engines' own role rules give it,
+    read from the first live engine of the deployment."""
+    if system.name == "fabric":
+        return next(
+            orderer_id for orderer_id, orderer in system.orderers.items()
+            if orderer.engine.is_leader
+        )
+    if system.name.startswith("corda"):
+        return f"{system.name}-notary0"
+    engine = next(
+        node.engine for node in system.nodes.values() if not node.engine.stopped
+    )
+    if system.name == "quorum":
+        return engine.proposer_for(engine.height, engine.round)
+    if system.name == "diem":
+        return engine.leader_for(engine.current_round)
+    if system.name == "bitshares":
+        return engine.witness_for_slot(int(system.sim.now / engine.block_interval))
+    assert system.name == "sawtooth"
+    return engine.context.peers[engine.view % engine.context.n]
+
+
+def run_briefly(name):
+    sim = Simulator(seed=1)
+    system = create_system(name, sim, DeploymentSpec(), "KeyValue")
+    system.start()
+    sim.run(until=7.5)
+    return system
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_leader_id_matches_the_engines_own_view(name):
+    system = run_briefly(name)
+    leader = system.leader_id()
+    assert leader in system.network.endpoint_ids()
+    assert leader == engine_view_of_leader(system)
+
+
+@pytest.mark.parametrize("name", ["bitshares", "diem", "quorum", "sawtooth"])
+def test_leader_id_asks_the_first_live_engine_and_is_none_once_all_stop(name):
+    system = run_briefly(name)
+    for node in system.nodes.values():
+        assert system.leader_id() == engine_view_of_leader(system)
+        node.engine.stop()
+    assert system.leader_id() is None

@@ -2,7 +2,7 @@
 wired through a simulated network."""
 
 from repro.consensus.base import EngineContext
-from repro.net import ConstantLatency, Endpoint, Host, Message, Network
+from repro.net import ConstantLatency, Endpoint, Host, Network
 from repro.sim import Simulator
 
 
@@ -33,11 +33,9 @@ class Cluster:
         for node_id, node in self.nodes.items():
             context = EngineContext(
                 sim=self.sim,
+                network=self.network,
                 replica_id=node_id,
                 peers=self.node_ids,
-                send_fn=lambda dst, kind, payload, size, src=node_id: self.network.send(
-                    Message(src, dst, kind, payload, size)
-                ),
                 decide_fn=lambda decision, me=node: me.decisions.append(decision),
                 rng=self.sim.rng.stream(f"engine:{node_id}"),
             )

@@ -124,7 +124,7 @@ class TestDeterminism:
             "sim/sim.timers_cancelled": {"value": 1.0},
         }
 
-    def test_run_until_complete_skips_tombstones(self):
+    def test_run_skips_tombstones(self):
         sim = Simulator(seed=1)
         fired = []
         handle = sim.schedule_cancellable(0.5, fired.append, "stale")
