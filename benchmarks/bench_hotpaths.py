@@ -4,7 +4,8 @@ The micro targets time the current kernel, network and hashing code;
 the end-to-end targets time short full benchmark-unit runs. The
 speedups each optimization pass measured against the code it replaced
 are frozen below (``SPEEDUPS_VS_LEGACY``, ``PRE_PR_E2E_SECONDS``) and
-written into the baseline notes.
+written into the baseline notes, next to the live speedup of the direct
+transaction encoder over the generic one (``tx_digest_vs_hash_object``).
 
 Usage::
 
@@ -26,6 +27,7 @@ import typing
 
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
+from repro.crypto.hashing import hash_object
 from repro.crypto.merkle import MerkleTree
 from repro.net.host import Host
 from repro.net.latency import ConstantLatency, NetemLatency
@@ -225,6 +227,50 @@ def bench_hashing(transactions: int, rebuilds: int, repeats: int) -> TimingResul
     return time_callable(run_builds, "hashing", repeats=repeats)
 
 
+def bench_tx_digest(
+    singles: int, multis: int, repeats: int
+) -> typing.Tuple[TimingResult, TimingResult]:
+    """Digests of fresh transactions: ``singles`` 1-payload and
+    ``multis`` 100-payload ones per round.
+
+    Returns the timing of ``Transaction.content_hash`` (the direct
+    encoder) and, as the reference, of the generic ``hash_object`` over
+    transactions of the same shape. Every round digests transactions no
+    earlier round touched, so the memoized digest never hides the work.
+    """
+    reset_id_counters()
+
+    def fresh_round() -> typing.List[Transaction]:
+        return [
+            Transaction.wrap(
+                [
+                    Payload.create("client-0", "KeyValue", "Set",
+                                   {"key": f"client-0:t0:k{i}", "value": f"value-{i}"})
+                    for i in range(size)
+                ],
+                submitter="client-0",
+            )
+            for size in [1] * singles + [100] * multis
+        ]
+
+    warmup = 1
+    direct_rounds = [fresh_round() for __ in range(warmup + repeats)]
+    generic_rounds = [fresh_round() for __ in range(warmup + repeats)]
+
+    def direct():
+        for tx in direct_rounds.pop():
+            tx.content_hash  # noqa: B018 - the digest is the work
+
+    def generic():
+        for tx in generic_rounds.pop():
+            hash_object(tx)
+
+    return (
+        time_callable(direct, "tx_digest", repeats=repeats, warmup=warmup),
+        time_callable(generic, "tx_digest_hash_object", repeats=repeats, warmup=warmup),
+    )
+
+
 # ----------------------------------------------------------------------
 # End-to-end targets
 
@@ -252,6 +298,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
     still measures the same work per call.
     """
     repeats = 2 if quick else 5
+    tx_digest, tx_digest_reference = bench_tx_digest(200, 4, repeats)
     results = [
         bench_dispatch(20_000, repeats),
         bench_net_send(10_000, repeats),
@@ -261,12 +308,14 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         bench_timer_churn(20_000, repeats),
         bench_process_wakeup(10_000, repeats),
         bench_hashing(100, 20, repeats),
+        tx_digest,
     ]
     e2e_repeats = 1 if quick else 3
     for name in E2E_CONFIGS:
         results.append(bench_e2e(name, e2e_repeats))
     notes = {
         "speedups_vs_legacy": SPEEDUPS_VS_LEGACY,
+        "tx_digest_vs_hash_object": round(tx_digest_reference.best / tx_digest.best, 3),
         "pre_pr_e2e_seconds": PRE_PR_E2E_SECONDS,
         "quick": quick,
     }
@@ -281,6 +330,7 @@ def _print_report(results: typing.Sequence[TimingResult], notes: dict) -> None:
     print()
     for name, speedup in notes["speedups_vs_legacy"].items():
         print(f"{name}: {speedup:.2f}x vs legacy (recorded)")
+    print(f"tx_digest: {notes['tx_digest_vs_hash_object']:.2f}x vs generic hash_object (live)")
     for name, reference in notes["pre_pr_e2e_seconds"].items():
         if name in by_name:
             print(f"{name}: {by_name[name].best:.3f}s (pre-optimization reference {reference:.3f}s)")

@@ -13,10 +13,11 @@ event-delivery queue through which all client notifications flow, so an
 overloaded delivery path loses notifications exactly the way the paper
 observes on Fabric (Sections 5.4, 5.8.2).
 
-Execution is deterministic, so a decided block is executed once per
-deployment: the first replica to apply it records the outcome in the
-system's :attr:`SystemModel.execution_memo` and every other replica whose
-world state has the same lineage replays the recorded read/write sets.
+Execution and MVCC validation are deterministic, so a decided block is
+applied once per deployment: the first replica to apply it records its
+net effect in the system's :attr:`SystemModel.execution_memo`, and every
+other replica whose world state has the same lineage replays that block
+diff (:meth:`BaseNode.replay_block`, :meth:`BaseNode.record_block`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stores import Store
 from repro.storage import (
-    Block, Chain, Payload, ReadWriteSet, Receipt, Transaction, TxStatus, WorldState,
+    Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState,
 )
 
 _proposal_counter = itertools.count(1)
@@ -136,21 +137,26 @@ class BlockProposal:
 
 @dataclasses.dataclass
 class ExecutedBlock:
-    """One replica's execution of a decided proposal, for the others to
-    replay (:meth:`BaseNode.apply_payloads`)."""
+    """One replica's application of a decided proposal, for the others to
+    replay (:meth:`BaseNode.replay_block`)."""
 
-    #: The executed proposal's transaction tuple (identity-checked).
+    #: The applied proposal's transaction tuple (identity-checked).
     transactions: typing.Tuple[Transaction, ...]
-    #: Read/write set of every applied transaction, in order; discarded
-    #: transactions applied nothing and have none.
-    rwsets: typing.List[ReadWriteSet]
+    #: The block diff: the final ``(value, version)`` of every key the
+    #: block wrote, in first-touch order (:meth:`WorldState.block_diff`).
+    writes: typing.Dict[str, typing.Tuple[object, int]]
+    #: Transactions whose writes applied.
+    commits: int
+    #: Transactions that failed MVCC validation.
+    invalidated: int
     outcome: typing.Dict[str, typing.Tuple[TxStatus, str]]
     #: Payloads that executed successfully.
     executed: int
     #: World-state lineage after the block.
     lineage: int
-    #: Replicas still expected to replay; the entry is dropped at zero.
-    replays_left: int
+    #: Live replicas that have not applied the block yet; the entry is
+    #: dropped once none is left (a crash releases the crashed one).
+    owed: typing.Set[str]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,28 +259,18 @@ class BaseNode(Endpoint):
         atomic: a failing payload discards its whole transaction
         (BitShares operations; Sawtooth maps batches separately).
 
-        When another replica already executed ``proposal`` from a state
-        with the same lineage, its recorded read/write sets are applied
-        instead (still MVCC-validated and counted per replica); a state
-        without a lineage always executes.
+        When another replica already applied ``proposal`` from a state
+        with the same lineage, its block diff is replayed instead
+        (:meth:`replay_block`); a state without a lineage always
+        executes.
         """
-        state = self.state
-        memo = self.system.execution_memo
-        key = (state.lineage, proposal.proposal_id)
-        entry = memo.get(key) if key[0] is not None else None
-        if entry is not None and entry.transactions is proposal.transactions:
-            for rwset in entry.rwsets:
-                state.apply(rwset)
-            self.executed_payloads += entry.executed
-            state.lineage = entry.lineage
-            outcome = dict(entry.outcome)
-            entry.replays_left -= 1
-            if not entry.replays_left:
-                del memo[key]
-        else:
+        outcome = self.replay_block(proposal)
+        if outcome is None:
+            state = self.state
+            lineage = state.lineage
             outcome = {}
-            rwsets: typing.List[ReadWriteSet] = []
-            executed = 0
+            touched: typing.Dict[str, object] = {}
+            executed = commits = invalidated = 0
             for tx in proposal.transactions:
                 # Buffer each transaction's writes so an atomic failure
                 # leaves the world state untouched. Payloads inside the
@@ -287,26 +283,94 @@ class BaseNode(Endpoint):
                     outcome[payload.payload_id] = status
                 if error is not None:
                     continue
-                state.apply(adapter.rwset)
-                rwsets.append(adapter.rwset)
+                if state.apply(adapter.rwset):
+                    touched.update(adapter.rwset.writes)
+                    commits += 1
+                else:
+                    invalidated += 1
                 executed += len(tx.payloads)
-            self.executed_payloads += executed
-            if key[0] is not None:
-                state.lineage = next(self.system._lineage_tokens)
-                replays = sum(
-                    1 for node in self.system.nodes.values()
-                    if node is not self and node.state.lineage is not None
-                )
-                if replays and key not in memo:
-                    memo[key] = ExecutedBlock(
-                        proposal.transactions, rwsets, dict(outcome), executed,
-                        state.lineage, replays,
-                    )
+            self.record_block(proposal, lineage, touched, outcome, executed, commits, invalidated)
         self._trace_execution(len(outcome))
         checker = self.sim.checker
         if checker.enabled:
             checker.on_apply(self.endpoint_id, outcome)
         return outcome
+
+    def replay_block(
+        self, proposal: BlockProposal
+    ) -> typing.Optional[typing.Dict[str, typing.Tuple[TxStatus, str]]]:
+        """Replay ``proposal`` as another replica applied it from a state
+        with this state's lineage: its block diff, commit and
+        invalidation counts, executed payloads and (a copy of) its
+        outcome.
+
+        Returns ``None`` when this replica must apply the block itself:
+        its state has no lineage, no entry is left for it, or the entry
+        holds another transaction tuple. Either way this replica no
+        longer owes the entry a replay.
+        """
+        state = self.state
+        if state.lineage is None:
+            return None
+        memo = self.system.execution_memo
+        key = (state.lineage, proposal.proposal_id)
+        entry = memo.get(key)
+        if entry is None:
+            return None
+        entry.owed.discard(self.endpoint_id)
+        if not entry.owed:
+            del memo[key]
+        if entry.transactions is not proposal.transactions:
+            return None
+        state.apply_block_diff(entry.writes, entry.commits, entry.invalidated, entry.lineage)
+        self.executed_payloads += entry.executed
+        return dict(entry.outcome)
+
+    def record_block(
+        self,
+        proposal: BlockProposal,
+        lineage: typing.Optional[int],
+        touched: typing.Iterable[str],
+        outcome: typing.Dict[str, typing.Tuple[TxStatus, str]],
+        executed: int,
+        commits: int,
+        invalidated: int,
+    ) -> None:
+        """Account this replica's own application of ``proposal`` from a
+        state of lineage ``lineage``, which wrote the keys ``touched``.
+
+        A state with a lineage takes the one that follows ``lineage`` by
+        this proposal. Every replica that applies the proposal there gets
+        the same token, so one that had to apply it itself (it was down
+        when the entry was made) ends on the lineage replaying ones reach.
+        The first application records an :class:`ExecutedBlock` for the
+        live replicas with a lineage that have not applied the block yet.
+        """
+        self.executed_payloads += executed
+        if lineage is None:
+            return
+        system = self.system
+        key = (lineage, proposal.proposal_id)
+        after = system._lineage_after.get(key)
+        if after is None:
+            after = system._lineage_after[key] = next(system._lineage_tokens)
+        state = self.state
+        state.lineage = after
+        memo = system.execution_memo
+        if key in memo:
+            return
+        height = self.chain.height
+        is_up = system.network.endpoint_is_up
+        owed = {
+            node_id for node_id, node in system.nodes.items()
+            if node is not self and node.state.lineage is not None
+            and node.chain.height <= height and is_up(node_id)
+        }
+        if owed:
+            memo[key] = ExecutedBlock(
+                proposal.transactions, state.block_diff(touched), commits, invalidated,
+                dict(outcome), executed, after, owed,
+            )
 
     def _trace_execution(self, payload_count: int) -> None:
         """Account one IEL application batch on this node."""
@@ -529,8 +593,11 @@ class SystemModel(abc.ABC):
         self.finality = FinalityTracker(self.node_ids)
         self.finality.on_final(self._on_final)
         #: ``(pre-state lineage, proposal id) -> ExecutedBlock`` awaiting
-        #: replay by the other replicas (see :meth:`BaseNode.apply_payloads`).
+        #: replay by the other replicas (see :meth:`BaseNode.replay_block`).
         self.execution_memo: typing.Dict[typing.Tuple[int, str], ExecutedBlock] = {}
+        #: ``(pre-state lineage, proposal id) -> lineage after the block``.
+        #: A proposal id names one block, so the pair fixes the content.
+        self._lineage_after: typing.Dict[typing.Tuple[int, str], int] = {}
         self._lineage_tokens = itertools.count(1)
         #: client_id -> gateway node id (set on subscribe).
         self.subscriptions: typing.Dict[str, str] = {}
@@ -642,6 +709,13 @@ class SystemModel(abc.ABC):
         engine = self.engine_of(endpoint_id)
         if engine is not None:
             engine.on_crash()
+        # A crashed replica may never return: release the replays it
+        # owes. After a restart it applies what it missed itself.
+        memo = self.execution_memo
+        for key, entry in list(memo.items()):
+            entry.owed.discard(endpoint_id)
+            if not entry.owed:
+                del memo[key]
         self._post_crash(endpoint_id)
 
     def restart_node(self, endpoint_id: str) -> None:

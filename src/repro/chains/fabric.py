@@ -151,6 +151,39 @@ class FabricPeer(BaseNode):
         self._next_deliver_seq = seq + 1
         self._delivery_queue.try_put((proposal, proposer))
 
+    def validate_block(self, proposal: BlockProposal) -> typing.Dict[str, typing.Tuple[TxStatus, str]]:
+        """The validate phase for one delivered block: MVCC-check every
+        endorsed read/write set against this peer's world state, in
+        order, applying the ones that pass.
+
+        Returns ``payload_id -> (status, detail)``. When another peer
+        already validated the block from a state with the same lineage,
+        its block diff is replayed instead (:meth:`replay_block`).
+        """
+        replayed = self.replay_block(proposal)
+        if replayed is not None:
+            return replayed
+        state = self.state
+        lineage = state.lineage
+        outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
+        touched: typing.Dict[str, object] = {}
+        executed = commits = 0
+        rwsets = proposal.metadata["rwsets"]
+        for tx in proposal.transactions:
+            rwset = rwsets[tx.tx_id]
+            if state.apply(rwset):
+                touched.update(rwset.writes)
+                commits += 1
+                executed += len(tx.payloads)
+                status = (TxStatus.COMMITTED, "")
+            else:
+                status = (TxStatus.INVALIDATED, "mvcc read conflict")
+            for payload in tx.payloads:
+                outcome[payload.payload_id] = status
+        invalidated = len(proposal.transactions) - commits
+        self.record_block(proposal, lineage, touched, outcome, executed, commits, invalidated)
+        return outcome
+
     def _commit_loop(self) -> typing.Generator:
         system = typing.cast("FabricSystem", self.system)
         while True:
@@ -159,16 +192,7 @@ class FabricPeer(BaseNode):
                 proposal.transactions
             )
             yield from self.busy(validation_cost)
-            outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-            rwsets = proposal.metadata["rwsets"]
-            for tx in proposal.transactions:
-                applied = self.state.apply(rwsets[tx.tx_id])
-                status = TxStatus.COMMITTED if applied else TxStatus.INVALIDATED
-                detail = "" if applied else "mvcc read conflict"
-                for payload in tx.payloads:
-                    outcome[payload.payload_id] = (status, detail)
-                    if applied:
-                        self.executed_payloads += 1
+            outcome = self.validate_block(proposal)
             checker = self.sim.checker
             if checker.enabled:
                 checker.on_apply(self.endpoint_id, outcome)

@@ -68,6 +68,46 @@ def hash_object(value: object) -> str:
     return hash_bytes(canonical_bytes(value))
 
 
+def _append_text(items: tuple, out: typing.List[str]) -> bool:
+    """Append the encoding of tuple ``items`` to ``out`` as text; False
+    when an item is not exactly a ``str``, an ``int`` or such a tuple."""
+    out.append(f"l{len(items)}:")
+    for item in items:
+        kind = type(item)
+        if kind is str:
+            size = len(item) if item.isascii() else len(item.encode("utf-8"))
+            out.append(f"s{size}:{item}")
+        elif kind is int:
+            out.append(f"i{item};")
+        elif kind is not tuple or not _append_text(item, out):
+            return False
+    out.append(";")
+    return True
+
+
+def canonical_text(items: tuple) -> typing.Optional[str]:
+    """``canonical_bytes(items)`` as text when every item of the tuple is
+    exactly a ``str``, an ``int`` (a ``bool`` is neither) or such a
+    tuple, else ``None``.
+
+    Formats with :func:`_encode`'s tags but without its per-value type
+    dispatch; UTF-8 encodes a concatenation piece by piece, so
+    ``canonical_text(items).encode("utf-8") == canonical_bytes(items)``.
+    """
+    out: typing.List[str] = []
+    return "".join(out) if _append_text(items, out) else None
+
+
+def tuple_digest(value: object) -> str:
+    """:func:`hash_object` of a domain object, through
+    :func:`canonical_text` of its ``canonical_tuple()`` when that holds
+    only ``str``, ``int`` and tuples, else through :func:`hash_object`."""
+    text = canonical_text(value.canonical_tuple())
+    if text is None:
+        return hash_object(value)
+    return hash_bytes(("o" + text).encode("utf-8"))
+
+
 def leaf_hash(value: object) -> str:
     """:func:`hash_object`, served from the value's cached digest when it
     has one.

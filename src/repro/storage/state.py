@@ -48,7 +48,7 @@ class WorldState:
         self.invalidated_count = 0
         #: Which history produced this content: ``0`` for the empty state,
         #: a token handed out by block application
-        #: (:meth:`repro.chains.base.BaseNode.apply_payloads`), or ``None``
+        #: (:meth:`repro.chains.base.BaseNode.record_block`), or ``None``
         #: once anything else has written. Block application is
         #: deterministic, so two states with the same token hold the same
         #: keys, values and versions.
@@ -108,6 +108,34 @@ class WorldState:
             data[key] = (value, (entry[1] if entry else MISSING_VERSION) + 1)
         self.commit_count += 1
         return True
+
+    def block_diff(self, keys: typing.Iterable[str]) -> typing.Dict[str, typing.Tuple[object, int]]:
+        """``key -> (value, version)`` now, for each of ``keys`` in order:
+        a block's net effect when ``keys`` are the keys it wrote, in
+        first-touch order."""
+        data = self._data
+        return {key: data[key] for key in keys}
+
+    def apply_block_diff(
+        self,
+        writes: typing.Dict[str, typing.Tuple[object, int]],
+        commits: int,
+        invalidated: int,
+        lineage: int,
+    ) -> None:
+        """Replay a block another state with the same lineage applied:
+        its :meth:`block_diff`, its commit and invalidation counts, and
+        the lineage it left.
+
+        Equal lineage means equal keys, values and versions, so every
+        MVCC check comes out as it did there and the diff lands exactly
+        where per-transaction :meth:`apply` would: updating a key keeps
+        its position and new keys arrive in first-touch order.
+        """
+        self._data.update(writes)
+        self.commit_count += commits
+        self.invalidated_count += invalidated
+        self.lineage = lineage
 
     def snapshot_versions(self) -> typing.Dict[str, int]:
         """A copy of every key's version (test helper)."""

@@ -21,7 +21,7 @@ import functools
 import itertools
 import typing
 
-from repro.crypto.hashing import hash_object
+from repro.crypto.hashing import hash_object, tuple_digest
 
 _payload_counter = itertools.count(1)
 _tx_counter = itertools.count(1)
@@ -91,7 +91,7 @@ class Payload:
     @functools.cached_property
     def content_hash(self) -> str:
         """Canonical digest, computed once (the dataclass is frozen)."""
-        return hash_object(self)
+        return tuple_digest(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,12 +101,32 @@ class Transaction:
     ``payloads`` has length 1 for single-operation systems and up to 100
     for BitShares multi-operation transactions. Atomicity: if any payload
     fails during execution, the whole transaction is discarded.
+
+    Slotted by hand: a run holds every transaction it offered, and a
+    slot per field takes less memory than an instance dict. The wire
+    size and the digest live in two more slots that are not dataclass
+    fields, so they take no part in ``__init__``, equality or ``repr``
+    (and no field may have a class-level default).
     """
+
+    __slots__ = ("tx_id", "payloads", "submitter", "kind", "size_bytes", "_digest")
 
     tx_id: str
     payloads: typing.Tuple[Payload, ...]
     submitter: str
-    kind: str = "generic"
+    kind: str
+
+    def __post_init__(self) -> None:
+        # Wire size: payload bytes plus a fixed envelope.
+        object.__setattr__(self, "size_bytes", 96 + sum(p.size_bytes for p in self.payloads))
+        object.__setattr__(self, "_digest", None)
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def wrap(cls, payloads: typing.Sequence[Payload], submitter: str, kind: str = "generic") -> "Transaction":
@@ -120,16 +140,11 @@ class Transaction:
             kind=kind,
         )
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire size: payload bytes plus a fixed envelope."""
-        return 96 + sum(p.size_bytes for p in self.payloads)
-
     def canonical_tuple(self) -> tuple:
         """Stable tuple for content hashing."""
-        return (self.tx_id, self.submitter, self.kind, tuple(p.canonical_tuple() for p in self.payloads))
+        return (self.tx_id, self.submitter, self.kind, tuple([p.canonical_tuple() for p in self.payloads]))
 
-    @functools.cached_property
+    @property
     def content_hash(self) -> str:
         """Canonical digest, computed once per transaction.
 
@@ -137,7 +152,11 @@ class Transaction:
         full-chain pass hash the same Transaction objects; memoizing the
         digest collapses that to one encoding per transaction ever.
         """
-        return hash_object(self)
+        digest = self._digest
+        if digest is None:
+            digest = tuple_digest(self)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,30 +1,35 @@
 """Replicated execution runs once per deployment.
 
-The first replica to apply a decided block executes it; every other
-replica whose world state has the same lineage replays the recorded
-read/write sets. These tests pin that replaying replicas end up exactly
-where executing ones do, and that the memo holds nothing it no longer
-needs.
+The first replica to apply a decided block executes (or, on a Fabric
+peer, validates) it; every other replica whose world state has the same
+lineage replays the recorded block diff. These tests pin that replaying
+replicas end up exactly where executing ones do, that the memo holds
+nothing it no longer needs, and that the host work really runs once.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.chains.base import BaseNode, BlockProposal
+from repro.chains.fabric import FabricPeer
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
+from repro.crypto import hashing
 from repro.crypto.merkle import MerkleTree
 from repro.faults.plan import FaultPlan
-from repro.storage import Payload, Transaction, TxStatus
+from repro.storage import Payload, Transaction, TxStatus, WorldState
+from repro.workloads.access import ZipfianSampler
 from tests.chains.helpers import deploy
 
 #: system -> (deploy params, simulated seconds to drain every replica).
-ORDER_EXECUTE = {
+REPLICATED = {
     "quorum": ({}, 40.0),
     "diem": ({}, 40.0),
     "bitshares": ({"block_interval": 1.0}, 40.0),
     "sawtooth": ({}, 60.0),
+    "fabric": ({}, 40.0),
 }
 
 
@@ -50,9 +55,11 @@ def submit_keyvalue(sim, client, system_name, rounds=12, keys=5):
 def replica_view(node):
     state = node.state
     return (
+        list(state.keys()),
         state.snapshot_versions(),
         {key: state.get(key) for key in state.keys()},
         state.commit_count,
+        state.invalidated_count,
         node.executed_payloads,
     )
 
@@ -72,23 +79,26 @@ def replaying_nodes(system):
 
 @pytest.fixture
 def outcome_spy(monkeypatch):
-    """Every ``apply_payloads`` call as ``(node, proposal, outcome)``."""
+    """Every block application (``apply_payloads``, or a Fabric peer's
+    ``validate_block``) as ``(node, proposal, outcome)``."""
     calls = []
-    original = BaseNode.apply_payloads
 
-    def spy(self, proposal):
-        outcome = original(self, proposal)
-        calls.append((self, proposal, outcome))
-        return outcome
+    def spying(original):
+        def spy(self, proposal):
+            outcome = original(self, proposal)
+            calls.append((self, proposal, outcome))
+            return outcome
+        return spy
 
-    monkeypatch.setattr(BaseNode, "apply_payloads", spy)
+    monkeypatch.setattr(BaseNode, "apply_payloads", spying(BaseNode.apply_payloads))
+    monkeypatch.setattr(FabricPeer, "validate_block", spying(FabricPeer.validate_block))
     return calls
 
 
-@pytest.mark.parametrize("system_name", sorted(ORDER_EXECUTE))
+@pytest.mark.parametrize("system_name", sorted(REPLICATED))
 class TestReplicasAgree:
     def run(self, system_name, force_at=None):
-        params, drain = ORDER_EXECUTE[system_name]
+        params, drain = REPLICATED[system_name]
         sim, system, client = deploy(system_name, params=params)
         submit_keyvalue(sim, client, system_name)
         forced = None
@@ -192,6 +202,108 @@ class TestCrashRestart:
         # Caught up by replaying the shared outcomes, not by diverging.
         assert peers[0].state.lineage is not None
         assert victim.state.lineage == peers[0].state.lineage
+
+
+class TestFabricMvccReplay:
+    def test_zipfian_rmw_invalidations_match_a_validating_peer(self, outcome_spy):
+        sim, system, client = deploy("fabric")
+        forced = system.nodes[system.node_ids[-1]]
+        forced.state.lineage = None
+        sampler, rng = ZipfianSampler(theta=0.99), random.Random(11)
+
+        def offer(round_index):
+            for i in range(40):
+                key = f"k{sampler.sample(rng, 30)}"
+                client.submit_payload("KeyValue", "Rmw", key=key, value=f"{round_index}-{i}")
+
+        for round_index in range(8):
+            sim.schedule(1.0 + 0.5 * round_index, offer, round_index)
+        sim.run(until=30.0)
+        others = [node for node in system.nodes.values() if node is not forced]
+        assert forced.state.lineage is None
+        assert forced.state.invalidated_count > 0
+        for node in others:
+            assert replica_view(node) == replica_view(forced)
+        by_node = {}
+        for node, proposal, outcome in outcome_spy:
+            by_node.setdefault(node.endpoint_id, []).append((proposal.proposal_id, outcome))
+        assert len(by_node) == len(system.nodes)
+        invalidated = [
+            pid for __, outcome in by_node[forced.endpoint_id]
+            for pid, (status, __) in outcome.items() if status is TxStatus.INVALIDATED
+        ]
+        assert invalidated
+        for node in others:
+            assert by_node[node.endpoint_id] == by_node[forced.endpoint_id]
+
+
+class TestCrashWithoutRestart:
+    @pytest.mark.parametrize("system_name", sorted(REPLICATED))
+    def test_crashed_replica_pins_no_memo_entry(self, system_name):
+        config = BenchmarkConfig(
+            system=system_name, iel="KeyValue", rate_limit=100, scale=0.1, seed=3,
+            repetitions=1, fault_plan=FaultPlan().crash(f"{system_name}-n2", at=1.0),
+        )
+        runner = BenchmarkRunner()
+        runner.run(config)
+        system = runner.last_rig.system
+        live = [node for node in system.nodes.values() if node.endpoint_id != f"{system_name}-n2"]
+        assert max(node.chain.height for node in live) > system.nodes[f"{system_name}-n2"].chain.height
+        assert system.execution_memo == {}
+
+
+class TestWorkRunsOncePerDeployment:
+    """Exact counts that a revert of either half of encode-once /
+    replay-per-block would break."""
+
+    @pytest.mark.parametrize("system_name, node_count", [("quorum", 8), ("fabric", 4)])
+    def test_apply_once_per_transaction_and_no_generic_tx_encoding(
+        self, system_name, node_count, outcome_spy, monkeypatch
+    ):
+        applies = []
+        original_apply = WorldState.apply
+
+        def counting_apply(self, rwset):
+            applies.append(rwset)
+            return original_apply(self, rwset)
+
+        # Every generic encoding, at any depth and whichever public
+        # function started it, passes through hashing._encode.
+        encoded = set()
+        original_encode = hashing._encode
+
+        def recording_encode(value, out):
+            encoded.add(type(value))
+            return original_encode(value, out)
+
+        monkeypatch.setattr(WorldState, "apply", counting_apply)
+        monkeypatch.setattr(hashing, "_encode", recording_encode)
+        config = BenchmarkConfig(
+            system=system_name, iel="KeyValue", rate_limit=50, scale=0.05, seed=3,
+            repetitions=1, node_count=node_count,
+        )
+        runner = BenchmarkRunner()
+        runner.run(config)
+        system = runner.last_rig.system
+
+        first_outcome = {}
+        for __, proposal, outcome in outcome_spy:
+            first_outcome.setdefault(proposal.proposal_id, (proposal, outcome))
+        applied = sum(
+            1
+            for proposal, outcome in first_outcome.values()
+            for tx in proposal.transactions
+            if outcome[tx.payloads[0].payload_id][0] is not TxStatus.DISCARDED
+        )
+        assert applied > 0
+        assert len(outcome_spy) == node_count * len(first_outcome)
+        assert len(applies) == applied
+        assert all(node.state.lineage is not None for node in system.nodes.values())
+        # Blocks were sealed (headers hashed generically), transactions
+        # hashed, but never through the generic encoder.
+        assert encoded and Transaction not in encoded and Payload not in encoded
+        assert all(tx.content_hash for proposal, __ in first_outcome.values()
+                   for tx in proposal.transactions)
 
 
 class TestProposalCaches:
