@@ -1,11 +1,13 @@
-"""Hot-path benchmarks: kernel, process wake-ups, network, hashing, end-to-end.
+"""Hot-path benchmarks: kernel, process wake-ups, CPU jobs, network, hashing, end-to-end.
 
 The micro targets time the current kernel, network and hashing code;
 the end-to-end targets time short full benchmark-unit runs. The
 speedups each optimization pass measured against the code it replaced
 are frozen below (``SPEEDUPS_VS_LEGACY``, ``PRE_PR_E2E_SECONDS``) and
-written into the baseline notes, next to the live speedup of the direct
-transaction encoder over the generic one (``tx_digest_vs_hash_object``).
+written into the baseline notes, next to two live speedups: the direct
+transaction encoder over the generic one (``tx_digest_vs_hash_object``)
+and callback CPU jobs over spawned ``busy()`` processes
+(``cpu_job_vs_spawn_busy``).
 
 Usage::
 
@@ -23,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import types
 import typing
 
+from repro.chains.base import BaseNode
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_object
@@ -204,6 +208,41 @@ def bench_process_wakeup(wakeups: int, repeats: int) -> TimingResult:
     return time_callable(run_wakeups, "process_wakeup", repeats=repeats)
 
 
+def bench_cpu_job(jobs: int, repeats: int) -> typing.Tuple[TimingResult, TimingResult]:
+    """One-shot CPU jobs on a 1-slot CPU: ``jobs`` arrivals 1 ms apart,
+    each holding the CPU for 1.5 ms (so a queue builds) and then running
+    a no-op continuation, the shape of per-transaction admission.
+
+    Returns the timing of the callback jobs (``BaseNode.start_job``)
+    and, as the reference, of the same arrivals as spawned
+    ``BaseNode.busy`` processes, which dispatch the same events in the
+    same order.
+    """
+
+    def run(callback_jobs: bool) -> None:
+        sim = Simulator(seed=1)
+        node = types.SimpleNamespace(sim=sim, cpu=Resource(sim, capacity=1, name="cpu"))
+
+        def body():
+            yield from BaseNode.busy(node, 1.5e-3)
+            _noop()
+
+        def arrive():
+            if callback_jobs:
+                BaseNode.start_job(node, 1.5e-3, _noop)
+            else:
+                sim.spawn(body())
+
+        for i in range(jobs):
+            sim.schedule(i * 1e-3, arrive)
+        sim.run()
+
+    return (
+        time_callable(lambda: run(True), "cpu_job", repeats=repeats),
+        time_callable(lambda: run(False), "cpu_job_spawn_busy", repeats=repeats),
+    )
+
+
 def bench_hashing(transactions: int, rebuilds: int, repeats: int) -> TimingResult:
     """Merkle roots over one transaction list, rebuilt per replica.
 
@@ -299,6 +338,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
     """
     repeats = 2 if quick else 5
     tx_digest, tx_digest_reference = bench_tx_digest(200, 4, repeats)
+    cpu_job, cpu_job_reference = bench_cpu_job(10_000, repeats)
     results = [
         bench_dispatch(20_000, repeats),
         bench_net_send(10_000, repeats),
@@ -307,6 +347,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         bench_broadcast(32, 250, repeats),
         bench_timer_churn(20_000, repeats),
         bench_process_wakeup(10_000, repeats),
+        cpu_job,
         bench_hashing(100, 20, repeats),
         tx_digest,
     ]
@@ -316,6 +357,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
     notes = {
         "speedups_vs_legacy": SPEEDUPS_VS_LEGACY,
         "tx_digest_vs_hash_object": round(tx_digest_reference.best / tx_digest.best, 3),
+        "cpu_job_vs_spawn_busy": round(cpu_job_reference.best / cpu_job.best, 3),
         "pre_pr_e2e_seconds": PRE_PR_E2E_SECONDS,
         "quick": quick,
     }
@@ -331,6 +373,7 @@ def _print_report(results: typing.Sequence[TimingResult], notes: dict) -> None:
     for name, speedup in notes["speedups_vs_legacy"].items():
         print(f"{name}: {speedup:.2f}x vs legacy (recorded)")
     print(f"tx_digest: {notes['tx_digest_vs_hash_object']:.2f}x vs generic hash_object (live)")
+    print(f"cpu_job: {notes['cpu_job_vs_spawn_busy']:.2f}x vs spawn+busy() processes (live)")
     for name, reference in notes["pre_pr_e2e_seconds"].items():
         if name in by_name:
             print(f"{name}: {by_name[name].best:.3f}s (pre-optimization reference {reference:.3f}s)")

@@ -224,8 +224,21 @@ class BaseNode(Endpoint):
     # ------------------------------------------------------------------
     # Cost helpers
 
+    def start_job(self, cost: float, callback: typing.Callable[..., None], *args: object) -> None:
+        """Start a one-shot CPU job: hold this node's CPU for ``cost``,
+        then run ``callback(*args)``.
+
+        One start hop stands where ``sim.spawn`` of a ``busy()`` process
+        stood, and :meth:`~repro.sim.resources.Resource.hold` makes the
+        rest of that process's scheduling calls, so the job dispatches
+        exactly as the process did. An exception in ``callback``
+        propagates out of ``Simulator.run``.
+        """
+        self.sim.schedule(0.0, self.cpu.hold, cost, callback, *args)
+
     def busy(self, duration: float) -> typing.Generator:
-        """Occupy this node's CPU for ``duration`` (generator helper)."""
+        """Occupy this node's CPU for ``duration`` (generator helper for
+        the long-lived loops; one-shot work uses :meth:`start_job`)."""
         yield self.cpu.acquire()
         try:
             if duration > 0:

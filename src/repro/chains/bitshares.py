@@ -184,10 +184,12 @@ class BitSharesSystem(SystemModel):
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         transaction = typing.cast(Transaction, message.payload)
-        self.sim.spawn(self._admit(node, message.src, transaction))
+        node.start_job(
+            self.profile.admission_cost * len(transaction.payloads),
+            self._admit, node, message.src, transaction,
+        )
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> typing.Generator:
-        yield from node.busy(self.profile.admission_cost * len(transaction.payloads))
+    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
         capacity = int(self.params["PendingPoolCapacity"])
         if self.pending_payloads + len(transaction.payloads) > capacity:
             self.pool_rejections += 1

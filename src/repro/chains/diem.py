@@ -160,10 +160,12 @@ class DiemSystem(SystemModel):
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         transaction = typing.cast(Transaction, message.payload)
-        self.sim.spawn(self._admit(node, message.src, transaction))
+        node.start_job(
+            self.profile.admission_cost * len(transaction.payloads),
+            self._admit, node, message.src, transaction,
+        )
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> typing.Generator:
-        yield from node.busy(self.profile.admission_cost * len(transaction.payloads))
+    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
         capacity = int(self.params["MempoolCapacity"])
         if len(self.mempool) >= capacity:
             self.pool_rejections += 1

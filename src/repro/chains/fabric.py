@@ -109,12 +109,15 @@ class FabricPeer(BaseNode):
         if self._stream_backlog:
             self._stream_send(self._stream_backlog.popleft())
 
-    def endorse(self, transaction: Transaction) -> typing.Generator:
-        """Simulate the chaincode, producing the envelope (a process body)."""
-        cost = self.profile.admission_cost + sum(
+    def endorsement_cost(self, transaction: Transaction) -> float:
+        """CPU time this peer spends endorsing ``transaction``."""
+        return self.profile.admission_cost + sum(
             self.execute_cost_of(payload) for payload in transaction.payloads
         )
-        yield from self.busy(cost)
+
+    def endorse(self, transaction: Transaction) -> FabricEnvelope:
+        """Simulate the chaincode, producing the envelope; the caller has
+        already charged :meth:`endorsement_cost` on this peer's CPU."""
         adapter = ReadWriteSetAdapter(self.state)
         for payload in transaction.payloads:
             self.iel.execute(payload, adapter)
@@ -559,10 +562,12 @@ class FabricSystem(SystemModel):
             return
         self.remember_owner(transaction.payloads)
         peer.in_flight += 1
-        self.sim.spawn(self._endorse_and_forward(peer, transaction))
+        peer.start_job(
+            peer.endorsement_cost(transaction), self._endorse_and_forward, peer, transaction
+        )
 
-    def _endorse_and_forward(self, peer: FabricPeer, transaction: Transaction) -> typing.Generator:
-        envelope = yield from peer.endorse(transaction)
+    def _endorse_and_forward(self, peer: FabricPeer, transaction: Transaction) -> None:
+        envelope = peer.endorse(transaction)
         peer.in_flight -= 1
         peer.forward_envelope(envelope)
 

@@ -163,12 +163,13 @@ class SawtoothSystem(SystemModel):
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         if message.kind == "sawtooth/gossip":
             batch = typing.cast(Batch, message.payload)
-            self.sim.spawn(self._charge_gossip(node, batch))
+            node.start_job(
+                self.profile.admission_cost * batch.payload_count, self._gossip_charged, node
+            )
         else:
             super().handle_node_message(node, message)
 
-    def _charge_gossip(self, node: BaseNode, batch: Batch) -> typing.Generator:
-        yield from node.busy(self.profile.admission_cost * batch.payload_count)
+    def _gossip_charged(self, node: BaseNode) -> None:
         # A gossiped batch sits in this validator's own queue: if the
         # primary orders nothing within the progress timeout (dead or
         # unreachable primary), this backup votes a view change. The
@@ -185,9 +186,9 @@ class SawtoothSystem(SystemModel):
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
         batch = typing.cast(Batch, message.payload)
-        self.sim.spawn(self._admit(node, message.src, batch))
+        self.sim.schedule(0.0, self._admit, node, message.src, batch)
 
-    def _admit(self, node: BaseNode, client_id: str, batch: Batch) -> typing.Generator:
+    def _admit(self, node: BaseNode, client_id: str, batch: Batch) -> None:
         # Deserialisation/signature work happens before the backpressure
         # decision, and the batch has already gossiped by then — so every
         # validator pays admission CPU for every *offered* payload. This
@@ -197,7 +198,12 @@ class SawtoothSystem(SystemModel):
             node.endpoint_id, self.node_ids, "sawtooth/gossip", batch,
             size_bytes=batch.size_bytes,
         )
-        yield from node.busy(self.profile.admission_cost * batch.payload_count)
+        node.cpu.hold(
+            self.profile.admission_cost * batch.payload_count,
+            self._admitted, node, client_id, batch,
+        )
+
+    def _admitted(self, node: BaseNode, client_id: str, batch: Batch) -> None:
         validator = typing.cast(SawtoothValidator, node)
         capacity = int(self.params["PendingQueueCapacity"])
         if len(self.pending) >= capacity:

@@ -107,99 +107,15 @@ class CoconutClient(Endpoint):
         self.stream.begin_phase(phase)
         send_deadline = start_at + config.scaled_send
         self._listen_deadline[phase] = start_at + config.scaled_listen
-        threads = [
-            self.sim.spawn(
-                self._workload_thread(phase, thread, start_at, send_deadline),
-                name=f"{self.endpoint_id}-{phase}-t{thread}",
-            )
-            for thread in range(config.workload_threads)
-        ]
+        for thread in range(config.workload_threads):
+            worker = _WorkloadThread(self, phase, thread, start_at, send_deadline)
+            self.sim.schedule(0.0, worker.start)
         done = self.sim.event(name=f"{self.endpoint_id}-{phase}-done")
         shutdown_at = start_at + config.scaled_total
         # The threads stop at the send deadline; the client itself (and
         # its event listening) terminates at the total deadline.
-        self.sim.schedule(max(0.0, shutdown_at - self.sim.now), done.succeed, threads)
+        self.sim.schedule(max(0.0, shutdown_at - self.sim.now), done.succeed)
         return done
-
-    def _workload_thread(
-        self, phase: str, thread: int, start_at: float, send_deadline: float
-    ) -> typing.Generator:
-        config = self.config
-        group = self.driver.group_size
-        # Each thread carries its share of the client's rate limit; a
-        # submission carries `group` payloads, so submissions are spaced
-        # by group * threads / rate.
-        interval = group * config.workload_threads / config.rate_limit
-        arrival = self.plan.spec.for_phase(phase).arrival
-        schedule = build_schedule(
-            arrival,
-            interval,
-            config.scaled_send,
-            thread,
-            config.workload_threads,
-            lambda: self.sim.rng.stream(
-                f"workloads/{self.endpoint_id}/t{thread}/arrival"
-            ),
-        )
-        sim = self.sim
-        if sim.now < start_at:
-            yield sim.timeout(start_at - sim.now)
-        initial = schedule.initial_delay()
-        if initial is None:
-            return
-        if initial > 0:
-            # Only replay defers the first send; every other kind fires
-            # at phase start exactly like the pre-workloads loop.
-            yield sim.timeout(initial)
-        # Send-loop invariants hoisted out of the loop: the tracer and
-        # its category filter are fixed for the run, the phase's record
-        # dict and the plan/RNG-stream lookups never change identity.
-        endpoint_id = self.endpoint_id
-        iel = config.iel
-        payload_for = self.plan.payload_for
-        phase_records = self.records[phase]
-        payload_phase = self._payload_phase
-        wrap = self.driver.wrap
-        tracer = sim.tracer
-        trace_txs = tracer.enabled and tracer.wants("client")
-        stream = self.stream
-        accumulator = stream.accumulator(phase)
-        while sim.now < send_deadline:
-            payloads = []
-            for __ in range(group):
-                function, args = payload_for(iel, phase, thread)
-                payloads.append(Payload.create(endpoint_id, iel, function, args))
-            now = sim.now
-            accumulator.on_send(now, count=len(payloads))
-            for payload in payloads:
-                payload_id = payload.payload_id
-                phase_records[payload_id] = PayloadRecord(
-                    payload_id=payload_id,
-                    phase=phase,
-                    start_time=now,
-                )
-                payload_phase[payload_id] = phase
-                if trace_txs and tracer.sampled(payload_id):
-                    # Submit -> confirm, closed in _record_end; payloads
-                    # that never confirm stay open (drained at export).
-                    tracer.begin(
-                        ("tx", payload_id), "tx", category="client",
-                        node=endpoint_id, phase=phase,
-                    )
-            if trace_txs:
-                tracer.metrics.counter("client.sent", node=endpoint_id).inc(len(payloads))
-            stream.note_live(len(phase_records))
-            bundle = wrap(payloads)
-            self.send(
-                self.gateway_id,
-                "client/submit",
-                bundle,
-                size_bytes=getattr(bundle, "size_bytes", 256),
-            )
-            delay = schedule.next_delay(sim.now - start_at)
-            if delay is None:
-                return
-            yield sim.timeout(delay)
 
     # ------------------------------------------------------------------
     # Event collection
@@ -270,3 +186,124 @@ class CoconutClient(Endpoint):
         dropped = len(leftover)
         leftover.clear()
         return dropped
+
+
+class _WorkloadThread:
+    """One workload thread's send loop for one phase, run as callbacks.
+
+    Each wait is :meth:`~repro.sim.kernel.Simulator.resume_after`: a
+    timer plus one ready-lane hop, the two scheduling calls of a
+    process's ``yield sim.timeout(...)``. With the start hop that
+    :meth:`CoconutClient.run_phase` schedules, every send lands on the
+    same sequence number as in the generator loop this replaces.
+    """
+
+    __slots__ = (
+        "client", "sim", "phase", "thread", "start_at", "send_deadline", "schedule",
+        "trace_txs", "records", "accumulator",
+    )
+
+    def __init__(
+        self,
+        client: CoconutClient,
+        phase: str,
+        thread: int,
+        start_at: float,
+        send_deadline: float,
+    ) -> None:
+        self.client = client
+        self.sim = client.sim
+        self.phase = phase
+        self.thread = thread
+        self.start_at = start_at
+        self.send_deadline = send_deadline
+        # The phase's record dict and accumulator never change identity.
+        self.records = client.records[phase]
+        self.accumulator = client.stream.accumulator(phase)
+
+    def start(self) -> None:
+        """The start hop: build the arrival schedule, wait for the phase."""
+        client = self.client
+        config = client.config
+        sim = self.sim
+        # Each thread carries its share of the client's rate limit; a
+        # submission carries `group` payloads, so submissions are spaced
+        # by group * threads / rate.
+        interval = client.driver.group_size * config.workload_threads / config.rate_limit
+        endpoint_id = client.endpoint_id
+        thread = self.thread
+        self.schedule = build_schedule(
+            client.plan.spec.for_phase(self.phase).arrival,
+            interval,
+            config.scaled_send,
+            thread,
+            config.workload_threads,
+            lambda: sim.rng.stream(f"workloads/{endpoint_id}/t{thread}/arrival"),
+        )
+        # The tracer and its category filter are fixed for the run.
+        tracer = sim.tracer
+        self.trace_txs = tracer.enabled and tracer.wants("client")
+        if sim.now < self.start_at:
+            sim.resume_after(self.start_at - sim.now, self._begin)
+        else:
+            self._begin()
+
+    def _begin(self) -> None:
+        initial = self.schedule.initial_delay()
+        if initial is None:
+            return
+        if initial > 0:
+            # Only replay defers the first send; every other kind fires
+            # at phase start exactly like the pre-workloads loop.
+            self.sim.resume_after(initial, self._send)
+        else:
+            self._send()
+
+    def _send(self) -> None:
+        sim = self.sim
+        now = sim.now
+        if now >= self.send_deadline:
+            return
+        client = self.client
+        endpoint_id = client.endpoint_id
+        phase = self.phase
+        thread = self.thread
+        iel = client.config.iel
+        payload_for = client.plan.payload_for
+        payloads = []
+        for __ in range(client.driver.group_size):
+            function, args = payload_for(iel, phase, thread)
+            payloads.append(Payload.create(endpoint_id, iel, function, args))
+        self.accumulator.on_send(now, count=len(payloads))
+        phase_records = self.records
+        payload_phase = client._payload_phase
+        trace_txs = self.trace_txs
+        tracer = sim.tracer
+        for payload in payloads:
+            payload_id = payload.payload_id
+            phase_records[payload_id] = PayloadRecord(
+                payload_id=payload_id,
+                phase=phase,
+                start_time=now,
+            )
+            payload_phase[payload_id] = phase
+            if trace_txs and tracer.sampled(payload_id):
+                # Submit -> confirm, closed in _record_end; payloads
+                # that never confirm stay open (drained at export).
+                tracer.begin(
+                    ("tx", payload_id), "tx", category="client",
+                    node=endpoint_id, phase=phase,
+                )
+        if trace_txs:
+            tracer.metrics.counter("client.sent", node=endpoint_id).inc(len(payloads))
+        client.stream.note_live(len(phase_records))
+        bundle = client.driver.wrap(payloads)
+        client.send(
+            client.gateway_id,
+            "client/submit",
+            bundle,
+            size_bytes=getattr(bundle, "size_bytes", 256),
+        )
+        delay = self.schedule.next_delay(sim.now - self.start_at)
+        if delay is not None:
+            sim.resume_after(delay, self._send)

@@ -11,7 +11,7 @@ The kernel is written from scratch (no simpy dependency) and is fully
 deterministic: two runs with the same seed produce identical event orders.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.process import Process
 from repro.sim.resources import Resource
@@ -22,7 +22,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "RngRegistry",

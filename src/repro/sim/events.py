@@ -22,18 +22,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot triggerable occurrence in simulated time.
 

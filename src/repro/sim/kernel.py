@@ -170,6 +170,17 @@ class Simulator:
             _heappush(self._queue, entry)
         return handle
 
+    def resume_after(self, delay: float, callback: typing.Callable[..., None], *args: object) -> None:
+        """Run ``callback(*args)`` the way a process resumes from ``yield
+        sim.timeout(delay)``: a ``delay`` timer whose firing schedules one
+        ready-lane hop, in which ``callback`` runs.
+
+        Both hops take a sequence number exactly where the timeout and
+        the process wake-up took theirs, so a callback chain built on
+        this dispatches in the order the generator it replaces did.
+        """
+        self.schedule(delay, self.schedule, 0.0, callback, *args)
+
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name=name)

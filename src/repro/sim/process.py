@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import _PENDING, Event, Interrupt, SimulationError
+from repro.sim.events import _PENDING, Event, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -25,72 +25,31 @@ class Process(Event):
     process event, propagating to any process waiting on it.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: typing.Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: typing.Optional[Event] = None
         sim.schedule(0.0, self._step, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator is still running."""
-        return not self.triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        Interrupting a finished process is a no-op, matching the common
-        DES convention (the interrupter usually races completion).
-        """
-        if self.triggered:
-            return
-        self._waiting_on = None
-        self.sim.schedule(0.0, self._step, None, None, Interrupt(cause))
-
-    def kill(self) -> None:
-        """Terminate the process immediately, without running its body.
-
-        Unlike :meth:`interrupt`, the generator gets no chance to handle
-        anything — it is closed (``finally`` blocks still run) and the
-        process event succeeds with ``None`` so waiters are released.
-        Killing a finished process is a no-op.
-        """
-        if self.triggered:
-            return
-        self._waiting_on = None
-        self._generator.close()
-        self.succeed(None)
-
-    def _step(
-        self,
-        event: typing.Optional[Event],
-        value: object = None,
-        exception: typing.Optional[BaseException] = None,
-    ) -> None:
+    def _step(self, event: typing.Optional[Event]) -> None:
         """Resume the generator: the one wake-up path.
 
         As the wait target's callback, ``event`` is that target and its
-        outcome is sent (or thrown) in; a target an interrupt replaced is
-        stale and ignored. The start and an interrupt pass ``event=None``
-        with an explicit ``value``/``exception``.
+        outcome is sent (or thrown) in. The start passes ``None``, which
+        sends ``None``. A process waits on one target at a time and every
+        event fires once, so each call is the single wake-up its last
+        yield asked for.
         """
-        if event is not None:
-            if event is not self._waiting_on:
-                return
-            value = event._value
-            exception = event._exception
-        if self._value is not _PENDING or self._exception is not None:
-            return
-        self._waiting_on = None
         try:
-            if exception is not None:
-                target = self._generator.throw(exception)
+            if event is None:
+                target = self._generator.send(None)
+            elif event._exception is not None:
+                target = self._generator.throw(event._exception)
             else:
-                target = self._generator.send(value)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -101,7 +60,6 @@ class Process(Event):
             self._generator.close()
             self.fail(SimulationError(f"process {self._name!r} yielded non-event {target!r}"))
             return
-        self._waiting_on = target
         # Event.add_callback, inlined: one per yield.
         if target._value is _PENDING and target._exception is None:
             target._callbacks.append(self._step)

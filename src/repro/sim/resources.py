@@ -1,8 +1,10 @@
 """Counted resources (semaphores) for modelling bounded concurrency.
 
-Corda's flow-worker thread pools, notary signing slots and client workload
-threads are all bounded concurrency: at most ``capacity`` holders at a
-time, FIFO admission for waiters.
+Corda's flow-worker thread pools, notary signing slots and every node's
+CPU are all bounded concurrency: at most ``capacity`` holders at a
+time, FIFO admission for waiters. A holder is either a process (it
+yields :meth:`Resource.acquire`) or a callback job (:meth:`Resource.hold`,
+which makes the same scheduling calls without a generator).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Resource:
-    """A semaphore with ``capacity`` slots and FIFO waiters."""
+    """A semaphore with ``capacity`` slots and one FIFO queue of waiters:
+    acquire events and :meth:`request` callbacks, in arrival order."""
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "") -> None:
         if capacity < 1:
@@ -27,7 +30,7 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: collections.deque = collections.deque()
-        #: Every request event's name, formatted once per resource.
+        #: Every acquire event's name, formatted once per resource.
         self._acquire_label = f"acquire:{name}"
 
     @property
@@ -42,7 +45,7 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Number of processes waiting for a slot."""
+        """Number of waiters (processes and callbacks) queued for a slot."""
         return len(self._waiters)
 
     def acquire(self) -> Event:
@@ -55,26 +58,57 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def request(self, callback: typing.Callable[..., None], *args: object) -> None:
+        """Request a slot; ``callback(*args)`` runs once it is granted.
+
+        The grant is one ``schedule(0.0, ...)``: now when a slot is free,
+        else at the :meth:`release` that hands one over. That is the hop
+        a process pays between ``yield acquire()`` and its resumption.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.sim.schedule(0.0, callback, *args)
+        else:
+            self._waiters.append((callback, args))
+
     def release(self) -> None:
-        """Return a slot, admitting the oldest waiter if any."""
+        """Return a slot, admitting the oldest waiter if any.
+
+        Both kinds of waiter are granted with one ``schedule(0.0, ...)``:
+        a callback's directly, and an acquire event's by succeeding it,
+        which flushes the wake-up of the one process waiting on it.
+        """
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         if self._waiters:
             waiter = self._waiters.popleft()
-            waiter.succeed()
+            if type(waiter) is tuple:
+                callback, args = waiter
+                self.sim.schedule(0.0, callback, *args)
+            else:
+                waiter.succeed()
         else:
             self._in_use -= 1
 
-    def use(self, process_body: typing.Generator) -> typing.Generator:
-        """Run ``process_body`` while holding a slot (generator helper).
+    def hold(self, duration: float, callback: typing.Callable[..., None], *args: object) -> None:
+        """A one-shot job: hold a slot for ``duration``, then release it
+        and run ``callback(*args)``.
 
-        Usage inside a process::
-
-            yield from pool.use(self._handle(tx))
+        Hop for hop, this makes the ``schedule`` calls of a process doing
+        ``yield acquire()``, ``yield sim.timeout(duration)``,
+        ``release()`` and then the continuation: the grant hop, the
+        duration timer, and one ready-lane hop after the timer fires, in
+        which the slot is released and ``callback`` runs. A duration that
+        is not positive skips the timer and its hop, as ``busy()`` does.
         """
-        yield self.acquire()
-        try:
-            result = yield from process_body
-        finally:
-            self.release()
-        return result
+        self.request(self._held, duration, callback, args)
+
+    def _held(self, duration: float, callback: typing.Callable[..., None], args: tuple) -> None:
+        if duration > 0:
+            self.sim.resume_after(duration, self._finish, callback, args)
+        else:
+            self._finish(callback, args)
+
+    def _finish(self, callback: typing.Callable[..., None], args: tuple) -> None:
+        self.release()
+        callback(*args)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.events import SimulationError
 
 
@@ -88,103 +88,3 @@ class TestProcessLifecycle:
         sim.run()
         assert not process.ok
         assert isinstance(process.exception, SimulationError)
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        causes = []
-
-        def proc():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                causes.append(interrupt.cause)
-
-        process = sim.spawn(proc())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            process.interrupt("stop now")
-
-        sim.spawn(interrupter())
-        sim.run()
-        assert causes == ["stop now"]
-        # The process itself finished at t=1 (the stale timeout still
-        # drains the queue but resumes nothing).
-        assert process.triggered and process.ok
-
-    def test_interrupt_finished_process_is_noop(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-            return "done"
-
-        process = sim.spawn(proc())
-        sim.run()
-        process.interrupt("late")  # must not raise
-        assert process.value == "done"
-
-    def test_stale_event_after_interrupt_ignored(self, sim):
-        log = []
-
-        def proc():
-            try:
-                yield sim.timeout(5.0, value="original")
-            except Interrupt:
-                value = yield sim.timeout(10.0, value="after-interrupt")
-                log.append(value)
-
-        process = sim.spawn(proc())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            process.interrupt()
-
-        sim.spawn(interrupter())
-        sim.run()
-        # The original timeout fires at t=5 but must not resume the process;
-        # only the post-interrupt timeout at t=11 may.
-        assert log == ["after-interrupt"]
-
-
-class TestWakeupSemantics:
-    """Interrupt and kill over the one wake-up path."""
-
-    def test_kill_closes_generator_and_releases_waiters(self, sim):
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(10.0)
-                log.append("body ran")
-            finally:
-                log.append(("closed", sim.now))
-
-        process = sim.spawn(victim())
-
-        def waiter():
-            value = yield process
-            log.append(("released", value, sim.now))
-
-        sim.spawn(waiter())
-        sim.schedule(2.0, process.kill)
-        sim.run()
-        assert log == [("closed", 2.0), ("released", None, 2.0)]
-        assert not process.is_alive
-        process.kill()  # killing a finished process is a no-op
-        assert process.ok
-
-    def test_double_interrupt_throws_twice(self, sim):
-        causes = []
-
-        def proc():
-            for __ in range(2):
-                try:
-                    yield sim.timeout(10.0)
-                except Interrupt as interrupt:
-                    causes.append((interrupt.cause, sim.now))
-
-        process = sim.spawn(proc())
-        sim.schedule(1.0, process.interrupt, "a")
-        sim.schedule(1.0, process.interrupt, "b")
-        sim.run()
-        assert causes == [("a", 1.0), ("b", 1.0)]

@@ -65,21 +65,6 @@ class TestResource:
         sim.run()
         assert admitted == ["w1", "w2", "w3"]
 
-    def test_use_helper_releases_on_error(self, sim):
-        pool = Resource(sim, capacity=1)
-
-        def failing_body():
-            yield sim.timeout(1.0)
-            raise RuntimeError("body failed")
-
-        def worker():
-            yield from pool.use(failing_body())
-
-        process = sim.spawn(worker())
-        sim.run()
-        assert not process.ok
-        assert pool.in_use == 0  # slot was released despite the error
-
     def test_queued_counter(self, sim):
         pool = Resource(sim, capacity=1)
         pool.acquire()
