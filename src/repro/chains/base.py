@@ -109,9 +109,10 @@ class BlockProposal:
         """Payloads across all transactions."""
         return sum(len(tx.payloads) for tx in self.transactions)
 
-    @property
+    @functools.cached_property
     def size_bytes(self) -> int:
-        """Wire size of the proposal."""
+        """Wire size of the proposal, summed once (Raft re-reads it on
+        every append it replicates)."""
         return 512 + sum(tx.size_bytes for tx in self.transactions)
 
     @property

@@ -336,11 +336,13 @@ class CordaSystemBase(SystemModel):
         if not self.fault_mode:
             value = yield event
             return value
-        waited = yield AnyOf(
-            self.sim, [event, self.sim.timeout(float(self.params["FlowTimeout"]))]
-        )
+        wait = AnyOf(self.sim, [event, self.sim.timeout(float(self.params["FlowTimeout"]))])
+        waited = yield wait
         if event in waited:
             return waited[event]
+        # The flow gives up on ``event``, whose replies never come:
+        # unhook the wait from it so they leave no reference cycle.
+        wait.detach()
         return FLOW_WAIT_TIMED_OUT
 
     def _abort_flow(

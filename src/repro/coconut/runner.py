@@ -5,6 +5,13 @@ Runs one benchmark unit: for each repetition, provision a fresh rig
 then execute the unit's phases back to back — every phase is a full
 send/listen/terminate cycle (Section 4.3) — and compute the Section 4.5
 metrics from the clients' streaming accumulators.
+
+Automatic cyclic garbage collection is paused while a repetition's
+phases run. A run creates no reference cycles (the conformance matrix
+checks every cell), so the collector's passes there would only re-scan
+the live deployment. A finished deployment is itself one large cyclic
+graph, though, so the runner collects whenever it drops a rig:
+otherwise the next paused window would start with it still in memory.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
 from repro.faults import FaultInjector, ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
+from repro.sim.collector import collect_all, collector_paused
 from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,7 +108,8 @@ class BenchmarkRunner:
                         level=self.check_level, iel=config.iel, repetition=repetition
                     )
                 )
-            metrics = self._run_repetition(rig, config, repetition)
+            with collector_paused():
+                metrics = self._run_repetition(rig, config, repetition)
             if self.check:
                 report = rig.sim.checker.finalize(rig.system)
                 reports.append(report)
@@ -109,7 +118,12 @@ class BenchmarkRunner:
                 metrics[phases[-1]].invariants = report.to_dict()
                 self.progress(f"  invariants: {report.render()}")
             if self.keep_last_rig:
-                self.last_rig = rig
+                rig, self.last_rig = self.last_rig, rig
+            if rig is not None:
+                # A rig this repetition does not keep, or the one its rig
+                # replaces: collect it before the next paused window.
+                rig = None
+                collect_all()
             for phase, phase_metrics in metrics.items():
                 per_phase[phase].append(phase_metrics)
         if self.check:

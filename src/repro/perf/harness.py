@@ -12,12 +12,13 @@ generous regression threshold.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import pathlib
 import platform
 import time
 import typing
+
+from repro.sim.collector import collector_paused
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,9 +68,7 @@ def time_callable(
         raise ValueError(f"need at least one repeat, got {repeats}")
     if loops < 1:
         raise ValueError(f"need at least one loop per repeat, got {loops}")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for __ in range(warmup * loops):
             fn()
         counter = time.perf_counter
@@ -79,9 +78,6 @@ def time_callable(
             for __ in range(loops):
                 fn()
             samples.append((counter() - start) / loops)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return TimingResult(
         name=name or getattr(fn, "__name__", "anonymous"),
         best=min(samples),

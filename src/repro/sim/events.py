@@ -158,6 +158,24 @@ class _Condition(Event):
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
 
+    def detach(self) -> None:
+        """Stop waiting: take this condition's callback off every child
+        still pending, and detach a child condition that is then left
+        with no waiter.
+
+        A waiter that gives up on children which will never fire calls
+        this. A pending child and the condition that lists it otherwise
+        reference each other, and the pair outlives the wait as cyclic
+        garbage.
+        """
+        on_child = self._on_child
+        for event in self.events:
+            callbacks = event._callbacks
+            if on_child in callbacks:
+                callbacks.remove(on_child)
+                if not callbacks and isinstance(event, _Condition):
+                    event.detach()
+
     def _results(self) -> dict:
         return {e: e.value for e in self.events if e.ok}
 

@@ -39,34 +39,39 @@ class TimerHandle:
     run with cancellations gives the same results as one where the stale
     timers fired as no-ops. Traced runs count each skipped pop in
     ``sim.timers_cancelled`` rather than ``sim.dispatches``.
+
+    A pending handle and its entry form a cycle (handle -> entry ->
+    bound ``_run`` -> handle). Firing drops the handle's entry reference
+    and cancelling drops the entry's ``_run``, so neither a fired nor a
+    cancelled timer leaves cyclic garbage behind (a run must create
+    none; see :class:`~repro.coconut.runner.BenchmarkRunner`).
     """
 
-    __slots__ = ("_entry", "_callback", "_fired")
+    __slots__ = ("_entry", "_callback")
 
     def __init__(self, callback: typing.Callable[..., None]) -> None:
         self._callback = callback
-        self._fired = False
-        self._entry: list = []
+        #: The queue entry while the timer is armed; ``None`` once fired.
+        self._entry: typing.Optional[list] = None
 
     @property
     def active(self) -> bool:
         """Whether the timer is still pending (not fired, not cancelled)."""
-        return not self._fired and self._entry[2] is not None
+        entry = self._entry
+        return entry is not None and entry[2] is not None
 
     def cancel(self) -> bool:
         """Tombstone the timer. Returns ``False`` if it already fired or
         was already cancelled (both are safe no-ops)."""
-        if self._fired:
-            return False
         entry = self._entry
-        if entry[2] is None:
+        if entry is None or entry[2] is None:
             return False
         entry[2] = None
         entry[3] = ()  # drop callback/argument refs promptly
         return True
 
     def _run(self, *args: object) -> None:
-        self._fired = True
+        self._entry = None
         self._callback(*args)
 
 

@@ -27,16 +27,33 @@ from repro.trace.config import TraceConfig
 from repro.trace.metrics import MetricsRegistry
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class SpanRecord:
-    """One completed interval of simulated time."""
+    """One completed interval of simulated time.
+
+    Slotted by hand, like :class:`~repro.storage.transaction.Transaction`
+    (Python 3.9 has no ``dataclass(slots=True)``): a traced run retains
+    every record. A slot cannot also carry a class-level default, so
+    ``__init__`` is written out and supplies the fresh ``attrs`` dict.
+    """
+
+    __slots__ = ("name", "category", "node", "start", "end", "attrs")
 
     name: str
     category: str
     node: str
     start: float
     end: float
-    attrs: typing.Dict[str, object] = dataclasses.field(default_factory=dict)
+    attrs: typing.Dict[str, object]
+
+    def __init__(self, name: str, category: str, node: str, start: float, end: float,
+                 attrs: typing.Optional[typing.Dict[str, object]] = None) -> None:
+        self.name = name
+        self.category = category
+        self.node = node
+        self.start = start
+        self.end = end
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def duration(self) -> float:
@@ -56,15 +73,25 @@ class SpanRecord:
         }
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class EventRecord:
-    """One instantaneous occurrence."""
+    """One instantaneous occurrence (slotted like :class:`SpanRecord`)."""
+
+    __slots__ = ("name", "category", "node", "time", "attrs")
 
     name: str
     category: str
     node: str
     time: float
-    attrs: typing.Dict[str, object] = dataclasses.field(default_factory=dict)
+    attrs: typing.Dict[str, object]
+
+    def __init__(self, name: str, category: str, node: str, time: float,
+                 attrs: typing.Optional[typing.Dict[str, object]] = None) -> None:
+        self.name = name
+        self.category = category
+        self.node = node
+        self.time = time
+        self.attrs = {} if attrs is None else attrs
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""

@@ -1,11 +1,15 @@
 """Integration tests for the runner, client, results and report."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.coconut import BenchmarkConfig, BenchmarkRunner, ResultStore
 from repro.coconut.report import heatmap, unit_summary
 from repro.coconut.results import UnitResult
 from repro.faults import FaultPlan
+from repro.sim.kernel import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +102,106 @@ class TestRunnerStateLeaks:
         assert runner.keep_last_rig is True
         runner.run(self.healthy_config())
         assert runner.last_rig is not None
+
+
+class TestCollectorPause:
+    """The runner pauses the cyclic collector while a repetition runs,
+    restores the caller's state, and collects every rig it drops."""
+
+    @staticmethod
+    def config(seed=41, iel="KeyValue", rate=100):
+        return BenchmarkConfig(
+            system="fabric", iel=iel, rate_limit=rate, scale=0.02,
+            repetitions=1, seed=seed,
+        )
+
+    class Watch:
+        """Wraps ``Simulator.run`` to record, per call, whether the
+        collector was enabled and how many collections started inside."""
+
+        def __init__(self, monkeypatch):
+            self.enabled = []
+            self.collections = []
+            self._running = False
+            original = Simulator.run
+
+            def run(sim, until=None):
+                self.enabled.append(gc.isenabled())
+                self.collections.append(0)
+                self._running = True
+                try:
+                    return original(sim, until)
+                finally:
+                    self._running = False
+
+            monkeypatch.setattr(Simulator, "run", run)
+
+        def __call__(self, phase, info):
+            if phase == "start" and self._running:
+                self.collections[-1] += 1
+
+        def __enter__(self):
+            gc.callbacks.append(self)
+            return self
+
+        def __exit__(self, *exc):
+            gc.callbacks.remove(self)
+
+    def test_no_collection_while_the_simulation_runs(self, monkeypatch):
+        with self.Watch(monkeypatch) as watch:
+            BenchmarkRunner(keep_last_rig=False).run(self.config())
+        assert watch.collections == [0, 0]  # Set and Get
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_callers_collector_state(self, enabled, monkeypatch):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with self.Watch(monkeypatch) as watch:
+                BenchmarkRunner().run(self.config())
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert watch.enabled == [False, False]
+        assert after is enabled
+
+    def test_a_raising_unit_restores_the_collector(self, monkeypatch):
+        paused = []
+
+        def failing_run(sim, until=None):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("unit failed")
+
+        monkeypatch.setattr(Simulator, "run", failing_run)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="unit failed"):
+            BenchmarkRunner().run(self.config())
+        assert paused == [True]
+        assert gc.isenabled()
+
+    def test_run_many_holds_one_deployment_at_a_time(self):
+        # Each dropped rig is one large cyclic graph. Left to the
+        # collector, which is paused while units run, every unit of a
+        # sweep would stay in memory until it next ran on its own.
+        runner = BenchmarkRunner(keep_last_rig=False)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            runner.run(self.config(seed=42, iel="DoNothing", rate=40))
+            one = tracemalloc.get_traced_memory()[1] - base
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            runner.run_many(
+                [self.config(seed=43 + i, iel="DoNothing", rate=40) for i in range(3)]
+            )
+            three = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert three < 1.5 * one, f"3 units peaked at {three} B, one unit at {one} B"
 
 
 class TestResultStore:

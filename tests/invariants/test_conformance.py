@@ -7,22 +7,30 @@ Two halves, and both matter:
   fault-free, a leader crash with restart, and a network partition with
   heal — per the paper's resilience framing, faults may cost liveness
   (transactions time out) but never safety (no replica forks, double
-  commits or breaks conservation).
+  commits or breaks conservation). Every cell must also leave zero
+  cyclic garbage: the runner pauses the cyclic collector while a
+  repetition runs, which is only safe on a heap without cycles.
 * The *failure paths*: each oracle is fed a deliberately corrupted
   fixture and must flag it. An oracle that cannot detect its own
   violation class is always-green decoration, so every oracle has at
   least one seeded-violation test here.
 """
 
+import collections
+import gc
+import typing
+
 import pytest
 
 from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, UNIT_PHASES
+from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.runner import BenchmarkRunner
 from repro.consensus.base import Decision
 from repro.crypto.hashing import GENESIS_HASH
 from repro.faults import FaultPlan
 from repro.invariants import InvariantChecker
+from repro.sim.collector import collect_all
 from repro.storage import Transaction, TxStatus
 from repro.storage.block import Block
 from repro.storage.transaction import Payload
@@ -70,48 +78,87 @@ SCENARIOS = {
 }
 
 
+class HoldingProvisioner(Provisioner):
+    """Keeps every rig it provisions alive, so that a collection finds
+    only the cyclic garbage a run made, not the deployment it ran on."""
+
+    def __init__(self) -> None:
+        self.rigs: typing.List[Rig] = []
+
+    def provision(self, config: BenchmarkConfig, repetition: int) -> Rig:
+        rig = super().provision(config, repetition)
+        self.rigs.append(rig)
+        return rig
+
+
+def cyclic_garbage(run: typing.Callable[[], object]) -> typing.Counter[str]:
+    """Run ``run()``; return the cyclic garbage it left, by type name.
+
+    The heap is collected clean first. Then every collection until the
+    end, the runner's own included, saves what it finds in
+    ``gc.garbage`` (``DEBUG_SAVEALL``) instead of freeing it.
+    """
+    collect_all()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
 def run_checked(system: str, iel: str, scenario: str):
-    """One strict-checked benchmark unit; returns its merged report."""
+    """One strict-checked benchmark unit; returns its merged report and
+    the cyclic garbage the unit left behind (type name -> count)."""
     scale, plan_fn = SCENARIOS[scenario]
     kwargs = dict(system=system, iel=iel, rate_limit=RATE, scale=scale, seed=SEED)
     if plan_fn is not None:
         kwargs["fault_plan"] = plan_fn(BenchmarkConfig(**kwargs))
-    runner = BenchmarkRunner(check=True, check_level="strict", keep_last_rig=False)
-    runner.run(BenchmarkConfig(**kwargs))
-    return runner.last_invariants
+    runner = BenchmarkRunner(check=True, check_level="strict", keep_last_rig=False,
+                             provisioner=HoldingProvisioner())
+    garbage = cyclic_garbage(lambda: runner.run(BenchmarkConfig(**kwargs)))
+    return runner.last_invariants, garbage
 
 
 class TestConformanceMatrix:
-    """Zero safety violations across all systems, IELs and scenarios."""
+    """Zero safety violations and zero cyclic garbage across all
+    systems, IELs and scenarios."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("iel", IELS)
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_no_safety_violations(self, system, iel, scenario):
-        report = run_checked(system, iel, scenario)
+        report, garbage = run_checked(system, iel, scenario)
         assert report is not None
         assert report.ok, f"{system}/{iel}/{scenario}: {report.render()}"
         # A report that checked nothing proves nothing.
         assert sum(report.checks.values()) > 0
+        assert not garbage, (
+            f"{system}/{iel}/{scenario} left {sum(garbage.values())} objects in "
+            f"reference cycles: {dict(garbage.most_common(10))}"
+        )
 
 
 class TestOracleCoverage:
     """The right oracles actually fire for each architecture."""
 
     def test_block_system_oracles_fire(self):
-        report = run_checked("quorum", "KeyValue", "fault-free")
+        report, __ = run_checked("quorum", "KeyValue", "fault-free")
         for oracle in ("agreement", "total-order", "double-commit",
                        "hash-chain", "quorum", "lww", "chain-consistency"):
             assert report.checks.get(oracle, 0) > 0, f"{oracle} never checked"
 
     def test_corda_oracles_fire(self):
-        report = run_checked("corda_os", "BankingApp", "fault-free")
+        report, __ = run_checked("corda_os", "BankingApp", "fault-free")
         assert report.checks.get("notary-uniqueness", 0) > 0
         assert report.checks.get("conservation", 0) > 0
 
     def test_dpos_and_qc_evidence_fire(self):
-        assert run_checked("bitshares", "DoNothing", "fault-free").checks["quorum"] > 0
-        assert run_checked("diem", "DoNothing", "fault-free").checks["quorum"] > 0
+        assert run_checked("bitshares", "DoNothing", "fault-free")[0].checks["quorum"] > 0
+        assert run_checked("diem", "DoNothing", "fault-free")[0].checks["quorum"] > 0
 
 
 # ----------------------------------------------------------------------

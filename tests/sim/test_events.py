@@ -1,5 +1,7 @@
 """Unit tests for event primitives."""
 
+import gc
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Simulator
@@ -122,6 +124,21 @@ class TestConditions:
         sim.run()
         assert all_event.triggered
         assert all_event.value == {}
+
+    def test_detached_wait_leaves_no_reference_cycle(self, sim):
+        # A timed-out wait on children that never fire (Corda's flow
+        # timeout): detaching unhooks the wait and, through it, the
+        # inner condition nobody waits on any more.
+        replies = [sim.event(), sim.event()]
+        timeout = sim.timeout(1.0)
+        wait = AnyOf(sim, [AllOf(sim, replies), timeout])
+        sim.run()
+        assert wait.value == {timeout: None}
+        gc.collect()
+        wait.detach()
+        assert all(reply._callbacks == [] for reply in replies)
+        del wait, replies, timeout
+        assert gc.collect() == 0
 
     def test_failing_child_fails_condition(self, sim):
         bad = sim.event()

@@ -1,8 +1,11 @@
 """Cancellable-timer semantics: TimerHandle lifecycle and determinism."""
 
+import gc
+
 import pytest
 
 from repro.sim import Simulator, TimerHandle
+from repro.sim.collector import collector_paused
 
 
 class TestTimerHandle:
@@ -69,6 +72,20 @@ class TestTimerHandle:
         sim = Simulator(seed=1)
         with pytest.raises(ValueError):
             sim.schedule_cancellable(-0.1, lambda: None)
+
+    @pytest.mark.parametrize("cancelled", [False, True])
+    def test_spent_timer_leaves_no_reference_cycle(self, cancelled):
+        # A fired or cancelled timer nobody holds must be freed by
+        # reference counting alone: the runner pauses the collector.
+        sim = Simulator(seed=1)
+        with collector_paused():
+            gc.collect()
+            handle = sim.schedule_cancellable(1.0, lambda: None)
+            if cancelled:
+                handle.cancel()
+            del handle
+            sim.run()
+            assert gc.collect() == 0
 
 
 class TestDeterminism:
