@@ -18,12 +18,16 @@ Usage::
 
 ``--check`` exits non-zero when any target is slower than ``threshold``
 times the committed best — a wide net that only catches optimizations
-being silently reverted, not machine-to-machine noise.
+being silently reverted, not machine-to-machine noise — or when the
+SHA-256 calls of any end-to-end unit differ from its committed count.
+Those counts come from one extra untimed run per unit under stdlib
+``cProfile``, so they are exact and do not depend on the machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import sys
 import types
 import typing
@@ -31,7 +35,7 @@ import typing
 from repro.chains.base import BaseNode
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
-from repro.crypto.hashing import hash_object
+from repro.crypto.hashing import hash_bytes, hash_object, leaf_hash
 from repro.crypto.merkle import MerkleTree
 from repro.net.host import Host
 from repro.net.latency import ConstantLatency, NetemLatency
@@ -325,12 +329,34 @@ def bench_e2e(name: str, repeats: int) -> TimingResult:
     return time_callable(run_unit, name, repeats=repeats, warmup=1)
 
 
+#: Every SHA-256 call passes through one of these; ``crypto.hash_calls``
+#: in ``benchmarks/e2e`` counts the same three.
+HASH_FUNCTIONS = (hash_bytes, hash_object, leaf_hash)
+
+
+def count_hash_calls(name: str) -> int:
+    """SHA-256 calls in one untimed run of an end-to-end target's unit,
+    summed from ``cProfile`` call counts."""
+    config = BenchmarkConfig(**E2E_CONFIGS[name])
+    reset_id_counters()
+    profiler = cProfile.Profile()
+    profiler.runcall(BenchmarkRunner(keep_last_rig=False).run, config)
+    profiler.create_stats()
+    keys = {
+        (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)
+        for f in HASH_FUNCTIONS
+    }
+    return sum(entry[1] for func, entry in profiler.stats.items() if func in keys)
+
+
 # ----------------------------------------------------------------------
 # Driver
 
 
-def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict]:
-    """Run every target; returns (results, notes) for the baseline.
+def run_all(
+    quick: bool = False,
+) -> typing.Tuple[typing.List[TimingResult], dict, typing.Dict[str, int]]:
+    """Run every target; returns (results, notes, counts) for the baseline.
 
     ``quick`` cuts repeats, not workload sizes — quick timings stay
     comparable with a full-run baseline, so CI's ``--check --quick``
@@ -354,6 +380,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
     e2e_repeats = 1 if quick else 3
     for name in E2E_CONFIGS:
         results.append(bench_e2e(name, e2e_repeats))
+    counts = {f"{name}.hash_calls": count_hash_calls(name) for name in E2E_CONFIGS}
     notes = {
         "speedups_vs_legacy": SPEEDUPS_VS_LEGACY,
         "tx_digest_vs_hash_object": round(tx_digest_reference.best / tx_digest.best, 3),
@@ -361,10 +388,12 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         "pre_pr_e2e_seconds": PRE_PR_E2E_SECONDS,
         "quick": quick,
     }
-    return results, notes
+    return results, notes, counts
 
 
-def _print_report(results: typing.Sequence[TimingResult], notes: dict) -> None:
+def _print_report(
+    results: typing.Sequence[TimingResult], notes: dict, counts: typing.Mapping[str, int]
+) -> None:
     by_name = {result.name: result for result in results}
     print(f"{'target':<22} {'best (s)':>12} {'mean (s)':>12}")
     for result in results:
@@ -377,6 +406,8 @@ def _print_report(results: typing.Sequence[TimingResult], notes: dict) -> None:
     for name, reference in notes["pre_pr_e2e_seconds"].items():
         if name in by_name:
             print(f"{name}: {by_name[name].best:.3f}s (pre-optimization reference {reference:.3f}s)")
+    for name, count in counts.items():
+        print(f"{name}: {count}")
 
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
@@ -393,20 +424,22 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results, notes = run_all(quick=args.quick)
-    _print_report(results, notes)
+    results, notes, counts = run_all(quick=args.quick)
+    _print_report(results, notes, counts)
 
     if args.update:
-        write_baseline(args.update, results, notes=notes)
+        write_baseline(args.update, results, notes=notes, counts=counts)
         print(f"\nwrote baseline {args.update}")
     if args.check:
-        problems = check_baseline(load_baseline(args.check), results, threshold=args.threshold)
+        problems = check_baseline(
+            load_baseline(args.check), results, threshold=args.threshold, counts=counts
+        )
         if problems:
             print(f"\nFAIL: regressions against {args.check}:", file=sys.stderr)
             for problem in problems:
                 print(f"  {problem}", file=sys.stderr)
             return 1
-        print(f"\nOK: all targets within {args.threshold:g}x of {args.check}")
+        print(f"\nOK: all targets within {args.threshold:g}x of {args.check}, counts equal")
     return 0
 
 

@@ -66,7 +66,7 @@ def collect_block_stats(chain: Chain) -> BlockStats:
             mean_interval=0.0, max_interval=0.0,
         )
     payload_counts = [block.payload_count for block in blocks]
-    timestamps = [block.header.timestamp for block in blocks]
+    timestamps = [block.timestamp for block in blocks]
     intervals = [b - a for a, b in zip(timestamps, timestamps[1:])]
     return BlockStats(
         block_count=len(blocks),

@@ -30,7 +30,6 @@ import typing
 
 from repro.chains.profiles import PerformanceProfile, profile_for
 from repro.consensus.base import Decision, EngineContext, ReplicaEngine
-from repro.crypto.merkle import MerkleTree
 from repro.iel import create_iel
 from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
 from repro.net import Endpoint, Host, Message, Network
@@ -41,6 +40,7 @@ from repro.sim.stores import Store
 from repro.storage import (
     Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState,
 )
+from repro.storage.block import MerkleRoot
 
 _proposal_counter = itertools.count(1)
 
@@ -121,10 +121,15 @@ class BlockProposal:
         return not self.transactions
 
     @functools.cached_property
+    def root(self) -> MerkleRoot:
+        """The Merkle root over the transactions, shared by every
+        replica that seals this proposal and built on first read."""
+        return MerkleRoot(self.transactions)
+
+    @property
     def merkle_root(self) -> str:
-        """Merkle root over the transactions, built once for every
-        replica that seals this proposal."""
-        return MerkleTree(self.transactions).root
+        """The root hash (builds the tree on the first read)."""
+        return self.root.value
 
     def execution_time(self, node: "BaseNode") -> float:
         """``node.execution_time`` of the transactions, computed once per
@@ -438,16 +443,10 @@ class BaseNode(Endpoint):
 
         The header timestamp is the proposal's creation time — part of
         the agreed content — so every replica seals a byte-identical
-        block.
+        block. The block links to the head by reference and hashes
+        nothing until a reader (validation, the oracles) asks.
         """
-        block = Block.seal(
-            height=self.chain.height + 1,
-            parent_hash=self.chain.head_hash,
-            transactions=proposal.transactions,
-            proposer=proposer,
-            timestamp=proposal.created_at,
-            merkle_root=proposal.merkle_root,
-        )
+        block = Block.linked(self.chain.head, proposal.root, proposer, proposal.created_at)
         # Sealed here from the decided proposal, so its Merkle root is
         # correct by construction; skip the per-transaction re-hash.
         self.chain.append(block, verify_merkle=False)

@@ -117,6 +117,12 @@ class BenchmarkRunner:
                 # final phase's metrics next to the resilience data.
                 metrics[phases[-1]].invariants = report.to_dict()
                 self.progress(f"  invariants: {report.render()}")
+            if self.tracer is not None:
+                # Stop the tracer's clock at the repetition's end: bound
+                # to the simulator, a tracer that outlives the unit would
+                # keep the whole deployment reachable.
+                end = rig.sim.now
+                self.tracer.bind_clock(lambda: end)
             if self.keep_last_rig:
                 rig, self.last_rig = self.last_rig, rig
             if rig is not None:

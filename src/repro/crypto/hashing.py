@@ -112,10 +112,10 @@ def leaf_hash(value: object) -> str:
     """:func:`hash_object`, served from the value's cached digest when it
     has one.
 
-    Immutable domain objects (payloads, transactions, batches) memoize
-    their digest as ``content_hash``; chain re-validation and Merkle
-    construction go through here so each object is canonically encoded
-    at most once per process instead of once per validation pass.
+    Transactions, the leaves of every block's Merkle tree, memoize their
+    digest as ``content_hash``; chain re-validation and Merkle
+    construction go through here so each transaction is canonically
+    encoded at most once per process instead of once per validation pass.
     """
     cached = getattr(value, "content_hash", None)
     return cached if cached is not None else hash_object(value)

@@ -95,8 +95,13 @@ def write_baseline(
     path: typing.Union[str, pathlib.Path],
     results: typing.Sequence[TimingResult],
     notes: typing.Optional[dict] = None,
+    counts: typing.Optional[typing.Mapping[str, int]] = None,
 ) -> dict:
-    """Write a ``BENCH_*.json`` baseline; returns the written document."""
+    """Write a ``BENCH_*.json`` baseline; returns the written document.
+
+    ``counts`` are exact, machine-independent work counts (for example
+    hash calls per unit) that :func:`check_baseline` compares exactly.
+    """
     document = {
         "host": {
             "python": platform.python_version(),
@@ -107,6 +112,8 @@ def write_baseline(
     }
     if notes:
         document["notes"] = notes
+    if counts is not None:
+        document["counts"] = dict(counts)
     pathlib.Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 
@@ -120,15 +127,18 @@ def check_baseline(
     baseline: dict,
     results: typing.Sequence[TimingResult],
     threshold: float = 3.0,
+    counts: typing.Optional[typing.Mapping[str, int]] = None,
 ) -> typing.List[str]:
     """Compare fresh results against a baseline document.
 
     Returns a list of human-readable regression messages; empty means
     every measured target stayed within ``threshold`` times its
-    committed best. The threshold is deliberately generous — baselines
-    are captured on one machine and checked on another, so only
+    committed best and every one of ``counts`` equals its committed
+    count. The threshold is deliberately generous — baselines are
+    captured on one machine and checked on another, so only
     order-of-magnitude regressions (an optimization silently reverted)
-    should trip it.
+    should trip it. Counts do not depend on the machine, so any
+    difference is a change in the work the code does.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -144,5 +154,11 @@ def check_baseline(
             problems.append(
                 f"{result.name}: best {result.best:.6f}s exceeds "
                 f"{threshold:g}x baseline {entry['best']:.6f}s"
+            )
+    recorded_counts = baseline.get("counts", {})
+    for name, count in (counts or {}).items():
+        if recorded_counts.get(name) != count:
+            problems.append(
+                f"{name}: count {count} differs from baseline {recorded_counts.get(name)}"
             )
     return problems

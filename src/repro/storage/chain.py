@@ -15,16 +15,16 @@ class ChainValidationError(Exception):
 class Chain:
     """One node's copy of the block chain.
 
-    Appends are validated: heights must be consecutive, parent hashes must
-    match, Merkle roots must verify. This is each node model's persistent
-    ledger; the paper's "transaction persisted in all nodes" condition is a
-    condition over all replicas' chains.
+    Appends are validated: heights must be consecutive, each block must
+    link to the head (by reference for parent-linked blocks, by parent
+    hash otherwise), Merkle roots must verify. This is each node model's
+    persistent ledger; the paper's "transaction persisted in all nodes"
+    condition is a condition over all replicas' chains.
     """
 
     def __init__(self, owner: str = "") -> None:
         self.owner = owner
         self._blocks: typing.List[Block] = []
-        self._by_hash: typing.Dict[str, Block] = {}
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -47,12 +47,13 @@ class Chain:
     def append(self, block: Block, verify_merkle: bool = True) -> None:
         """Validate linkage and append ``block``.
 
-        Height, parent-hash linkage and block-hash uniqueness are always
-        checked. The Merkle root is verified by default — a block whose
-        transaction list was swapped behind an intact header would
-        otherwise append silently — but costs a hash per transaction, so
-        callers appending blocks they just sealed themselves (the node
-        commit path) pass ``verify_merkle=False``. A failed append
+        Height and linkage are always checked; a unique block hash
+        follows from them, since the hashed header holds the height. The
+        Merkle root is verified by default — a block whose transaction
+        list was swapped behind an intact header would otherwise append
+        silently — but costs a hash per transaction, so callers
+        appending blocks they just sealed themselves (the node commit
+        path) pass ``verify_merkle=False``. A failed append
         leaves the chain unmodified.
         """
         expected_height = len(self._blocks)
@@ -60,28 +61,23 @@ class Chain:
             raise ChainValidationError(
                 f"{self.owner}: expected height {expected_height}, got {block.height}"
             )
-        if block.header.parent_hash != self.head_hash:
+        if not block.follows(self.head):
             raise ChainValidationError(
                 f"{self.owner}: parent hash mismatch at height {block.height}"
-            )
-        if block.block_hash in self._by_hash:
-            raise ChainValidationError(
-                f"{self.owner}: duplicate block hash at height {block.height}"
             )
         if verify_merkle and not block.verify_merkle_root():
             raise ChainValidationError(
                 f"{self.owner}: bad merkle root at height {block.height}"
             )
         self._blocks.append(block)
-        self._by_hash[block.block_hash] = block
 
     def block_at(self, height: int) -> Block:
         """The block at ``height``."""
         return self._blocks[height]
 
     def block_by_hash(self, block_hash: str) -> typing.Optional[Block]:
-        """Look a block up by its hash."""
-        return self._by_hash.get(block_hash)
+        """Look a block up by its hash (a scan that hashes every block)."""
+        return next((block for block in self._blocks if block.block_hash == block_hash), None)
 
     def blocks(self) -> typing.Iterator[Block]:
         """Iterate blocks from genesis to head."""

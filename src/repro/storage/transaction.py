@@ -17,11 +17,10 @@ BitShares' MTPS calculation counts each operation as a transaction
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import typing
 
-from repro.crypto.hashing import hash_object, tuple_digest
+from repro.crypto.hashing import tuple_digest
 
 _payload_counter = itertools.count(1)
 _tx_counter = itertools.count(1)
@@ -87,11 +86,6 @@ class Payload:
     def canonical_tuple(self) -> tuple:
         """Stable tuple for content hashing."""
         return (self.payload_id, self.client_id, self.iel, self.function, self.args)
-
-    @functools.cached_property
-    def content_hash(self) -> str:
-        """Canonical digest, computed once (the dataclass is frozen)."""
-        return tuple_digest(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,8 +189,3 @@ class Batch:
     def canonical_tuple(self) -> tuple:
         """Stable tuple for content hashing."""
         return (self.batch_id, self.submitter, tuple(tx.canonical_tuple() for tx in self.transactions))
-
-    @functools.cached_property
-    def content_hash(self) -> str:
-        """Canonical digest, computed once (the dataclass is frozen)."""
-        return hash_object(self)

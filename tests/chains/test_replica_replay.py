@@ -20,6 +20,7 @@ from repro.crypto import hashing
 from repro.crypto.merkle import MerkleTree
 from repro.faults.plan import FaultPlan
 from repro.storage import Payload, Transaction, TxStatus, WorldState
+from repro.storage import transaction as transaction_module
 from repro.workloads.access import ZipfianSampler
 from tests.chains.helpers import deploy
 
@@ -253,8 +254,8 @@ class TestCrashWithoutRestart:
 
 
 class TestWorkRunsOncePerDeployment:
-    """Exact counts that a revert of either half of encode-once /
-    replay-per-block would break."""
+    """Exact counts that a revert of encode-once, replay-per-block or
+    lazy sealing would break."""
 
     @pytest.mark.parametrize("system_name, node_count", [("quorum", 8), ("fabric", 4)])
     def test_apply_once_per_transaction_and_no_generic_tx_encoding(
@@ -276,8 +277,17 @@ class TestWorkRunsOncePerDeployment:
             encoded.add(type(value))
             return original_encode(value, out)
 
+        # Every transaction digest goes through tuple_digest.
+        digested = []
+        original_digest = transaction_module.tuple_digest
+
+        def recording_digest(value):
+            digested.append(value)
+            return original_digest(value)
+
         monkeypatch.setattr(WorldState, "apply", counting_apply)
         monkeypatch.setattr(hashing, "_encode", recording_encode)
+        monkeypatch.setattr(transaction_module, "tuple_digest", recording_digest)
         config = BenchmarkConfig(
             system=system_name, iel="KeyValue", rate_limit=50, scale=0.05, seed=3,
             repetitions=1, node_count=node_count,
@@ -299,11 +309,24 @@ class TestWorkRunsOncePerDeployment:
         assert len(outcome_spy) == node_count * len(first_outcome)
         assert len(applies) == applied
         assert all(node.state.lineage is not None for node in system.nodes.values())
-        # Blocks were sealed (headers hashed generically), transactions
-        # hashed, but never through the generic encoder.
+
+        # The unchecked run read no block hash, so nothing was digested.
+        committed = {
+            id(tx): tx
+            for node in system.nodes.values()
+            for block in node.chain.blocks()
+            for tx in block.transactions
+        }
+        assert committed
+        assert all(tx._digest is None for tx in committed.values())
+        assert digested == [] and encoded == set()
+
+        # Validation digests each committed transaction exactly once,
+        # directly; only the block headers go through the generic encoder.
+        system.validate_all_chains()
+        assert sorted(map(id, digested)) == sorted(committed)
+        assert all(tx._digest is not None for tx in committed.values())
         assert encoded and Transaction not in encoded and Payload not in encoded
-        assert all(tx.content_hash for proposal, __ in first_outcome.values()
-                   for tx in proposal.transactions)
 
 
 class TestProposalCaches:

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.coconut.report import heatmap, unit_summary
 from repro.coconut.results import UnitResult
 from repro.faults import FaultPlan
 from repro.sim.kernel import Simulator
+from repro.trace import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,26 @@ class TestRunnerStateLeaks:
         assert runner.last_resilience  # the faulted unit did report
         runner.run(self.healthy_config())
         assert runner.last_resilience == {}
+
+    def test_tracer_does_not_pin_a_dropped_simulator(self, monkeypatch):
+        simulators = []
+        original = Simulator.set_tracer
+
+        def recording(sim, tracer):
+            simulators.append(weakref.ref(sim))
+            original(sim, tracer)
+
+        monkeypatch.setattr(Simulator, "set_tracer", recording)
+        tracer = Tracer()
+        runner = BenchmarkRunner(tracer=tracer, keep_last_rig=False)
+        first = self.healthy_config()
+        second = self.healthy_config()
+        second.seed = 33
+        runner.run_many([first, second])
+        assert len(simulators) == 2
+        assert [ref() for ref in simulators] == [None, None]
+        # The clock stays readable, stopped at the last unit's end.
+        assert tracer.now == pytest.approx(len(second.phase_sequence) * second.scaled_total)
 
     def test_run_many_drops_rigs_and_restores_flag(self):
         runner = BenchmarkRunner()  # keep_last_rig defaults to True

@@ -107,6 +107,20 @@ class TestBaselineFiles:
         problems = check_baseline({"results": {}}, [self._result("new", 0.1)])
         assert problems == ["new: not present in baseline"]
 
+    def test_counts_round_trip_and_must_match_exactly(self, tmp_path):
+        path = tmp_path / "BENCH_test.json"
+        write_baseline(path, [self._result("a", 0.1)], counts={"a.hash_calls": 0})
+        baseline = load_baseline(path)
+        assert baseline["counts"] == {"a.hash_calls": 0}
+        fresh = [self._result("a", 0.1)]
+        assert check_baseline(baseline, fresh, counts={"a.hash_calls": 0}) == []
+        assert check_baseline(baseline, fresh, counts={"a.hash_calls": 1}) == [
+            "a.hash_calls: count 1 differs from baseline 0"
+        ]
+        assert check_baseline(baseline, fresh, counts={"b.hash_calls": 0}) == [
+            "b.hash_calls: count 0 differs from baseline None"
+        ]
+
     def test_check_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             check_baseline({"results": {}}, [], threshold=0.0)
