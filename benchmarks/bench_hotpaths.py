@@ -1,13 +1,11 @@
-"""Hot-path benchmarks: kernel, process wake-ups, CPU jobs, network, hashing, end-to-end.
+"""Hot-path benchmarks: kernel, CPU jobs, network, hashing, end-to-end.
 
 The micro targets time the current kernel, network and hashing code;
 the end-to-end targets time short full benchmark-unit runs. The
 speedups each optimization pass measured against the code it replaced
 are frozen below (``SPEEDUPS_VS_LEGACY``, ``PRE_PR_E2E_SECONDS``) and
-written into the baseline notes, next to two live speedups: the direct
-transaction encoder over the generic one (``tx_digest_vs_hash_object``)
-and callback CPU jobs over spawned ``busy()`` processes
-(``cpu_job_vs_spawn_busy``).
+written into the baseline notes, next to one live speedup: the direct
+transaction encoder over the generic one (``tx_digest_vs_hash_object``).
 
 Usage::
 
@@ -19,9 +17,10 @@ Usage::
 ``--check`` exits non-zero when any target is slower than ``threshold``
 times the committed best — a wide net that only catches optimizations
 being silently reverted, not machine-to-machine noise — or when the
-SHA-256 calls of any end-to-end unit differ from its committed count.
-Those counts come from one extra untimed run per unit under stdlib
-``cProfile``, so they are exact and do not depend on the machine.
+SHA-256 calls or the scheduled events of any end-to-end unit differ
+from its committed count. Those counts come from one extra untimed run
+per unit under stdlib ``cProfile``, so they are exact and do not depend
+on the machine: a changed event count is a changed dispatch schedule.
 """
 
 from __future__ import annotations
@@ -66,10 +65,7 @@ PRE_PR_E2E_SECONDS = {
 #: the kernel and network send path before the hot-path pass, the
 #: frozen-dataclass per-destination broadcast and the generation-checked
 #: no-op timers before the fan-out and timer pass, and per-build leaf
-#: re-hashing for Merkle roots. ``process_wakeup`` is instead the ratio
-#: of min-of-5 timings, 4 interleaved process pairs, against a checkout
-#: of the single-heap kernel with closure-per-event wake-ups that the
-#: two-lane queue replaced (median of the pairs).
+#: re-hashing for Merkle roots.
 SPEEDUPS_VS_LEGACY = {
     "dispatch": 0.94,
     "net_send": 1.473,
@@ -77,7 +73,6 @@ SPEEDUPS_VS_LEGACY = {
     "broadcast_n16": 2.294,
     "broadcast_n32": 1.856,
     "timer_churn": 0.862,
-    "process_wakeup": 1.92,
     "hashing": 14.711,
 }
 
@@ -181,70 +176,20 @@ def bench_timer_churn(churns: int, repeats: int) -> TimingResult:
     return time_callable(run_churn, "timer_churn", repeats=repeats)
 
 
-def bench_process_wakeup(wakeups: int, repeats: int) -> TimingResult:
-    """Generator processes waking on events: one process yields
-    ``sim.timeout`` ``wakeups`` times, alternating delay 0 (a same-instant
-    wake-up) and a positive delay, and four workers share a 2-slot
-    resource the way a node's ``busy()`` helper does (acquire, timeout,
-    release), ``wakeups`` acquisitions between them."""
-
-    def run_wakeups():
-        sim = Simulator(seed=1)
-        cpu = Resource(sim, capacity=2, name="cpu")
-
-        def sleeper():
-            for i in range(wakeups):
-                yield sim.timeout(0.0 if i % 2 else 1e-3)
-
-        def worker():
-            for __ in range(wakeups // 4):
-                yield cpu.acquire()
-                try:
-                    yield sim.timeout(1e-3)
-                finally:
-                    cpu.release()
-
-        sim.spawn(sleeper())
-        for __ in range(4):
-            sim.spawn(worker())
-        sim.run()
-
-    return time_callable(run_wakeups, "process_wakeup", repeats=repeats)
-
-
-def bench_cpu_job(jobs: int, repeats: int) -> typing.Tuple[TimingResult, TimingResult]:
+def bench_cpu_job(jobs: int, repeats: int) -> TimingResult:
     """One-shot CPU jobs on a 1-slot CPU: ``jobs`` arrivals 1 ms apart,
     each holding the CPU for 1.5 ms (so a queue builds) and then running
-    a no-op continuation, the shape of per-transaction admission.
+    a no-op continuation, the shape of per-transaction admission
+    (``BaseNode.start_job``)."""
 
-    Returns the timing of the callback jobs (``BaseNode.start_job``)
-    and, as the reference, of the same arrivals as spawned
-    ``BaseNode.busy`` processes, which dispatch the same events in the
-    same order.
-    """
-
-    def run(callback_jobs: bool) -> None:
+    def run() -> None:
         sim = Simulator(seed=1)
         node = types.SimpleNamespace(sim=sim, cpu=Resource(sim, capacity=1, name="cpu"))
-
-        def body():
-            yield from BaseNode.busy(node, 1.5e-3)
-            _noop()
-
-        def arrive():
-            if callback_jobs:
-                BaseNode.start_job(node, 1.5e-3, _noop)
-            else:
-                sim.spawn(body())
-
         for i in range(jobs):
-            sim.schedule(i * 1e-3, arrive)
+            sim.schedule(i * 1e-3, BaseNode.start_job, node, 1.5e-3, _noop)
         sim.run()
 
-    return (
-        time_callable(lambda: run(True), "cpu_job", repeats=repeats),
-        time_callable(lambda: run(False), "cpu_job_spawn_busy", repeats=repeats),
-    )
+    return time_callable(run, "cpu_job", repeats=repeats)
 
 
 def bench_hashing(transactions: int, rebuilds: int, repeats: int) -> TimingResult:
@@ -329,24 +274,34 @@ def bench_e2e(name: str, repeats: int) -> TimingResult:
     return time_callable(run_unit, name, repeats=repeats, warmup=1)
 
 
-#: Every SHA-256 call passes through one of these; ``crypto.hash_calls``
-#: in ``benchmarks/e2e`` counts the same three.
-HASH_FUNCTIONS = (hash_bytes, hash_object, leaf_hash)
+#: Exact counts taken per end-to-end unit, each the summed call counts
+#: of some functions, named as ``benchmarks/e2e`` names them:
+#: ``hash_calls`` is its ``crypto.hash_calls`` (every SHA-256 call) and
+#: ``events_scheduled`` its ``sim.events_scheduled`` (every queue entry).
+COUNTED_CALLS = {
+    "hash_calls": (hash_bytes, hash_object, leaf_hash),
+    "events_scheduled": (Simulator.schedule, Simulator.schedule_cancellable),
+}
 
 
-def count_hash_calls(name: str) -> int:
-    """SHA-256 calls in one untimed run of an end-to-end target's unit,
-    summed from ``cProfile`` call counts."""
+def count_calls(name: str) -> typing.Dict[str, int]:
+    """The :data:`COUNTED_CALLS` of one untimed run of an end-to-end
+    target's unit, from ``cProfile`` call counts."""
     config = BenchmarkConfig(**E2E_CONFIGS[name])
     reset_id_counters()
     profiler = cProfile.Profile()
     profiler.runcall(BenchmarkRunner(keep_last_rig=False).run, config)
     profiler.create_stats()
-    keys = {
-        (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)
-        for f in HASH_FUNCTIONS
-    }
-    return sum(entry[1] for func, entry in profiler.stats.items() if func in keys)
+    counts = {}
+    for count, functions in COUNTED_CALLS.items():
+        keys = {
+            (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)
+            for f in functions
+        }
+        counts[f"{name}.{count}"] = sum(
+            entry[1] for func, entry in profiler.stats.items() if func in keys
+        )
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +319,6 @@ def run_all(
     """
     repeats = 2 if quick else 5
     tx_digest, tx_digest_reference = bench_tx_digest(200, 4, repeats)
-    cpu_job, cpu_job_reference = bench_cpu_job(10_000, repeats)
     results = [
         bench_dispatch(20_000, repeats),
         bench_net_send(10_000, repeats),
@@ -372,19 +326,19 @@ def run_all(
         bench_broadcast(16, 500, repeats),
         bench_broadcast(32, 250, repeats),
         bench_timer_churn(20_000, repeats),
-        bench_process_wakeup(10_000, repeats),
-        cpu_job,
+        bench_cpu_job(10_000, repeats),
         bench_hashing(100, 20, repeats),
         tx_digest,
     ]
     e2e_repeats = 1 if quick else 3
     for name in E2E_CONFIGS:
         results.append(bench_e2e(name, e2e_repeats))
-    counts = {f"{name}.hash_calls": count_hash_calls(name) for name in E2E_CONFIGS}
+    counts = {}
+    for name in E2E_CONFIGS:
+        counts.update(count_calls(name))
     notes = {
         "speedups_vs_legacy": SPEEDUPS_VS_LEGACY,
         "tx_digest_vs_hash_object": round(tx_digest_reference.best / tx_digest.best, 3),
-        "cpu_job_vs_spawn_busy": round(cpu_job_reference.best / cpu_job.best, 3),
         "pre_pr_e2e_seconds": PRE_PR_E2E_SECONDS,
         "quick": quick,
     }
@@ -402,7 +356,6 @@ def _print_report(
     for name, speedup in notes["speedups_vs_legacy"].items():
         print(f"{name}: {speedup:.2f}x vs legacy (recorded)")
     print(f"tx_digest: {notes['tx_digest_vs_hash_object']:.2f}x vs generic hash_object (live)")
-    print(f"cpu_job: {notes['cpu_job_vs_spawn_busy']:.2f}x vs spawn+busy() processes (live)")
     for name, reference in notes["pre_pr_e2e_seconds"].items():
         if name in by_name:
             print(f"{name}: {by_name[name].best:.3f}s (pre-optimization reference {reference:.3f}s)")

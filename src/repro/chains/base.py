@@ -126,11 +126,6 @@ class BlockProposal:
         replica that seals this proposal and built on first read."""
         return MerkleRoot(self.transactions)
 
-    @property
-    def merkle_root(self) -> str:
-        """The root hash (builds the tree on the first read)."""
-        return self.root.value
-
     def execution_time(self, node: "BaseNode") -> float:
         """``node.execution_time`` of the transactions, computed once per
         performance profile (every node of a system shares one)."""
@@ -225,7 +220,7 @@ class BaseNode(Endpoint):
         self.dropped_notifications = 0
         self.rejected_submissions = 0
         self.executed_payloads = 0
-        self.sim.spawn(self._event_emitter(), name=f"{node_id}-emitter")
+        self.sim.schedule(0.0, self._event_queue.get, self._emit)
 
     # ------------------------------------------------------------------
     # Cost helpers
@@ -234,23 +229,11 @@ class BaseNode(Endpoint):
         """Start a one-shot CPU job: hold this node's CPU for ``cost``,
         then run ``callback(*args)``.
 
-        One start hop stands where ``sim.spawn`` of a ``busy()`` process
-        stood, and :meth:`~repro.sim.resources.Resource.hold` makes the
-        rest of that process's scheduling calls, so the job dispatches
-        exactly as the process did. An exception in ``callback``
+        One start hop, then :meth:`~repro.sim.resources.Resource.hold`
+        (DESIGN §10 maps every hop). An exception in ``callback``
         propagates out of ``Simulator.run``.
         """
         self.sim.schedule(0.0, self.cpu.hold, cost, callback, *args)
-
-    def busy(self, duration: float) -> typing.Generator:
-        """Occupy this node's CPU for ``duration`` (generator helper for
-        the long-lived loops; one-shot work uses :meth:`start_job`)."""
-        yield self.cpu.acquire()
-        try:
-            if duration > 0:
-                yield self.sim.timeout(duration)
-        finally:
-            self.cpu.release()
 
     def execute_cost_of(self, payload: Payload) -> float:
         """Calibrated execution time of one payload on this system."""
@@ -506,7 +489,7 @@ class BaseNode(Endpoint):
                 ).inc(len(receipts))
             return
         self._event_backlog_payloads += len(receipts)
-        self._event_queue.try_put((client_id, list(receipts)))
+        self._event_queue.put((client_id, list(receipts)))
 
     def reject_client(self, client_id: str, payload_ids: typing.Sequence[str], reason: str) -> None:
         """Send an immediate rejection notice."""
@@ -518,19 +501,25 @@ class BaseNode(Endpoint):
             size_bytes=64 + 16 * len(payload_ids),
         )
 
-    def _event_emitter(self) -> typing.Generator:
-        while True:
-            client_id, receipts = yield self._event_queue.get()
-            emit_time = self.profile.event_emit_cost * len(receipts)
-            if emit_time > 0:
-                yield self.sim.timeout(emit_time)
-            self._event_backlog_payloads -= len(receipts)
-            self.send(
-                client_id,
-                "client/receipt",
-                receipts,
-                size_bytes=64 + 48 * len(receipts),
-            )
+    def _emit(self, item: typing.Tuple[str, typing.List[Receipt]]) -> None:
+        """The event emitter: spend the emit time on one queued
+        notification, then send it (a loop over the event queue)."""
+        emit_time = self.profile.event_emit_cost * len(item[1])
+        if emit_time > 0:
+            self.sim.resume_after(emit_time, self._emitted, item)
+        else:
+            self._emitted(item)
+
+    def _emitted(self, item: typing.Tuple[str, typing.List[Receipt]]) -> None:
+        client_id, receipts = item
+        self._event_backlog_payloads -= len(receipts)
+        self.send(
+            client_id,
+            "client/receipt",
+            receipts,
+            size_bytes=64 + 48 * len(receipts),
+        )
+        self._event_queue.get(self._emit)
 
 
 class ReplicaNode(BaseNode):
@@ -544,36 +533,43 @@ class ReplicaNode(BaseNode):
         self.engine: typing.Optional[ReplicaEngine] = None
         self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.empty_blocks = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
+        self.sim.schedule(0.0, self._commit_queue.get, self._commit)
 
     def enqueue_commit(self, decision: Decision) -> None:
         """The engine decided a slot; queue its block for execution.
         A slot without a block (a DiemBFT NIL round) is dropped."""
         if decision.proposal is not None:
-            self._commit_queue.try_put(decision)
+            self._commit_queue.put(decision)
 
-    def _commit_loop(self) -> typing.Generator:
-        while True:
-            decision = yield self._commit_queue.get()
-            yield from self.commit_block(
-                typing.cast(BlockProposal, decision.proposal), decision.proposer
-            )
+    def _commit(self, decision: Decision) -> None:
+        """The committer: commit one decided block, in decision order
+        (a loop over the commit queue)."""
+        self.commit_block(typing.cast(BlockProposal, decision.proposal), decision.proposer)
 
     def block_cost(self, proposal: BlockProposal) -> float:
         """CPU seconds this node spends committing a non-empty block."""
         return self.profile.block_overhead + proposal.execution_time(self)
 
-    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
-        """Execute, seal and report one decided block (generator helper)."""
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> None:
+        """Execute, seal and report one decided block; every path ends
+        in :meth:`block_committed`."""
         if proposal.is_empty:
             self.empty_blocks += 1
             self.seal_and_append(proposal, proposer)
+            self.block_committed(proposal)
             return
-        yield from self.busy(self.block_cost(proposal))
+        self.cpu.hold(self.block_cost(proposal), self._apply_block, proposal, proposer)
+
+    def _apply_block(self, proposal: BlockProposal, proposer: str) -> None:
         outcome = self.apply_payloads(proposal)
         self.seal_and_append(proposal, proposer)
         self.system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
         self.system.record_commit(proposal.proposal_id, self.endpoint_id)
+        self.block_committed(proposal)
+
+    def block_committed(self, proposal: BlockProposal) -> None:
+        """``proposal`` is on the chain: take the next decided block."""
+        self._commit_queue.get(self._commit)
 
 
 class SystemModel(abc.ABC):

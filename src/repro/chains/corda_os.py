@@ -29,7 +29,6 @@ import typing
 from repro.chains.base import BaseNode, SystemModel
 from repro.iel.base import StateInterface
 from repro.net import Endpoint, Message
-from repro.sim.events import AllOf, AnyOf
 from repro.sim.resources import Resource
 from repro.storage import Payload, Transaction, TxStatus
 from repro.storage.utxo import StateRef
@@ -47,10 +46,6 @@ RATE_WINDOW = 10.0
 #: Initiator-side time to process one counterparty's signature response
 #: (parallel collection still pays this per counterparty).
 SIGNATURE_RESPONSE_COST = 0.012
-
-#: Sentinel returned by :meth:`CordaSystemBase._flow_wait` when a reply
-#: never arrived within the flow timeout (fault injection only).
-FLOW_WAIT_TIMED_OUT = object()
 
 
 @dataclasses.dataclass
@@ -162,6 +157,8 @@ class CordaNotary(Endpoint):
         uniqueness_lock: Resource,
         cluster_commit_latency: float = 0.004,
     ) -> None:
+        if service_time < 0:
+            raise ValueError(f"negative service_time: {service_time}")
         super().__init__(notary_id)
         self.system = system
         self.sim = system.sim
@@ -185,35 +182,41 @@ class CordaNotary(Endpoint):
     def on_message(self, message: Message) -> None:
         if message.kind != "corda/notarise":
             raise AssertionError(f"notary got unexpected {message.kind!r}")
-        self.sim.spawn(self._serve(message))
+        self.sim.schedule(0.0, self.pool.request, self._sign, message)
 
-    def _serve(self, message: Message) -> typing.Generator:
+    def _sign(self, message: Message) -> None:
+        """A worker took the request: sign, then enter the uniqueness
+        service."""
+        self.sim.resume_after(
+            self.service_time, self.uniqueness_lock.request, self._agree, message
+        )
+
+    def _agree(self, message: Message) -> None:
+        if self.cluster_commit_latency > 0:
+            self.sim.resume_after(self.cluster_commit_latency, self._check_and_mark, message)
+        else:
+            self._check_and_mark(message)
+
+    def _check_and_mark(self, message: Message) -> None:
+        """The atomic double-spend check: reject a request if any input
+        is spent, else mark them all; then free the lock and the worker,
+        and reply."""
         request = typing.cast(dict, message.payload)
-        yield self.pool.acquire()
-        try:
-            yield self.sim.timeout(self.service_time)
-            yield self.uniqueness_lock.acquire()
-            try:
-                if self.cluster_commit_latency > 0:
-                    yield self.sim.timeout(self.cluster_commit_latency)
-                conflicts = [ref for ref in request["consumed"] if ref in self.spent]
-                if conflicts:
-                    self.rejected += 1
-                    ok = False
-                else:
-                    self.spent.update(request["consumed"])
-                    self.accepted += 1
-                    ok = True
-                checker = self.sim.checker
-                if checker.enabled:
-                    checker.on_notarise(
-                        self.endpoint_id, request["tx_id"],
-                        list(request["consumed"]), ok,
-                    )
-            finally:
-                self.uniqueness_lock.release()
-        finally:
-            self.pool.release()
+        conflicts = [ref for ref in request["consumed"] if ref in self.spent]
+        if conflicts:
+            self.rejected += 1
+            ok = False
+        else:
+            self.spent.update(request["consumed"])
+            self.accepted += 1
+            ok = True
+        checker = self.sim.checker
+        if checker.enabled:
+            checker.on_notarise(
+                self.endpoint_id, request["tx_id"], list(request["consumed"]), ok,
+            )
+        self.uniqueness_lock.release()
+        self.pool.release()
         self.send(
             message.src,
             "corda/notarise_reply",
@@ -272,8 +275,8 @@ class CordaSystemBase(SystemModel):
             )
             self.network.attach(notary, host)
             self.notaries.append(notary)
-        #: (tx_id, kind) -> event used by flows awaiting replies.
-        self._pending_replies: typing.Dict[typing.Tuple[str, str], object] = {}
+        #: (tx_id, kind) -> the flow awaiting that reply.
+        self._pending_replies: typing.Dict[typing.Tuple[str, str], _Flow] = {}
 
     @property
     def notary(self) -> CordaNotary:
@@ -313,48 +316,11 @@ class CordaSystemBase(SystemModel):
     # ------------------------------------------------------------------
     # Flow plumbing
 
-    def await_reply(self, tx_id: str, kind: str):
-        """An event that fires when the matching reply arrives."""
-        event = self.sim.event(name=f"{kind}:{tx_id}")
-        self._pending_replies[(tx_id, kind)] = event
-        return event
-
     def resolve_reply(self, tx_id: str, kind: str, value: object) -> None:
-        """Fire the event a flow is waiting on (no-op when none is)."""
-        event = self._pending_replies.pop((tx_id, kind), None)
-        if event is not None:
-            event.succeed(value)
-
-    def _flow_wait(self, event) -> typing.Generator:
-        """Wait on a reply event; under fault injection, give up after
-        the flow timeout.
-
-        A crashed counterparty or notary never replies, which would pin
-        the flow (and its worker slot) forever. Healthy runs never reach
-        the timer branch, so fault-free schedules stay byte-identical.
-        """
-        if not self.fault_mode:
-            value = yield event
-            return value
-        wait = AnyOf(self.sim, [event, self.sim.timeout(float(self.params["FlowTimeout"]))])
-        waited = yield wait
-        if event in waited:
-            return waited[event]
-        # The flow gives up on ``event``, whose replies never come:
-        # unhook the wait from it so they leave no reference cycle.
-        wait.detach()
-        return FLOW_WAIT_TIMED_OUT
-
-    def _abort_flow(
-        self, node: CordaNode, client_id: str, transaction: Transaction, kinds: typing.List[str]
-    ) -> None:
-        """A reply never came: drop the stale wait entries and fail the flow."""
-        for kind in kinds:
-            self._pending_replies.pop((transaction.tx_id, kind), None)
-        node.flows_timed_out += 1
-        node.reject_client(
-            client_id, [p.payload_id for p in transaction.payloads], "flow timed out"
-        )
+        """Hand a reply to the flow waiting on it (no-op when none is)."""
+        flow = self._pending_replies.pop((tx_id, kind), None)
+        if flow is not None:
+            flow.reply(value)
 
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         corda_node = typing.cast(CordaNode, node)
@@ -397,10 +363,8 @@ class CordaSystemBase(SystemModel):
             )
             return
         self.remember_owner(transaction.payloads)
-        self.sim.spawn(
-            self._run_flow(corda_node, message.src, transaction),
-            name=f"flow:{transaction.tx_id}",
-        )
+        flow = _Flow(self, corda_node, message.src, transaction)
+        self.sim.schedule(0.0, corda_node.flow_pool.request, flow.start)
 
     def _flow_service_time(self, node: CordaNode, payload: Payload, scan_work: float) -> float:
         """Local execution + signature collection time for one flow."""
@@ -417,84 +381,198 @@ class CordaSystemBase(SystemModel):
         scans = profile.scan_cost * scan_work
         return (execute + signing + scans) * node.degradation()
 
-    def _run_flow(
-        self, node: CordaNode, client_id: str, transaction: Transaction
-    ) -> typing.Generator:
-        payload = transaction.payloads[0]
-        yield node.flow_pool.acquire()
+
+class _Flow:
+    """One Corda flow, run as callbacks with one method per step.
+
+    A flow holds a worker of its node's flow pool from :meth:`start`
+    until it ends, and every way out of it releases the worker. Its
+    steps make the ``schedule`` calls of the generator flow they
+    replace, hop for hop (DESIGN §10); each reply wait is :meth:`_wait`.
+    """
+
+    __slots__ = (
+        "system", "node", "client_id", "transaction", "adapter", "result", "signers",
+        "next_signer", "kinds", "then", "all_of", "remaining", "value", "settled", "wait",
+    )
+
+    def __init__(
+        self, system: "CordaSystemBase", node: CordaNode, client_id: str,
+        transaction: Transaction,
+    ) -> None:
+        self.system = system
+        self.node = node
+        self.client_id = client_id
+        self.transaction = transaction
+        self.next_signer = 0
+        #: Counts this flow's timed waits, so that a stale timer is ignored.
+        self.wait = 0
+
+    def start(self) -> None:
+        """A flow worker is granted: execute, then spend the service time."""
+        system, node = self.system, self.node
         node.flows_started += 1
-        try:
-            # Execute the IEL against the vault to learn outputs/inputs.
-            adapter = VaultAdapter(node.vault)
-            result = node.iel.execute(payload, adapter)
-            scan_work = adapter.work - adapter.writes  # scans only
-            service = self._flow_service_time(node, payload, scan_work)
-            if service > float(self.params["FlowTimeout"]):
-                node.flows_timed_out += 1
-                yield self.sim.timeout(float(self.params["FlowTimeout"]))
-                node.reject_client(client_id, [payload.payload_id], "flow timed out")
-                return
-            yield self.sim.timeout(service)
-            if not result.ok:
-                node.reject_client(client_id, [payload.payload_id], result.error)
-                return
-            # Serial signing means the waves happen one after another on
-            # the wire too; parallel signing overlaps them. The service
-            # time above covers CPU; here we pay the network round trips.
-            others = self.signing_counterparties(node.endpoint_id)
-            if self.serial_signing:
-                for other in others:
-                    reply = self.await_reply(transaction.tx_id, f"sign:{other}")
-                    node.send(other, "corda/sign_request", {"tx_id": transaction.tx_id})
-                    signed = yield from self._flow_wait(reply)
-                    if signed is FLOW_WAIT_TIMED_OUT:
-                        self._abort_flow(node, client_id, transaction, [f"sign:{other}"])
-                        return
+        payload = self.transaction.payloads[0]
+        # Execute the IEL against the vault to learn outputs/inputs.
+        adapter = self.adapter = VaultAdapter(node.vault)
+        self.result = node.iel.execute(payload, adapter)
+        scan_work = adapter.work - adapter.writes  # scans only
+        service = system._flow_service_time(node, payload, scan_work)
+        timeout = float(system.params["FlowTimeout"])
+        if service > timeout:
+            node.flows_timed_out += 1
+            system.sim.resume_after(timeout, self._end, "flow timed out")
+        else:
+            system.sim.resume_after(service, self._executed)
+
+    def _executed(self) -> None:
+        if not self.result.ok:
+            self._end(self.result.error)
+            return
+        # Serial signing means the waves happen one after another on
+        # the wire too; parallel signing overlaps them. The service
+        # time above covers CPU; here we pay the network round trips.
+        system = self.system
+        self.signers = system.signing_counterparties(self.node.endpoint_id)
+        if system.serial_signing:
+            self._sign_next()
+            return
+        for other in self.signers:
+            self.node.send(other, "corda/sign_request", {"tx_id": self.transaction.tx_id})
+        self._wait([f"sign:{other}" for other in self.signers], _Flow._notarise, all_of=True)
+
+    def _sign_next(self, signed: object = None) -> None:
+        """Serial signing: ask the next counterparty, or notarise."""
+        if self.next_signer == len(self.signers):
+            self._notarise()
+            return
+        other = self.signers[self.next_signer]
+        self.next_signer += 1
+        self.node.send(other, "corda/sign_request", {"tx_id": self.transaction.tx_id})
+        self._wait([f"sign:{other}"], _Flow._sign_next)
+
+    def _notarise(self, signed: object = None) -> None:
+        """The double-spend check, at the notary of the node's server."""
+        node = self.node
+        node.send(
+            self.system.notary_for(node.endpoint_id).endpoint_id,
+            "corda/notarise",
+            {"tx_id": self.transaction.tx_id, "consumed": list(self.adapter.consumed)},
+        )
+        self._wait(["notarise"], _Flow._notarised)
+
+    def _notarised(self, ok: object) -> None:
+        system, node, transaction = self.system, self.node, self.transaction
+        if not ok:
+            node.notary_rejections += 1
+            self._end("notary double spend")
+            return
+        # Finality: every node records the transaction.
+        outcome = {transaction.payloads[0].payload_id: (TxStatus.COMMITTED, "")}
+        system.stage_finality(transaction.tx_id, outcome, None)
+        record = {
+            "tx_id": transaction.tx_id,
+            "outputs": list(self.adapter.outputs),
+            "consumed": list(self.adapter.consumed),
+        }
+        for node_id in system.node_ids:
+            if node_id == node.endpoint_id:
+                node.record_transaction(record["tx_id"], record["outputs"], record["consumed"])
+                system.record_commit(record["tx_id"], node_id)
             else:
-                replies = [
-                    self.await_reply(transaction.tx_id, f"sign:{other}") for other in others
-                ]
-                for other in others:
-                    node.send(other, "corda/sign_request", {"tx_id": transaction.tx_id})
-                signed = yield from self._flow_wait(AllOf(self.sim, replies))
-                if signed is FLOW_WAIT_TIMED_OUT:
-                    self._abort_flow(
-                        node, client_id, transaction, [f"sign:{other}" for other in others]
-                    )
-                    return
-            # Notarisation: the double-spend check.
-            notarise_reply = self.await_reply(transaction.tx_id, "notarise")
-            node.send(
-                self.notary_for(node.endpoint_id).endpoint_id,
-                "corda/notarise",
-                {"tx_id": transaction.tx_id, "consumed": list(adapter.consumed)},
+                node.send(node_id, "corda/record", record, size_bytes=transaction.size_bytes)
+        self._end()
+
+    def _end(self, reason: typing.Optional[str] = None) -> None:
+        """Reject the payload for ``reason``, if given, and free the worker."""
+        if reason is not None:
+            self.node.reject_client(
+                self.client_id, [self.transaction.payloads[0].payload_id], reason
             )
-            ok = yield from self._flow_wait(notarise_reply)
-            if ok is FLOW_WAIT_TIMED_OUT:
-                self._abort_flow(node, client_id, transaction, ["notarise"])
-                return
-            if not ok:
-                node.notary_rejections += 1
-                node.reject_client(client_id, [payload.payload_id], "notary double spend")
-                return
-            # Finality: every node records the transaction.
-            outcome = {payload.payload_id: (TxStatus.COMMITTED, "")}
-            self.stage_finality(transaction.tx_id, outcome, None)
-            record = {
-                "tx_id": transaction.tx_id,
-                "outputs": list(adapter.outputs),
-                "consumed": list(adapter.consumed),
-            }
-            for node_id in self.node_ids:
-                if node_id == node.endpoint_id:
-                    node.record_transaction(
-                        record["tx_id"], record["outputs"], record["consumed"]
-                    )
-                    self.record_commit(record["tx_id"], node_id)
-                else:
-                    node.send(node_id, "corda/record", record, size_bytes=transaction.size_bytes)
-        finally:
-            node.flow_pool.release()
+        self.node.flow_pool.release()
+
+    # ------------------------------------------------------------------
+    # Reply waits
+
+    def _wait(
+        self, kinds: typing.List[str], then: typing.Callable[["_Flow", object], None],
+        all_of: bool = False,
+    ) -> None:
+        """Wait for one reply per kind, then run ``then(self, value)``.
+
+        ``then`` is a plain function, not a method bound to the flow,
+        which would be a reference cycle through :attr:`then`.
+
+        The generator flow waited on the reply's event, or with
+        ``all_of`` on an ``AllOf`` over the replies, which counts each
+        in a hop of its own. Under fault injection it waited on
+        ``AnyOf([that, Timeout(FlowTimeout)])`` instead: the first of
+        the two to fire settles the wait one hop later, and the flow
+        goes on one hop after that, or gives up if the timer won. A
+        crashed counterparty or notary never replies, which would pin
+        the flow and its worker forever. Healthy runs arm no timer, so
+        their schedules stay those of the plain wait.
+        """
+        system = self.system
+        tx_id = self.transaction.tx_id
+        for kind in kinds:
+            system._pending_replies[(tx_id, kind)] = self
+        self.kinds = kinds
+        self.then = then
+        self.all_of = all_of
+        self.remaining = len(kinds)
+        if all_of and not kinds:
+            system.sim.schedule(0.0, self._all_replied)
+        if system.fault_mode:
+            self.settled = False
+            self.wait += 1
+            system.sim.resume_after(float(system.params["FlowTimeout"]), self._settle, self.wait)
+
+    def reply(self, value: object) -> None:
+        """One of the awaited replies arrived."""
+        sim = self.system.sim
+        if self.all_of:
+            sim.schedule(0.0, self._count_reply)
+            return
+        self.remaining = 0
+        self.value = value
+        if self.system.fault_mode:
+            sim.schedule(0.0, self._settle, self.wait)
+        else:
+            sim.schedule(0.0, self.then, self, value)
+
+    def _count_reply(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self._all_replied()
+
+    def _all_replied(self) -> None:
+        if not self.system.fault_mode:
+            self.system.sim.schedule(0.0, self.then, self, None)
+        elif self.then is not None:  # None once the flow gave up
+            self.system.sim.schedule(0.0, self._settle, self.wait)
+
+    def _settle(self, wait: int) -> None:
+        """The replies or the flow timer fired: the first to get here
+        settles the wait; a later one, or a stale timer, does nothing."""
+        if wait == self.wait and not self.settled:
+            self.settled = True
+            self.system.sim.schedule(0.0, self._resume, self.remaining == 0)
+
+    def _resume(self, replied: bool) -> None:
+        if replied:
+            self.then(self, None if self.all_of else self.value)
+            return
+        # The timer won: forget the replies still awaited and fail the flow.
+        pending = self.system._pending_replies
+        for kind in self.kinds:
+            pending.pop((self.transaction.tx_id, kind), None)
+        self.then = None
+        self.node.flows_timed_out += 1
+        self.node.reject_client(
+            self.client_id, [p.payload_id for p in self.transaction.payloads], "flow timed out"
+        )
+        self.node.flow_pool.release()
 
 
 class CordaOsSystem(CordaSystemBase):

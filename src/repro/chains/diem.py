@@ -19,6 +19,7 @@ The model reproduces the Section 5.7 behaviour:
 from __future__ import annotations
 
 import collections
+import random
 import typing
 
 from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
@@ -53,31 +54,39 @@ class DiemValidator(ReplicaNode):
         self.spiking_until = 0.0
         self.spike_count = 0
         if system.profile.spike_interval > 0:
-            self.sim.spawn(self._spike_loop(), name=f"{node_id}-spiker")
+            self.sim.schedule(0.0, self._start_spikes)
 
     @property
     def is_spiking(self) -> bool:
         """Whether the validator is inside a processing pause."""
         return self.sim.now < self.spiking_until
 
-    def _spike_loop(self) -> typing.Generator:
+    def _start_spikes(self) -> None:
         rng = self.sim.rng.stream(f"spike:{self.endpoint_id}")
-        interval = self.profile.spike_interval
+        self.sim.resume_after(rng.expovariate(1.0 / self.profile.spike_interval), self._spike, rng)
+
+    def _spike(self, rng: random.Random) -> None:
+        """Pause processing for a while, then wait for the next spike."""
         duration = self.profile.spike_duration
-        while True:
-            yield self.sim.timeout(rng.expovariate(1.0 / interval))
-            self.spiking_until = self.sim.now + rng.uniform(0.5 * duration, 1.5 * duration)
-            self.spike_count += 1
+        self.spiking_until = self.sim.now + rng.uniform(0.5 * duration, 1.5 * duration)
+        self.spike_count += 1
+        self.sim.resume_after(rng.expovariate(1.0 / self.profile.spike_interval), self._spike, rng)
 
     def block_cost(self, proposal: BlockProposal) -> float:
         return commit_overhead(self.system.spec.node_count) + proposal.execution_time(self)
 
-    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> None:
         if self.is_spiking:
             # Execution stalls until the pause ends.
-            yield self.sim.timeout(max(0.0, self.spiking_until - self.sim.now))
-        yield from super().commit_block(proposal, proposer)
+            self.sim.resume_after(
+                self.spiking_until - self.sim.now, super().commit_block, proposal, proposer
+            )
+        else:
+            super().commit_block(proposal, proposer)
+
+    def block_committed(self, proposal: BlockProposal) -> None:
         typing.cast("DiemSystem", self.system).release_committed(proposal)
+        super().block_committed(proposal)
 
 
 class DiemSystem(SystemModel):

@@ -76,7 +76,7 @@ class FabricPeer(BaseNode):
         self._stream_backlog: typing.Deque[FabricEnvelope] = collections.deque()
         self._seen_proposals: typing.Set[str] = set()
         self._next_deliver_seq = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
+        self.sim.schedule(0.0, self._delivery_queue.get, self._commit)
 
     def forward_envelope(self, envelope: FabricEnvelope) -> None:
         """Push an envelope onto the flow-controlled orderer stream."""
@@ -152,7 +152,7 @@ class FabricPeer(BaseNode):
             return
         self._seen_proposals.add(proposal.proposal_id)
         self._next_deliver_seq = seq + 1
-        self._delivery_queue.try_put((proposal, proposer))
+        self._delivery_queue.put((proposal, proposer))
 
     def validate_block(self, proposal: BlockProposal) -> typing.Dict[str, typing.Tuple[TxStatus, str]]:
         """The validate phase for one delivered block: MVCC-check every
@@ -187,21 +187,25 @@ class FabricPeer(BaseNode):
         self.record_block(proposal, lineage, touched, outcome, executed, commits, invalidated)
         return outcome
 
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("FabricSystem", self.system)
-        while True:
-            proposal, proposer = yield self._delivery_queue.get()
-            validation_cost = self.profile.block_overhead + self.execution_time(
-                proposal.transactions
-            )
-            yield from self.busy(validation_cost)
-            outcome = self.validate_block(proposal)
-            checker = self.sim.checker
-            if checker.enabled:
-                checker.on_apply(self.endpoint_id, outcome)
-            self.seal_and_append(proposal, proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def _commit(self, delivered: typing.Tuple[BlockProposal, str]) -> None:
+        """The committer: validate one delivered block on this peer's
+        CPU (a loop over the delivery queue)."""
+        proposal, proposer = delivered
+        validation_cost = self.profile.block_overhead + self.execution_time(
+            proposal.transactions
+        )
+        self.cpu.hold(validation_cost, self._validated, proposal, proposer)
+
+    def _validated(self, proposal: BlockProposal, proposer: str) -> None:
+        system = self.system
+        outcome = self.validate_block(proposal)
+        checker = self.sim.checker
+        if checker.enabled:
+            checker.on_apply(self.endpoint_id, outcome)
+        self.seal_and_append(proposal, proposer)
+        system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
+        system.record_commit(proposal.proposal_id, self.endpoint_id)
+        self._delivery_queue.get(self._commit)
 
 
 class FabricOrderer(Endpoint):
@@ -284,21 +288,19 @@ class FabricOrderer(Endpoint):
         self.blocks_cut += 1
         self.engine.submit_proposal(proposal)
 
-    def batch_timer(self) -> typing.Generator:
-        """Drive block cutting every BatchTimeout seconds.
+    def _batch_tick(self, timeout: float) -> None:
+        """Drive block cutting every BatchTimeout (``timeout``) seconds.
 
         Raft mode cuts locally on the leader; Kafka mode publishes a
         time-to-cut marker so all orderers cut at the same log position.
         """
-        timeout = float(self.system.params["BatchTimeout"])
-        while True:
-            yield self.sim.timeout(timeout)
-            if self.uses_kafka:
-                assert self.system.broker is not None
-                if self._kafka_pending:
-                    self.system.broker.publish(("ttc", self.endpoint_id))
-            else:
-                self.cut_block()
+        if self.uses_kafka:
+            assert self.system.broker is not None
+            if self._kafka_pending:
+                self.system.broker.publish(("ttc", self.endpoint_id))
+        else:
+            self.cut_block()
+        self.sim.resume_after(timeout, self._batch_tick, timeout)
 
     def on_decision(self, decision: Decision) -> None:
         """Raft committed a block: deliver it to this orderer's peers."""
@@ -429,10 +431,11 @@ class FabricSystem(SystemModel):
 
     def start(self) -> None:
         self.started = True
+        timeout = float(self.params["BatchTimeout"])
         for orderer in self.orderers.values():
             if orderer.engine is not None:
                 orderer.engine.start()
-            self.sim.spawn(orderer.batch_timer(), name=f"{orderer.endpoint_id}-cutter")
+            self.sim.schedule(0.0, self.sim.resume_after, timeout, orderer._batch_tick, timeout)
 
     # ------------------------------------------------------------------
     # Topology helpers

@@ -80,19 +80,17 @@ class QuorumSystem(SystemModel):
 
     def start(self) -> None:
         self.started = True
+        period = float(self.params["istanbul.blockperiod"])
         for node in self.nodes.values():
             validator = typing.cast(ReplicaNode, node)
             assert validator.engine is not None
             validator.engine.start()
-            self.sim.spawn(
-                self._blockperiod_ticker(validator.engine), name=f"{node.endpoint_id}-ticker"
-            )
+            self.sim.schedule(0.0, self.sim.resume_after, period, self._tick, validator.engine, period)
 
-    def _blockperiod_ticker(self, engine: IbftEngine) -> typing.Generator:
-        period = float(self.params["istanbul.blockperiod"])
-        while True:
-            yield self.sim.timeout(period)
-            engine.maybe_propose()
+    def _tick(self, engine: IbftEngine, period: float) -> None:
+        """The block-period ticker: let the proposer propose, every period."""
+        engine.maybe_propose()
+        self.sim.resume_after(period, self._tick, engine, period)
 
     # ------------------------------------------------------------------
     # Block assembly

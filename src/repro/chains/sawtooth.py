@@ -58,15 +58,23 @@ class SawtoothValidator(ReplicaNode):
         self.candidate_txs: typing.List[Transaction] = []
         self.candidate_outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
 
-    def commit_block(self, proposal: BlockProposal, proposer: str) -> typing.Generator:
+    def commit_block(self, proposal: BlockProposal, proposer: str) -> None:
         # The builder already executed during publishing, and staged
         # finality when it published; every other validator re-executes
         # to verify the state root.
         if proposer != self.endpoint_id:
-            yield from self.busy(self.block_cost(proposal))
-            self.apply_payloads(proposal)
+            self.cpu.hold(self.block_cost(proposal), self._verify_block, proposal, proposer)
+        else:
+            self._append_block(proposal, proposer)
+
+    def _verify_block(self, proposal: BlockProposal, proposer: str) -> None:
+        self.apply_payloads(proposal)
+        self._append_block(proposal, proposer)
+
+    def _append_block(self, proposal: BlockProposal, proposer: str) -> None:
         self.seal_and_append(proposal, proposer)
         self.system.record_commit(proposal.proposal_id, self.endpoint_id)
+        self.block_committed(proposal)
 
 
 class SawtoothSystem(SystemModel):
@@ -102,60 +110,66 @@ class SawtoothSystem(SystemModel):
 
     def start(self) -> None:
         self.started = True
+        delay = float(self.params["block_publishing_delay"])
         for node in self.nodes.values():
             validator = typing.cast(SawtoothValidator, node)
-            self.sim.spawn(self._executor(validator), name=f"{node.endpoint_id}-executor")
-            self.sim.spawn(self._publisher(validator), name=f"{node.endpoint_id}-publisher")
+            self.sim.schedule(0.0, self._execute_next, validator)
+            self.sim.schedule(0.0, self.sim.resume_after, delay, self._publish, validator, delay)
 
-    def _executor(self, validator: SawtoothValidator) -> typing.Generator:
+    def _execute_next(self, validator: SawtoothValidator) -> None:
         """The primary's batch pipeline: execute pending batches one at a
         time into the candidate block (the state root must be known
         before publishing, so execution gates block content)."""
-        while True:
-            engine = validator.engine
-            assert engine is not None
-            if (
-                self._scale_stalled
-                or not engine.is_primary
-                or not self.pending
-                or len(validator.candidate_txs) >= MAX_CANDIDATE_TRANSACTIONS
-            ):
-                yield self.sim.timeout(0.05)
-                continue
-            batch = self.pending.popleft()
-            yield from validator.busy(
-                BATCH_OVERHEAD + validator.execution_time(batch.transactions)
-            )
-            ok, outcome = validator.try_apply_batch(batch.transactions)
-            if not ok:
-                # Atomic batch: nothing from it enters a block, and the
-                # clients are never notified (lost transactions).
-                self.discarded_batches += 1
-                continue
+        engine = validator.engine
+        assert engine is not None
+        if (
+            self._scale_stalled
+            or not engine.is_primary
+            or not self.pending
+            or len(validator.candidate_txs) >= MAX_CANDIDATE_TRANSACTIONS
+        ):
+            self.sim.resume_after(0.05, self._execute_next, validator)
+            return
+        batch = self.pending.popleft()
+        validator.cpu.hold(
+            BATCH_OVERHEAD + validator.execution_time(batch.transactions),
+            self._batch_executed, validator, batch,
+        )
+
+    def _batch_executed(self, validator: SawtoothValidator, batch: Batch) -> None:
+        ok, outcome = validator.try_apply_batch(batch.transactions)
+        if ok:
             validator.candidate_txs.extend(batch.transactions)
             validator.candidate_outcome.update(outcome)
+        else:
+            # Atomic batch: nothing from it enters a block, and the
+            # clients are never notified (lost transactions).
+            self.discarded_batches += 1
+        self._execute_next(validator)
 
-    def _publisher(self, validator: SawtoothValidator) -> typing.Generator:
+    def _publish(self, validator: SawtoothValidator, delay: float) -> None:
         """Publish the candidate block every block_publishing_delay."""
-        delay = float(self.params["block_publishing_delay"])
-        while True:
-            yield self.sim.timeout(delay)
-            engine = validator.engine
-            assert engine is not None
-            if self._scale_stalled:
-                continue  # Section 5.8.2: everything stays pending
-            if not engine.is_primary:
-                if self.pending:
-                    engine.note_pending_work()
-                continue
-            if not validator.candidate_txs:
-                continue
+        engine = validator.engine
+        assert engine is not None
+        if self._scale_stalled:
+            pass  # Section 5.8.2: everything stays pending
+        elif not engine.is_primary:
+            if self.pending:
+                engine.note_pending_work()
+        elif validator.candidate_txs:
             proposal = BlockProposal.cut(validator.candidate_txs, self.sim.now)
             self.stage_finality(proposal.proposal_id, dict(validator.candidate_outcome), None)
             validator.candidate_txs = []
             validator.candidate_outcome = {}
-            yield from validator.busy(self.profile.block_overhead)
-            engine.submit_proposal(proposal)
+            validator.cpu.hold(
+                self.profile.block_overhead, self._published, validator, delay, proposal
+            )
+            return
+        self.sim.resume_after(delay, self._publish, validator, delay)
+
+    def _published(self, validator: SawtoothValidator, delay: float, proposal: BlockProposal) -> None:
+        typing.cast(PbftEngine, validator.engine).submit_proposal(proposal)
+        self.sim.resume_after(delay, self._publish, validator, delay)
 
     # ------------------------------------------------------------------
     # Message routing and submission

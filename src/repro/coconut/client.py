@@ -110,7 +110,7 @@ class CoconutClient(Endpoint):
         for thread in range(config.workload_threads):
             worker = _WorkloadThread(self, phase, thread, start_at, send_deadline)
             self.sim.schedule(0.0, worker.start)
-        done = self.sim.event(name=f"{self.endpoint_id}-{phase}-done")
+        done = Event(self.sim, name=f"{self.endpoint_id}-{phase}-done")
         shutdown_at = start_at + config.scaled_total
         # The threads stop at the send deadline; the client itself (and
         # its event listening) terminates at the total deadline.

@@ -16,6 +16,7 @@ otherwise the next paused window would start with it still in memory.
 
 from __future__ import annotations
 
+import gc
 import typing
 
 from repro.coconut.config import BenchmarkConfig
@@ -24,7 +25,7 @@ from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
 from repro.faults import FaultInjector, ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
-from repro.sim.collector import collect_all, collector_paused
+from repro.sim.collector import collector_paused
 from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -129,7 +130,7 @@ class BenchmarkRunner:
                 # A rig this repetition does not keep, or the one its rig
                 # replaces: collect it before the next paused window.
                 rig = None
-                collect_all()
+                gc.collect()
             for phase, phase_metrics in metrics.items():
                 per_phase[phase].append(phase_metrics)
         if self.check:

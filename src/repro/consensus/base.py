@@ -20,7 +20,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
 
     from repro.net.network import Network
-    from repro.sim.events import Event
     from repro.sim.kernel import Simulator, TimerHandle
 
 
@@ -142,10 +141,6 @@ class EngineContext:
         :class:`~repro.sim.kernel.TimerHandle` — engines use this for
         progress timers that are re-armed far more often than they fire."""
         return self.sim.schedule_cancellable(delay, callback, *args)
-
-    def timeout(self, delay: float) -> "Event":
-        """A timeout event (for generator-style engine processes)."""
-        return self.sim.timeout(delay)
 
 
 class ReplicaEngine:

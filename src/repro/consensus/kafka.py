@@ -47,7 +47,7 @@ class KafkaBroker:
         self._queue: Store = Store(sim, name=f"{name}-publish")
         self._log: typing.List[object] = []
         self._subscribers: typing.List[typing.Callable[[int, object], None]] = []
-        self.sim.spawn(self._commit_loop(), name=f"{name}-committer")
+        self.sim.schedule(0.0, self._queue.get, self._commit)
 
     def subscribe(self, callback: typing.Callable[[int, object], None]) -> None:
         """Deliver every committed (offset, message) to ``callback``.
@@ -78,17 +78,22 @@ class KafkaBroker:
         ack) delays arrival but does not occupy the broker; only the
         per-message processing serialises.
         """
-        self.sim.schedule(self.publish_latency, self._queue.try_put, message)
+        self.sim.schedule(self.publish_latency, self._queue.put, message)
 
-    def _commit_loop(self) -> typing.Generator:
-        while True:
-            message = yield self._queue.get()
-            if self.per_message_cost > 0:
-                yield self.sim.timeout(self.per_message_cost)
-            offset = len(self._log)
-            self._log.append(message)
-            for callback in list(self._subscribers):
-                callback(offset, message)
+    def _commit(self, message: object) -> None:
+        """The committer: spend the per-message cost on one published
+        message, then append it (a loop over the publish queue)."""
+        if self.per_message_cost > 0:
+            self.sim.resume_after(self.per_message_cost, self._append, message)
+        else:
+            self._append(message)
+
+    def _append(self, message: object) -> None:
+        offset = len(self._log)
+        self._log.append(message)
+        for callback in list(self._subscribers):
+            callback(offset, message)
+        self._queue.get(self._commit)
 
     def log_size(self) -> int:
         """Committed messages so far."""

@@ -4,8 +4,8 @@ A simulation run creates no reference cycles (the conformance matrix
 checks every system, IEL and fault scenario), so the collector's passes
 during one would only re-scan the live deployment. The benchmark runner
 pauses automatic collection while a repetition runs
-(:func:`collector_paused`) and collects a deployment it drops
-(:func:`collect_all`), which is one large cyclic graph.
+(:func:`collector_paused`) and collects a deployment it drops, which is
+one large cyclic graph, with one full ``gc.collect()``.
 
 :func:`repro.perf.time_callable` shares the pause. It lives here so that
 importing the runner does not import the timing harness.
@@ -34,18 +34,3 @@ def collector_paused() -> typing.Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def collect_all() -> None:
-    """Collect until a pass finds nothing, at least twice.
-
-    The first pass over a dropped deployment runs the finalizers of its
-    suspended process generators. Their ``finally`` blocks (a pool
-    release, say) schedule new queue entries that point back into the
-    graph. Everything those entries reach survives the pass, which may
-    then report nothing found. The next pass frees it: a finalizer runs
-    only once.
-    """
-    gc.collect()
-    while gc.collect():
-        pass

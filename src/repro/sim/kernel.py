@@ -2,8 +2,8 @@
 
 :class:`Simulator` owns simulated time and a two-lane queue of scheduled
 callbacks: a FIFO ready lane for the current instant and a heap for later
-times. Everything else in the package — events, processes, stores,
-network links — ultimately reduces to ``schedule(delay, fn, *args)``
+times. Everything else in the package — stores, resources, network
+links, every node's loops — reduces to ``schedule(delay, fn, *args)``
 calls against one Simulator instance.
 """
 
@@ -15,8 +15,6 @@ import math
 import typing
 
 from repro.invariants.checker import NOOP_CHECKER
-from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.trace.tracer import NOOP_TRACER
 
@@ -25,6 +23,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.trace.tracer import Tracer
 
 _heappush = heapq.heappush
+
+
+class SimulationError(Exception):
+    """Misuse of the simulation kernel or its primitives."""
 
 
 class TimerHandle:
@@ -176,27 +178,15 @@ class Simulator:
         return handle
 
     def resume_after(self, delay: float, callback: typing.Callable[..., None], *args: object) -> None:
-        """Run ``callback(*args)`` the way a process resumes from ``yield
-        sim.timeout(delay)``: a ``delay`` timer whose firing schedules one
-        ready-lane hop, in which ``callback`` runs.
+        """Run ``callback(*args)`` after a ``delay`` timer whose firing
+        schedules one ready-lane hop, in which ``callback`` runs.
 
-        Both hops take a sequence number exactly where the timeout and
-        the process wake-up took theirs, so a callback chain built on
-        this dispatches in the order the generator it replaces did.
+        This is the wait of every loop and flow: the two hops sit where
+        a generator process's ``yield sim.timeout(delay)`` put its
+        timeout and its wake-up, which is what keeps the callback code
+        in the dispatch order of the processes it replaced (DESIGN §10).
         """
         self.schedule(delay, self.schedule, 0.0, callback, *args)
-
-    def event(self, name: str = "") -> Event:
-        """Create a fresh untriggered :class:`Event`."""
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create a :class:`Timeout` firing after ``delay`` seconds."""
-        return Timeout(self, delay, value)
-
-    def spawn(self, generator: typing.Generator, name: str = "") -> Process:
-        """Start a new :class:`Process` driving ``generator``."""
-        return Process(self, generator, name=name)
 
     def run(self, until: typing.Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.

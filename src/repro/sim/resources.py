@@ -2,9 +2,9 @@
 
 Corda's flow-worker thread pools, notary signing slots and every node's
 CPU are all bounded concurrency: at most ``capacity`` holders at a
-time, FIFO admission for waiters. A holder is either a process (it
-yields :meth:`Resource.acquire`) or a callback job (:meth:`Resource.hold`,
-which makes the same scheduling calls without a generator).
+time, FIFO admission for waiters. A holder asks with a callback
+(:meth:`Resource.request`) and gives the slot back with
+:meth:`Resource.release`; :meth:`Resource.hold` is a whole CPU job.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.kernel import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
 class Resource:
-    """A semaphore with ``capacity`` slots and one FIFO queue of waiters:
-    acquire events and :meth:`request` callbacks, in arrival order."""
+    """A semaphore with ``capacity`` slots and one FIFO queue of
+    :meth:`request` callbacks."""
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "") -> None:
         if capacity < 1:
@@ -30,8 +30,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: collections.deque = collections.deque()
-        #: Every acquire event's name, formatted once per resource.
-        self._acquire_label = f"acquire:{name}"
 
     @property
     def in_use(self) -> int:
@@ -45,18 +43,8 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Number of waiters (processes and callbacks) queued for a slot."""
+        """Number of callbacks queued for a slot."""
         return len(self._waiters)
-
-    def acquire(self) -> Event:
-        """Request a slot; the returned event fires once it is granted."""
-        event = Event(self.sim, name=self._acquire_label)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
 
     def request(self, callback: typing.Callable[..., None], *args: object) -> None:
         """Request a slot; ``callback(*args)`` runs once it is granted.
@@ -72,21 +60,13 @@ class Resource:
             self._waiters.append((callback, args))
 
     def release(self) -> None:
-        """Return a slot, admitting the oldest waiter if any.
-
-        Both kinds of waiter are granted with one ``schedule(0.0, ...)``:
-        a callback's directly, and an acquire event's by succeeding it,
-        which flushes the wake-up of the one process waiting on it.
-        """
+        """Return a slot, handing it to the oldest waiter if any, whose
+        grant is one ``schedule(0.0, ...)``."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         if self._waiters:
-            waiter = self._waiters.popleft()
-            if type(waiter) is tuple:
-                callback, args = waiter
-                self.sim.schedule(0.0, callback, *args)
-            else:
-                waiter.succeed()
+            callback, args = self._waiters.popleft()
+            self.sim.schedule(0.0, callback, *args)
         else:
             self._in_use -= 1
 

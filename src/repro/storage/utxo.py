@@ -4,7 +4,7 @@ Corda has no blocks: a transaction consumes input *states* and creates
 output states; the notary's only job is refusing transactions whose inputs
 were already consumed (Section 2). A :class:`StateRef` names one such
 state. The vault (:class:`repro.chains.corda_os.VaultEntry`) and the
-notary's spent set (:class:`repro.consensus.notary.NotaryService`) key on
+notary's spent set (:class:`repro.chains.corda_os.CordaNotary`) key on
 it; the notary check itself lives in the notary.
 """
 

@@ -340,7 +340,7 @@ class TestProposalCaches:
 
     def test_merkle_root_matches_tree(self):
         proposal = self.proposal()
-        assert proposal.merkle_root == MerkleTree(proposal.transactions).root
+        assert proposal.root.value == MerkleTree(proposal.transactions).root
 
     def test_execution_time_follows_the_profile(self):
         __, system, __ = deploy("quorum")

@@ -78,15 +78,15 @@ class TestRaftChaos:
         victims = rng.sample(cluster.engines(), 2)
         chaos_schedule(cluster, victims, rng, stop_window=(1.0, 6.0))
 
-        def feeder():
-            for i in range(15):
-                yield cluster.sim.timeout(0.5)
-                for engine in cluster.engines():
-                    if engine.is_leader:
-                        engine.submit_proposal(f"entry-{i}")
-                        break
+        def feed(i):
+            for engine in cluster.engines():
+                if engine.is_leader:
+                    engine.submit_proposal(f"entry-{i}")
+                    break
+            if i < 14:
+                cluster.sim.resume_after(0.5, feed, i + 1)
 
-        cluster.sim.spawn(feeder())
+        cluster.sim.schedule(0.0, cluster.sim.resume_after, 0.5, feed, 0)
         cluster.sim.run(until=30.0)
         cluster.assert_all_consistent()
         longest = max(len(cluster.decided_proposals(nid)) for nid in cluster.node_ids)

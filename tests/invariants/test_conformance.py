@@ -30,7 +30,6 @@ from repro.consensus.base import Decision
 from repro.crypto.hashing import GENESIS_HASH
 from repro.faults import FaultPlan
 from repro.invariants import InvariantChecker
-from repro.sim.collector import collect_all
 from repro.storage import Transaction, TxStatus
 from repro.storage.block import Block
 from repro.storage.transaction import Payload
@@ -98,7 +97,8 @@ def cyclic_garbage(run: typing.Callable[[], object]) -> typing.Counter[str]:
     end, the runner's own included, saves what it finds in
     ``gc.garbage`` (``DEBUG_SAVEALL``) instead of freeing it.
     """
-    collect_all()
+    while gc.collect():
+        pass
     flags = gc.get_debug()
     gc.set_debug(flags | gc.DEBUG_SAVEALL)
     try:

@@ -1,26 +1,25 @@
 """Order exactness: a callback CPU job dispatches like a ``busy()`` process.
 
 The reference is the code the callback jobs replaced: a spawned process
-whose body is ``yield from busy(cost)`` followed by plain code, where
-``busy`` is ``BaseNode.busy``. Random programs of one-shot jobs and
+whose body is ``yield from busy(cost)`` followed by plain code, driven
+by :mod:`tests.sim.reference`. Random programs of one-shot jobs and
 long-lived ``busy()`` loops share 1- and 2-slot resources; run once with
 the jobs as processes and once as :meth:`Resource.hold` callbacks, every
 ``schedule`` call, every logged action and every grant and finish time
 must be identical.
 """
 
-import types
 import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chains.base import BaseNode
 from repro.sim import Resource, Simulator
+from tests.sim.reference import ReferenceResource, ReferenceSimulator, busy
 
 
-class _RecordingSimulator(Simulator):
+class _RecordingSimulator(ReferenceSimulator):
     """Logs every ``schedule`` call as ``(now, delay)``."""
 
     def __init__(self) -> None:
@@ -32,7 +31,7 @@ class _RecordingSimulator(Simulator):
         super().schedule(delay, callback, *args)
 
 
-class _GrantLoggingResource(Resource):
+class _GrantLoggingResource(ReferenceResource):
     """Logs the hop in which a callback job is granted its slot."""
 
     def __init__(self, sim: Simulator, capacity: int, grants: dict) -> None:
@@ -42,11 +41,6 @@ class _GrantLoggingResource(Resource):
     def _held(self, duration, callback, args):
         self.grants[args[0]] = self.sim.now
         super()._held(duration, callback, args)
-
-
-def _busy(sim: Simulator, resource: Resource, duration: float) -> typing.Generator:
-    """``BaseNode.busy`` itself, run against ``resource``."""
-    return BaseNode.busy(types.SimpleNamespace(sim=sim, cpu=resource), duration)
 
 
 #: Exact zeros, a positive cost that rounds to ``now`` at any ``now`` >=
@@ -136,15 +130,15 @@ def execute(program: dict, callback_jobs: bool) -> dict:
 
     def _busy_logged(index: int) -> typing.Generator:
         job = jobs[index]
-        busy = _busy(sim, resources[job["resource"]], job["cost"])
-        # Step BaseNode.busy by hand to note the hop its grant resumes in.
-        target = next(busy)
+        steps = busy(sim, resources[job["resource"]], job["cost"])
+        # Step busy() by hand to note the hop its grant resumes in.
+        target = next(steps)
         while True:
             value = yield target
             if index not in grants:
                 grants[index] = sim.now
             try:
-                target = busy.send(value)
+                target = steps.send(value)
             except StopIteration:
                 return
 
@@ -157,7 +151,7 @@ def execute(program: dict, callback_jobs: bool) -> dict:
 
     def loop(number: int, spec: dict) -> typing.Generator:
         for step, cost in enumerate(spec["costs"]):
-            yield from _busy(sim, resources[spec["resource"]], cost)
+            yield from busy(sim, resources[spec["resource"]], cost)
             note("loop", number, step)
 
     for number, spec in enumerate(program["loops"]):
@@ -220,8 +214,8 @@ class TestHold:
         assert seen == [(0.5, 3, 0)]
 
     def test_callback_and_acquire_waiters_share_one_fifo(self):
-        sim = Simulator(seed=1)
-        cpu = Resource(sim, capacity=1)
+        sim = ReferenceSimulator(seed=1)
+        cpu = ReferenceResource(sim, capacity=1)
         order = []
 
         def holder() -> typing.Generator:

@@ -1,16 +1,21 @@
-"""Unit tests for event primitives."""
+"""Unit tests for the reference driver's event primitives.
+
+The hop-exactness tests compare callback code against generator code
+driven by :mod:`tests.sim.reference`; these pin that reference's own
+semantics.
+"""
 
 import gc
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
-from repro.sim.events import SimulationError
+from repro.sim import SimulationError
+from tests.sim.reference import AllOf, AnyOf, ReferenceResource, ReferenceSimulator, ReferenceStore
 
 
 @pytest.fixture()
 def sim():
-    return Simulator(seed=1)
+    return ReferenceSimulator(seed=1)
 
 
 class TestEvent:
@@ -160,17 +165,13 @@ class TestRepr:
         assert repr(timeout) == "<Timeout(0.5) ok at t=0.500000>"
 
     def test_resource_acquire(self, sim):
-        from repro.sim import Resource
-
-        pool = Resource(sim, capacity=1, name="cpu")
+        pool = ReferenceResource(sim, capacity=1, name="cpu")
         granted, queued = pool.acquire(), pool.acquire()
         assert repr(granted) == "<acquire:cpu ok at t=0.000000>"
         assert repr(queued) == "<acquire:cpu pending at t=0.000000>"
 
     def test_store_get_and_put(self, sim):
-        from repro.sim import Store
-
-        store = Store(sim, capacity=1, name="pool")
+        store = ReferenceStore(sim, capacity=1, name="pool")
         waiting_get = store.get()
         assert repr(waiting_get) == "<get:pool pending at t=0.000000>"
         assert repr(store.put("a")) == "<put:pool ok at t=0.000000>"

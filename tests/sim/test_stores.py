@@ -1,18 +1,86 @@
-"""Unit tests for FIFO stores."""
+"""Unit tests for FIFO stores.
+
+:class:`~repro.sim.stores.Store` hands items to one consumer callback.
+The event-returning, optionally bounded store the generator loops used
+lives on as the reference driver's :class:`ReferenceStore`
+(:mod:`tests.sim.reference`); the classes after the first pin its
+semantics.
+"""
 
 import pytest
 
-from repro.sim import Simulator, Store
+from repro.sim import SimulationError, Simulator
+from repro.sim.stores import Store
+from tests.sim.reference import ReferenceSimulator
+from tests.sim.reference import ReferenceStore as EventStore
 
 
 @pytest.fixture()
 def sim():
-    return Simulator(seed=1)
+    return ReferenceSimulator(seed=1)
+
+
+class _RecordingSimulator(Simulator):
+    """Logs every ``schedule`` call as ``(now, delay)``."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=1)
+        self.calls = []
+
+    def schedule(self, delay, callback, *args):
+        self.calls.append((self.now, delay))
+        super().schedule(delay, callback, *args)
+
+
+class TestCallbackStore:
+    def test_get_of_a_queued_item_is_one_hop(self):
+        sim = _RecordingSimulator()
+        store = Store(sim)
+        store.put("a")
+        store.put("b")
+        got = []
+        store.get(got.append)
+        assert got == [] and len(store) == 1
+        sim.run()
+        assert got == ["a"]
+        assert sim.calls == [(0.0, 0.0)]
+
+    def test_put_hands_the_item_to_a_waiting_consumer_in_one_hop(self):
+        sim = _RecordingSimulator()
+        store = Store(sim)
+        got = []
+        store.get(lambda item: got.append((sim.now, item)))
+        sim.schedule(2.0, store.put, "late")
+        sim.run()
+        assert got == [(2.0, "late")]
+        assert sim.calls == [(0.0, 2.0), (2.0, 0.0)]
+        assert len(store) == 0
+
+    def test_consumer_loop_takes_items_in_order(self):
+        sim = Simulator(seed=1)
+        store = Store(sim)
+        got = []
+
+        def consume(item):
+            got.append(item)
+            store.get(consume)
+
+        store.get(consume)
+        for item in ("a", "b", "c"):
+            store.put(item)
+        sim.run()
+        assert got == ["a", "b", "c"]
+
+    def test_second_waiting_consumer_is_refused(self):
+        store = Store(Simulator(seed=1), name="commits")
+        store.get(print)
+        with pytest.raises(SimulationError, match="commits"):
+            store.get(print)
 
 
 class TestUnboundedStore:
     def test_put_then_get_fifo(self, sim):
-        store = Store(sim)
+        store = EventStore(sim)
         got = []
 
         def producer():
@@ -30,7 +98,7 @@ class TestUnboundedStore:
         assert got == ["a", "b", "c"]
 
     def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
+        store = EventStore(sim)
         arrival_times = []
 
         def consumer():
@@ -47,7 +115,7 @@ class TestUnboundedStore:
         assert arrival_times == [(5.0, "late-item")]
 
     def test_waiting_getters_served_in_order(self, sim):
-        store = Store(sim)
+        store = EventStore(sim)
         got = []
 
         def consumer(name):
@@ -70,17 +138,17 @@ class TestUnboundedStore:
 class TestBoundedStore:
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
-            Store(sim, capacity=0)
+            EventStore(sim, capacity=0)
 
     def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, capacity=2)
+        store = EventStore(sim, capacity=2)
         assert store.try_put("a")
         assert store.try_put("b")
         assert not store.try_put("c")  # rejected, like Sawtooth's queue
         assert len(store) == 2
 
     def test_put_blocks_when_full(self, sim):
-        store = Store(sim, capacity=1)
+        store = EventStore(sim, capacity=1)
         events = []
 
         def producer():
@@ -104,13 +172,13 @@ class TestBoundedStore:
         ]
 
     def test_try_get(self, sim):
-        store = Store(sim)
+        store = EventStore(sim)
         assert store.try_get() == (False, None)
         store.try_put("x")
         assert store.try_get() == (True, "x")
 
     def test_drain_with_limit(self, sim):
-        store = Store(sim)
+        store = EventStore(sim)
         for i in range(5):
             store.try_put(i)
         assert store.drain(limit=3) == [0, 1, 2]
@@ -118,7 +186,7 @@ class TestBoundedStore:
         assert store.drain() == []
 
     def test_drain_admits_blocked_putters(self, sim):
-        store = Store(sim, capacity=2)
+        store = EventStore(sim, capacity=2)
         stored = []
 
         def producer():
@@ -136,7 +204,7 @@ class TestBoundedStore:
 
 class TestDrainWithWaitingPutters:
     def test_drain_admits_only_what_capacity_allows(self, sim):
-        store = Store(sim, capacity=3)
+        store = EventStore(sim, capacity=3)
         for i in range(3):
             assert store.try_put(i)
         # Five independent putters park on the full store.
@@ -163,7 +231,7 @@ class TestDrainWithWaitingPutters:
         assert store.peek_all() == [5, 6, 7]
 
     def test_full_drain_unblocks_all_putters_when_they_fit(self, sim):
-        store = Store(sim, capacity=4)
+        store = EventStore(sim, capacity=4)
         for i in range(4):
             assert store.try_put(i)
 
@@ -179,7 +247,7 @@ class TestDrainWithWaitingPutters:
         assert store.drain() == [4, 5]
 
     def test_admitted_putter_event_fires(self, sim):
-        store = Store(sim, capacity=1)
+        store = EventStore(sim, capacity=1)
         store.try_put("old")
         put_event = store.put("new")
         assert not put_event.triggered
@@ -188,6 +256,6 @@ class TestDrainWithWaitingPutters:
         assert store.peek_all() == ["new"]
 
     def test_drain_on_empty_store_with_no_putters(self, sim):
-        store = Store(sim, capacity=2)
+        store = EventStore(sim, capacity=2)
         assert store.drain() == []
         assert store.drain(limit=5) == []
