@@ -26,7 +26,6 @@ from repro.coconut.bal import Driver, make_driver
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.workload import WorkloadPlan
 from repro.net import Endpoint, Message
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.storage import Payload
 from repro.storage.receipts import TxStatus
@@ -100,8 +99,13 @@ class CoconutClient(Endpoint):
     # ------------------------------------------------------------------
     # Driving a phase
 
-    def run_phase(self, phase: str, start_at: float) -> Event:
-        """Launch the phase's workload threads; fires at client shutdown."""
+    def run_phase(self, phase: str, start_at: float) -> None:
+        """Launch the phase's workload threads.
+
+        The threads stop at the send deadline; receipts count until the
+        listen deadline, and the runner ends the phase at the total
+        deadline.
+        """
         config = self.config
         self.records.setdefault(phase, {})
         self.stream.begin_phase(phase)
@@ -110,12 +114,6 @@ class CoconutClient(Endpoint):
         for thread in range(config.workload_threads):
             worker = _WorkloadThread(self, phase, thread, start_at, send_deadline)
             self.sim.schedule(0.0, worker.start)
-        done = Event(self.sim, name=f"{self.endpoint_id}-{phase}-done")
-        shutdown_at = start_at + config.scaled_total
-        # The threads stop at the send deadline; the client itself (and
-        # its event listening) terminates at the total deadline.
-        self.sim.schedule(max(0.0, shutdown_at - self.sim.now), done.succeed)
-        return done
 
     # ------------------------------------------------------------------
     # Event collection

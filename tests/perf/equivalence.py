@@ -50,6 +50,21 @@ path's 2.6 % buckets, so every histogram's ``buckets`` layout and its
 above its 1.147 s max, became 1.147 s). Plain and instrumented results,
 trace digests, histogram count/min/max/mean/underflow and every other
 counter and gauge were bit-equal.
+
+They were re-captured a fourth time when the generator processes were
+replaced by callbacks. The conversion alone passed against the previous
+goldens unchanged. Then ``Event`` was deleted, and with it the
+shutdown event each client scheduled per phase at the phase's end,
+which nothing waited on: one dispatch fewer per client and phase. The
+audited delta is in the instrumented metrics only: ``sim.dispatches``
+and the ``sim.queue_depth`` gauge's ``updates`` fell by exactly clients
+x phases (corda-keyvalue 4 x 2 = 8, 7548 -> 7540 dispatches;
+fabric-keyvalue-wan 4 x 2 = 8, 36121 -> 36113; quorum-banking 4 x 3 =
+12, 42394 -> 42382), and the gauge's ``max``, ``min`` and ``value`` by
+at most the client count (the depth no longer includes the pending
+shutdown entries: max 42/84/85 -> 38/80/81, min 4/13/27 -> 2/9/23,
+value 4/16/49 -> 3/14/49). Plain and instrumented results, trace
+digests and every other metric were bit-equal.
 """
 
 from __future__ import annotations
