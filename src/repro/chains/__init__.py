@@ -1,7 +1,7 @@
 """The seven blockchain system models.
 
-Each module builds one system as a set of node processes over the
-simulated network, running its real consensus message flow plus a
+Each module builds one system as a set of nodes over the simulated
+network, running its real consensus message flow plus a
 calibrated cost model (:mod:`repro.chains.profiles`). All models expose
 the uniform deployment API of :mod:`repro.chains.base`, which is what the
 COCONUT client layer drives.

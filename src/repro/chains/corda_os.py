@@ -386,9 +386,9 @@ class _Flow:
     """One Corda flow, run as callbacks with one method per step.
 
     A flow holds a worker of its node's flow pool from :meth:`start`
-    until it ends, and every way out of it releases the worker. Its
-    steps make the ``schedule`` calls of the generator flow they
-    replace, hop for hop (DESIGN §10); each reply wait is :meth:`_wait`.
+    until it ends, and every way out of it releases the worker. Each
+    reply wait is :meth:`_wait`. The steps make the ``schedule`` calls
+    of a generator flow waiting on events, hop for hop (DESIGN §10).
     """
 
     __slots__ = (
@@ -503,15 +503,16 @@ class _Flow:
         ``then`` is a plain function, not a method bound to the flow,
         which would be a reference cycle through :attr:`then`.
 
-        The generator flow waited on the reply's event, or with
-        ``all_of`` on an ``AllOf`` over the replies, which counts each
-        in a hop of its own. Under fault injection it waited on
-        ``AnyOf([that, Timeout(FlowTimeout)])`` instead: the first of
-        the two to fire settles the wait one hop later, and the flow
-        goes on one hop after that, or gives up if the timer won. A
-        crashed counterparty or notary never replies, which would pin
-        the flow and its worker forever. Healthy runs arm no timer, so
-        their schedules stay those of the plain wait.
+        The flow goes on one hop after the reply arrives. With
+        ``all_of`` each reply is counted in a hop of its own, and the
+        flow goes on one hop after the last count (the hops of an
+        ``AllOf``). Under fault injection a ``FlowTimeout`` timer races
+        the replies, as ``AnyOf([wait, Timeout])`` did: whichever fires
+        first settles the wait one hop later (:meth:`_settle`), and one
+        hop after that the flow goes on, or gives up if the timer won
+        (:meth:`_resume`). A crashed counterparty or notary never
+        replies, which would otherwise pin the flow and its worker
+        forever. Healthy runs arm no timer.
         """
         system = self.system
         tx_id = self.transaction.tx_id

@@ -85,7 +85,9 @@ class QuorumSystem(SystemModel):
             validator = typing.cast(ReplicaNode, node)
             assert validator.engine is not None
             validator.engine.start()
-            self.sim.schedule(0.0, self.sim.resume_after, period, self._tick, validator.engine, period)
+            self.sim.schedule(
+                0.0, self.sim.resume_after, period, self._tick, validator.engine, period
+            )
 
     def _tick(self, engine: IbftEngine, period: float) -> None:
         """The block-period ticker: let the proposer propose, every period."""

@@ -167,7 +167,9 @@ class SawtoothSystem(SystemModel):
             return
         self.sim.resume_after(delay, self._publish, validator, delay)
 
-    def _published(self, validator: SawtoothValidator, delay: float, proposal: BlockProposal) -> None:
+    def _published(
+        self, validator: SawtoothValidator, delay: float, proposal: BlockProposal
+    ) -> None:
         typing.cast(PbftEngine, validator.engine).submit_proposal(proposal)
         self.sim.resume_after(delay, self._publish, validator, delay)
 

@@ -190,10 +190,9 @@ class _WorkloadThread:
     """One workload thread's send loop for one phase, run as callbacks.
 
     Each wait is :meth:`~repro.sim.kernel.Simulator.resume_after`: a
-    timer plus one ready-lane hop, the two scheduling calls of a
-    process's ``yield sim.timeout(...)``. With the start hop that
+    timer plus one ready-lane hop. With the start hop that
     :meth:`CoconutClient.run_phase` schedules, every send lands on the
-    same sequence number as in the generator loop this replaces.
+    sequence number of a generator send loop (DESIGN §10).
     """
 
     __slots__ = (

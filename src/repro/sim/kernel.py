@@ -181,10 +181,9 @@ class Simulator:
         """Run ``callback(*args)`` after a ``delay`` timer whose firing
         schedules one ready-lane hop, in which ``callback`` runs.
 
-        This is the wait of every loop and flow: the two hops sit where
-        a generator process's ``yield sim.timeout(delay)`` put its
-        timeout and its wake-up, which is what keeps the callback code
-        in the dispatch order of the processes it replaced (DESIGN §10).
+        This is the wait of every loop and flow. Its two hops are those
+        of a generator process waiting on a timeout, which the tests'
+        generator reference makes (DESIGN §10).
         """
         self.schedule(delay, self.schedule, 0.0, callback, *args)
 

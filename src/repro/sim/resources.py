@@ -50,8 +50,8 @@ class Resource:
         """Request a slot; ``callback(*args)`` runs once it is granted.
 
         The grant is one ``schedule(0.0, ...)``: now when a slot is free,
-        else at the :meth:`release` that hands one over. That is the hop
-        a process pays between ``yield acquire()`` and its resumption.
+        else at the :meth:`release` that hands one over: the one hop a
+        generator process paid to acquire a slot (DESIGN §10).
         """
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -74,12 +74,11 @@ class Resource:
         """A one-shot job: hold a slot for ``duration``, then release it
         and run ``callback(*args)``.
 
-        Hop for hop, this makes the ``schedule`` calls of a process doing
-        ``yield acquire()``, ``yield sim.timeout(duration)``,
-        ``release()`` and then the continuation: the grant hop, the
-        duration timer, and one ready-lane hop after the timer fires, in
-        which the slot is released and ``callback`` runs. A duration that
-        is not positive skips the timer and its hop, as ``busy()`` does.
+        The grant hop, the duration timer, and one ready-lane hop after
+        the timer fires, in which the slot is released and ``callback``
+        runs: the ``schedule`` calls of a generator process that acquired
+        the slot, waited out ``duration`` and released it. A duration
+        that is not positive skips the timer and its hop.
         """
         self.request(self._held, duration, callback, args)
 

@@ -42,8 +42,8 @@ class Store:
         """Take the oldest item: ``callback(item)`` runs one hop later.
 
         The hop is scheduled now when an item is queued, else by the
-        :meth:`put` that brings one. That is the single hop a process
-        paid between ``yield store.get()`` and its resumption.
+        :meth:`put` that brings one: the one hop a generator process
+        paid to get an item (DESIGN §10).
         """
         if self._getter is not None:
             raise SimulationError(f"store {self.name!r} already has a waiting consumer")

@@ -292,7 +292,9 @@ class ReferenceStore:
     """A FIFO buffer with an optional capacity, whose ``get`` and ``put``
     return events; waiting getters and putters are served in arrival order."""
 
-    def __init__(self, sim: Simulator, capacity: typing.Optional[int] = None, name: str = "") -> None:
+    def __init__(
+        self, sim: Simulator, capacity: typing.Optional[int] = None, name: str = ""
+    ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.sim = sim

@@ -105,7 +105,9 @@ def execute(program: dict, callbacks: bool) -> dict:
     for number, loop in enumerate(program["loops"]):
         if callbacks:
             store = Store(sim)
-            sim.schedule(loop["start"], sim.schedule, 0.0, callback_loop, number, store, loop["on_cpu"])
+            sim.schedule(
+                loop["start"], sim.schedule, 0.0, callback_loop, number, store, loop["on_cpu"]
+            )
             put = store.put
         else:
             store = ReferenceStore(sim)
@@ -132,7 +134,9 @@ class TestCallbackLoopsMatchGeneratorLoops:
     def test_items_queued_before_the_loop_starts_are_taken_in_order(self):
         program = {
             "capacity": 1,
-            "loops": [{"start": 1.0, "on_cpu": True, "items": [(0.0, 0.5), (0.0, 0.0), (1.0, 0.2)]}],
+            "loops": [
+                {"start": 1.0, "on_cpu": True, "items": [(0.0, 0.5), (0.0, 0.0), (1.0, 0.2)]},
+            ],
             "jobs": [(1.0, 0.25)],
         }
         reference = execute(program, callbacks=False)
