@@ -7,7 +7,8 @@ the wait, when the timer won. :class:`repro.chains.corda_os._Flow` makes
 those waits with callbacks. Random programs of serial (one reply) and
 parallel (0-3 replies) waits, whose replies arrive before, exactly at or
 after the flow timeout, or never, run once through the real ``_Flow``
-and once through the generator flow on :mod:`tests.sim.reference`;
+on a real flow pool and once through the generator flow on
+:mod:`tests.sim.reference`;
 every ``schedule`` call, every logged action and the flow pool's idle
 state must be identical.
 """
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chains.corda_os import CordaSystemBase, _Flow
+from repro.sim import Resource
 from tests.sim.reference import AllOf, AnyOf, ReferenceResource, ReferenceSimulator
 
 TX_ID = "tx1"
@@ -76,7 +78,7 @@ def _kinds(index: int, wait: dict) -> typing.List[str]:
 def execute(program: dict, callbacks: bool) -> dict:
     """Run ``program`` through the callback flow or the generator flow."""
     sim = _RecordingSimulator()
-    pool = ReferenceResource(sim, 1)
+    pool = (Resource if callbacks else ReferenceResource)(sim, 1)
     log: list = []
 
     def note(*label: object) -> None:

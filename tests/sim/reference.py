@@ -12,7 +12,8 @@ compare every ``schedule`` call.
 
 :class:`ReferenceSimulator` adds ``event``, ``timeout`` and ``spawn``;
 :class:`ReferenceResource` adds the event-returning ``acquire``, whose
-waiters share the real resource's FIFO with callback requests;
+waiters share the real resource's FIFO with callback requests, which
+the real ``release`` grants;
 :class:`ReferenceStore` is the event-returning, optionally bounded FIFO
 store the loops waited on. Nothing under ``src/`` imports this module.
 """
@@ -263,19 +264,13 @@ class ReferenceResource(Resource):
         return event
 
     def release(self) -> None:
-        """Return a slot: a callback waiter is granted with one
-        ``schedule(0.0, ...)``, an acquire event by succeeding it."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name!r}")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            if type(waiter) is tuple:
-                callback, args = waiter
-                self.sim.schedule(0.0, callback, *args)
-            else:
-                waiter.succeed()
+        """Return a slot: an acquire event at the head of the queue is
+        granted by succeeding it; anything else is the real release."""
+        waiters = self._waiters
+        if waiters and isinstance(waiters[0], Event):
+            waiters.popleft().succeed()
         else:
-            self._in_use -= 1
+            super().release()
 
 
 def busy(sim: Simulator, cpu: ReferenceResource, duration: float) -> typing.Generator:

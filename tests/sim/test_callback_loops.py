@@ -9,7 +9,8 @@ work is :meth:`Resource.hold <repro.sim.resources.Resource.hold>` or
 :meth:`Simulator.resume_after <repro.sim.kernel.Simulator.resume_after>`,
 and which asks for the next item when it is done. Random programs of
 1-2 loops, with producers putting items at tied and distinct times and
-one-shot CPU jobs competing for the loops' CPU, run both ways; every
+one-shot CPU jobs competing for the loops' CPU, run both ways, the
+callback way on the real :class:`~repro.sim.resources.Resource`; every
 ``schedule`` call, every logged action and the CPU's idle state must be
 identical.
 """
@@ -19,6 +20,7 @@ import typing
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.resources import Resource
 from repro.sim.stores import Store
 from tests.sim.reference import ReferenceResource, ReferenceSimulator, ReferenceStore, busy
 
@@ -69,7 +71,7 @@ def programs(draw) -> dict:
 def execute(program: dict, callbacks: bool) -> dict:
     """Run ``program`` with its loops as callbacks or as processes."""
     sim = _RecordingSimulator()
-    cpu = ReferenceResource(sim, program["capacity"])
+    cpu = (Resource if callbacks else ReferenceResource)(sim, program["capacity"])
     log: list = []
 
     def note(*label: object) -> None:
