@@ -17,10 +17,11 @@ Usage::
 ``--check`` exits non-zero when any target is slower than ``threshold``
 times the committed best — a wide net that only catches optimizations
 being silently reverted, not machine-to-machine noise — or when the
-SHA-256 calls or the scheduled events of any end-to-end unit differ
-from its committed count. Those counts come from one extra untimed run
-per unit under stdlib ``cProfile``, so they are exact and do not depend
-on the machine: a changed event count is a changed dispatch schedule.
+SHA-256 calls, scheduled events, messages sent or IEL executions of any
+end-to-end unit differ from its committed count. Those counts come from
+one extra untimed run per unit under stdlib ``cProfile``, so they are
+exact and do not depend on the machine: a changed event count is a
+changed dispatch schedule.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_bytes, hash_object, leaf_hash
 from repro.crypto.merkle import MerkleTree
+from repro.iel.base import InterfaceExecutionLayer
 from repro.net.host import Host
 from repro.net.latency import ConstantLatency, NetemLatency
 from repro.net.network import Endpoint, Message, Network
@@ -278,21 +280,27 @@ def bench_e2e(name: str, repeats: int) -> TimingResult:
 #: of some functions, named as ``benchmarks/e2e`` names them:
 #: ``hash_calls`` is its ``crypto.hash_calls`` (every SHA-256 call) and
 #: ``events_scheduled`` its ``sim.events_scheduled`` (every queue entry).
+#: ``iel_executions`` counts every payload execution, replicas' included.
 COUNTED_CALLS = {
     "hash_calls": (hash_bytes, hash_object, leaf_hash),
     "events_scheduled": (Simulator.schedule, Simulator.schedule_cancellable),
+    "iel_executions": (InterfaceExecutionLayer.execute,),
 }
 
 
-def count_calls(name: str) -> typing.Dict[str, int]:
-    """The :data:`COUNTED_CALLS` of one untimed run of an end-to-end
-    target's unit, from ``cProfile`` call counts."""
+def exact_counts(name: str) -> typing.Dict[str, int]:
+    """The exact counts of one untimed run of an end-to-end target's
+    unit: the :data:`COUNTED_CALLS`, from ``cProfile`` call counts, and
+    ``messages_sent``, read from the network as ``benchmarks/e2e`` reads
+    it."""
     config = BenchmarkConfig(**E2E_CONFIGS[name])
     reset_id_counters()
+    runner = BenchmarkRunner()
     profiler = cProfile.Profile()
-    profiler.runcall(BenchmarkRunner(keep_last_rig=False).run, config)
+    profiler.runcall(runner.run, config)
     profiler.create_stats()
-    counts = {}
+    assert runner.last_rig is not None
+    counts = {f"{name}.messages_sent": runner.last_rig.system.network.messages_sent}
     for count, functions in COUNTED_CALLS.items():
         keys = {
             (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)
@@ -335,7 +343,7 @@ def run_all(
         results.append(bench_e2e(name, e2e_repeats))
     counts = {}
     for name in E2E_CONFIGS:
-        counts.update(count_calls(name))
+        counts.update(exact_counts(name))
     notes = {
         "speedups_vs_legacy": SPEEDUPS_VS_LEGACY,
         "tx_digest_vs_hash_object": round(tx_digest_reference.best / tx_digest.best, 3),

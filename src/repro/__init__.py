@@ -14,39 +14,40 @@ deterministic discrete-event simulation. Quick start::
 
 Sub-packages: :mod:`repro.sim` (simulation kernel), :mod:`repro.net`
 (network), :mod:`repro.crypto`, :mod:`repro.storage`,
-:mod:`repro.consensus` (six protocol engines), :mod:`repro.iel` (smart
+:mod:`repro.consensus` (protocol engines), :mod:`repro.iel` (smart
 contracts), :mod:`repro.chains` (the seven system models),
-:mod:`repro.coconut` (the benchmarking framework),
-:mod:`repro.experiments` (every paper table and figure),
+:mod:`repro.coconut` (the benchmarking framework), :mod:`repro.workloads`,
+:mod:`repro.stream` (streaming metrics), :mod:`repro.faults`,
+:mod:`repro.invariants`, :mod:`repro.trace`, :mod:`repro.experiments`
+(every paper table and figure), :mod:`repro.search` (capacity search),
 :mod:`repro.parallel` (multi-process execution + result caching) and
 :mod:`repro.analysis`.
+
+A run imports only the code it runs: the names below, and those of the
+sub-packages with many models or exporters, are imported on first use
+(PEP 562), so ``import repro`` loads nothing else (DESIGN §10).
 """
 
-from repro.chains import DeploymentSpec, SYSTEM_NAMES, create_system
-from repro.coconut import BenchmarkConfig, BenchmarkRunner, ResultStore
-from repro.experiments import EXPERIMENT_IDS, build_experiment
+from repro._exports import lazy_exports
 
 __version__ = "1.1.0"
 
-from repro.parallel import (  # noqa: E402 - needs __version__ for fingerprints
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-    build_executor,
-)
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "BenchmarkConfig": "repro.coconut.config",
+    "BenchmarkRunner": "repro.coconut.runner",
+    "DeploymentSpec": "repro.chains.base",
+    "EXPERIMENT_IDS": "repro.experiments.registry",
+    "ParallelExecutor": "repro.parallel.executor",
+    "ResultCache": "repro.parallel.cache",
+    "ResultStore": "repro.coconut.results",
+    "SYSTEM_NAMES": "repro.chains.registry",
+    "SerialExecutor": "repro.parallel.executor",
+    "build_executor": "repro.parallel.executor",
+    "build_experiment": "repro.experiments.registry",
+    "create_system": "repro.chains.registry",
+}
 
-__all__ = [
-    "BenchmarkConfig",
-    "BenchmarkRunner",
-    "DeploymentSpec",
-    "EXPERIMENT_IDS",
-    "ParallelExecutor",
-    "ResultCache",
-    "ResultStore",
-    "SerialExecutor",
-    "SYSTEM_NAMES",
-    "__version__",
-    "build_executor",
-    "build_experiment",
-    "create_system",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -5,40 +5,34 @@ network, running its real consensus message flow plus a
 calibrated cost model (:mod:`repro.chains.profiles`). All models expose
 the uniform deployment API of :mod:`repro.chains.base`, which is what the
 COCONUT client layer drives.
+
+Names are imported on first use (PEP 562), and
+:mod:`repro.chains.registry` imports a model only when a run asks for
+it, so a Fabric run never loads Corda or the BFT engines.
 """
 
-from repro.chains.base import (
-    BlockProposal,
-    ClientReject,
-    DeploymentSpec,
-    FinalityTracker,
-    SystemModel,
-)
-from repro.chains.bitshares import BitSharesSystem
-from repro.chains.corda_enterprise import CordaEnterpriseSystem
-from repro.chains.corda_os import CordaOsSystem
-from repro.chains.diem import DiemSystem
-from repro.chains.fabric import FabricSystem
-from repro.chains.profiles import PerformanceProfile, profile_for
-from repro.chains.quorum import QuorumSystem
-from repro.chains.registry import SYSTEM_NAMES, create_system
-from repro.chains.sawtooth import SawtoothSystem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BitSharesSystem",
-    "BlockProposal",
-    "ClientReject",
-    "CordaEnterpriseSystem",
-    "CordaOsSystem",
-    "DeploymentSpec",
-    "DiemSystem",
-    "FabricSystem",
-    "FinalityTracker",
-    "PerformanceProfile",
-    "QuorumSystem",
-    "SYSTEM_NAMES",
-    "SawtoothSystem",
-    "SystemModel",
-    "create_system",
-    "profile_for",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "BitSharesSystem": "repro.chains.bitshares",
+    "BlockProposal": "repro.chains.base",
+    "ClientReject": "repro.chains.base",
+    "CordaEnterpriseSystem": "repro.chains.corda_enterprise",
+    "CordaOsSystem": "repro.chains.corda_os",
+    "DeploymentSpec": "repro.chains.base",
+    "DiemSystem": "repro.chains.diem",
+    "FabricSystem": "repro.chains.fabric",
+    "FinalityTracker": "repro.chains.base",
+    "PerformanceProfile": "repro.chains.profiles",
+    "QuorumSystem": "repro.chains.quorum",
+    "SYSTEM_NAMES": "repro.chains.registry",
+    "SawtoothSystem": "repro.chains.sawtooth",
+    "SystemModel": "repro.chains.base",
+    "create_system": "repro.chains.registry",
+    "profile_for": "repro.chains.profiles",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -393,7 +393,7 @@ class _Flow:
 
     __slots__ = (
         "system", "node", "client_id", "transaction", "adapter", "result", "signers",
-        "next_signer", "kinds", "then", "all_of", "remaining", "value", "settled", "wait",
+        "next_signer", "kinds", "then", "all_of", "remaining", "value", "settled", "timer",
     )
 
     def __init__(
@@ -405,8 +405,6 @@ class _Flow:
         self.client_id = client_id
         self.transaction = transaction
         self.next_signer = 0
-        #: Counts this flow's timed waits, so that a stale timer is ignored.
-        self.wait = 0
 
     def start(self) -> None:
         """A flow worker is granted: execute, then spend the service time."""
@@ -512,7 +510,8 @@ class _Flow:
         hop after that the flow goes on, or gives up if the timer won
         (:meth:`_resume`). A crashed counterparty or notary never
         replies, which would otherwise pin the flow and its worker
-        forever. Healthy runs arm no timer.
+        forever. The timer is cancelled once the wait settles, so a
+        timer the replies beat never fires. Healthy runs arm no timer.
         """
         system = self.system
         tx_id = self.transaction.tx_id
@@ -526,8 +525,10 @@ class _Flow:
             system.sim.schedule(0.0, self._all_replied)
         if system.fault_mode:
             self.settled = False
-            self.wait += 1
-            system.sim.resume_after(float(system.params["FlowTimeout"]), self._settle, self.wait)
+            sim = system.sim
+            self.timer = sim.schedule_cancellable(
+                float(system.params["FlowTimeout"]), sim.schedule, 0.0, self._settle
+            )
 
     def reply(self, value: object) -> None:
         """One of the awaited replies arrived."""
@@ -538,7 +539,7 @@ class _Flow:
         self.remaining = 0
         self.value = value
         if self.system.fault_mode:
-            sim.schedule(0.0, self._settle, self.wait)
+            sim.schedule(0.0, self._settle)
         else:
             sim.schedule(0.0, self.then, self, value)
 
@@ -551,13 +552,15 @@ class _Flow:
         if not self.system.fault_mode:
             self.system.sim.schedule(0.0, self.then, self, None)
         elif self.then is not None:  # None once the flow gave up
-            self.system.sim.schedule(0.0, self._settle, self.wait)
+            self.system.sim.schedule(0.0, self._settle)
 
-    def _settle(self, wait: int) -> None:
+    def _settle(self) -> None:
         """The replies or the flow timer fired: the first to get here
-        settles the wait; a later one, or a stale timer, does nothing."""
-        if wait == self.wait and not self.settled:
+        settles the wait and cancels the timer (a no-op once it fired);
+        a later one does nothing."""
+        if not self.settled:
             self.settled = True
+            self.timer.cancel()
             self.system.sim.schedule(0.0, self._resume, self.remaining == 0)
 
     def _resume(self, replied: bool) -> None:

@@ -36,6 +36,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.stores import Store
 from repro.storage import Transaction, TxStatus
 
+if typing.TYPE_CHECKING:  # pragma: no cover - imported by Kafka-ordered deployments
+    from repro.consensus.kafka import KafkaBroker
+
 #: Peer count at which the client event service collapses (Section 5.8.2).
 EVENT_SERVICE_PEER_LIMIT = 16
 
@@ -401,8 +404,6 @@ class FabricSystem(SystemModel):
         return FabricPeer(self, node_id)
 
     def build(self) -> None:
-        from repro.consensus.kafka import KafkaBroker
-
         self.orderer_ids = [f"{self.name}-orderer{i}" for i in range(ORDERER_COUNT)]
         self.orderers: typing.Dict[str, FabricOrderer] = {}
         self.broker: typing.Optional[KafkaBroker] = None
@@ -413,6 +414,8 @@ class FabricSystem(SystemModel):
             self.network.attach(orderer, host)
             self.orderers[orderer_id] = orderer
         if self.ordering_service == "kafka":
+            from repro.consensus.kafka import KafkaBroker
+
             self.broker = KafkaBroker(self.sim, name=f"{self.name}-kafka")
             for orderer in self.orderers.values():
                 self.broker.subscribe(orderer.on_kafka_message)

@@ -23,12 +23,13 @@ from repro.coconut.config import BenchmarkConfig
 from repro.coconut.metrics import PhaseMetrics
 from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
-from repro.faults import FaultInjector, ResilienceReport
+from repro.faults.metrics import ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
 from repro.sim.collector import collector_paused
 from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.injector import FaultInjector
     from repro.stream.spill import RecordSink
     from repro.trace.tracer import Tracer
 
@@ -160,6 +161,8 @@ class BenchmarkRunner:
         tracer = rig.sim.tracer
         injector: typing.Optional[FaultInjector] = None
         if config.fault_plan:
+            from repro.faults.injector import FaultInjector
+
             # Action times are offsets from the first phase's start.
             injector = FaultInjector(rig.sim, rig.system, config.fault_plan)
             injector.install(epoch=clock)

@@ -9,22 +9,25 @@ service, is part of the Corda model
 replica-local state machine exchanging the protocol's real message flow
 through :class:`~repro.consensus.base.EngineContext`; agreement is
 reached at block granularity.
+
+Names are imported on first use (PEP 562), and a system model imports
+only the engine it runs (Quorum's IBFT also reuses PBFT's digest).
 """
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
-from repro.consensus.diembft import DiemBftEngine
-from repro.consensus.dpos import DposEngine
-from repro.consensus.ibft import IbftEngine
-from repro.consensus.pbft import PbftEngine
-from repro.consensus.raft import RaftEngine
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Decision",
-    "DiemBftEngine",
-    "DposEngine",
-    "EngineContext",
-    "IbftEngine",
-    "PbftEngine",
-    "RaftEngine",
-    "ReplicaEngine",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "Decision": "repro.consensus.base",
+    "DiemBftEngine": "repro.consensus.diembft",
+    "DposEngine": "repro.consensus.dpos",
+    "EngineContext": "repro.consensus.base",
+    "IbftEngine": "repro.consensus.ibft",
+    "PbftEngine": "repro.consensus.pbft",
+    "RaftEngine": "repro.consensus.raft",
+    "ReplicaEngine": "repro.consensus.base",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

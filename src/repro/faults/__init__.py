@@ -8,16 +8,22 @@ distils the client-side effect into a :class:`ResilienceReport`
 fault window). Fault-free runs never construct an injector, draw from
 its RNG stream or arm any defensive code path, so they stay
 byte-identical with the subsystem present.
+
+Names are imported on first use (PEP 562): the runner imports the
+injector only for a unit with a fault plan.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.metrics import ResilienceReport
-from repro.faults.plan import ACTION_KINDS, FaultAction, FaultPlan
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ACTION_KINDS",
-    "FaultAction",
-    "FaultInjector",
-    "FaultPlan",
-    "ResilienceReport",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "ACTION_KINDS": "repro.faults.plan",
+    "FaultAction": "repro.faults.plan",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "ResilienceReport": "repro.faults.metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

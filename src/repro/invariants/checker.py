@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.invariants.oracles import default_oracles
 from repro.invariants.report import InvariantReport, Violation
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,7 +59,11 @@ class InvariantChecker:
         #: payload_id -> Payload, fed by the systems' admission path so
         #: ledger oracles can interpret applied outcomes.
         self.payloads: typing.Dict[str, "Payload"] = {}
-        self.oracles = list(oracles) if oracles is not None else default_oracles(level)
+        if oracles is None:
+            from repro.invariants.oracles import default_oracles
+
+            oracles = default_oracles(level)
+        self.oracles = list(oracles)
         self.report = InvariantReport(level=level)
         self._finalized = False
         self._hooked = {

@@ -8,26 +8,29 @@ key-value world state with MVCC validation used by Fabric-style
 execute-order-validate (:mod:`repro.storage.state`), the UTXO state
 references used by Corda (:mod:`repro.storage.utxo`) and commit receipts
 (:mod:`repro.storage.receipts`).
+
+Names are imported on first use (PEP 562): only the Corda models
+load the UTXO references.
 """
 
-from repro.storage.block import Block, BlockHeader
-from repro.storage.chain import Chain, ChainValidationError
-from repro.storage.receipts import Receipt, TxStatus
-from repro.storage.state import ReadWriteSet, WorldState
-from repro.storage.transaction import Batch, Payload, Transaction
-from repro.storage.utxo import StateRef
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Batch",
-    "Block",
-    "BlockHeader",
-    "Chain",
-    "ChainValidationError",
-    "Payload",
-    "ReadWriteSet",
-    "Receipt",
-    "StateRef",
-    "Transaction",
-    "TxStatus",
-    "WorldState",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "Batch": "repro.storage.transaction",
+    "Block": "repro.storage.block",
+    "BlockHeader": "repro.storage.block",
+    "Chain": "repro.storage.chain",
+    "ChainValidationError": "repro.storage.chain",
+    "Payload": "repro.storage.transaction",
+    "ReadWriteSet": "repro.storage.state",
+    "Receipt": "repro.storage.receipts",
+    "StateRef": "repro.storage.utxo",
+    "Transaction": "repro.storage.transaction",
+    "TxStatus": "repro.storage.receipts",
+    "WorldState": "repro.storage.state",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,27 +16,28 @@ counts, the same t_fstx/t_lrtx/duration/TPS and the (correctly rounded)
 MFLS that a brute-force pass over all retained records gives, and
 p50/p95/p99 within one histogram bucket of its nearest-rank values, for
 any client/thread/worker merge order.
+
+Names are imported on first use (PEP 562): the spill sinks load
+only when a run attaches one.
 """
 
-from repro.stream.accumulator import (
-    ClientStream,
-    ExactSum,
-    PhaseAccumulator,
-    ResilienceAccumulator,
-)
-from repro.stream.histogram import BASE, RESOLUTION, LogHistogram
-from repro.stream.spill import RecordSink, RetainingSink, SpillSink, read_spill
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BASE",
-    "RESOLUTION",
-    "ClientStream",
-    "ExactSum",
-    "LogHistogram",
-    "PhaseAccumulator",
-    "RecordSink",
-    "ResilienceAccumulator",
-    "RetainingSink",
-    "SpillSink",
-    "read_spill",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "BASE": "repro.stream.histogram",
+    "ClientStream": "repro.stream.accumulator",
+    "ExactSum": "repro.stream.accumulator",
+    "LogHistogram": "repro.stream.histogram",
+    "PhaseAccumulator": "repro.stream.accumulator",
+    "RESOLUTION": "repro.stream.histogram",
+    "RecordSink": "repro.stream.spill",
+    "ResilienceAccumulator": "repro.stream.accumulator",
+    "RetainingSink": "repro.stream.spill",
+    "SpillSink": "repro.stream.spill",
+    "read_spill": "repro.stream.spill",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,35 +18,33 @@ Typical use::
     runner = BenchmarkRunner(tracer=tracer)
     runner.run(config)
     write_chrome_trace(tracer, "trace.json")
+
+Names are imported on first use (PEP 562): the exporters load only
+when a trace is written.
 """
 
-from repro.trace.chrome import chrome_trace, write_chrome_trace
-from repro.trace.config import CATEGORIES, TraceConfig
-from repro.trace.jsonl import jsonl_lines, read_jsonl, write_jsonl
-from repro.trace.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.trace.tracer import (
-    NOOP_TRACER,
-    EventRecord,
-    NoopTracer,
-    SpanRecord,
-    Tracer,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "Counter",
-    "EventRecord",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NOOP_TRACER",
-    "NoopTracer",
-    "SpanRecord",
-    "TraceConfig",
-    "Tracer",
-    "chrome_trace",
-    "jsonl_lines",
-    "read_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "CATEGORIES": "repro.trace.config",
+    "Counter": "repro.trace.metrics",
+    "EventRecord": "repro.trace.tracer",
+    "Gauge": "repro.trace.metrics",
+    "Histogram": "repro.trace.metrics",
+    "MetricsRegistry": "repro.trace.metrics",
+    "NOOP_TRACER": "repro.trace.tracer",
+    "NoopTracer": "repro.trace.tracer",
+    "SpanRecord": "repro.trace.tracer",
+    "TraceConfig": "repro.trace.config",
+    "Tracer": "repro.trace.tracer",
+    "chrome_trace": "repro.trace.chrome",
+    "jsonl_lines": "repro.trace.jsonl",
+    "read_jsonl": "repro.trace.jsonl",
+    "write_chrome_trace": "repro.trace.chrome",
+    "write_jsonl": "repro.trace.jsonl",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

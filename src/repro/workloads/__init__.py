@@ -9,61 +9,42 @@ the fault-plan design, and all randomness draws from dedicated
 ``workloads/...`` RNG streams so adding a spec never perturbs the
 simulation, fault, or any other stream. The default spec reproduces the
 pre-subsystem generator byte for byte.
+
+Names are imported on first use (PEP 562): trace replay loads
+only when a spec is built from a trace.
 """
 
-from repro.workloads.access import (
-    HotspotSampler,
-    Sampler,
-    UniformSampler,
-    ZipfianSampler,
-    build_sampler,
-)
-from repro.workloads.arrivals import (
-    BurstSchedule,
-    ConstantSchedule,
-    PoissonSchedule,
-    RampSchedule,
-    ReplaySchedule,
-    Schedule,
-    build_schedule,
-)
-from repro.workloads.mixes import READ_FALLBACK, MixSampler, allowed_operations
-from repro.workloads.replay import replay_spec_from_jsonl, replay_times
-from repro.workloads.spec import (
-    DEFAULT_WORKLOAD,
-    AccessSpec,
-    ArrivalSpec,
-    Mix,
-    PhaseOverride,
-    ResolvedPhase,
-    WorkloadSpec,
-    normalize_mix,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AccessSpec",
-    "ArrivalSpec",
-    "BurstSchedule",
-    "ConstantSchedule",
-    "DEFAULT_WORKLOAD",
-    "HotspotSampler",
-    "Mix",
-    "MixSampler",
-    "PhaseOverride",
-    "PoissonSchedule",
-    "RampSchedule",
-    "READ_FALLBACK",
-    "ReplaySchedule",
-    "ResolvedPhase",
-    "Sampler",
-    "Schedule",
-    "UniformSampler",
-    "WorkloadSpec",
-    "ZipfianSampler",
-    "allowed_operations",
-    "build_sampler",
-    "build_schedule",
-    "normalize_mix",
-    "replay_spec_from_jsonl",
-    "replay_times",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "AccessSpec": "repro.workloads.spec",
+    "ArrivalSpec": "repro.workloads.spec",
+    "BurstSchedule": "repro.workloads.arrivals",
+    "ConstantSchedule": "repro.workloads.arrivals",
+    "DEFAULT_WORKLOAD": "repro.workloads.spec",
+    "HotspotSampler": "repro.workloads.access",
+    "Mix": "repro.workloads.spec",
+    "MixSampler": "repro.workloads.mixes",
+    "PhaseOverride": "repro.workloads.spec",
+    "PoissonSchedule": "repro.workloads.arrivals",
+    "READ_FALLBACK": "repro.workloads.mixes",
+    "RampSchedule": "repro.workloads.arrivals",
+    "ReplaySchedule": "repro.workloads.arrivals",
+    "ResolvedPhase": "repro.workloads.spec",
+    "Sampler": "repro.workloads.access",
+    "Schedule": "repro.workloads.arrivals",
+    "UniformSampler": "repro.workloads.access",
+    "WorkloadSpec": "repro.workloads.spec",
+    "ZipfianSampler": "repro.workloads.access",
+    "allowed_operations": "repro.workloads.mixes",
+    "build_sampler": "repro.workloads.access",
+    "build_schedule": "repro.workloads.arrivals",
+    "normalize_mix": "repro.workloads.spec",
+    "replay_spec_from_jsonl": "repro.workloads.replay",
+    "replay_times": "repro.workloads.replay",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

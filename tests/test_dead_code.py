@@ -3,8 +3,8 @@
 A function, method or class counts as used when its name appears as a
 name, an attribute or a string constant (``getattr(obj, "name")``)
 anywhere in the source, tests, benchmarks, examples or scripts. Being
-imported or listed in ``__all__`` is not a use: a name only re-exported
-is still dead. Matching is by name, as in ``vulture``, so a method whose
+imported, or listed in ``__all__`` or a package's lazy ``_EXPORTS``
+table, is not a use: a name only re-exported is still dead. Matching is by name, as in ``vulture``, so a method whose
 name is called on some other class passes too.
 
 Exempt are dunders and the two getattr-dispatched prefixes: IEL
@@ -19,9 +19,13 @@ SCANNED = ("src", "tests", "benchmarks", "examples", "scripts")
 DISPATCHED_PREFIXES = ("_fn_", "_do_")
 
 
-def _is_all_assignment(node: ast.AST) -> bool:
+#: Module-level tables that only re-export names.
+EXPORT_TABLES = ("__all__", "_EXPORTS")
+
+
+def _is_export_table(node: ast.AST) -> bool:
     return isinstance(node, ast.Assign) and any(
-        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        isinstance(target, ast.Name) and target.id in EXPORT_TABLES for target in node.targets
     )
 
 
@@ -37,7 +41,7 @@ def _scan(root: pathlib.Path):
             exported = {
                 id(element)
                 for node in ast.walk(tree)
-                if _is_all_assignment(node)
+                if _is_export_table(node)
                 for element in ast.walk(node.value)
             }
             for node in ast.walk(tree):
@@ -80,6 +84,9 @@ def test_guard_flags_only_the_unused_definition(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
         "from repro.mod import Kept, dead\n__all__ = ['Kept', 'dead']\n"
+    )
+    (package / "lazy.py").write_text(
+        "_EXPORTS = {'Kept': 'repro.mod', 'dead': 'repro.mod'}\n__all__ = list(_EXPORTS)\n"
     )
     (package / "mod.py").write_text(
         "class Kept:\n"
