@@ -11,9 +11,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_fig3_heatmap(benchmark, runner):
+def test_fig3_heatmap(benchmark):
     experiment = build_experiment("fig3")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

@@ -13,13 +13,13 @@ from repro.experiments.figures import FIG4_PAPER_CELLS
 from repro.experiments.registry import build_experiment
 
 
-def test_fig4_latency_heatmap(benchmark, runner):
+def test_fig4_latency_heatmap(benchmark):
     fig3 = build_experiment("fig3")
     fig4 = build_experiment("fig4")
 
     def run_both():
-        base = fig3.run(runner=runner, iels=("DoNothing",))
-        latency = fig4.run(runner=runner)
+        base = fig3.run(iels=("DoNothing",))
+        latency = fig4.run()
         return base, latency
 
     base, run = run_once(benchmark, run_both)

@@ -11,9 +11,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.figures import ScalabilityExperiment
 
 
-def test_fig5_scalability(benchmark, runner):
+def test_fig5_scalability(benchmark):
     experiment = ScalabilityExperiment()
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

@@ -10,7 +10,7 @@ units).
 from benchmarks.conftest import run_once
 from repro.analysis.compare import ShapeCheck, render_checks
 from repro.coconut.config import BenchmarkConfig
-from repro.parallel import ParallelExecutor, ResultCache, SerialExecutor
+from repro.parallel import Executor, ResultCache
 
 
 def make_configs():
@@ -32,13 +32,13 @@ def test_parallel_matches_serial(benchmark, tmp_path):
     """jobs=4 fan-out and a warm cache both reproduce the serial run."""
     serial = [
         result.to_dict()
-        for result in (o.result for o in SerialExecutor().run_units(make_configs()))
+        for result in (o.result for o in Executor().run_units(make_configs()))
     ]
 
     def fan_out():
-        cold = ParallelExecutor(jobs=4, cache=ResultCache(tmp_path))
+        cold = Executor(jobs=4, cache=ResultCache(tmp_path))
         cold_dicts = [o.result.to_dict() for o in cold.run_units(make_configs())]
-        warm = ParallelExecutor(jobs=4, cache=ResultCache(tmp_path))
+        warm = Executor(jobs=4, cache=ResultCache(tmp_path))
         warm_dicts = [o.result.to_dict() for o in warm.run_units(make_configs())]
         return cold, cold_dicts, warm, warm_dicts
 

@@ -22,10 +22,10 @@ from repro.experiments.sweeps import build_sweep
         ("sweep_sawtooth_pd", 0.35),
     ],
 )
-def test_minor_parameters(benchmark, sweep_id, max_spread, runner):
+def test_minor_parameters(benchmark, sweep_id, max_spread):
     """Fabric's MaxMessageCount and Sawtooth's publishing delay barely move."""
     sweep = build_sweep(sweep_id)
-    run = run_once(benchmark, lambda: sweep.run(runner=runner))
+    run = run_once(benchmark, sweep.run)
     print()
     print(run.render())
     check = ShapeCheck(
@@ -37,10 +37,10 @@ def test_minor_parameters(benchmark, sweep_id, max_spread, runner):
     assert check.passed
 
 
-def test_quorum_blockperiod_is_decisive(benchmark, runner):
+def test_quorum_blockperiod_is_decisive(benchmark):
     """Quorum's blockperiod makes the difference between dead and alive."""
     sweep = build_sweep("sweep_quorum_bp")
-    run = run_once(benchmark, lambda: sweep.run(runner=runner))
+    run = run_once(benchmark, sweep.run)
     print()
     print(run.render())
     by_value = {point.value: point.phase_result for point in run.points}
@@ -61,10 +61,10 @@ def test_quorum_blockperiod_is_decisive(benchmark, runner):
     assert all(check.passed for check in checks)
 
 
-def test_bitshares_block_interval_sets_latency(benchmark, runner):
+def test_bitshares_block_interval_sets_latency(benchmark):
     """MFLS tracks the block interval; throughput is unaffected."""
     sweep = build_sweep("sweep_bitshares_bi")
-    run = run_once(benchmark, lambda: sweep.run(runner=runner))
+    run = run_once(benchmark, sweep.run)
     print()
     print(run.render())
     mfls = [point.phase_result.mfls.mean for point in run.points]
@@ -84,12 +84,12 @@ def test_bitshares_block_interval_sets_latency(benchmark, runner):
     assert all(check.passed for check in checks)
 
 
-def test_bundle_size_sweeps(benchmark, runner):
+def test_bundle_size_sweeps(benchmark):
     """Ops/tx (BitShares) and txs/batch (Sawtooth) gate throughput."""
     def run_both():
         return (
-            build_sweep("sweep_bitshares_ops").run(runner=runner),
-            build_sweep("sweep_sawtooth_batch").run(runner=runner),
+            build_sweep("sweep_bitshares_ops").run(),
+            build_sweep("sweep_sawtooth_batch").run(),
         )
 
     ops_run, batch_run = run_once(benchmark, run_both)

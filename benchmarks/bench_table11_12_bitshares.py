@@ -9,9 +9,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_table11_12_bitshares(benchmark, runner):
+def test_table11_12_bitshares(benchmark):
     experiment = build_experiment("table11_12")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

@@ -9,9 +9,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_table15_16_quorum(benchmark, runner):
+def test_table15_16_quorum(benchmark):
     experiment = build_experiment("table15_16")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

@@ -10,9 +10,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_table17_18_sawtooth(benchmark, runner):
+def test_table17_18_sawtooth(benchmark):
     experiment = build_experiment("table17_18")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

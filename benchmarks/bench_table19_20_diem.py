@@ -10,9 +10,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_table19_20_diem(benchmark, runner):
+def test_table19_20_diem(benchmark):
     experiment = build_experiment("table19_20")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

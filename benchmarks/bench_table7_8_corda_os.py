@@ -10,9 +10,9 @@ from repro.analysis.compare import ShapeCheck, render_checks
 from repro.experiments.registry import build_experiment
 
 
-def test_table7_8_corda_os(benchmark, runner):
+def test_table7_8_corda_os(benchmark):
     experiment = build_experiment("table7_8")
-    run = run_once(benchmark, lambda: experiment.run(runner=runner))
+    run = run_once(benchmark, experiment.run)
     print()
     print(run.render())
 

@@ -7,16 +7,6 @@ the paper-vs-measured table and asserts the shape — who wins, which
 configurations fail — via :mod:`repro.analysis.compare`.
 """
 
-import pytest
-
-from repro.coconut.runner import BenchmarkRunner
-
-
-@pytest.fixture()
-def runner():
-    return BenchmarkRunner()
-
-
 def run_once(benchmark, func):
     """Run an expensive experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)

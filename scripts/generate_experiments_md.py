@@ -21,7 +21,6 @@ import os
 import time
 
 from repro.chains.registry import SYSTEM_LABELS
-from repro.coconut.runner import BenchmarkRunner
 from repro.experiments.figures import (
     BENCHMARK_ROWS,
     FIG3_PAPER_CELLS,
@@ -30,6 +29,8 @@ from repro.experiments.figures import (
     ScalabilityExperiment,
 )
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment
+from repro.parallel.cache import ResultCache
+from repro.parallel.executor import Executor
 
 TABLE_IDS = [e for e in EXPERIMENT_IDS if e.startswith("table")]
 
@@ -132,15 +133,11 @@ def parse_args():
 def main():
     args = parse_args()
     output_path = args.output_path
-    executor = None
-    if args.jobs > 1 or args.cache_dir:
-        from repro.parallel import build_executor
-
-        executor = build_executor(
-            jobs=args.jobs, cache_dir=args.cache_dir,
-            progress=lambda line: print(f"  {line}", flush=True),
-        )
-    runner = BenchmarkRunner(progress=lambda line: print(f"  {line}", flush=True))
+    executor = Executor(
+        jobs=args.jobs,
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        progress=lambda line: print(f"  {line}", flush=True),
+    )
     out = io.StringIO()
     reps = os.environ.get("REPRO_REPS", "1")
     scale_note = (
@@ -151,17 +148,12 @@ def main():
     out.write(HEADER.format(date=datetime.date.today().isoformat(),
                             scale_note=scale_note, reps=reps))
 
-    def run_experiment(experiment):
-        if executor is not None:
-            return experiment.run(executor=executor)
-        return experiment.run(runner=runner)
-
     out.write("\n## Result tables (Tables 7-20)\n")
     for experiment_id in TABLE_IDS:
         start = time.time()
         print(f"=== {experiment_id}", flush=True)
         experiment = build_experiment(experiment_id)
-        run = run_experiment(experiment)
+        run = experiment.run(executor=executor)
         out.write(f"\n### {run.title}\n\n")
         out.write("| Case | Paper | Measured |\n|---|---|---|\n")
         for result in run.case_results:
@@ -175,7 +167,7 @@ def main():
 
     print("=== fig3", flush=True)
     start = time.time()
-    fig3 = run_experiment(build_experiment("fig3"))
+    fig3 = build_experiment("fig3").run(executor=executor)
     render_grid(fig3.cells, FIG3_PAPER_CELLS, fig3.systems,
                 "Figure 3 — best MTPS, data-centre latency "
                 "(cells: measured MTPS; paper values where printed)", out)
@@ -183,14 +175,14 @@ def main():
 
     print("=== fig4", flush=True)
     start = time.time()
-    fig4 = run_experiment(build_experiment("fig4"))
+    fig4 = build_experiment("fig4").run(executor=executor)
     render_grid(fig4.cells, FIG4_PAPER_CELLS, fig4.systems,
                 "Figure 4 — best configs under netem WAN latency (mu=12 ms)", out)
     out.write(f"\n(ran in {time.time() - start:.0f} s)\n")
 
     print("=== fig5", flush=True)
     start = time.time()
-    fig5 = run_experiment(ScalabilityExperiment())
+    fig5 = ScalabilityExperiment().run(executor=executor)
     out.write("\n### Figure 5 — DoNothing MTPS vs network size (netem latency)\n\n")
     out.write("| System | n=8 | n=16 | n=32 | Paper expectation |\n|---|---|---|---|---|\n")
     for system in fig5.systems:
@@ -218,7 +210,7 @@ def main():
                           "capacity_bankingapp"):
         start = time.time()
         print(f"=== {experiment_id}", flush=True)
-        run = run_experiment(build_experiment(experiment_id))
+        run = build_experiment(experiment_id).run(executor=executor)
         out.write(f"\n### {run.title}\n\n")
         out.write("| System | Knee RL | MTPS | MFLS (s) | Probes | Verdict |\n")
         out.write("|---|---|---|---|---|---|\n")
@@ -245,7 +237,7 @@ def main():
                           "mix_readwrite_keyvalue"):
         start = time.time()
         print(f"=== {experiment_id}", flush=True)
-        run = run_experiment(build_experiment(experiment_id))
+        run = build_experiment(experiment_id).run(executor=executor)
         out.write(f"\n### {run.title}\n\n")
         out.write("| Case | MTPS | MFLS (s) | p50 (s) | p99 (s) | NoT | Invalid |\n")
         out.write("|---|---|---|---|---|---|---|\n")
@@ -256,8 +248,7 @@ def main():
     out.write(FOOTER)
     with open(output_path, "w") as handle:
         handle.write(out.getvalue())
-    if executor is not None:
-        print(executor.summary(), flush=True)
+    print(executor.summary(), flush=True)
     print(f"wrote {output_path}", flush=True)
 
 

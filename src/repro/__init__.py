@@ -20,7 +20,7 @@ contracts), :mod:`repro.chains` (the seven system models),
 :mod:`repro.stream` (streaming metrics), :mod:`repro.faults`,
 :mod:`repro.invariants`, :mod:`repro.trace`, :mod:`repro.experiments`
 (every paper table and figure), :mod:`repro.search` (capacity search),
-:mod:`repro.parallel` (multi-process execution + result caching) and
+:mod:`repro.parallel` (batch execution + result caching) and
 :mod:`repro.analysis`.
 
 A run imports only the code it runs: the names below, and those of the
@@ -38,12 +38,10 @@ _EXPORTS = {
     "BenchmarkRunner": "repro.coconut.runner",
     "DeploymentSpec": "repro.chains.base",
     "EXPERIMENT_IDS": "repro.experiments.registry",
-    "ParallelExecutor": "repro.parallel.executor",
+    "Executor": "repro.parallel.executor",
     "ResultCache": "repro.parallel.cache",
     "ResultStore": "repro.coconut.results",
     "SYSTEM_NAMES": "repro.chains.registry",
-    "SerialExecutor": "repro.parallel.executor",
-    "build_executor": "repro.parallel.executor",
     "build_experiment": "repro.experiments.registry",
     "create_system": "repro.chains.registry",
 }

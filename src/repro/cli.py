@@ -18,7 +18,6 @@ from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, UNIT_PHASES
 from repro.coconut.report import unit_summary
 from repro.coconut.results import ResultStore
-from repro.coconut.runner import BenchmarkRunner
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment
 from repro.experiments.sweeps import SWEEPS, build_sweep
 from repro.net.latency import EUROPEAN_WAN_LATENCY
@@ -79,6 +78,8 @@ def _load_workload(path: typing.Optional[str], command: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.coconut.runner import BenchmarkRunner
+
     fault_plan = None
     if args.faults:
         from repro.faults import FaultPlan
@@ -151,8 +152,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.coconut.report import latency_table
 
         print(latency_table(sorted(result.phases.items())))
-    for phase, report in sorted(runner.last_resilience.items()):
-        print(f"resilience [{phase}]: {report.render()}")
+    for phase, phase_result in sorted(result.phases.items()):
+        report = phase_result.resilience_report()
+        if report is not None:
+            print(f"resilience [{phase}]: {report.render()}")
     if runner.last_invariants is not None:
         print(f"invariants: {runner.last_invariants.render()}")
     if args.blockstats and runner.last_rig is not None:
@@ -186,27 +189,21 @@ def _export_trace(tracer, args: argparse.Namespace) -> None:
     print(render_span_stats(tracer, top=8))
 
 
-def _build_executor(args: argparse.Namespace):
-    """The executor ``--jobs``/``--cache-dir`` describe (None = legacy serial)."""
-    if args.jobs == 1 and not args.cache_dir:
-        return None
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    from repro.parallel import build_executor
+def _executor(args: argparse.Namespace, check_level: typing.Optional[str] = None):
+    """The executor ``--jobs``/``--cache-dir``/``--verbose`` describe."""
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.executor import Executor
 
-    return build_executor(jobs=args.jobs, cache_dir=args.cache_dir,
-                          progress=print if args.verbose else None)
+    return Executor(jobs=args.jobs,
+                    cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+                    progress=print if args.verbose else None,
+                    check_level=check_level)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     experiment = build_experiment(args.experiment_id)
-    executor = _build_executor(args)
-    kwargs: typing.Dict[str, object] = {}
-    if executor is not None:
-        kwargs["executor"] = executor
-    else:
-        kwargs["runner"] = BenchmarkRunner(progress=print if args.verbose else None,
-                                           keep_last_rig=False)
+    executor = _executor(args)
+    kwargs: typing.Dict[str, object] = {"executor": executor}
     if args.scale is not None:
         kwargs["scale"] = args.scale
     import inspect
@@ -216,23 +213,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         kwargs["systems"] = args.systems.split(",")
     run = experiment.run(**kwargs)
     print(run.render())
-    if executor is not None:
-        print(executor.summary())
+    print(executor.summary())
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = build_sweep(args.sweep_id)
-    executor = _build_executor(args)
-    if executor is not None:
-        run = sweep.run(executor=executor, scale=args.scale)
-    else:
-        runner = BenchmarkRunner(progress=print if args.verbose else None,
-                                 keep_last_rig=False)
-        run = sweep.run(runner=runner, scale=args.scale)
+    executor = _executor(args)
+    run = sweep.run(executor=executor, scale=args.scale)
     print(run.render())
-    if executor is not None:
-        print(executor.summary())
+    print(executor.summary())
     return 0
 
 
@@ -296,12 +286,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise SystemExit(f"coconut search: error: {error}")
         config_kwargs["workload"] = workload
     check = args.check or args.check_level is not None
-    executor = _build_executor(args)
-    if check and executor is not None:
-        raise SystemExit(
-            "coconut search: error: --check runs serially; drop --jobs/--cache-dir "
-            "(cached units do not carry invariant reports)"
-        )
+    try:
+        executor = _executor(args, (args.check_level or "basic") if check else None)
+    except ValueError as error:
+        raise SystemExit(f"coconut search: error: {error}; drop --cache-dir")
     try:
         search = CapacitySearch(
             system=args.system,
@@ -330,12 +318,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         executor=executor,
         tracer=tracer,
         progress=print if args.verbose else None,
-        check=check,
-        check_level=args.check_level or "basic",
     )
     print(report.render())
-    if executor is not None:
-        print(executor.summary())
+    print(executor.summary())
     if args.output:
         import json
 

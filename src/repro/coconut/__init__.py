@@ -11,31 +11,32 @@ benchmark unit (:mod:`repro.coconut.provisioner`), executes the unit's
 phases and persists results (:mod:`repro.coconut.results`), which the
 report module renders as the paper's tables and heat maps
 (:mod:`repro.coconut.report`).
+
+Names are imported on first use (DESIGN §10): reading a configuration
+or a stored result does not load the runner or the provisioner.
 """
 
-from repro.coconut.bal import make_driver
-from repro.coconut.client import CoconutClient
-from repro.coconut.config import BenchmarkConfig, UNIT_PHASES, unit_for_iel
-from repro.coconut.metrics import MetricSummary, PhaseMetrics, aggregate, confidence_interval
-from repro.coconut.provisioner import Provisioner
-from repro.coconut.results import PhaseResult, ResultStore, UnitResult
-from repro.coconut.runner import BenchmarkRunner
-from repro.coconut.workload import WorkloadPlan
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BenchmarkConfig",
-    "BenchmarkRunner",
-    "CoconutClient",
-    "MetricSummary",
-    "PhaseMetrics",
-    "PhaseResult",
-    "Provisioner",
-    "ResultStore",
-    "UNIT_PHASES",
-    "UnitResult",
-    "WorkloadPlan",
-    "aggregate",
-    "confidence_interval",
-    "make_driver",
-    "unit_for_iel",
-]
+#: Public name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "BenchmarkConfig": "repro.coconut.config",
+    "BenchmarkRunner": "repro.coconut.runner",
+    "CoconutClient": "repro.coconut.client",
+    "MetricSummary": "repro.coconut.metrics",
+    "PhaseMetrics": "repro.coconut.metrics",
+    "PhaseResult": "repro.coconut.results",
+    "Provisioner": "repro.coconut.provisioner",
+    "ResultStore": "repro.coconut.results",
+    "UNIT_PHASES": "repro.coconut.config",
+    "UnitResult": "repro.coconut.results",
+    "WorkloadPlan": "repro.coconut.workload",
+    "aggregate": "repro.coconut.metrics",
+    "confidence_interval": "repro.coconut.metrics",
+    "make_driver": "repro.coconut.bal",
+    "unit_for_iel": "repro.coconut.config",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

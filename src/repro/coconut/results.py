@@ -9,6 +9,7 @@ import pathlib
 import typing
 
 from repro.coconut.metrics import MetricSummary, PhaseMetrics, aggregate
+from repro.faults.metrics import ResilienceReport
 
 
 @dataclasses.dataclass
@@ -75,6 +76,12 @@ class PhaseResult:
             for rep in self.repetitions
             if rep.latency_histogram is not None
         ]
+
+    def resilience_report(self) -> typing.Optional[ResilienceReport]:
+        """The last repetition's resilience report; None when the fault
+        window did not touch this phase (or the unit ran healthy)."""
+        data = self.repetitions[-1].resilience
+        return None if data is None else ResilienceReport.from_dict(data)
 
     @property
     def loss_fraction(self) -> float:

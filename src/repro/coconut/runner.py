@@ -23,7 +23,6 @@ from repro.coconut.config import BenchmarkConfig
 from repro.coconut.metrics import PhaseMetrics
 from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
-from repro.faults.metrics import ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
 from repro.sim.collector import collector_paused
 from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
@@ -62,14 +61,12 @@ class BenchmarkRunner:
         self.check = check
         self.check_level = check_level
         #: Whether to pin the most recent repetition's rig for post-run
-        #: inspection (block statistics, chain validation). Sweep drivers
-        #: disable this: retaining a full simulated deployment per unit
-        #: bloats memory across large parameter sweeps.
+        #: inspection (block statistics, chain validation). Batch units
+        #: (:func:`repro.parallel.executor.execute_unit`) disable this:
+        #: retaining a full simulated deployment per unit bloats memory
+        #: across large parameter sweeps.
         self.keep_last_rig = keep_last_rig
         self.last_rig: typing.Optional[Rig] = None
-        #: Phase -> resilience report of the most recent repetition that
-        #: ran under a fault plan (empty for healthy runs).
-        self.last_resilience: typing.Dict[str, ResilienceReport] = {}
         #: The most recent unit's merged invariant report (None when the
         #: unit ran unchecked).
         self.last_invariants: typing.Optional[InvariantReport] = None
@@ -86,9 +83,6 @@ class BenchmarkRunner:
 
     def run(self, config: BenchmarkConfig) -> UnitResult:
         """Run one benchmark unit, all repetitions, all phases."""
-        # Cleared unconditionally: a reused runner must not report the
-        # previous unit's resilience data after a healthy run.
-        self.last_resilience = {}
         self.last_invariants = None
         self.last_stream_peak = 0
         self.last_stream_spilled = 0
@@ -166,7 +160,6 @@ class BenchmarkRunner:
             # Action times are offsets from the first phase's start.
             injector = FaultInjector(rig.sim, rig.system, config.fault_plan)
             injector.install(epoch=clock)
-            self.last_resilience = {}
         checker = rig.sim.checker
         for phase in config.phase_sequence:
             if checker.enabled:
@@ -195,7 +188,6 @@ class BenchmarkRunner:
             if merged.resilience is not None:
                 report = merged.resilience.report()
                 metrics[phase].resilience = report.to_dict()
-                self.last_resilience[phase] = report
                 self.progress(f"  {phase} resilience: {report.render()}")
             # Records that never resolved are spilled and dropped so live
             # state cannot accumulate phase over phase.
@@ -233,18 +225,3 @@ class BenchmarkRunner:
                 phase_start=phase_start,
                 phase_end=phase_end,
             )
-
-    def run_many(self, configs: typing.Iterable[BenchmarkConfig]) -> typing.List[UnitResult]:
-        """Run a batch of units, dropping rigs between them.
-
-        Multi-unit drivers never keep rigs: retaining one full simulated
-        deployment per unit accumulates every deployment in memory over
-        a batch. ``keep_last_rig`` is restored afterwards so a reused
-        runner keeps its single-unit behaviour.
-        """
-        keep = self.keep_last_rig
-        self.keep_last_rig = False
-        try:
-            return [self.run(config) for config in configs]
-        finally:
-            self.keep_last_rig = keep

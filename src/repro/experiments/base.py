@@ -21,7 +21,6 @@ import typing
 
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.results import PhaseResult
-from repro.coconut.runner import BenchmarkRunner
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.executor import Executor
@@ -152,6 +151,11 @@ class ExperimentRun:
 class Experiment:
     """A reproducible paper artifact: a named list of cases."""
 
+    #: The per-case result and the run types :meth:`run` builds; a
+    #: subclass that renders cases differently swaps these two.
+    result_type: typing.Type[CaseResult] = CaseResult
+    run_type: typing.Type[ExperimentRun] = ExperimentRun
+
     def __init__(self, experiment_id: str, title: str, cases: typing.Sequence[Case]) -> None:
         if not cases:
             raise ValueError(f"experiment {experiment_id!r} has no cases")
@@ -164,7 +168,6 @@ class Experiment:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         scale: typing.Optional[float] = None,
         repetitions: typing.Optional[int] = None,
         case_filter: typing.Optional[typing.Callable[[Case], bool]] = None,
@@ -172,11 +175,15 @@ class Experiment:
     ) -> ExperimentRun:
         """Execute (a subset of) the experiment's cases.
 
-        With an ``executor`` the cases fan out over its worker pool and
-        result cache; otherwise they run serially through ``runner``.
-        Both paths produce byte-identical per-case results — each case
-        owns its seeded RNG streams.
+        The cases run as one batch through ``executor`` (by default an
+        in-process :class:`~repro.parallel.executor.Executor`); every
+        jobs count gives byte-identical per-case results, because each
+        case owns its seeded RNG streams.
         """
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         selected = [
             case
             for case in self.cases
@@ -186,17 +193,12 @@ class Experiment:
             case.build_config(scale=scale, repetitions=repetitions)
             for case in selected
         ]
-        if executor is not None:
-            units = [outcome.result for outcome in executor.run_units(configs)]
-        else:
-            # Experiments run many units back to back; like sweeps, they
-            # must not accumulate one retained rig per case.
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            units = runner.run_many(configs)
-        case_results = [
-            CaseResult(case=case, phase_result=unit.phase(case.phase))
-            for case, unit in zip(selected, units)
-        ]
-        return ExperimentRun(
-            experiment_id=self.experiment_id, title=self.title, case_results=case_results
+        units = [outcome.result for outcome in executor.run_units(configs)]
+        return self.run_type(
+            experiment_id=self.experiment_id,
+            title=self.title,
+            case_results=[
+                self.result_type(case=case, phase_result=unit.phase(case.phase))
+                for case, unit in zip(selected, units)
+            ],
         )

@@ -22,7 +22,6 @@ import dataclasses
 import typing
 
 from repro.chains.registry import SYSTEM_NAMES
-from repro.coconut.runner import BenchmarkRunner
 from repro.search.engine import REPORTED_PHASES, CapacitySearch
 from repro.search.report import CapacityReport
 from repro.search.space import SearchSpace, rate_space
@@ -140,7 +139,6 @@ class CapacityExperiment:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         systems: typing.Optional[typing.Sequence[str]] = None,
         scale: typing.Optional[float] = None,
         executor: typing.Optional["Executor"] = None,
@@ -151,7 +149,7 @@ class CapacityExperiment:
         rows: typing.List[CapacityRow] = []
         for system in systems:
             search = self.search_for(system, scale=scale)
-            report = search.run(executor=executor, runner=runner, progress=progress)
+            report = search.run(executor=executor, progress=progress)
             rows.append(CapacityRow(system=system, report=report))
         return CapacityRun(
             experiment_id=self.experiment_id, title=self.title, rows=rows

@@ -17,7 +17,6 @@ import typing
 from repro.chains.registry import SYSTEM_LABELS, SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, unit_for_iel
 from repro.coconut.results import PhaseResult
-from repro.coconut.runner import BenchmarkRunner
 from repro.experiments.base import PaperValue
 from repro.net.latency import EUROPEAN_WAN_LATENCY, LatencyModel
 
@@ -148,7 +147,6 @@ class HeatmapExperiment:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         systems: typing.Optional[typing.Sequence[str]] = None,
         iels: typing.Optional[typing.Sequence[str]] = None,
         scale: typing.Optional[float] = None,
@@ -157,6 +155,10 @@ class HeatmapExperiment:
         executor: typing.Optional["Executor"] = None,
     ) -> GridRun:
         """Run one unit per (system, IEL) and collect every phase."""
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         systems = tuple(systems or SYSTEM_NAMES)
         iels = tuple(iels or ("DoNothing", "KeyValue", "BankingApp"))
         specs: typing.List[typing.Tuple[str, str, BenchmarkConfig]] = []
@@ -173,11 +175,7 @@ class HeatmapExperiment:
                         **kwargs,
                     )
                     specs.append((system, iel, config))
-        if executor is not None:
-            units = [o.result for o in executor.run_units([c for __, __, c in specs])]
-        else:
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            units = runner.run_many([config for __, __, config in specs])
+        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
         cells: typing.Dict[typing.Tuple[str, str], PhaseResult] = {}
         for (system, iel, __), unit in zip(specs, units):
             for phase in unit_for_iel(iel):
@@ -329,7 +327,6 @@ class ScalabilityExperiment:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         systems: typing.Optional[typing.Sequence[str]] = None,
         node_counts: typing.Sequence[int] = (8, 16, 32),
         scale: typing.Optional[float] = None,
@@ -337,6 +334,10 @@ class ScalabilityExperiment:
         executor: typing.Optional["Executor"] = None,
     ) -> ScalabilityRun:
         """Run DoNothing at each network size (same settings as 5.8.1)."""
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         systems = tuple(systems or SYSTEM_NAMES)
         specs: typing.List[typing.Tuple[str, int, BenchmarkConfig]] = []
         for system in systems:
@@ -352,11 +353,7 @@ class ScalabilityExperiment:
                     **best_config_kwargs(system),
                 )
                 specs.append((system, node_count, config))
-        if executor is not None:
-            units = [o.result for o in executor.run_units([c for __, __, c in specs])]
-        else:
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            units = runner.run_many([config for __, __, config in specs])
+        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
         cells: typing.Dict[typing.Tuple[str, int], PhaseResult] = {}
         for (system, node_count, __), unit in zip(specs, units):
             cells[(system, node_count)] = unit.phase("DoNothing")

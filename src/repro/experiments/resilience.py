@@ -31,7 +31,6 @@ import typing
 from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.results import PhaseResult
-from repro.coconut.runner import BenchmarkRunner
 from repro.faults import FaultPlan, ResilienceReport
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -164,12 +163,15 @@ class ResilienceExperiment:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         systems: typing.Optional[typing.Sequence[str]] = None,
         scale: typing.Optional[float] = None,
         seed: int = 61,
         executor: typing.Optional["Executor"] = None,
     ) -> ResilienceRun:
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         systems = tuple(systems or SYSTEM_NAMES)
         specs: typing.List[typing.Tuple[str, str, BenchmarkConfig]] = []
         for system in systems:
@@ -184,30 +186,18 @@ class ResilienceExperiment:
                 )
                 config.fault_plan = plan_factory(config)
                 specs.append((system, scenario, config))
-        rows: typing.List[ResilienceRow] = []
-        if executor is not None:
-            outcomes = executor.run_units([config for __, __, config in specs])
-            for (system, scenario, __), outcome in zip(specs, outcomes):
-                rows.append(
-                    ResilienceRow(
-                        system=system,
-                        scenario=scenario,
-                        phase_result=outcome.result.phase("DoNothing"),
-                        report=outcome.resilience.get("DoNothing"),
-                    )
+        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
+        rows = []
+        for (system, scenario, __), unit in zip(specs, units):
+            phase_result = unit.phase("DoNothing")
+            rows.append(
+                ResilienceRow(
+                    system=system,
+                    scenario=scenario,
+                    phase_result=phase_result,
+                    report=phase_result.resilience_report(),
                 )
-        else:
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            for system, scenario, config in specs:
-                unit = runner.run(config)
-                rows.append(
-                    ResilienceRow(
-                        system=system,
-                        scenario=scenario,
-                        phase_result=unit.phase("DoNothing"),
-                        report=runner.last_resilience.get("DoNothing"),
-                    )
-                )
+            )
         return ResilienceRun(
             experiment_id=self.experiment_id, title=self.title, rows=rows
         )

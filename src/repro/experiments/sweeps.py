@@ -16,7 +16,6 @@ import typing
 
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.results import PhaseResult
-from repro.coconut.runner import BenchmarkRunner
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.executor import Executor
@@ -111,42 +110,27 @@ class ParameterSweep:
 
     def run(
         self,
-        runner: typing.Optional[BenchmarkRunner] = None,
         scale: typing.Optional[float] = None,
         repetitions: int = 1,
         executor: typing.Optional["Executor"] = None,
     ) -> SweepRun:
-        """Execute the sweep, optionally fanning points out over an executor."""
-        from repro.parallel.fingerprint import unit_fingerprint
+        """Execute the sweep, one unit per point, as one executor batch.
 
+        Overlapping values (repeated, or collapsing to one config) run
+        once: the executor dedupes units by fingerprint.
+        """
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         configs = [
             self.build_config(value, scale=scale, repetitions=repetitions)
             for value in self.values
         ]
-        # Overlapping grid axes (repeated swept values, or values that
-        # collapse to one config) must not dispatch duplicate units: the
-        # executor would run them twice and count one as a cache hit.
-        # Dedupe by config fingerprint, run each distinct unit once, and
-        # fan the result back out to every point that shares it.
-        fingerprints = [unit_fingerprint(config) for config in configs]
-        distinct: typing.Dict[str, BenchmarkConfig] = {}
-        for fingerprint, config in zip(fingerprints, configs):
-            distinct.setdefault(fingerprint, config)
-        unique_configs = list(distinct.values())
-        if executor is not None:
-            unique_units = [
-                outcome.result for outcome in executor.run_units(unique_configs)
-            ]
-        else:
-            # Sweeps run many units back to back; retaining each unit's
-            # full simulated rig would accumulate every deployment in
-            # memory (run_many drops rigs).
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            unique_units = runner.run_many(unique_configs)
-        by_fingerprint = dict(zip(distinct.keys(), unique_units))
+        units = [outcome.result for outcome in executor.run_units(configs)]
         points = [
-            SweepPoint(value=value, phase_result=by_fingerprint[fingerprint].phase(self.phase))
-            for value, fingerprint in zip(self.values, fingerprints)
+            SweepPoint(value=value, phase_result=unit.phase(self.phase))
+            for value, unit in zip(self.values, units)
         ]
         return SweepRun(
             sweep_id=self.sweep_id,

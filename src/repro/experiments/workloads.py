@@ -27,13 +27,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.coconut.results import PhaseResult
-from repro.coconut.runner import BenchmarkRunner
-from repro.experiments.base import Case
+from repro.experiments.base import Case, CaseResult, Experiment, ExperimentRun
 from repro.workloads import AccessSpec, ArrivalSpec, PhaseOverride, WorkloadSpec
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import Executor
 
 #: Moderate per-client rates, comfortably under each system's knee at
 #: the default scale, so workload effects are not drowned by saturation.
@@ -59,11 +54,8 @@ SKEW_ACCESS: typing.Dict[str, AccessSpec] = {
 
 
 @dataclasses.dataclass
-class WorkloadCaseResult:
+class WorkloadCaseResult(CaseResult):
     """Measured numbers for one workload case, tails included."""
-
-    case: Case
-    phase_result: PhaseResult
 
     def row(self) -> typing.List[str]:
         phase = self.phase_result
@@ -79,19 +71,10 @@ class WorkloadCaseResult:
 
 
 @dataclasses.dataclass
-class WorkloadRun:
+class WorkloadRun(ExperimentRun):
     """The outcome of one workload experiment."""
 
-    experiment_id: str
-    title: str
     case_results: typing.List[WorkloadCaseResult]
-
-    def case(self, case_id: str) -> WorkloadCaseResult:
-        """Look one case's result up."""
-        for result in self.case_results:
-            if result.case.case_id == case_id:
-                return result
-        raise KeyError(f"no case {case_id!r} in {self.experiment_id}")
 
     def render(self) -> str:
         from repro.coconut.report import format_table
@@ -103,45 +86,11 @@ class WorkloadRun:
         return f"{self.title}\n{table}"
 
 
-class WorkloadExperiment:
+class WorkloadExperiment(Experiment):
     """A named list of cases rendered with latency tails and conflicts."""
 
-    def __init__(
-        self, experiment_id: str, title: str, cases: typing.Sequence[Case]
-    ) -> None:
-        if not cases:
-            raise ValueError(f"experiment {experiment_id!r} has no cases")
-        ids = [case.case_id for case in cases]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate case ids in {experiment_id!r}")
-        self.experiment_id = experiment_id
-        self.title = title
-        self.cases = list(cases)
-
-    def run(
-        self,
-        runner: typing.Optional[BenchmarkRunner] = None,
-        scale: typing.Optional[float] = None,
-        repetitions: typing.Optional[int] = None,
-        executor: typing.Optional["Executor"] = None,
-    ) -> WorkloadRun:
-        """Execute the cases serially or over an executor's pool."""
-        configs = [
-            case.build_config(scale=scale, repetitions=repetitions)
-            for case in self.cases
-        ]
-        if executor is not None:
-            units = [outcome.result for outcome in executor.run_units(configs)]
-        else:
-            runner = runner or BenchmarkRunner(keep_last_rig=False)
-            units = runner.run_many(configs)
-        case_results = [
-            WorkloadCaseResult(case=case, phase_result=unit.phase(case.phase))
-            for case, unit in zip(self.cases, units)
-        ]
-        return WorkloadRun(
-            experiment_id=self.experiment_id, title=self.title, case_results=case_results
-        )
+    result_type = WorkloadCaseResult
+    run_type = WorkloadRun
 
 
 def _case(

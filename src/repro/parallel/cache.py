@@ -1,30 +1,20 @@
 """Content-addressed cache of benchmark unit results.
 
 One JSON file per fingerprint (see :mod:`repro.parallel.fingerprint`);
-an entry stores the ``UnitResult`` payload plus any per-phase resilience
-reports, so a cache hit restores everything an executor returns for a
-freshly run unit. Corrupt or mismatched entries are treated as misses
-and silently overwritten — the cache is a pure accelerator, never a
-source of truth.
+an entry stores the ``UnitResult`` payload, whose phase metrics carry
+any per-repetition resilience reports, so a cache hit restores
+everything an executor returns for a freshly run unit. Corrupt or
+mismatched entries are treated as misses and silently overwritten — the
+cache is a pure accelerator, never a source of truth.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import typing
 
 from repro.coconut.results import UnitResult
-from repro.faults.metrics import ResilienceReport
-
-
-@dataclasses.dataclass
-class CachedUnit:
-    """One cache entry, deserialised."""
-
-    result: UnitResult
-    resilience: typing.Dict[str, ResilienceReport]
 
 
 class ResultCache:
@@ -40,8 +30,8 @@ class ResultCache:
         """File path of one entry."""
         return self.directory / f"{fingerprint}.json"
 
-    def get(self, fingerprint: str) -> typing.Optional[CachedUnit]:
-        """The cached unit, or None (counted as a miss)."""
+    def get(self, fingerprint: str) -> typing.Optional[UnitResult]:
+        """The cached unit result, or None (counted as a miss)."""
         path = self.path_for(fingerprint)
         try:
             data = json.loads(path.read_text())
@@ -52,33 +42,19 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            entry = CachedUnit(
-                result=UnitResult.from_dict(data["unit"]),
-                resilience={
-                    phase: ResilienceReport.from_dict(report)
-                    for phase, report in data.get("resilience", {}).items()
-                },
-            )
+            result = UnitResult.from_dict(data["unit"])
         except (KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return entry
+        return result
 
-    def put(
-        self,
-        fingerprint: str,
-        result: UnitResult,
-        resilience: typing.Optional[typing.Mapping[str, ResilienceReport]] = None,
-    ) -> pathlib.Path:
+    def put(self, fingerprint: str, result: UnitResult) -> pathlib.Path:
         """Store one unit; returns the entry's path."""
         payload = {
             "fingerprint": fingerprint,
             "label": result.label,
             "unit": result.to_dict(),
-            "resilience": {
-                phase: report.to_dict() for phase, report in (resilience or {}).items()
-            },
         }
         path = self.path_for(fingerprint)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True))

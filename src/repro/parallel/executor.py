@@ -1,19 +1,21 @@
-"""Executors: fan independent benchmark units out over worker processes.
+"""The executor: the one way a batch of benchmark units runs.
 
 The paper's COCONUT framework distributes benchmark execution across
 client hosts (Section 4.3); here the analogous lever is running
 independent *units* — experiment cases, sweep points, resilience
-scenarios — concurrently. Each unit already owns its seeded RNG streams
-(the rig is rebuilt per repetition from ``seed``), so units share no
-state and the fan-out cannot change any result: a worker receives a
-picklable :class:`~repro.coconut.config.BenchmarkConfig`, rebuilds the
-rig exactly as the serial path would, and sends back JSON-ready dicts.
-For any jobs count the per-unit output is byte-identical to a serial
-run, which ``tests/parallel/test_executor.py`` asserts.
+scenarios, capacity-search probes — concurrently. Each unit already
+owns its seeded RNG streams (the rig is rebuilt per repetition from
+``seed``), so units share no state and the fan-out cannot change any
+result: a worker receives a picklable
+:class:`~repro.coconut.config.BenchmarkConfig`, rebuilds the rig exactly
+as an in-process run would, and sends back a JSON-ready dict. For any
+jobs count the per-unit output is byte-identical, which
+``tests/parallel/test_executor.py`` asserts.
 
-Both executors optionally consult a
-:class:`~repro.parallel.cache.ResultCache`: units whose fingerprint is
-already stored are not re-run at all.
+Units are keyed by their content fingerprint: a batch runs each
+distinct unit once, and an optional
+:class:`~repro.parallel.cache.ResultCache` restores units already
+stored instead of running them at all.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import typing
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.results import UnitResult
 from repro.coconut.runner import BenchmarkRunner
-from repro.faults.metrics import ResilienceReport
 from repro.parallel.cache import ResultCache
 from repro.parallel.fingerprint import unit_fingerprint
 
@@ -36,51 +37,66 @@ class UnitOutcome:
 
     config: BenchmarkConfig
     result: UnitResult
-    #: Phase -> report for phases the unit's fault plan touched.
-    resilience: typing.Dict[str, ResilienceReport]
     cached: bool = False
     fingerprint: typing.Optional[str] = None
 
 
-def execute_unit(config: BenchmarkConfig) -> typing.Dict[str, typing.Any]:
-    """Run one unit in the current process; returns JSON-ready payloads.
+def execute_unit(
+    config: BenchmarkConfig, check_level: typing.Optional[str] = None
+) -> typing.Dict[str, typing.Any]:
+    """Run one unit in the current process; returns its result's dict.
 
-    This is the single execution path shared by serial and pooled
-    executors (and the function workers run), so every mode produces
-    identical payloads. Workers never pickle a rig back — the runner
-    drops rigs and only dicts cross the process boundary.
+    This is the single execution path of every jobs count (and the
+    function workers run), so every mode produces identical payloads.
+    Workers never pickle a rig back — the runner drops rigs and only
+    dicts cross the process boundary. With a ``check_level`` the unit
+    runs under the invariant oracles; each repetition's report rides on
+    its final phase's metrics.
     """
-    runner = BenchmarkRunner(keep_last_rig=False)
-    result = runner.run(config)
-    return {
-        "unit": result.to_dict(),
-        "resilience": {
-            phase: report.to_dict() for phase, report in runner.last_resilience.items()
-        },
-    }
+    runner = BenchmarkRunner(
+        keep_last_rig=False,
+        check=check_level is not None,
+        check_level=check_level or "basic",
+    )
+    return runner.run(config).to_dict()
 
 
 def _pool_entry(
-    item: typing.Tuple[int, BenchmarkConfig]
+    item: typing.Tuple[int, BenchmarkConfig, typing.Optional[str]]
 ) -> typing.Tuple[int, typing.Dict[str, typing.Any]]:
-    """Worker entry point: (index, config) -> (index, payload)."""
-    index, config = item
-    return index, execute_unit(config)
+    """Worker entry point: (index, config, level) -> (index, payload)."""
+    index, config, check_level = item
+    return index, execute_unit(config, check_level)
 
 
 class Executor:
-    """Base executor: cache bookkeeping plus aggregated progress."""
+    """Runs a batch of units, in-process or over a worker pool.
 
-    #: Worker processes used for cache misses (1 = in-process).
-    jobs = 1
+    ``jobs`` worker processes run the units a batch does not restore
+    from ``cache`` (1 = in the current process). ``progress`` receives
+    one ``[i/N] label`` line per distinct unit. ``check_level`` runs
+    every unit under the invariant oracles; fingerprints do not cover
+    checking, so it cannot be combined with a cache.
+    """
 
     def __init__(
         self,
+        jobs: int = 1,
         cache: typing.Optional[ResultCache] = None,
         progress: typing.Optional[typing.Callable[[str], None]] = None,
+        check_level: typing.Optional[str] = None,
     ) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if check_level is not None and cache is not None:
+            raise ValueError(
+                "checked units cannot use the result cache "
+                "(fingerprints do not cover checking)"
+            )
+        self.jobs = jobs
         self.cache = cache
         self.progress = progress or (lambda message: None)
+        self.check_level = check_level
         #: Units actually executed across this executor's lifetime.
         self.ran = 0
         #: Units restored from the cache instead of executed.
@@ -89,56 +105,58 @@ class Executor:
     def run_units(
         self, configs: typing.Iterable[BenchmarkConfig]
     ) -> typing.List[UnitOutcome]:
-        """Run every unit, restoring cache hits; preserves input order."""
+        """Run every distinct unit once; preserves input order.
+
+        Configs with one fingerprint (repeated sweep values, or values
+        that collapse to one config) share one execution, whose result
+        every such input receives.
+        """
         configs = list(configs)
-        total = len(configs)
-        outcomes: typing.List[typing.Optional[UnitOutcome]] = [None] * total
-        fingerprints: typing.List[typing.Optional[str]] = [None] * total
+        fingerprints = [unit_fingerprint(config) for config in configs]
+        #: Fingerprint -> index of its first config: the units to run.
+        distinct: typing.Dict[str, int] = {}
+        for index, fingerprint in enumerate(fingerprints):
+            distinct.setdefault(fingerprint, index)
+        total = len(distinct)
+        results: typing.Dict[str, typing.Tuple[UnitResult, bool]] = {}
         pending: typing.List[typing.Tuple[int, BenchmarkConfig]] = []
-        done = 0
-        for index, config in enumerate(configs):
-            if self.cache is not None:
-                fingerprints[index] = unit_fingerprint(config)
-                hit = self.cache.get(fingerprints[index])
-                if hit is not None:
-                    outcomes[index] = UnitOutcome(
-                        config=config,
-                        result=hit.result,
-                        resilience=hit.resilience,
-                        cached=True,
-                        fingerprint=fingerprints[index],
-                    )
-                    self.from_cache += 1
-                    done += 1
-                    self.progress(f"[{done}/{total}] {config.label()} (cached)")
-                    continue
-            pending.append((index, config))
+        for fingerprint, index in distinct.items():
+            hit = self.cache.get(fingerprint) if self.cache is not None else None
+            if hit is None:
+                pending.append((index, configs[index]))
+                continue
+            results[fingerprint] = (hit, True)
+            self.from_cache += 1
+            self.progress(f"[{len(results)}/{total}] {configs[index].label()} (cached)")
         for index, payload in self._execute(pending):
-            config = configs[index]
-            resilience = {
-                phase: ResilienceReport.from_dict(report)
-                for phase, report in payload["resilience"].items()
-            }
-            result = UnitResult.from_dict(payload["unit"])
-            if self.cache is not None and fingerprints[index] is not None:
-                self.cache.put(fingerprints[index], result, resilience)
-            outcomes[index] = UnitOutcome(
-                config=config,
-                result=result,
-                resilience=resilience,
-                cached=False,
-                fingerprint=fingerprints[index],
-            )
+            result = UnitResult.from_dict(payload)
+            if self.cache is not None:
+                self.cache.put(fingerprints[index], result)
+            results[fingerprints[index]] = (result, False)
             self.ran += 1
-            done += 1
-            self.progress(f"[{done}/{total}] {config.label()}")
-        return typing.cast(typing.List[UnitOutcome], outcomes)
+            self.progress(f"[{len(results)}/{total}] {configs[index].label()}")
+        outcomes = []
+        for config, fingerprint in zip(configs, fingerprints):
+            result, cached = results[fingerprint]
+            outcomes.append(UnitOutcome(config, result, cached, fingerprint))
+        return outcomes
 
     def _execute(
         self, pending: typing.Sequence[typing.Tuple[int, BenchmarkConfig]]
     ) -> typing.Iterator[typing.Tuple[int, typing.Dict[str, typing.Any]]]:
-        """Yield (index, payload) for every pending unit, any order."""
-        raise NotImplementedError
+        """Yield (index, payload) for every pending unit, any order.
+
+        Workers rebuild the rig from the pickled config and return plain
+        dicts; completion order is arbitrary, and :meth:`run_units`
+        re-sequences results by index.
+        """
+        if self.jobs == 1 or len(pending) <= 1:
+            for index, config in pending:
+                yield index, execute_unit(config, self.check_level)
+            return
+        items = [(index, config, self.check_level) for index, config in pending]
+        with _pool_context().Pool(processes=min(self.jobs, len(pending))) as pool:
+            yield from pool.imap_unordered(_pool_entry, items)
 
     def summary(self) -> str:
         """One-line accounting for CLI output."""
@@ -148,61 +166,9 @@ class Executor:
         return text
 
 
-class SerialExecutor(Executor):
-    """Runs units one after another in the current process."""
-
-    def _execute(self, pending):
-        for index, config in pending:
-            yield index, execute_unit(config)
-
-
-class ParallelExecutor(Executor):
-    """Fans units out over a multiprocessing worker pool.
-
-    Workers rebuild the rig from the pickled config and return plain
-    dicts; completion order is arbitrary but results are re-sequenced by
-    index, so output order (and content) matches the serial path.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 2,
-        cache: typing.Optional[ResultCache] = None,
-        progress: typing.Optional[typing.Callable[[str], None]] = None,
-        mp_context: typing.Optional[multiprocessing.context.BaseContext] = None,
-    ) -> None:
-        super().__init__(cache=cache, progress=progress)
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._mp_context = mp_context
-
-    def _context(self) -> multiprocessing.context.BaseContext:
-        if self._mp_context is not None:
-            return self._mp_context
-        try:
-            # Fork is cheapest where available (no re-import per worker).
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context("spawn")
-
-    def _execute(self, pending):
-        if self.jobs == 1 or len(pending) <= 1:
-            for index, config in pending:
-                yield index, execute_unit(config)
-            return
-        with self._context().Pool(processes=min(self.jobs, len(pending))) as pool:
-            for index, payload in pool.imap_unordered(_pool_entry, pending):
-                yield index, payload
-
-
-def build_executor(
-    jobs: int = 1,
-    cache_dir: typing.Optional[str] = None,
-    progress: typing.Optional[typing.Callable[[str], None]] = None,
-) -> Executor:
-    """The executor the CLI flags describe (``--jobs``/``--cache-dir``)."""
-    cache = ResultCache(cache_dir) if cache_dir else None
-    if jobs > 1:
-        return ParallelExecutor(jobs=jobs, cache=cache, progress=progress)
-    return SerialExecutor(cache=cache, progress=progress)
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (no re-import per worker), else spawn."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")

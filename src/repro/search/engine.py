@@ -9,19 +9,20 @@ sustainable throughput.
 
 Integration points:
 
-* probes fan out through :mod:`repro.parallel` executors (each round's
-  probe batch is independent) and land in the content-addressed result
-  cache, so a grid-oracle run warms a later bisection run and repeated
-  searches are free;
+* each round's probe batch is independent and runs through one
+  :class:`~repro.parallel.executor.Executor`, in-process or over a
+  worker pool, landing in its content-addressed result cache when it
+  has one, so a grid-oracle run warms a later bisection run and
+  repeated searches are free;
 * every probe emits a ``search``-category span through
   :mod:`repro.trace` when a tracer is supplied;
-* ``check=True`` composes the :mod:`repro.invariants` oracle layer with
-  the search (serial path only — checked units cannot ride the result
-  cache, whose fingerprints do not cover checking).
+* an executor with a ``check_level`` composes the
+  :mod:`repro.invariants` oracle layer with the search: each probe's
+  merged report is collected in :attr:`CapacitySearch.last_invariants`.
 
 Determinism: strategies are pure state machines and probe configs carry
 a fixed seed, so one (space, seed) pair yields one probe sequence and
-one report, byte-identical across runs and executor kinds.
+one report, byte-identical across runs and jobs counts.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ import typing
 
 from repro.coconut.config import BenchmarkConfig, unit_for_iel
 from repro.coconut.results import PhaseResult, UnitResult
-from repro.coconut.runner import BenchmarkRunner
 from repro.search.judge import SustainabilityJudge, Verdict
 from repro.search.report import CapacityReport, ProbeRecord
 from repro.search.space import SearchSpace
 from repro.search.strategy import build_strategy
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.invariants import InvariantReport
+    from repro.invariants.report import InvariantReport
     from repro.parallel.executor import Executor
     from repro.trace.tracer import Tracer
 
@@ -113,30 +113,24 @@ class CapacitySearch:
     def run(
         self,
         executor: typing.Optional["Executor"] = None,
-        runner: typing.Optional[BenchmarkRunner] = None,
         tracer: typing.Optional["Tracer"] = None,
         progress: typing.Optional[typing.Callable[[str], None]] = None,
-        check: bool = False,
-        check_level: str = "basic",
     ) -> CapacityReport:
         """Search the space; returns the capacity report.
 
-        Probes fan out through ``executor`` when given (one batch per
-        search round), else run serially through ``runner``. ``check``
-        installs the invariant oracles on every probe and requires the
-        serial path.
+        Each search round's probes run as one batch through ``executor``
+        (by default an in-process
+        :class:`~repro.parallel.executor.Executor`); an executor with a
+        ``check_level`` runs every probe under the invariant oracles.
         """
-        if check and executor is not None:
-            raise ValueError(
-                "checked searches run serially: cached/pooled units do not "
-                "carry invariant reports (fingerprints do not cover --check)"
-            )
+        from repro.invariants.report import InvariantReport
+
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
         progress = progress or (lambda message: None)
         self.last_invariants = []
-        if executor is None:
-            runner = runner or BenchmarkRunner(
-                keep_last_rig=False, check=check, check_level=check_level
-            )
         combos = self.space.combos()
         strategies = [build_strategy(self.strategy_name, self.space.rate) for _ in combos]
         #: (combo index, rate) -> the probe's judged phase result.
@@ -156,21 +150,18 @@ class CapacitySearch:
                 for combo_index, rate in requests
             ]
             round_start = time.perf_counter() - wall_start
-            if executor is not None:
-                outcomes = executor.run_units(configs)
-                units = [(outcome.result, outcome.cached) for outcome in outcomes]
-            else:
-                assert runner is not None
-                units = []
-                for config in configs:
-                    units.append((runner.run(config), False))
-                    if check and runner.last_invariants is not None:
-                        self.last_invariants.append(runner.last_invariants)
-            for (combo_index, rate), config, (unit, cached) in zip(
-                requests, configs, units
-            ):
+            outcomes = executor.run_units(configs)
+            for (combo_index, rate), outcome in zip(requests, outcomes):
+                reports = [
+                    InvariantReport.from_dict(metrics.invariants)
+                    for metrics in outcome.result.phase(self.phase).repetitions
+                    if metrics.invariants is not None
+                ]
+                if reports:
+                    self.last_invariants.append(InvariantReport.merge(reports))
                 self._record_probe(
-                    combo_index, rate, combos[combo_index], config, unit, cached,
+                    combo_index, rate, combos[combo_index], outcome.config,
+                    outcome.result, outcome.cached,
                     strategies[combo_index], results, verdicts, probes,
                     tracer, (round_start, time.perf_counter() - wall_start), progress,
                 )

@@ -231,8 +231,9 @@ class TestParallelFlags:
         serial_out = capsys.readouterr().out
         assert main(["experiment", "table15_16", "--scale", "0.05", "--jobs", "2"]) == 0
         parallel_out = capsys.readouterr().out
+        assert "executor: 2 ran, 0 cached (jobs=1)" in serial_out
         assert "executor: 2 ran, 0 cached (jobs=2)" in parallel_out
-        assert serial_out.strip() in parallel_out
+        assert parallel_out.split("executor:")[0] == serial_out.split("executor:")[0]
 
     def test_warm_cache_reruns_nothing(self, tmp_path, capsys):
         args = ["experiment", "table15_16", "--scale", "0.05",
@@ -253,7 +254,7 @@ class TestParallelFlags:
         assert main(["sweep", "sweep_fabric_mm", "--scale", "0.02", "--jobs", "2"]) == 0
         parallel_out = capsys.readouterr().out
         assert "executor: 4 ran, 0 cached (jobs=2)" in parallel_out
-        assert serial_out.strip() in parallel_out
+        assert parallel_out.split("executor:")[0] == serial_out.split("executor:")[0]
 
     def test_serial_cache_dir_without_jobs(self, tmp_path, capsys):
         args = ["sweep", "sweep_fabric_mm", "--scale", "0.02",
@@ -320,9 +321,24 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             main(["search", "--system", "corda_os", "--strategy", "annealing"])
 
-    def test_check_with_jobs_rejected(self):
-        with pytest.raises(SystemExit, match="serially"):
-            main(["search", "--system", "corda_os", "--check", "--jobs", "2"])
+    def test_check_with_cache_dir_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--system", "corda_os", "--check",
+                  "--cache-dir", str(tmp_path)])
+        message = str(excinfo.value.code)
+        assert message.startswith("coconut search: error:")
+        assert "cache" in message and "\n" not in message
+
+    def test_checked_search_with_jobs(self, capsys):
+        args = ["search", "--system", "corda_os", "--check",
+                "--rate-min", "1", "--rate-max", "4", "--rate-step", "1"]
+        assert main(args) == 0
+        serial_out = capsys.readouterr().out
+        assert main(args + ["--jobs", "2"]) == 0
+        pooled_out = capsys.readouterr().out
+        assert "with violations" in pooled_out
+        assert pooled_out.split("executor:")[0] == serial_out.split("executor:")[0]
+        assert pooled_out.split("invariants:")[1] == serial_out.split("invariants:")[1]
 
     def test_checked_search_reports_invariants(self, capsys):
         assert main(["search", "--system", "corda_os", "--check",

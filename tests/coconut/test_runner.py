@@ -92,10 +92,10 @@ class TestRunnerStateLeaks:
 
     def test_healthy_run_clears_stale_resilience(self):
         runner = BenchmarkRunner(keep_last_rig=False)
-        runner.run(self.faulted_config())
-        assert runner.last_resilience  # the faulted unit did report
-        runner.run(self.healthy_config())
-        assert runner.last_resilience == {}
+        faulted = runner.run(self.faulted_config())
+        assert faulted.phase("DoNothing").resilience_report()  # it did report
+        healthy = runner.run(self.healthy_config())
+        assert healthy.phase("DoNothing").resilience_report() is None
 
     def test_tracer_does_not_pin_a_dropped_simulator(self, monkeypatch):
         simulators = []
@@ -111,19 +111,12 @@ class TestRunnerStateLeaks:
         first = self.healthy_config()
         second = self.healthy_config()
         second.seed = 33
-        runner.run_many([first, second])
+        runner.run(first)
+        runner.run(second)
         assert len(simulators) == 2
         assert [ref() for ref in simulators] == [None, None]
         # The clock stays readable, stopped at the last unit's end.
         assert tracer.now == pytest.approx(len(second.phase_sequence) * second.scaled_total)
-
-    def test_run_many_drops_rigs_and_restores_flag(self):
-        runner = BenchmarkRunner()  # keep_last_rig defaults to True
-        runner.run_many([self.healthy_config()])
-        assert runner.last_rig is None
-        assert runner.keep_last_rig is True
-        runner.run(self.healthy_config())
-        assert runner.last_rig is not None
 
 
 class TestCollectorPause:
@@ -203,13 +196,15 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     @pytest.mark.parametrize("system", ["fabric", "corda_os"])
-    def test_run_many_holds_one_deployment_at_a_time(self, system):
+    def test_a_batch_holds_one_deployment_at_a_time(self, system):
         # Each dropped rig is one large cyclic graph. Left to the
         # collector, which is paused while units run, every unit of a
         # sweep would stay in memory until it next ran on its own. The
         # runner's one collection pass frees it whole: a Corda rig
         # holds flows in flight, and none of them is a generator whose
         # finalizer could schedule entries back into the dropped graph.
+        from repro.parallel.executor import Executor
+
         runner = BenchmarkRunner(keep_last_rig=False)
         tracemalloc.start()
         try:
@@ -221,7 +216,7 @@ class TestCollectorPause:
             gc.collect()
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            runner.run_many([
+            Executor().run_units([
                 self.config(seed=43 + i, iel="DoNothing", rate=40, system=system)
                 for i in range(3)
             ])

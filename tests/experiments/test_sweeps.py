@@ -61,14 +61,7 @@ class TestSweepExecution:
 
     def test_overlapping_values_dispatch_one_unit(self):
         """Duplicate grid points must collapse to one executed unit."""
-        from repro.parallel.executor import SerialExecutor
-
-        dispatched = []
-
-        class CountingExecutor(SerialExecutor):
-            def run_units(self, configs, **kwargs):
-                dispatched.append(len(configs))
-                return super().run_units(configs, **kwargs)
+        from repro.parallel.executor import Executor
 
         sweep = ParameterSweep(
             sweep_id="mini-dup",
@@ -79,35 +72,13 @@ class TestSweepExecution:
                                rate_limit=25, seed=7),
             phase="DoNothing",
         )
-        run = sweep.run(executor=CountingExecutor(), scale=0.02)
-        assert dispatched == [2]
+        executor = Executor()
+        run = sweep.run(executor=executor, scale=0.02)
+        assert executor.ran == 2
         # All three points still report, and the duplicates share a result.
         assert [point.value for point in run.points] == [1.0, 2.0, 1.0]
         assert (run.points[0].phase_result.mtps.mean
                 == run.points[2].phase_result.mtps.mean)
-
-    def test_serial_path_also_dedupes(self):
-        from repro.coconut.runner import BenchmarkRunner
-
-        ran = []
-
-        class CountingRunner(BenchmarkRunner):
-            def run_many(self, configs, **kwargs):
-                ran.append(len(configs))
-                return super().run_many(configs, **kwargs)
-
-        sweep = ParameterSweep(
-            sweep_id="mini-dup-serial",
-            title="mini duplicate sweep",
-            parameter="block_interval",
-            values=(1.0, 1.0),
-            config_kwargs=dict(system="bitshares", iel="DoNothing",
-                               rate_limit=25, seed=7),
-            phase="DoNothing",
-        )
-        run = sweep.run(runner=CountingRunner(keep_last_rig=False), scale=0.02)
-        assert ran == [1]
-        assert len(run.points) == 2
 
     def test_spread_of_failures_is_zero_safe(self):
         from repro.coconut.metrics import PhaseMetrics

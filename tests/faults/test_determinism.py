@@ -22,9 +22,9 @@ def run_unit(fault_plan):
         seed=7,
         fault_plan=fault_plan,
     )
-    runner = BenchmarkRunner(keep_last_rig=False)
-    result = runner.run(config)
-    return result, runner.last_resilience
+    result = BenchmarkRunner(keep_last_rig=False).run(config)
+    reports = {phase: pr.resilience_report() for phase, pr in result.phases.items()}
+    return result, {phase: report for phase, report in reports.items() if report}
 
 
 def metrics_dicts(result):

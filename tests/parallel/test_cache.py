@@ -8,10 +8,11 @@ from repro.faults.metrics import ResilienceReport
 from repro.parallel import ResultCache
 
 
-def make_result(label="fabric-DoNothing-rl200"):
+def make_result(label="fabric-DoNothing-rl200", resilience=None):
     metrics = PhaseMetrics(
         phase="DoNothing", repetition=0, expected=100, received=90, failed=0,
         t_first_send=1.0, t_last_receive=7.0, duration=6.0, tps=15.0, mean_fls=0.4,
+        resilience=resilience,
     )
     return UnitResult(
         label=label, system="fabric", iel="DoNothing", aggregate_rate=200,
@@ -33,18 +34,32 @@ class TestRoundTrip:
     def test_put_get(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("f" * 64, make_result())
-        entry = cache.get("f" * 64)
-        assert entry is not None
-        assert entry.result.to_dict() == make_result().to_dict()
+        result = cache.get("f" * 64)
+        assert result is not None
+        assert result.to_dict() == make_result().to_dict()
         assert cache.hits == 1 and cache.misses == 0
 
     def test_resilience_reports_survive(self, tmp_path):
+        # The reports ride on the phase metrics, so the unit alone
+        # carries them through the cache.
         cache = ResultCache(tmp_path)
-        cache.put("a" * 64, make_result(), {"DoNothing": make_report()})
-        entry = cache.get("a" * 64)
-        report = entry.resilience["DoNothing"]
+        cache.put("a" * 64, make_result(resilience=make_report().to_dict()))
+        report = cache.get("a" * 64).phase("DoNothing").resilience_report()
         assert report.recovered
         assert report.to_dict() == make_report().to_dict()
+
+    def test_entries_with_a_separate_resilience_map_still_load(self, tmp_path):
+        # Entries written when the cache also stored each unit's reports
+        # beside it: the unit is read, the duplicate map ignored.
+        cache = ResultCache(tmp_path)
+        unit = make_result(resilience=make_report().to_dict())
+        cache.path_for("9" * 64).write_text(json.dumps({
+            "fingerprint": "9" * 64,
+            "label": unit.label,
+            "unit": unit.to_dict(),
+            "resilience": {"DoNothing": make_report().to_dict()},
+        }))
+        assert cache.get("9" * 64).to_dict() == unit.to_dict()
 
     def test_entries_are_json_files(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.parallel.executor import SerialExecutor
+from repro.parallel.cache import ResultCache
+from repro.parallel.executor import Executor
 from repro.search.engine import REPORTED_PHASES, CapacitySearch
 from repro.search.judge import SustainabilityJudge
 from repro.search.report import CapacityReport
@@ -44,7 +45,7 @@ class TestSearchRuns:
 
     def test_executor_and_serial_paths_agree(self):
         serial = corda_search().run()
-        fanned = corda_search().run(executor=SerialExecutor())
+        fanned = corda_search().run(executor=Executor(jobs=2))
         assert serial.to_dict() == fanned.to_dict()
 
     def test_grid_oracle_matches_bisection_with_more_probes(self):
@@ -113,13 +114,29 @@ class TestConfigShaping:
         with pytest.raises(KeyError):
             corda_search(strategy="annealing")
 
-    def test_check_with_executor_rejected(self):
-        with pytest.raises(ValueError, match="serial"):
-            corda_search().run(executor=SerialExecutor(), check=True)
+    def test_check_with_executor_rejected(self, tmp_path):
+        # A checked probe must not ride the result cache: fingerprints
+        # do not cover checking, so a checked result could be served to
+        # an unchecked run.
+        with pytest.raises(ValueError, match="cache") as excinfo:
+            Executor(check_level="basic", cache=ResultCache(tmp_path))
+        assert "\n" not in str(excinfo.value)
 
     def test_checked_search_collects_invariants(self):
         search = corda_search()
-        report = search.run(check=True)
+        report = search.run(executor=Executor(check_level="basic"))
         assert report.found
         assert len(search.last_invariants) == report.probe_count
         assert all(not inv.violations for inv in search.last_invariants)
+
+    def test_checked_search_over_a_pool_matches_in_process(self):
+        serial, pooled = corda_search(), corda_search()
+        serial_report = serial.run(executor=Executor(check_level="basic"))
+        pooled_report = pooled.run(executor=Executor(jobs=2, check_level="basic"))
+        assert pooled_report.to_dict() == serial_report.to_dict()
+        assert [inv.ok for inv in pooled.last_invariants] == [
+            inv.ok for inv in serial.last_invariants
+        ]
+        assert [inv.to_dict() for inv in pooled.last_invariants] == [
+            inv.to_dict() for inv in serial.last_invariants
+        ]

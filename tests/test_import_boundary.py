@@ -77,6 +77,21 @@ def steps():
     return {step: set(modules) for step, modules in json.loads(result.stdout).items()}
 
 
+def loaded_by(statement):
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+    script = (
+        f"{statement}\nimport json, sys\n"
+        "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'repro')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
 class TestImportBoundary:
     def test_runner_import_loads_no_driver_oracle_injector_or_exporter(self, steps):
         loaded = steps["runner"]
@@ -98,3 +113,13 @@ class TestImportBoundary:
     def test_checked_fault_run_loads_the_oracles_and_the_injector(self, steps):
         added = steps["checked_fault_run"] - steps["fabric_rig"]
         assert {"repro.invariants.oracles", "repro.faults.injector"} <= added
+
+    def test_fingerprint_import_loads_no_executor_or_runner(self):
+        loaded = loaded_by("import repro.parallel.fingerprint")
+        assert not loaded & {"repro.parallel.executor", "repro.coconut.runner"}
+
+    def test_cli_import_loads_no_runner_provisioner_or_executor(self):
+        loaded = loaded_by("import repro.cli")
+        assert not loaded & {
+            "repro.coconut.runner", "repro.coconut.provisioner", "repro.parallel.executor",
+        }

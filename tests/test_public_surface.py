@@ -17,8 +17,10 @@ from repro.chains.registry import create_system, system_class
 LAZY_PACKAGES = (
     "repro",
     "repro.chains",
+    "repro.coconut",
     "repro.consensus",
     "repro.faults",
+    "repro.parallel",
     "repro.storage",
     "repro.stream",
     "repro.trace",

@@ -14,7 +14,7 @@ import typing
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.coconut.workload import WorkloadPlan
-from repro.parallel import ParallelExecutor
+from repro.parallel import Executor
 from repro.sim.rng import RngRegistry
 from repro.workloads import AccessSpec, ArrivalSpec, WorkloadSpec
 
@@ -146,7 +146,7 @@ class TestSpecDeterminism:
             BenchmarkRunner(keep_last_rig=False).run(config).to_dict()
             for config in configs
         ]
-        outcomes = ParallelExecutor(jobs=2).run_units(configs)
+        outcomes = Executor(jobs=2).run_units(configs)
         assert [o.result.to_dict() for o in outcomes] == serial
 
     def test_workload_rng_isolated_from_simulation_streams(self):
