@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md: run every paper experiment and record
-paper-vs-measured numbers.
+"""Regenerate EXPERIMENTS.md: run every paper experiment, record
+paper-vs-measured numbers and check the paper's shape.
 
 Usage::
 
@@ -8,27 +8,29 @@ Usage::
         [--jobs N] [--cache-dir PATH]
 
 Honours REPRO_SCALE / REPRO_FULL_SCALE / REPRO_REPS. At the default
-(recommended per-case) scales the full sweep takes roughly 20 minutes
-serially; ``--jobs N`` fans independent units over N worker processes
+(recommended per-case) scales the full sweep takes about 5 minutes of
+CPU; ``--jobs N`` fans independent units over N worker processes
 (results are identical for any jobs count) and ``--cache-dir`` skips
 every unit whose config fingerprint is already cached from a prior run.
+
+Each table and figure section ends with its shape checks
+(``repro.experiments.registry.shape_checks``), evaluated on the same
+run. The file holds no date or timing, so it is a pure function of the
+code and the seeds; the date and each experiment's wall time go to
+stdout. Exits 1, after writing the file, when any check fails.
 """
 
 import argparse
 import datetime
 import io
 import os
+import sys
 import time
 
+from repro.analysis.compare import render_checks
 from repro.chains.registry import SYSTEM_LABELS
-from repro.experiments.figures import (
-    BENCHMARK_ROWS,
-    FIG3_PAPER_CELLS,
-    FIG4_PAPER_CELLS,
-    FIG5_EXPECTATIONS,
-    ScalabilityExperiment,
-)
-from repro.experiments.registry import EXPERIMENT_IDS, build_experiment
+from repro.experiments.figures import BENCHMARK_ROWS, FIG5_EXPECTATIONS
+from repro.experiments.registry import EXPERIMENT_IDS, build_experiment, shape_checks
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import Executor
 
@@ -77,16 +79,17 @@ Where the model and the paper part ways, and why:
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by `scripts/generate_experiments_md.py` on {date}
+Generated by `scripts/generate_experiments_md.py`
 (window scale: per-case recommended defaults{scale_note}; repetitions per
 case: {reps}).
 
 Absolute fidelity is not the goal — the substrate is a protocol-level
 simulator, not the authors' AMD Ryzen testbed — the *shape* is: which
 system wins each benchmark, by roughly what factor, and which
-configurations fail outright. Every row below is also asserted
-automatically by the corresponding bench in `benchmarks/`
-(`pytest benchmarks/ --benchmark-only`).
+configurations fail outright. Each table and figure below ends with the
+shape checks the generator evaluates on the run it reports; a failed
+check makes it exit 1, and CI regenerates this file and requires it
+unchanged.
 
 Scaled-window caveat: phenomena slower than the scaled listen window
 cannot be observed at reduced scale. Two rows are affected at the
@@ -96,16 +99,69 @@ the NoT counts, which scale with the window length (compare *rates*,
 not counts, across scales).
 """
 
+CAPACITY_INTRO = """
+## Capacity search — automated MTPS ceilings
 
-def render_grid(cells, paper_cells, systems, title, writer):
-    writer.write(f"\n### {title}\n\n")
+Each table below is produced by `coconut experiment capacity_*`:
+an exponential-ramp + bisection search (`repro.search`) over a
+per-system rate window, judged on lost transactions and
+listen-window drain. The knee RL is the aggregate offered rate of
+the highest sustainable probe; "no sustainable point" rows are
+findings, not errors (see the Diem divergence note above). The
+BankingApp table is dominated by the scaled-window caveat: on
+most systems SendPayment losses at reduced scale exceed the 2%
+budget at *every* rate (the paper's own BankingApp tables report
+heavy losses), so only full windows yield a knee there.
+"""
+
+WORKLOADS_INTRO = """
+## Workload-model experiments
+
+Beyond the paper: the same benchmark units under declarative
+`repro.workloads` specs (`coconut experiment skew_sweep_keyvalue`
+etc., or `coconut run --workload plan.json`). The paper's
+generator writes disjoint per-thread keys at a perfectly smooth
+rate; these sweeps vary key skew, arrival shape and read/write
+mix at rates below each system's knee, and report latency tails
+(p50/p99) and appended-but-invalidated transactions — the
+metrics where workload shape shows up first. Invalidated
+transactions still count as received (Section 5.4), so skew
+moves the Invalid column on Fabric long before it moves MTPS.
+Percentiles are nearest-rank to one latency-histogram bucket
+(2.6% wide).
+"""
+
+#: Heading of each heat map's section.
+GRID_TITLES = {
+    "fig3": "Figure 3 — best MTPS, data-centre latency "
+            "(cells: measured MTPS; paper values where printed)",
+    "fig4": "Figure 4 — best configs under netem WAN latency (mu=12 ms)",
+}
+
+
+def write_table(run, writer):
+    writer.write(f"\n### {run.title}\n\n")
+    writer.write("| Case | Paper | Measured |\n|---|---|---|\n")
+    for result in run.case_results:
+        case_id, paper, measured = result.comparison_row()
+        writer.write(f"| {case_id} | {paper} | {measured} |\n")
+    scale_used = ", ".join(
+        f"{result.case.case_id}: x{result.case.build_config().scale}"
+        for result in run.case_results
+    )
+    writer.write(f"\nWindow scales — {scale_used}.\n")
+
+
+def write_grid(run, writer):
+    systems = run.systems
+    writer.write(f"\n### {GRID_TITLES[run.experiment_id]}\n\n")
     writer.write("| Benchmark | " + " | ".join(SYSTEM_LABELS[s] for s in systems) + " |\n")
     writer.write("|" + "---|" * (len(systems) + 1) + "\n")
     for __, phase in BENCHMARK_ROWS:
         row = [f"**{phase}**"]
         for system in systems:
-            result = cells.get((phase, system))
-            paper = paper_cells.get((phase, system))
+            result = run.cells.get((phase, system))
+            paper = run.paper_cells.get((phase, system))
             paper_text = (
                 f"paper {paper.mtps:.2f}" if paper and paper.mtps is not None else "paper n/a"
             )
@@ -118,7 +174,50 @@ def render_grid(cells, paper_cells, systems, title, writer):
         writer.write("| " + " | ".join(row) + " |\n")
 
 
-def parse_args():
+def write_scalability(run, writer):
+    writer.write("\n### Figure 5 — DoNothing MTPS vs network size (netem latency)\n\n")
+    writer.write("| System | n=8 | n=16 | n=32 | Paper expectation |\n|---|---|---|---|---|\n")
+    for system in run.systems:
+        cells = []
+        for n in run.node_counts:
+            result = run.cells[(system, n)]
+            cells.append("FAIL" if result.received.mean == 0 else f"{result.mtps.mean:.2f}")
+        writer.write(f"| {SYSTEM_LABELS[system]} | " + " | ".join(cells)
+                     + f" | {FIG5_EXPECTATIONS[system]} |\n")
+
+
+def write_capacity(run, writer):
+    writer.write(f"\n### {run.title}\n\n")
+    writer.write("| System | Knee RL | MTPS | MFLS (s) | Probes | Verdict |\n")
+    writer.write("|---|---|---|---|---|---|\n")
+    for row in run.rows:
+        writer.write("| " + " | ".join(row.cells()) + " |\n")
+    total = sum(row.report.probe_count for row in run.rows)
+    writer.write(f"\n(total probes: {total})\n")
+
+
+def write_workload(run, writer):
+    writer.write(f"\n### {run.title}\n\n")
+    writer.write("| Case | MTPS | MFLS (s) | p50 (s) | p99 (s) | NoT | Invalid |\n")
+    writer.write("|---|---|---|---|---|---|---|\n")
+    for result in run.case_results:
+        writer.write("| " + " | ".join(result.row()) + " |\n")
+
+
+#: The file's sections in order: the text that opens each, its
+#: experiments, and the function that writes one experiment's run.
+SECTIONS = (
+    ("\n## Result tables (Tables 7-20)\n", TABLE_IDS, write_table),
+    ("", ("fig3", "fig4"), write_grid),
+    ("", ("fig5",), write_scalability),
+    (CAPACITY_INTRO, ("capacity_donothing", "capacity_keyvalue", "capacity_bankingapp"),
+     write_capacity),
+    (WORKLOADS_INTRO, ("skew_sweep_keyvalue", "burst_capacity", "mix_readwrite_keyvalue"),
+     write_workload),
+)
+
+
+def parse_args(argv=None):
     from repro.cli import _positive_int
 
     parser = argparse.ArgumentParser(description=__doc__)
@@ -127,17 +226,18 @@ def parse_args():
                         help="worker processes for independent units")
     parser.add_argument("--cache-dir",
                         help="content-addressed result cache directory")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     output_path = args.output_path
     executor = Executor(
         jobs=args.jobs,
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         progress=lambda line: print(f"  {line}", flush=True),
     )
+    print(f"generating {output_path} on {datetime.date.today().isoformat()}", flush=True)
     out = io.StringIO()
     reps = os.environ.get("REPRO_REPS", "1")
     scale_note = (
@@ -145,112 +245,32 @@ def main():
         if os.environ.get("REPRO_FULL_SCALE") == "1"
         else (f", overridden to {os.environ['REPRO_SCALE']}" if os.environ.get("REPRO_SCALE") else "")
     )
-    out.write(HEADER.format(date=datetime.date.today().isoformat(),
-                            scale_note=scale_note, reps=reps))
+    out.write(HEADER.format(scale_note=scale_note, reps=reps))
 
-    out.write("\n## Result tables (Tables 7-20)\n")
-    for experiment_id in TABLE_IDS:
-        start = time.time()
-        print(f"=== {experiment_id}", flush=True)
-        experiment = build_experiment(experiment_id)
-        run = experiment.run(executor=executor)
-        out.write(f"\n### {run.title}\n\n")
-        out.write("| Case | Paper | Measured |\n|---|---|---|\n")
-        for result in run.case_results:
-            case_id, paper, measured = result.comparison_row()
-            out.write(f"| {case_id} | {paper} | {measured} |\n")
-        scale_used = ", ".join(
-            f"{case.case_id}: x{case.build_config().scale}" for case in experiment.cases
-        )
-        out.write(f"\nWindow scales — {scale_used}. "
-                  f"(ran in {time.time() - start:.0f} s)\n")
-
-    print("=== fig3", flush=True)
-    start = time.time()
-    fig3 = build_experiment("fig3").run(executor=executor)
-    render_grid(fig3.cells, FIG3_PAPER_CELLS, fig3.systems,
-                "Figure 3 — best MTPS, data-centre latency "
-                "(cells: measured MTPS; paper values where printed)", out)
-    out.write(f"\n(ran in {time.time() - start:.0f} s)\n")
-
-    print("=== fig4", flush=True)
-    start = time.time()
-    fig4 = build_experiment("fig4").run(executor=executor)
-    render_grid(fig4.cells, FIG4_PAPER_CELLS, fig4.systems,
-                "Figure 4 — best configs under netem WAN latency (mu=12 ms)", out)
-    out.write(f"\n(ran in {time.time() - start:.0f} s)\n")
-
-    print("=== fig5", flush=True)
-    start = time.time()
-    fig5 = ScalabilityExperiment().run(executor=executor)
-    out.write("\n### Figure 5 — DoNothing MTPS vs network size (netem latency)\n\n")
-    out.write("| System | n=8 | n=16 | n=32 | Paper expectation |\n|---|---|---|---|---|\n")
-    for system in fig5.systems:
-        cells = []
-        for n in fig5.node_counts:
-            result = fig5.cells[(system, n)]
-            cells.append("FAIL" if result.received.mean == 0 else f"{result.mtps.mean:.2f}")
-        out.write(f"| {SYSTEM_LABELS[system]} | " + " | ".join(cells)
-                  + f" | {FIG5_EXPECTATIONS[system]} |\n")
-    out.write(f"\n(ran in {time.time() - start:.0f} s)\n")
-
-    out.write("\n## Capacity search — automated MTPS ceilings\n\n")
-    out.write(
-        "Each table below is produced by `coconut experiment capacity_*`:\n"
-        "an exponential-ramp + bisection search (`repro.search`) over a\n"
-        "per-system rate window, judged on lost transactions and\n"
-        "listen-window drain. The knee RL is the aggregate offered rate of\n"
-        "the highest sustainable probe; \"no sustainable point\" rows are\n"
-        "findings, not errors (see the Diem divergence note above). The\n"
-        "BankingApp table is dominated by the scaled-window caveat: on\n"
-        "most systems SendPayment losses at reduced scale exceed the 2%\n"
-        "budget at *every* rate (the paper's own BankingApp tables report\n"
-        "heavy losses), so only full windows yield a knee there.\n")
-    for experiment_id in ("capacity_donothing", "capacity_keyvalue",
-                          "capacity_bankingapp"):
-        start = time.time()
-        print(f"=== {experiment_id}", flush=True)
-        run = build_experiment(experiment_id).run(executor=executor)
-        out.write(f"\n### {run.title}\n\n")
-        out.write("| System | Knee RL | MTPS | MFLS (s) | Probes | Verdict |\n")
-        out.write("|---|---|---|---|---|---|\n")
-        for row in run.rows:
-            out.write("| " + " | ".join(row.cells()) + " |\n")
-        total = sum(row.report.probe_count for row in run.rows)
-        out.write(f"\n(total probes: {total}; ran in {time.time() - start:.0f} s)\n")
-
-    out.write("\n## Workload-model experiments\n\n")
-    out.write(
-        "Beyond the paper: the same benchmark units under declarative\n"
-        "`repro.workloads` specs (`coconut experiment skew_sweep_keyvalue`\n"
-        "etc., or `coconut run --workload plan.json`). The paper's\n"
-        "generator writes disjoint per-thread keys at a perfectly smooth\n"
-        "rate; these sweeps vary key skew, arrival shape and read/write\n"
-        "mix at rates below each system's knee, and report latency tails\n"
-        "(p50/p99) and appended-but-invalidated transactions — the\n"
-        "metrics where workload shape shows up first. Invalidated\n"
-        "transactions still count as received (Section 5.4), so skew\n"
-        "moves the Invalid column on Fabric long before it moves MTPS.\n"
-        "Percentiles are nearest-rank to one latency-histogram bucket\n"
-        "(2.6% wide).\n")
-    for experiment_id in ("skew_sweep_keyvalue", "burst_capacity",
-                          "mix_readwrite_keyvalue"):
-        start = time.time()
-        print(f"=== {experiment_id}", flush=True)
-        run = build_experiment(experiment_id).run(executor=executor)
-        out.write(f"\n### {run.title}\n\n")
-        out.write("| Case | MTPS | MFLS (s) | p50 (s) | p99 (s) | NoT | Invalid |\n")
-        out.write("|---|---|---|---|---|---|---|\n")
-        for result in run.case_results:
-            out.write("| " + " | ".join(result.row()) + " |\n")
-        out.write(f"\n(ran in {time.time() - start:.0f} s)\n")
+    runs = {}
+    failed = []
+    for intro, experiment_ids, write in SECTIONS:
+        out.write(intro)
+        for experiment_id in experiment_ids:
+            start = time.time()
+            print(f"=== {experiment_id}", flush=True)
+            run = runs[experiment_id] = build_experiment(experiment_id).run(executor=executor)
+            write(run, out)
+            checks = shape_checks(experiment_id, runs)
+            if checks:
+                out.write(f"\n```\n{render_checks(checks)}\n```\n")
+                failed += [f"{experiment_id}: {c.name}" for c in checks if not c.passed]
+            print(f"  ran in {time.time() - start:.0f} s", flush=True)
 
     out.write(FOOTER)
     with open(output_path, "w") as handle:
         handle.write(out.getvalue())
     print(executor.summary(), flush=True)
     print(f"wrote {output_path}", flush=True)
+    for name in failed:
+        print(f"shape check failed: {name}", flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

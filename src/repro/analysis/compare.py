@@ -27,14 +27,14 @@ def within_factor(measured: float, reference: float, factor: float) -> bool:
     return 1.0 / factor <= ratio <= factor
 
 
-def ordering_preserved(
+def first_inversion(
     pairs: typing.Sequence[typing.Tuple[float, float]], tolerance: float = 0.0
-) -> bool:
-    """Whether measured values order the same way the references do.
+) -> typing.Optional[typing.Tuple[typing.Tuple[float, float], typing.Tuple[float, float]]]:
+    """The first two (reference, measured) entries whose measured values
+    order against their references, or None.
 
-    ``pairs`` is a list of (reference, measured). For every two entries
-    whose references differ by more than ``tolerance`` (relative), the
-    measured values must order the same way.
+    Entries whose references differ by no more than ``tolerance``
+    (relative) may order either way.
     """
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -44,8 +44,20 @@ def ordering_preserved(
             if baseline == 0 or abs(ref_a - ref_b) / baseline <= tolerance:
                 continue
             if (ref_a > ref_b) != (measured_a > measured_b):
-                return False
-    return True
+                return pairs[i], pairs[j]
+    return None
+
+
+def ordering_preserved(
+    pairs: typing.Sequence[typing.Tuple[float, float]], tolerance: float = 0.0
+) -> bool:
+    """Whether measured values order the same way the references do.
+
+    ``pairs`` is a list of (reference, measured). For every two entries
+    whose references differ by more than ``tolerance`` (relative), the
+    measured values must order the same way.
+    """
+    return first_inversion(pairs, tolerance) is None
 
 
 @dataclasses.dataclass
@@ -75,9 +87,19 @@ class ShapeCheck:
         pairs: typing.Sequence[typing.Tuple[float, float]],
         tolerance: float = 0.0,
     ) -> "ShapeCheck":
-        """Check the measured ordering matches the paper's."""
-        passed = ordering_preserved(pairs, tolerance=tolerance)
-        return cls(name=name, passed=passed, detail=f"{len(pairs)} values compared")
+        """Check the measured ordering matches the paper's; a failure
+        names the first inverted pair."""
+        inversion = first_inversion(pairs, tolerance=tolerance)
+        if inversion is None:
+            return cls(name=name, passed=True, detail=f"{len(pairs)} values compared")
+        (ref_high, measured_high), (ref_low, measured_low) = sorted(inversion, reverse=True)
+        relation = "<" if measured_high < measured_low else "="
+        return cls(
+            name=name,
+            passed=False,
+            detail=f"paper {ref_high:.2f} > {ref_low:.2f} but measured "
+            f"{measured_high:.1f} {relation} {measured_low:.1f}",
+        )
 
     @classmethod
     def failure_mode(cls, name: str, measured_received: float, expect_failure: bool) -> "ShapeCheck":

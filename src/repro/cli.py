@@ -286,10 +286,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise SystemExit(f"coconut search: error: {error}")
         config_kwargs["workload"] = workload
     check = args.check or args.check_level is not None
-    try:
-        executor = _executor(args, (args.check_level or "basic") if check else None)
-    except ValueError as error:
-        raise SystemExit(f"coconut search: error: {error}; drop --cache-dir")
+    if check and args.cache_dir:
+        # Refused here, before ResultCache creates the directory.
+        raise SystemExit("coconut search: error: checked units cannot use the result "
+                         "cache (fingerprints do not cover checking); drop --cache-dir")
+    executor = _executor(args, (args.check_level or "basic") if check else None)
     try:
         search = CapacitySearch(
             system=args.system,

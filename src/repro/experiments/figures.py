@@ -7,6 +7,8 @@ Figure 5 scales the DoNothing benchmark to 8/16/32 nodes.
 
 The full Figure 4 cell grid is printed in the paper and embedded below;
 for Figure 3 only the values quoted in Section 5's prose are available.
+Each figure's shape checks sit beside its definition and read the paper
+numbers from those tables.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.analysis.compare import ShapeCheck
 from repro.chains.registry import SYSTEM_LABELS, SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, unit_for_iel
 from repro.coconut.results import PhaseResult
@@ -267,6 +270,83 @@ def fig3_heatmap() -> HeatmapExperiment:
     )
 
 
+#: Systems in the paper's DoNothing MTPS order, fastest first (Figs. 3, 4).
+DONOTHING_ORDER: typing.Tuple[str, ...] = (
+    "bitshares", "fabric", "quorum", "sawtooth", "diem", "corda_enterprise", "corda_os",
+)
+
+
+def _donothing_ordering(
+    name: str,
+    run: GridRun,
+    paper_cells: typing.Dict[typing.Tuple[str, str], PaperValue],
+    tolerance: float,
+) -> ShapeCheck:
+    """The run's DoNothing MTPS in the order ``paper_cells`` gives them."""
+    return ShapeCheck.ordering(
+        name,
+        [
+            (paper_cells[("DoNothing", system)].mtps, run.cell("DoNothing", system).mtps.mean)
+            for system in DONOTHING_ORDER
+        ],
+        tolerance=tolerance,
+    )
+
+
+def fig3_checks(run: GridRun) -> typing.List[ShapeCheck]:
+    """The paper's headline comparison: the DoNothing ordering across
+    systems holds exactly and each DoNothing cell is near the prose
+    value; Corda OS fails KeyValue-Get, Fabric wins the stateful
+    benchmarks and BitShares SendPayment collapses."""
+
+    def mtps(phase: str, system: str) -> float:
+        return run.cell(phase, system).mtps.mean
+
+    checks = [
+        # BitShares ~1600 > Fabric ~1461 > Quorum ~774 > Sawtooth ~103
+        # ~ Diem ~96 > Corda Ent ~65 > OS ~7.
+        _donothing_ordering("DoNothing MTPS ordering across systems", run,
+                            FIG3_PAPER_CELLS, tolerance=0.15),
+    ]
+    for name, system, factor in (
+        ("BitShares DoNothing", "bitshares", 1.3),
+        ("Fabric DoNothing", "fabric", 1.4),
+        ("Quorum DoNothing", "quorum", 1.4),
+        ("Sawtooth DoNothing", "sawtooth", 1.6),
+        ("Diem DoNothing", "diem", 2.0),
+        ("Corda Ent DoNothing", "corda_enterprise", 1.7),
+        ("Corda OS DoNothing", "corda_os", 2.5),
+    ):
+        checks.append(ShapeCheck.factor(
+            name, mtps("DoNothing", system), FIG3_PAPER_CELLS[("DoNothing", system)].mtps, factor,
+        ))
+    return checks + [
+        ShapeCheck.failure_mode(
+            "Corda OS KeyValue-Get fails completely (Section 5.1)",
+            run.cell("Get", "corda_os").received.mean,
+            expect_failure=True,
+        ),
+        ShapeCheck(
+            "Fabric wins most stateful benchmarks (Section 5.4)",
+            passed=all(
+                mtps(phase, "fabric")
+                >= max(
+                    mtps(phase, s)
+                    for s in ("quorum", "sawtooth", "diem", "corda_enterprise", "corda_os")
+                )
+                for phase in ("Set", "Get", "SendPayment", "Balance")
+            ),
+            detail="Fabric vs non-BitShares systems on Set/Get/SendPayment/Balance",
+        ),
+        ShapeCheck(
+            "BitShares SendPayment collapses vs its DoNothing (Section 5.3)",
+            passed=mtps("SendPayment", "bitshares") < 0.2 * mtps("DoNothing", "bitshares"),
+            detail=f"{mtps('SendPayment', 'bitshares'):.1f} vs "
+                   f"{mtps('DoNothing', 'bitshares'):.1f}",
+        ),
+    ]
+
+
 def fig4_latency_heatmap() -> HeatmapExperiment:
     """Figure 4: the same grid under netem latency (mu = 12 ms)."""
     return HeatmapExperiment(
@@ -275,6 +355,63 @@ def fig4_latency_heatmap() -> HeatmapExperiment:
         latency=EUROPEAN_WAN_LATENCY,
         paper_cells=FIG4_PAPER_CELLS,
     )
+
+
+def fig4_checks(run: GridRun, fig3: GridRun) -> typing.List[ShapeCheck]:
+    """Figure 4's headline effects against ``fig3``'s DoNothing cells (the
+    same configurations without netem): Fabric loses 33-40% to orderer
+    round trips, Corda OS and Quorum barely react, the Corda failure
+    cells stay failed and the per-system ordering holds."""
+
+    def mtps(phase: str, system: str) -> float:
+        return run.cell(phase, system).mtps.mean
+
+    def base(system: str) -> float:
+        return fig3.cell("DoNothing", system).mtps.mean
+
+    return [
+        ShapeCheck(
+            "Fabric DoNothing drops 33-40% under latency (Section 5.8.1)",
+            passed=mtps("DoNothing", "fabric") < 0.85 * base("fabric"),
+            detail=f"{base('fabric'):.0f} -> {mtps('DoNothing', 'fabric'):.0f}",
+        ),
+        ShapeCheck(
+            "Corda OS hardly reacts to latency",
+            passed=mtps("DoNothing", "corda_os") > 0.6 * base("corda_os"),
+            detail=f"{base('corda_os'):.2f} -> {mtps('DoNothing', 'corda_os'):.2f}",
+        ),
+        ShapeCheck(
+            "Quorum hardly reacts to latency",
+            passed=mtps("DoNothing", "quorum") > 0.7 * base("quorum"),
+            detail=f"{base('quorum'):.0f} -> {mtps('DoNothing', 'quorum'):.0f}",
+        ),
+        ShapeCheck(
+            "BitShares DoNothing stays near full rate (paper: 1589)",
+            passed=mtps("DoNothing", "bitshares") > 1200,
+            detail=f"{mtps('DoNothing', 'bitshares'):.0f}",
+        ),
+        ShapeCheck.factor(
+            "Diem DoNothing near paper's 94.12", mtps("DoNothing", "diem"),
+            FIG4_PAPER_CELLS[("DoNothing", "diem")].mtps, 2.0,
+        ),
+        ShapeCheck.factor(
+            "Sawtooth DoNothing near paper's 102.74", mtps("DoNothing", "sawtooth"),
+            FIG4_PAPER_CELLS[("DoNothing", "sawtooth")].mtps, 1.8,
+        ),
+        ShapeCheck.failure_mode(
+            "Corda OS Get still fails", run.cell("Get", "corda_os").received.mean,
+            expect_failure=True,
+        ),
+        ShapeCheck(
+            "Corda SendPayment (both editions) effectively fails (paper: 0.00 under latency)",
+            passed=mtps("SendPayment", "corda_os") < 1.0
+            and mtps("SendPayment", "corda_enterprise") < 3.0,
+            detail=f"OS={mtps('SendPayment', 'corda_os'):.2f} "
+                   f"Ent={mtps('SendPayment', 'corda_enterprise'):.2f}",
+        ),
+        _donothing_ordering("per-system DoNothing ordering preserved under latency", run,
+                            FIG4_PAPER_CELLS, tolerance=0.15),
+    ]
 
 
 @dataclasses.dataclass
@@ -358,3 +495,65 @@ class ScalabilityExperiment:
         for (system, node_count, __), unit in zip(specs, units):
             cells[(system, node_count)] = unit.phase("DoNothing")
         return ScalabilityRun(cells=cells, node_counts=tuple(node_counts), systems=systems)
+
+
+def fig5_checks(run: ScalabilityRun) -> typing.List[ShapeCheck]:
+    """Section 5.8.2: BitShares stays flat; Corda OS declines and fails at
+    32 nodes; Corda Enterprise, Quorum and Diem trend downward; Fabric
+    and Sawtooth work at 8 nodes but fail at 16 and 32."""
+    mtps = run.mtps
+
+    def received(system: str, n: int) -> float:
+        return run.cells[(system, n)].received.mean
+
+    return [
+        ShapeCheck(
+            "BitShares flat across 8/16/32 (witness count fixed)",
+            passed=mtps("bitshares", 32) > 0.8 * mtps("bitshares", 8),
+            detail=f"{mtps('bitshares', 8):.0f} / {mtps('bitshares', 16):.0f} / "
+                   f"{mtps('bitshares', 32):.0f}",
+        ),
+        ShapeCheck.failure_mode(
+            "Fabric fails at 16 nodes (clients get no confirmations)",
+            received("fabric", 16), expect_failure=True,
+        ),
+        ShapeCheck.failure_mode(
+            "Fabric fails at 32 nodes", received("fabric", 32), expect_failure=True,
+        ),
+        ShapeCheck.failure_mode(
+            "Fabric still works at 8 nodes", received("fabric", 8), expect_failure=False,
+        ),
+        ShapeCheck.failure_mode(
+            "Sawtooth fails at 16 nodes (stuck pending)",
+            received("sawtooth", 16), expect_failure=True,
+        ),
+        ShapeCheck.failure_mode(
+            "Sawtooth fails at 32 nodes", received("sawtooth", 32), expect_failure=True,
+        ),
+        ShapeCheck.failure_mode(
+            "Sawtooth still works at 8 nodes", received("sawtooth", 8), expect_failure=False,
+        ),
+        ShapeCheck(
+            "Corda OS declines with size and is (near-)dead at 32 (paper: all DoNothing runs fail)",
+            passed=mtps("corda_os", 32) < 0.35 * max(mtps("corda_os", 8), 1e-9)
+            and mtps("corda_os", 32) < 1.0,
+            detail=f"{mtps('corda_os', 8):.2f} -> {mtps('corda_os', 32):.2f}",
+        ),
+        ShapeCheck(
+            "Corda Enterprise declines but keeps working",
+            passed=received("corda_enterprise", 32) > 0
+            and mtps("corda_enterprise", 32) < mtps("corda_enterprise", 8),
+            detail=f"{mtps('corda_enterprise', 8):.1f} -> "
+                   f"{mtps('corda_enterprise', 32):.1f}",
+        ),
+        ShapeCheck(
+            "Quorum trends downward from 8 nodes",
+            passed=mtps("quorum", 32) < mtps("quorum", 8),
+            detail=f"{mtps('quorum', 8):.0f} -> {mtps('quorum', 32):.0f}",
+        ),
+        ShapeCheck(
+            "Diem trends downward from 8 nodes",
+            passed=mtps("diem", 32) < mtps("diem", 8),
+            detail=f"{mtps('diem', 8):.1f} -> {mtps('diem', 32):.1f}",
+        ),
+    ]

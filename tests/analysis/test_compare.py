@@ -59,6 +59,29 @@ class TestShapeCheck:
     def test_ordering_constructor(self):
         check = ShapeCheck.ordering("t", [(10.0, 5.0), (1.0, 0.5)])
         assert check.passed
+        assert check.detail == "2 values compared"
+
+    def test_failed_ordering_names_the_first_inverted_pair(self):
+        pairs = [(1599.89, 1574.3), (1461.05, 610.2), (773.60, 702.9), (7.18, 3.0)]
+        check = ShapeCheck.ordering("t", pairs, tolerance=0.15)
+        assert not check.passed
+        assert check.detail == "paper 1461.05 > 773.60 but measured 610.2 < 702.9"
+
+    def test_failed_ordering_puts_the_paper_larger_value_first(self):
+        # Listed smallest-first: the detail still reads high > low.
+        check = ShapeCheck.ordering("t", [(773.60, 702.9), (1461.05, 610.2)])
+        assert check.detail == "paper 1461.05 > 773.60 but measured 610.2 < 702.9"
+
+    def test_failed_ordering_reports_a_measured_tie(self):
+        check = ShapeCheck.ordering("t", [(10.0, 4.0), (5.0, 4.0)])
+        assert not check.passed
+        assert check.detail == "paper 10.00 > 5.00 but measured 4.0 = 4.0"
+
+    def test_near_tie_within_tolerance_is_not_reported(self):
+        # 100 vs 98 may order freely; the first real inversion is 98 vs 10.
+        pairs = [(100.0, 5.0), (98.0, 0.5), (10.0, 1.0)]
+        check = ShapeCheck.ordering("t", pairs, tolerance=0.15)
+        assert check.detail == "paper 98.00 > 10.00 but measured 0.5 < 1.0"
 
     def test_failure_mode_constructor(self):
         assert ShapeCheck.failure_mode("t", 0.0, expect_failure=True).passed

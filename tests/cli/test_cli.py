@@ -329,6 +329,13 @@ class TestSearchCommand:
         assert message.startswith("coconut search: error:")
         assert "cache" in message and "\n" not in message
 
+    def test_check_with_cache_dir_leaves_no_directory(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit):
+            main(["search", "--system", "corda_os", "--check",
+                  "--cache-dir", str(cache_dir)])
+        assert not cache_dir.exists()
+
     def test_checked_search_with_jobs(self, capsys):
         args = ["search", "--system", "corda_os", "--check",
                 "--rate-min", "1", "--rate-max", "4", "--rate-step", "1"]
