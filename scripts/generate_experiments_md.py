@@ -8,13 +8,16 @@ Usage::
         [--jobs N] [--cache-dir PATH]
 
 Honours REPRO_SCALE / REPRO_FULL_SCALE / REPRO_REPS. At the default
-(recommended per-case) scales the full sweep takes about 5 minutes of
-CPU; ``--jobs N`` fans independent units over N worker processes
-(results are identical for any jobs count) and ``--cache-dir`` skips
-every unit whose config fingerprint is already cached from a prior run.
+(recommended per-case) scales the whole file takes about 7 minutes of
+CPU (4.3 minutes of wall time with ``--jobs 2`` on two cores);
+``--jobs N`` fans independent units over N worker processes (results
+are identical for any jobs count) and ``--cache-dir`` skips every unit
+whose config fingerprint is already cached from a prior run.
 
-Each table and figure section ends with its shape checks
-(``repro.experiments.registry.shape_checks``), evaluated on the same
+Every experiment with shape checks
+(``repro.experiments.registry.shape_checks``: the tables, the figures,
+the parameter sweeps but Diem's, the capacity grid oracle, the ablation
+and the extensions) ends its section with them, evaluated on the same
 run. The file holds no date or timing, so it is a pure function of the
 code and the seeds; the date and each experiment's wall time go to
 stdout. Exits 1, after writing the file, when any check fails.
@@ -31,6 +34,7 @@ from repro.analysis.compare import render_checks
 from repro.chains.registry import SYSTEM_LABELS
 from repro.experiments.figures import BENCHMARK_ROWS, FIG5_EXPECTATIONS
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment, shape_checks
+from repro.experiments.sweeps import SWEEPS
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import Executor
 
@@ -65,7 +69,7 @@ Where the model and the paper part ways, and why:
   Raft's lost transactions at RL=1600 to orderer malfunctions in the
   then-young Raft implementation; the model's losses are a validation
   backlog tail that both ordering backends share
-  (`benchmarks/bench_ext_kafka_ordering.py` documents this).
+  (the Raft-vs-Kafka extension above shows both losing it).
 * **Corda OS at 32 nodes** trickles at ~0.6 MTPS rather than failing
   to exactly zero; the paper reports all runs failing. The collapse
   mechanism (serial signing across 31 counterparties) is the same.
@@ -129,6 +133,57 @@ transactions still count as received (Section 5.4), so skew
 moves the Invalid column on Fabric long before it moves MTPS.
 Percentiles are nearest-rank to one latency-histogram bucket
 (2.6% wide).
+"""
+
+SWEEPS_INTRO = """
+## Parameter sweeps (Tables 5-6, Section 4.4)
+
+Each table below is produced by `coconut sweep <id>`: one parameter
+varied over the values the paper evaluates, with the workload held
+fixed. The paper's finding (Section 6): the parameters play "a rather
+minor role" in Fabric, Sawtooth and Diem, while BitShares and
+especially Quorum gain from adapting block finalization; bundle sizes
+(operations per transaction, transactions per batch) gate BitShares'
+and Sawtooth's throughput. The Diem max_block_size sweep carries no
+shape check: the paper calls its differences minor only relative to
+the dominating losses (Section 5.7). For its BS=100 row, see the Diem
+BS=100 note under Known divergences.
+"""
+
+ORACLE_INTRO = """
+## Capacity search — bisection vs. the grid oracle
+
+`coconut experiment capacity_keyvalue_grid` repeats the KeyValue
+capacity search on Fabric (Raft ordering) and Quorum (IBFT) with the
+exhaustive grid strategy, which probes every rate of the window. Its
+checks hold the bisection above (same seed, scale and windows) to the
+oracle: a knee within one rate step, at most half the probes, and less
+offered load. The last check of each system lists both strategies'
+per-client probe rates in search order, so this file pins both
+trajectories.
+"""
+
+ABLATION_INTRO = """
+## Ablation — end-to-end vs. node-side measurement
+
+The paper's central methodological claim (Sections 4.5, 5.8.2, 7):
+measuring at the nodes misses failures of the client-facing path.
+`coconut experiment ablation_endtoend` deploys Fabric at 4 and 16
+peers and reads each run twice: the first peer's committed payloads
+per second, and the throughput the clients confirm. At 16 peers the
+nodes keep committing while the clients receive nothing (Figure 5's
+event-service failure).
+"""
+
+EXTENSIONS_INTRO = """
+## Extensions the paper proposes
+
+Two comparisons the paper's text raises but its tables do not run, so
+it prints no numbers for them: Fabric's Kafka ordering service against
+Raft, whose overhead Section 5.4 describes, and Corda Enterprise with 3
+of 32 nodes signing, which Section 6 expects to beat Fabric on a large
+network (`coconut experiment ext_kafka_ordering`,
+`ext_corda_subset_signing`).
 """
 
 #: Heading of each heat map's section.
@@ -196,6 +251,21 @@ def write_capacity(run, writer):
     writer.write(f"\n(total probes: {total})\n")
 
 
+def write_sweep(run, writer):
+    writer.write(f"\n### {run.title}\n\n")
+    writer.write("| Setting | MTPS | MFLS (s) | NoT |\n|---|---|---|---|\n")
+    for row in run.rows():
+        writer.write("| " + " | ".join(row) + " |\n")
+    writer.write(f"\nMTPS spread, (max - min) / max: {run.spread():.2f}.\n")
+
+
+def write_ablation(run, writer):
+    writer.write(f"\n### {run.title}\n\n")
+    writer.write("| Peers | Node-side TPS | Client-side TPS | Received |\n|---|---|---|---|\n")
+    for point in run.points:
+        writer.write("| " + " | ".join(point.cells()) + " |\n")
+
+
 def write_workload(run, writer):
     writer.write(f"\n### {run.title}\n\n")
     writer.write("| Case | MTPS | MFLS (s) | p50 (s) | p99 (s) | NoT | Invalid |\n")
@@ -210,10 +280,14 @@ SECTIONS = (
     ("\n## Result tables (Tables 7-20)\n", TABLE_IDS, write_table),
     ("", ("fig3", "fig4"), write_grid),
     ("", ("fig5",), write_scalability),
+    (SWEEPS_INTRO, tuple(SWEEPS), write_sweep),
     (CAPACITY_INTRO, ("capacity_donothing", "capacity_keyvalue", "capacity_bankingapp"),
      write_capacity),
+    (ORACLE_INTRO, ("capacity_keyvalue_grid",), write_capacity),
     (WORKLOADS_INTRO, ("skew_sweep_keyvalue", "burst_capacity", "mix_readwrite_keyvalue"),
      write_workload),
+    (ABLATION_INTRO, ("ablation_endtoend",), write_ablation),
+    (EXTENSIONS_INTRO, ("ext_kafka_ordering", "ext_corda_subset_signing"), write_table),
 )
 
 

@@ -32,7 +32,6 @@ Diem            50-96 MTPS; MFLS 93-145 s (deep mempool); heavy
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing
 
@@ -210,27 +209,3 @@ def profile_for(system: str) -> PerformanceProfile:
     if system not in _PROFILES:
         raise KeyError(f"no profile for system {system!r}; known: {sorted(_PROFILES)}")
     return _PROFILES[system]
-
-
-@contextlib.contextmanager
-def profile_overrides(
-    mapping: typing.Mapping[str, PerformanceProfile]
-) -> typing.Iterator[None]:
-    """Temporarily replace some systems' profiles (ablation studies)."""
-    saved = dict(_PROFILES)
-    try:
-        _PROFILES.update(mapping)
-        yield
-    finally:
-        _PROFILES.clear()
-        _PROFILES.update(saved)
-
-
-def uniform_profile(system: str) -> PerformanceProfile:
-    """A deliberately uncalibrated profile (ablation baseline).
-
-    Every system gets the same generic costs; the ablation bench shows
-    that the paper's between-system ordering disappears without
-    calibration.
-    """
-    return PerformanceProfile(system=system)

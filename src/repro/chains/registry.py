@@ -11,9 +11,8 @@ from __future__ import annotations
 import importlib
 import typing
 
-from repro.chains.base import DeploymentSpec, SystemModel
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.chains.base import DeploymentSpec, SystemModel
     from repro.sim.kernel import Simulator
 
 #: Registry name -> (defining module, class name), in the paper's
@@ -44,13 +43,13 @@ SYSTEM_LABELS: typing.Dict[str, str] = {
 
 
 def create_system(
-    name: str, sim: "Simulator", spec: DeploymentSpec, iel_name: str
-) -> SystemModel:
+    name: str, sim: "Simulator", spec: "DeploymentSpec", iel_name: str
+) -> "SystemModel":
     """Instantiate a system model by registry name."""
     return system_class(name)(sim, spec, iel_name)
 
 
-def system_class(name: str) -> typing.Type[SystemModel]:
+def system_class(name: str) -> typing.Type["SystemModel"]:
     """Look up a system model class by name, importing its module on
     first use."""
     if name not in _SYSTEMS:

@@ -20,7 +20,6 @@ from repro.coconut.report import unit_summary
 from repro.coconut.results import ResultStore
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment
 from repro.experiments.sweeps import SWEEPS, build_sweep
-from repro.net.latency import EUROPEAN_WAN_LATENCY
 
 
 def _positive_int(text: str) -> int:
@@ -79,6 +78,7 @@ def _load_workload(path: typing.Optional[str], command: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.coconut.runner import BenchmarkRunner
+    from repro.net.latency import EUROPEAN_WAN_LATENCY
 
     fault_plan = None
     if args.faults:

@@ -14,8 +14,10 @@ import dataclasses
 import typing
 
 from repro.faults.plan import FaultPlan
-from repro.net.latency import LatencyModel
 from repro.workloads.spec import WorkloadSpec
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.net.latency import LatencyModel
 
 #: Phase sequences of the benchmark units (Section 4.1): a KeyValue-Set
 #: benchmark is always followed by KeyValue-Get; BankingApp runs

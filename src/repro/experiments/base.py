@@ -10,7 +10,7 @@ Scaling: simulated windows default to each case's ``recommended_scale``
 confirmation — fit the shortened windows). ``REPRO_FULL_SCALE=1`` in the
 environment restores the paper's full 300 s send windows;
 ``REPRO_SCALE=<x>`` forces a specific scale; ``REPRO_REPS=<n>`` forces a
-repetition count (the paper uses 3; benches default to 1 for speed).
+repetition count (the paper uses 3; experiments default to 1 for speed).
 """
 
 from __future__ import annotations

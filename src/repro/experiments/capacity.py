@@ -14,6 +14,10 @@ scale is a *finding*, not an error — e.g. Diem's KeyValue unit loses
 transactions at every rate under shortened windows because its mempool
 drain is slower than the scaled listen window (see the divergence notes
 in EXPERIMENTS.md).
+
+The grid-oracle experiment re-searches two systems exhaustively; its
+shape checks (:func:`capacity_oracle_checks`) hold the bisection of
+the KeyValue experiment to the oracle's knee at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.analysis.compare import ShapeCheck
 from repro.chains.registry import SYSTEM_NAMES
 from repro.search.engine import REPORTED_PHASES, CapacitySearch
 from repro.search.report import CapacityReport
@@ -110,6 +115,7 @@ class CapacityExperiment:
         iel: str,
         strategy: str = "bisect",
         seed: int = 81,
+        systems: typing.Sequence[str] = SYSTEM_NAMES,
     ) -> None:
         self.experiment_id = experiment_id
         self.title = title
@@ -117,6 +123,7 @@ class CapacityExperiment:
         self.phase = REPORTED_PHASES[iel]
         self.strategy = strategy
         self.seed = seed
+        self.systems = tuple(systems)
 
     def search_for(
         self, system: str, scale: typing.Optional[float] = None
@@ -145,7 +152,7 @@ class CapacityExperiment:
         progress: typing.Optional[typing.Callable[[str], None]] = None,
     ) -> CapacityRun:
         """Search every system's knee (strategies converge per system)."""
-        systems = tuple(systems or SYSTEM_NAMES)
+        systems = tuple(systems or self.systems)
         rows: typing.List[CapacityRow] = []
         for system in systems:
             search = self.search_for(system, scale=scale)
@@ -182,3 +189,59 @@ def capacity_bankingapp() -> CapacityExperiment:
         "(bisection search)",
         iel="BankingApp",
     )
+
+
+def capacity_keyvalue_grid() -> CapacityExperiment:
+    """The exhaustive grid oracle for ``capacity_keyvalue``'s bisection,
+    on one Raft-ordered system (Fabric) and one BFT system (Quorum,
+    IBFT) at opposite ends of the rate scale."""
+    return CapacityExperiment(
+        "capacity_keyvalue_grid",
+        "Capacity oracle: exhaustive grid search - KeyValue-Set (Fabric and Quorum)",
+        iel="KeyValue",
+        strategy="grid",
+        systems=("fabric", "quorum"),
+    )
+
+
+def capacity_oracle_checks(run: CapacityRun, bisect: CapacityRun) -> typing.List[ShapeCheck]:
+    """The bisection of ``bisect`` (the ``capacity_keyvalue`` run: same
+    seed, scale and rate windows) against the grid oracle ``run``: it
+    lands within one rate step of the oracle's knee, spends at most half
+    its probes and offers less load. Every probe shares one scale and
+    one client count, so the summed per-client probe rates measure the
+    offered load; the detail lists both probe trajectories in search
+    order."""
+    checks: typing.List[ShapeCheck] = []
+    for grid_row in run.rows:
+        system = grid_row.system
+        grid, found = grid_row.report, bisect.row(system).report
+        step = int(CAPACITY_SPACES[system].rate.step)
+        both_found = found.knee_rate is not None and grid.knee_rate is not None
+        bisect_rates = [probe.rate_limit for probe in found.probes]
+        grid_rates = [probe.rate_limit for probe in grid.probes]
+        checks += [
+            ShapeCheck(
+                f"{system}: both strategies find a knee",
+                passed=both_found,
+                detail=f"bisect={found.knee_rate} grid={grid.knee_rate}",
+            ),
+            ShapeCheck(
+                f"{system}: bisection within one rate step of the oracle",
+                passed=both_found and abs(found.knee_rate - grid.knee_rate) <= step,
+                detail=f"|{found.knee_rate} - {grid.knee_rate}| <= {step}",
+            ),
+            ShapeCheck(
+                f"{system}: bisection spends <= half the oracle's probes",
+                passed=found.probe_count <= grid.probe_count // 2,
+                detail=f"{found.probe_count} vs {grid.probe_count}",
+            ),
+            ShapeCheck(
+                f"{system}: bisection offers less load than the oracle",
+                passed=sum(bisect_rates) < sum(grid_rates),
+                detail=f"bisect {'+'.join(map(str, bisect_rates))} = {sum(bisect_rates)}"
+                f" < grid {'+'.join(map(str, grid_rates))} = {sum(grid_rates)}"
+                " payloads/s per client",
+            ),
+        ]
+    return checks

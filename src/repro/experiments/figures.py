@@ -21,9 +21,9 @@ from repro.chains.registry import SYSTEM_LABELS, SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, unit_for_iel
 from repro.coconut.results import PhaseResult
 from repro.experiments.base import PaperValue
-from repro.net.latency import EUROPEAN_WAN_LATENCY, LatencyModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.latency import LatencyModel
     from repro.parallel.executor import Executor
 
 #: The benchmark rows of the heat maps, in figure order.
@@ -140,7 +140,7 @@ class HeatmapExperiment:
         self,
         experiment_id: str,
         title: str,
-        latency: typing.Optional[LatencyModel],
+        latency: typing.Optional["LatencyModel"],
         paper_cells: typing.Dict[typing.Tuple[str, str], PaperValue],
     ) -> None:
         self.experiment_id = experiment_id
@@ -349,6 +349,8 @@ def fig3_checks(run: GridRun) -> typing.List[ShapeCheck]:
 
 def fig4_latency_heatmap() -> HeatmapExperiment:
     """Figure 4: the same grid under netem latency (mu = 12 ms)."""
+    from repro.net.latency import EUROPEAN_WAN_LATENCY
+
     return HeatmapExperiment(
         "fig4",
         "Figure 4: best-config grid under emulated European WAN latency",
@@ -471,6 +473,8 @@ class ScalabilityExperiment:
         executor: typing.Optional["Executor"] = None,
     ) -> ScalabilityRun:
         """Run DoNothing at each network size (same settings as 5.8.1)."""
+        from repro.net.latency import EUROPEAN_WAN_LATENCY
+
         if executor is None:
             from repro.parallel.executor import Executor
 

@@ -7,6 +7,10 @@ only plays a rather minor role in the systems Fabric, Sawtooth and Diem,
 block finalization parameters". Each sweep below varies exactly one
 parameter over the paper's evaluated values, holding the workload fixed,
 and reports MTPS/MFLS per setting.
+
+Beside the sweeps sit their shape checks (:data:`SWEEP_CHECKS`): the
+paper's claims about each parameter as
+:class:`~repro.analysis.compare.ShapeCheck` objects over one run.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.analysis.compare import ShapeCheck
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.results import PhaseResult
 
@@ -38,6 +43,13 @@ class SweepRun:
     parameter: str
     points: typing.List[SweepPoint]
 
+    def at(self, value: object) -> PhaseResult:
+        """The result of one swept setting."""
+        for point in self.points:
+            if point.value == value:
+                return point.phase_result
+        raise KeyError(f"no setting {value!r} in {self.sweep_id}")
+
     def mtps_values(self) -> typing.List[float]:
         """MTPS per swept setting, in sweep order."""
         return [point.phase_result.mtps.mean for point in self.points]
@@ -54,22 +66,24 @@ class SweepRun:
             return 0.0
         return (top - min(values)) / top
 
+    def rows(self) -> typing.List[typing.List[str]]:
+        """Setting, MTPS, MFLS and NoT cells, one row per swept setting."""
+        return [
+            [
+                f"{self.parameter}={point.value}",
+                f"{point.phase_result.mtps.mean:.2f}",
+                f"{point.phase_result.mfls.mean:.2f}",
+                f"{point.phase_result.received.mean:.0f}/"
+                f"{point.phase_result.expected.mean:.0f}",
+            ]
+            for point in self.points
+        ]
+
     def render(self) -> str:
         """A per-setting MTPS/MFLS table."""
         from repro.coconut.report import format_table
 
-        rows = []
-        for point in self.points:
-            phase = point.phase_result
-            rows.append(
-                [
-                    f"{self.parameter}={point.value}",
-                    f"{phase.mtps.mean:.2f}",
-                    f"{phase.mfls.mean:.2f}",
-                    f"{phase.received.mean:.0f}/{phase.expected.mean:.0f}",
-                ]
-            )
-        table = format_table(["Setting", "MTPS", "MFLS (s)", "NoT"], rows)
+        table = format_table(["Setting", "MTPS", "MFLS (s)", "NoT"], self.rows())
         return f"{self.title}\n{table}\nspread={self.spread():.2f}"
 
 
@@ -272,6 +286,101 @@ SWEEPS: typing.Dict[str, typing.Callable[[], ParameterSweep]] = {
     "sweep_sawtooth_pd": sawtooth_publishing_delay,
     "sweep_bitshares_ops": bitshares_operations,
     "sweep_sawtooth_batch": sawtooth_batch_sizes,
+}
+
+
+def minor_parameter_checks(run: SweepRun) -> typing.List[ShapeCheck]:
+    """Fabric's MaxMessageCount and Sawtooth's publishing delay barely
+    move MTPS (Section 6: "a rather minor role")."""
+    return [
+        ShapeCheck(
+            f"{run.sweep_id}: MTPS spread stays minor (paper Section 6)",
+            passed=run.spread() <= 0.35,
+            detail=f"spread={run.spread():.2f} over MTPS "
+            + ", ".join(f"{value:.2f}" for value in run.mtps_values()),
+        )
+    ]
+
+
+def quorum_blockperiod_checks(run: SweepRun) -> typing.List[ShapeCheck]:
+    """Quorum's blockperiod decides between dead and alive (Section 5.5)."""
+    alive = run.at(5.0).mtps.mean, run.at(10.0).mtps.mean
+    return [
+        ShapeCheck.failure_mode(
+            "BP=1s fails under RL=400", run.at(1.0).received.mean, expect_failure=True
+        ),
+        ShapeCheck.failure_mode(
+            "BP=2s fails under RL=400", run.at(2.0).received.mean, expect_failure=True
+        ),
+        ShapeCheck(
+            "BP=5s and BP=10s stay alive",
+            passed=min(alive) > 100,
+            detail=f"{alive[0]:.0f} / {alive[1]:.0f}",
+        ),
+    ]
+
+
+def bitshares_block_interval_checks(run: SweepRun) -> typing.List[ShapeCheck]:
+    """BitShares' MFLS tracks the block interval; MTPS does not."""
+    mfls = [point.phase_result.mfls.mean for point in run.points]
+    return [
+        ShapeCheck(
+            "latency grows monotonically with block_interval",
+            passed=all(a < b for a, b in zip(mfls, mfls[1:])),
+            detail="MFLS=" + ", ".join(f"{value:.1f}" for value in mfls),
+        ),
+        ShapeCheck(
+            "throughput barely moves",
+            passed=run.spread() < 0.25,
+            detail=f"spread={run.spread():.2f}",
+        ),
+    ]
+
+
+def bitshares_operations_checks(run: SweepRun) -> typing.List[ShapeCheck]:
+    """Operations per transaction gate BitShares' throughput (Section 5.3)."""
+    one, hundred = run.at(1).mtps.mean, run.at(100).mtps.mean
+    return [
+        ShapeCheck(
+            "BitShares: 1 op/tx caps near 590 payloads/s (Section 5.3)",
+            passed=450 <= one <= 700,
+            detail=f"{one:.0f}",
+        ),
+        ShapeCheck(
+            "BitShares: 100 ops/tx sustain the full offered 1600/s",
+            passed=hundred > 1400,
+            detail=f"{hundred:.0f}",
+        ),
+    ]
+
+
+def sawtooth_batch_checks(run: SweepRun) -> typing.List[ShapeCheck]:
+    """Transactions per batch gate Sawtooth's throughput (Section 5.6)."""
+    one, hundred = run.at(1).mtps.mean, run.at(100).mtps.mean
+    return [
+        ShapeCheck(
+            "Sawtooth: 1 tx/batch caps within 18-45 payloads/s (paper: 26-35, Section 5.6)",
+            passed=18 <= one <= 45,
+            detail=f"{one:.1f}",
+        ),
+        ShapeCheck(
+            "Sawtooth: 100 txs/batch several times faster",
+            passed=hundred > 2 * one,
+            detail=f"{one:.1f} -> {hundred:.1f}",
+        ),
+    ]
+
+
+#: Each sweep's shape checks, keyed like :data:`SWEEPS`. Diem's has
+#: none: the paper calls its differences minor only relative to the
+#: dominating losses (Section 5.7), which bounds no spread.
+SWEEP_CHECKS: typing.Dict[str, typing.Callable[[SweepRun], typing.List[ShapeCheck]]] = {
+    "sweep_fabric_mm": minor_parameter_checks,
+    "sweep_sawtooth_pd": minor_parameter_checks,
+    "sweep_quorum_bp": quorum_blockperiod_checks,
+    "sweep_bitshares_bi": bitshares_block_interval_checks,
+    "sweep_bitshares_ops": bitshares_operations_checks,
+    "sweep_sawtooth_batch": sawtooth_batch_checks,
 }
 
 

@@ -19,9 +19,13 @@ class TestRegistry:
             "fig3", "fig4", "fig5",
             "table7_8", "table9_10", "table11_12", "table13_14",
             "table15_16", "table17_18", "table19_20",
+            "sweep_fabric_mm", "sweep_diem_bs", "sweep_bitshares_bi", "sweep_quorum_bp",
+            "sweep_sawtooth_pd", "sweep_bitshares_ops", "sweep_sawtooth_batch",
             "resilience_leader_crash", "resilience_partition",
-            "capacity_donothing", "capacity_keyvalue", "capacity_bankingapp",
+            "capacity_donothing", "capacity_keyvalue", "capacity_keyvalue_grid",
+            "capacity_bankingapp",
             "skew_sweep_keyvalue", "burst_capacity", "mix_readwrite_keyvalue",
+            "ablation_endtoend", "ext_kafka_ordering", "ext_corda_subset_signing",
         }
 
     def test_unknown_experiment(self):

@@ -14,8 +14,8 @@ compare every ``schedule`` call.
 :class:`ReferenceResource` adds the event-returning ``acquire``, whose
 waiters share the real resource's FIFO with callback requests, which
 the real ``release`` grants;
-:class:`ReferenceStore` is the event-returning, optionally bounded FIFO
-store the loops waited on. Nothing under ``src/`` imports this module.
+:class:`ReferenceStore` is the event-returning FIFO store the loops
+waited on. Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -284,87 +284,28 @@ def busy(sim: Simulator, cpu: ReferenceResource, duration: float) -> typing.Gene
 
 
 class ReferenceStore:
-    """A FIFO buffer with an optional capacity, whose ``get`` and ``put``
-    return events; waiting getters and putters are served in arrival order."""
+    """An unbounded FIFO buffer whose ``get`` and ``put`` return events;
+    waiting getters are served in arrival order."""
 
-    def __init__(
-        self, sim: Simulator, capacity: typing.Optional[int] = None, name: str = ""
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: collections.deque = collections.deque()
         self._getters: collections.deque = collections.deque()
-        self._putters: collections.deque = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        """Whether a new item would exceed capacity right now."""
-        return self.capacity is not None and len(self._items) >= self.capacity
 
     def put(self, item: object) -> Event:
-        """Insert ``item``, returning an event that fires once it is stored."""
-        event = Event(self.sim, name=f"put:{self.name}")
-        if self.is_full:
-            self._putters.append((event, item))
+        """Insert ``item``, returning an event that has fired with it."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
-            self._insert(item)
-            event.succeed(item)
-        return event
-
-    def try_put(self, item: object) -> bool:
-        """Insert ``item`` only if there is room; return whether it was stored."""
-        if self.is_full:
-            return False
-        self._insert(item)
-        return True
+            self._items.append(item)
+        return Event(self.sim, name=f"put:{self.name}").succeed(item)
 
     def get(self) -> Event:
         """Remove the oldest item, returning an event firing with it."""
         event = Event(self.sim, name=f"get:{self.name}")
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_waiting_putter()
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> typing.Tuple[bool, object]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        self._admit_waiting_putter()
-        return True, item
-
-    def drain(self, limit: typing.Optional[int] = None) -> list:
-        """Remove and return up to ``limit`` items (all, if ``None``)."""
-        count = len(self._items) if limit is None else min(limit, len(self._items))
-        taken = [self._items.popleft() for __ in range(count)]
-        for __ in range(count):
-            if not self._admit_waiting_putter():
-                break
-        return taken
-
-    def peek_all(self) -> list:
-        """A snapshot of queued items, oldest first."""
-        return list(self._items)
-
-    def _insert(self, item: object) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def _admit_waiting_putter(self) -> bool:
-        if not self._putters or self.is_full:
-            return False
-        event, item = self._putters.popleft()
-        self._insert(item)
-        event.succeed(item)
-        return True

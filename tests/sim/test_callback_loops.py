@@ -110,13 +110,11 @@ def execute(program: dict, callbacks: bool) -> dict:
             sim.schedule(
                 loop["start"], sim.schedule, 0.0, callback_loop, number, store, loop["on_cpu"]
             )
-            put = store.put
         else:
             store = ReferenceStore(sim)
             sim.schedule(loop["start"], sim.spawn, reference_loop(number, store, loop["on_cpu"]))
-            put = store.try_put
         for item, (time, cost) in enumerate(loop["items"]):
-            sim.schedule(time, put, (item, cost))
+            sim.schedule(time, store.put, (item, cost))
     for index, (time, cost) in enumerate(program["jobs"]):
         sim.schedule(time, cpu.hold, cost, note, "job", index)
     sim.run()

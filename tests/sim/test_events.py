@@ -171,13 +171,11 @@ class TestRepr:
         assert repr(queued) == "<acquire:cpu pending at t=0.000000>"
 
     def test_store_get_and_put(self, sim):
-        store = ReferenceStore(sim, capacity=1, name="pool")
+        store = ReferenceStore(sim, name="pool")
         waiting_get = store.get()
         assert repr(waiting_get) == "<get:pool pending at t=0.000000>"
         assert repr(store.put("a")) == "<put:pool ok at t=0.000000>"
         assert repr(waiting_get) == "<get:pool ok at t=0.000000>"
-        store.put("b")
-        assert repr(store.put("c")) == "<put:pool pending at t=0.000000>"
 
     def test_plain_and_unnamed_events(self, sim):
         assert repr(sim.event("ready")) == "<ready pending at t=0.000000>"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.stores import Store
-from tests.sim.reference import ReferenceStore
 
 # Operation stream: ("put", value) | ("get",)
 operations = st.lists(
@@ -43,15 +42,3 @@ class TestStoreModel:
                 waiting = False
             assert got == []
             assert len(store) == len(model)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=1, max_value=5), st.lists(st.integers(), max_size=30))
-    def test_bounded_store_never_exceeds_capacity(self, capacity, values):
-        sim = Simulator(seed=1)
-        store = ReferenceStore(sim, capacity=capacity)
-        accepted = 0
-        for value in values:
-            if store.try_put(value):
-                accepted += 1
-            assert len(store) <= capacity
-        assert accepted == min(capacity, len(values))

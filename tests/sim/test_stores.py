@@ -1,10 +1,9 @@
 """Unit tests for FIFO stores.
 
 :class:`~repro.sim.stores.Store` hands items to one consumer callback.
-The event-returning, optionally bounded store the generator loops used
-lives on as the reference driver's :class:`ReferenceStore`
-(:mod:`tests.sim.reference`); the classes after the first pin its
-semantics.
+The event-returning store the generator loops used lives on as the
+reference driver's :class:`ReferenceStore` (:mod:`tests.sim.reference`);
+``TestUnboundedStore`` pins its semantics.
 """
 
 import pytest
@@ -133,129 +132,3 @@ class TestUnboundedStore:
         sim.spawn(producer())
         sim.run()
         assert got == [("first", 1), ("second", 2)]
-
-
-class TestBoundedStore:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            EventStore(sim, capacity=0)
-
-    def test_try_put_respects_capacity(self, sim):
-        store = EventStore(sim, capacity=2)
-        assert store.try_put("a")
-        assert store.try_put("b")
-        assert not store.try_put("c")  # rejected, like Sawtooth's queue
-        assert len(store) == 2
-
-    def test_put_blocks_when_full(self, sim):
-        store = EventStore(sim, capacity=1)
-        events = []
-
-        def producer():
-            yield store.put("first")
-            events.append(("stored-first", sim.now))
-            yield store.put("second")
-            events.append(("stored-second", sim.now))
-
-        def consumer():
-            yield sim.timeout(10.0)
-            item = yield store.get()
-            events.append(("got", item, sim.now))
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert events == [
-            ("stored-first", 0.0),
-            ("stored-second", 10.0),
-            ("got", "first", 10.0),
-        ]
-
-    def test_try_get(self, sim):
-        store = EventStore(sim)
-        assert store.try_get() == (False, None)
-        store.try_put("x")
-        assert store.try_get() == (True, "x")
-
-    def test_drain_with_limit(self, sim):
-        store = EventStore(sim)
-        for i in range(5):
-            store.try_put(i)
-        assert store.drain(limit=3) == [0, 1, 2]
-        assert store.drain() == [3, 4]
-        assert store.drain() == []
-
-    def test_drain_admits_blocked_putters(self, sim):
-        store = EventStore(sim, capacity=2)
-        stored = []
-
-        def producer():
-            for i in range(4):
-                yield store.put(i)
-                stored.append(i)
-
-        sim.spawn(producer())
-        sim.run()
-        assert stored == [0, 1]
-        assert store.drain(limit=2) == [0, 1]
-        sim.run()
-        assert stored == [0, 1, 2, 3]
-        assert store.peek_all() == [2, 3]
-
-class TestDrainWithWaitingPutters:
-    def test_drain_admits_only_what_capacity_allows(self, sim):
-        store = EventStore(sim, capacity=3)
-        for i in range(3):
-            assert store.try_put(i)
-        # Five independent putters park on the full store.
-        stored = []
-
-        def producer(i):
-            yield store.put(i)
-            stored.append(i)
-
-        for i in range(3, 8):
-            sim.spawn(producer(i))
-        sim.run()
-        assert stored == []
-        assert store.drain(limit=2) == [0, 1]
-        # Exactly two freed slots: the two oldest blocked putters were
-        # admitted, the rest stay parked.
-        assert store.peek_all() == [2, 3, 4]
-        assert store.is_full
-        sim.run()
-        assert stored == [3, 4]
-        assert store.drain() == [2, 3, 4]
-        sim.run()
-        assert stored == [3, 4, 5, 6, 7]
-        assert store.peek_all() == [5, 6, 7]
-
-    def test_full_drain_unblocks_all_putters_when_they_fit(self, sim):
-        store = EventStore(sim, capacity=4)
-        for i in range(4):
-            assert store.try_put(i)
-
-        def producer(i):
-            yield store.put(i)
-
-        for i in (4, 5):
-            sim.spawn(producer(i))
-        sim.run()
-        assert store.drain() == [0, 1, 2, 3]
-        assert store.peek_all() == [4, 5]
-        assert not store.is_full
-        assert store.drain() == [4, 5]
-
-    def test_admitted_putter_event_fires(self, sim):
-        store = EventStore(sim, capacity=1)
-        store.try_put("old")
-        put_event = store.put("new")
-        assert not put_event.triggered
-        assert store.drain() == ["old"]
-        assert put_event.triggered
-        assert store.peek_all() == ["new"]
-
-    def test_drain_on_empty_store_with_no_putters(self, sim):
-        store = EventStore(sim, capacity=2)
-        assert store.drain() == []
-        assert store.drain(limit=5) == []

@@ -123,3 +123,7 @@ class TestImportBoundary:
         assert not loaded & {
             "repro.coconut.runner", "repro.coconut.provisioner", "repro.parallel.executor",
         }
+
+    def test_cli_import_loads_no_sim_or_network_module(self):
+        loaded = loaded_by("import repro.cli")
+        assert not {m for m in loaded if m.split(".")[1:2] in (["sim"], ["net"])}
