@@ -1,6 +1,7 @@
-"""Hot-path benchmarks: kernel, CPU jobs, network, hashing, end-to-end.
+"""Hot-path benchmarks: kernel, CPU jobs, network, hashing, payloads, end-to-end.
 
-The micro targets time the current kernel, network and hashing code;
+The micro targets time the current kernel, network, hashing and
+per-payload client code;
 the end-to-end targets time short full benchmark-unit runs. The
 speedups each optimization pass measured against the code it replaced
 are frozen below (``SPEEDUPS_VS_LEGACY``, ``PRE_PR_E2E_SECONDS``) and
@@ -33,6 +34,7 @@ import types
 import typing
 
 from repro.chains.base import BaseNode
+from repro.coconut.bal import BitSharesDriver, SawtoothDriver, SingleTransactionDriver
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_bytes, hash_object, leaf_hash
@@ -261,6 +263,31 @@ def bench_tx_digest(
     )
 
 
+def bench_payload_path(payloads: int, repeats: int) -> TimingResult:
+    """The client's per-payload objects: ``Payload.create`` then the
+    driver's ``wrap``, as a send builds them, for ``payloads`` payloads
+    through each of the single-transaction driver, BitShares at 100
+    operations per transaction and Sawtooth at 100 transactions per
+    batch."""
+    reset_id_counters()
+    drivers = (
+        SingleTransactionDriver("client-0"),
+        BitSharesDriver("client-0", ops_per_transaction=100),
+        SawtoothDriver("client-0", txs_per_batch=100),
+    )
+    args = {"key": "client-0:t0:k1", "value": "value-1"}
+
+    def run_sends():
+        for driver in drivers:
+            group = driver.group_size
+            for __ in range(payloads // group):
+                driver.wrap([
+                    Payload.create("client-0", "KeyValue", "Set", args) for __ in range(group)
+                ])
+
+    return time_callable(run_sends, "payload_path", repeats=repeats)
+
+
 # ----------------------------------------------------------------------
 # End-to-end targets
 
@@ -337,6 +364,7 @@ def run_all(
         bench_cpu_job(10_000, repeats),
         bench_hashing(100, 20, repeats),
         tx_digest,
+        bench_payload_path(1_000, repeats),
     ]
     e2e_repeats = 1 if quick else 3
     for name in E2E_CONFIGS:

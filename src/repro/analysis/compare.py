@@ -72,12 +72,15 @@ class ShapeCheck:
     def factor(
         cls, name: str, measured: float, reference: float, factor: float
     ) -> "ShapeCheck":
-        """Check a value is within a multiplicative band of the paper's."""
+        """Check a value is within a multiplicative band of the paper's.
+
+        The detail prints the factor exactly (``x1.35``, ``x2.0``), so
+        the verdict states the band it enforced."""
         passed = within_factor(measured, reference, factor)
         return cls(
             name=name,
             passed=passed,
-            detail=f"measured={measured:.2f} paper={reference:.2f} band=x{factor:.1f}",
+            detail=f"measured={measured:.2f} paper={reference:.2f} band=x{float(factor)}",
         )
 
     @classmethod

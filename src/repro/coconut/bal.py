@@ -39,7 +39,7 @@ class SingleTransactionDriver(Driver):
     def wrap(self, payloads: typing.Sequence[Payload]) -> Transaction:
         if len(payloads) != 1:
             raise ValueError(f"expected one payload, got {len(payloads)}")
-        return Transaction.wrap(list(payloads), submitter=self.client_id)
+        return Transaction.wrap(payloads, submitter=self.client_id)
 
 
 class BitSharesDriver(Driver):
@@ -52,7 +52,7 @@ class BitSharesDriver(Driver):
         self.group_size = ops_per_transaction
 
     def wrap(self, payloads: typing.Sequence[Payload]) -> Transaction:
-        return Transaction.wrap(list(payloads), submitter=self.client_id, kind="bitshares")
+        return Transaction.wrap(payloads, submitter=self.client_id, kind="bitshares")
 
 
 class SawtoothDriver(Driver):
@@ -66,7 +66,7 @@ class SawtoothDriver(Driver):
 
     def wrap(self, payloads: typing.Sequence[Payload]) -> Batch:
         transactions = [
-            Transaction.wrap([payload], submitter=self.client_id) for payload in payloads
+            Transaction.wrap((payload,), submitter=self.client_id) for payload in payloads
         ]
         return Batch.wrap(transactions, submitter=self.client_id)
 

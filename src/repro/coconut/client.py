@@ -9,17 +9,17 @@ All timestamps of Figure 2 are taken here, on the client: ``starttime``
 just before a payload is sent, ``endtime`` when its confirmation (a
 commit on *all* nodes) arrives.
 
-A payload's record lives only while the payload is in flight: the
-moment it resolves, its contribution is folded into the phase's
-:class:`~repro.stream.accumulator.PhaseAccumulator` and the record is
-retired (handed to the stream's sink, if one is attached). Client
-memory is therefore bounded by the payloads in flight, not by the
-offered load.
+While a payload is in flight the client keeps only its start time,
+in a per-phase map from payload id to start time. The moment it
+resolves, its contribution is folded into the phase's
+:class:`~repro.stream.accumulator.PhaseAccumulator` and the entry is
+dropped; a :class:`~repro.stream.spill.PayloadRecord` is built only
+when the stream has a sink attached. Client memory is therefore
+bounded by the payloads in flight, not by the offered load.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.coconut.bal import Driver, make_driver
@@ -31,32 +31,6 @@ from repro.storage import Payload
 from repro.storage.receipts import TxStatus
 from repro.stream.accumulator import ClientStream
 from repro.workloads.arrivals import build_schedule
-
-
-@dataclasses.dataclass
-class PayloadRecord:
-    """The client-side life of one payload."""
-
-    payload_id: str
-    phase: str
-    start_time: float
-    end_time: typing.Optional[float] = None
-    status: str = "pending"
-    #: Confirmed but flagged invalid on-chain (Fabric MVCC conflicts);
-    #: still counts as received per Section 5.4.
-    invalid: bool = False
-
-    @property
-    def received(self) -> bool:
-        """Whether a finalization confirmation arrived in time."""
-        return self.status == "received"
-
-    @property
-    def latency(self) -> float:
-        """End-to-end finalization latency (FLS)."""
-        if self.end_time is None:
-            raise ValueError(f"payload {self.payload_id} has no end time")
-        return self.end_time - self.start_time
 
 
 class CoconutClient(Endpoint):
@@ -85,9 +59,9 @@ class CoconutClient(Endpoint):
             spec=config.workload,
             rng_streams=sim.rng.stream,
         )
-        #: phase -> payload_id -> record of the payloads still in flight;
-        #: records retire into ``self.stream`` the moment they resolve.
-        self.records: typing.Dict[str, typing.Dict[str, PayloadRecord]] = {}
+        #: phase -> payload_id -> start time of the payloads still in
+        #: flight; each resolves into ``self.stream`` and leaves the map.
+        self.in_flight: typing.Dict[str, typing.Dict[str, float]] = {}
         #: payload_id -> phase of in-flight payloads, and of payloads that
         #: never resolved inside their window (so a late receipt is known).
         self._payload_phase: typing.Dict[str, str] = {}
@@ -107,7 +81,7 @@ class CoconutClient(Endpoint):
         deadline.
         """
         config = self.config
-        self.records.setdefault(phase, {})
+        self.in_flight.setdefault(phase, {})
         self.stream.begin_phase(phase)
         send_deadline = start_at + config.scaled_send
         self._listen_deadline[phase] = start_at + config.scaled_listen
@@ -141,46 +115,44 @@ class CoconutClient(Endpoint):
             if tracer.enabled:
                 tracer.end(("tx", payload_id), status="late")
             return
-        record = self.records[phase].pop(payload_id, None)
-        if record is None:
+        start_time = self.in_flight[phase].pop(payload_id, None)
+        if start_time is None:
             # Already expired at phase teardown.
             return
         del self._payload_phase[payload_id]
-        record.end_time = self.sim.now
-        record.status = status
-        record.invalid = invalid
+        now = self.sim.now
         if tracer.enabled:
             tracer.end(("tx", payload_id), status=status)
             if tracer.wants("client"):
                 tracer.metrics.counter(f"client.{status}", node=self.endpoint_id).inc()
                 tracer.metrics.histogram("client.fls", node=self.endpoint_id).record(
-                    record.latency
+                    now - start_time
                 )
-        # The record's contribution is folded into the phase accumulator
-        # and the record itself is dropped: live records track in-flight
-        # payloads, not offered load.
-        self.stream.retire(phase, record)
+        # The payload's contribution is folded into the phase accumulator
+        # and its entry is dropped: the in-flight map tracks payloads in
+        # flight, not offered load.
+        self.stream.resolve(phase, payload_id, start_time, now, status, invalid)
 
     # ------------------------------------------------------------------
     # Phase teardown
 
     def finish_phase(self, phase: str) -> int:
-        """Spill and drop the phase's still-pending records.
+        """Spill and drop the phase's still-pending payloads.
 
         Called by the runner after the phase's metrics are taken. Any
-        record left is a payload that never resolved inside the listen
+        entry left is a payload that never resolved inside the listen
         window; it already counts in ``sent`` (and as an in-window loss
         when resilience is armed), so it only needs spilling — keeping
         it would grow memory phase over phase. The payload's id stays
         mapped to its phase, so a receipt that arrives after teardown
-        is still counted (and traced) as late. Returns how many records
+        is still counted (and traced) as late. Returns how many payloads
         were dropped.
         """
-        leftover = self.records.get(phase)
+        leftover = self.in_flight.get(phase)
         if not leftover:
             return 0
-        for record in leftover.values():
-            self.stream.expire(phase, record)
+        for payload_id, start_time in leftover.items():
+            self.stream.expire(phase, payload_id, start_time)
         dropped = len(leftover)
         leftover.clear()
         return dropped
@@ -197,7 +169,7 @@ class _WorkloadThread:
 
     __slots__ = (
         "client", "sim", "phase", "thread", "start_at", "send_deadline", "schedule",
-        "trace_txs", "records", "accumulator",
+        "trace_txs", "in_flight", "accumulator",
     )
 
     def __init__(
@@ -214,8 +186,8 @@ class _WorkloadThread:
         self.thread = thread
         self.start_at = start_at
         self.send_deadline = send_deadline
-        # The phase's record dict and accumulator never change identity.
-        self.records = client.records[phase]
+        # The phase's in-flight map and accumulator never change identity.
+        self.in_flight = client.in_flight[phase]
         self.accumulator = client.stream.accumulator(phase)
 
     def start(self) -> None:
@@ -272,17 +244,13 @@ class _WorkloadThread:
             function, args = payload_for(iel, phase, thread)
             payloads.append(Payload.create(endpoint_id, iel, function, args))
         self.accumulator.on_send(now, count=len(payloads))
-        phase_records = self.records
+        in_flight = self.in_flight
         payload_phase = client._payload_phase
         trace_txs = self.trace_txs
         tracer = sim.tracer
         for payload in payloads:
             payload_id = payload.payload_id
-            phase_records[payload_id] = PayloadRecord(
-                payload_id=payload_id,
-                phase=phase,
-                start_time=now,
-            )
+            in_flight[payload_id] = now
             payload_phase[payload_id] = phase
             if trace_txs and tracer.sampled(payload_id):
                 # Submit -> confirm, closed in _record_end; payloads
@@ -293,7 +261,7 @@ class _WorkloadThread:
                 )
         if trace_txs:
             tracer.metrics.counter("client.sent", node=endpoint_id).inc(len(payloads))
-        client.stream.note_live(len(phase_records))
+        client.stream.note_live(len(in_flight))
         bundle = client.driver.wrap(payloads)
         client.send(
             client.gateway_id,

@@ -8,7 +8,6 @@ commit status and the time the last replica persisted it.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import typing
 
@@ -37,16 +36,38 @@ class TxStatus(enum.Enum):
         return self in (TxStatus.COMMITTED, TxStatus.INVALIDATED)
 
 
-@dataclasses.dataclass(frozen=True)
 class Receipt:
-    """The finalization notification for one payload."""
+    """The finalization notification for one payload.
 
-    payload_id: str
-    tx_id: str
-    status: TxStatus
-    block_height: typing.Optional[int]
-    commit_time: float
-    detail: str = ""
+    A ``__slots__`` class with a plain ``__init__``, like
+    :class:`~repro.storage.Payload`: finality builds one per payload.
+    Treat instances as immutable (``tests/storage/test_immutability.py``).
+    Equality is identity: receipts travel in lists, and nothing compares
+    or hashes them.
+    """
+
+    __slots__ = ("payload_id", "tx_id", "status", "block_height", "commit_time", "detail")
+
+    def __init__(
+        self,
+        payload_id: str,
+        tx_id: str,
+        status: TxStatus,
+        block_height: typing.Optional[int],
+        commit_time: float,
+        detail: str = "",
+    ) -> None:
+        self.payload_id = payload_id
+        self.tx_id = tx_id
+        self.status = status
+        self.block_height = block_height
+        self.commit_time = commit_time
+        self.detail = detail
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, on every pickle protocol.
+        return (Receipt, (self.payload_id, self.tx_id, self.status, self.block_height,
+                          self.commit_time, self.detail))
 
     @property
     def is_success(self) -> bool:

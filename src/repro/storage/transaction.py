@@ -16,7 +16,6 @@ BitShares' MTPS calculation counts each operation as a transaction
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import typing
 
@@ -46,16 +45,60 @@ def reset_id_counters() -> None:
     reset_proposal_counter()
 
 
-@dataclasses.dataclass(frozen=True)
-class Payload:
-    """One IEL function invocation submitted by a client."""
+class _Fields:
+    """Equality, hashing and pickling over the constructor fields
+    ``_FIELDS``, in order. Compares as a frozen dataclass does: equal
+    only to an instance of the same class with equal fields."""
 
-    payload_id: str
-    client_id: str
-    iel: str
-    function: str
-    args: typing.Tuple[typing.Tuple[str, object], ...]
-    size_bytes: int = 128
+    __slots__ = ()
+    _FIELDS: typing.ClassVar[typing.Tuple[str, ...]] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == typing.cast(_Fields, other)._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, on every pickle protocol.
+        return (self.__class__, self._values())
+
+
+class Payload(_Fields):
+    """One IEL function invocation submitted by a client.
+
+    A ``__slots__`` class with a plain ``__init__``, as
+    :class:`~repro.net.Message` is: a run builds one per offered
+    payload, and a frozen dataclass paid an ``object.__setattr__`` call
+    per field. Treat instances as immutable; no code assigns a field
+    after construction (``tests/storage/test_immutability.py``).
+    Equality and hashing compare the fields, as the frozen dataclass
+    did, because a :class:`~repro.net.Message` hashes its payload.
+    """
+
+    __slots__ = ("payload_id", "client_id", "iel", "function", "args", "size_bytes")
+    _FIELDS = __slots__
+
+    def __init__(
+        self,
+        payload_id: str,
+        client_id: str,
+        iel: str,
+        function: str,
+        args: typing.Tuple[typing.Tuple[str, object], ...],
+        size_bytes: int = 128,
+    ) -> None:
+        self.payload_id = payload_id
+        self.client_id = client_id
+        self.iel = iel
+        self.function = function
+        self.args = args
+        self.size_bytes = size_bytes
 
     @classmethod
     def create(
@@ -68,12 +111,12 @@ class Payload:
     ) -> "Payload":
         """Build a payload with a fresh globally unique id."""
         return cls(
-            payload_id=f"p{next(_payload_counter)}",
-            client_id=client_id,
-            iel=iel,
-            function=function,
-            args=tuple(sorted((args or {}).items())),
-            size_bytes=size_bytes,
+            f"p{next(_payload_counter)}",
+            client_id,
+            iel,
+            function,
+            tuple(sorted(args.items())) if args else (),
+            size_bytes,
         )
 
     def arg(self, name: str, default: object = None) -> object:
@@ -88,51 +131,47 @@ class Payload:
         return (self.payload_id, self.client_id, self.iel, self.function, self.args)
 
 
-@dataclasses.dataclass(frozen=True)
-class Transaction:
+class Transaction(_Fields):
     """An atomic unit ordered by consensus.
 
     ``payloads`` has length 1 for single-operation systems and up to 100
     for BitShares multi-operation transactions. Atomicity: if any payload
     fails during execution, the whole transaction is discarded.
 
-    Slotted by hand: a run holds every transaction it offered, and a
-    slot per field takes less memory than an instance dict. The wire
-    size and the digest live in two more slots that are not dataclass
-    fields, so they take no part in ``__init__``, equality or ``repr``
-    (and no field may have a class-level default).
+    A ``__slots__`` class with a plain ``__init__``, like
+    :class:`Payload`: a run builds one per submission and holds every
+    transaction it offered. ``size_bytes`` (the wire size) is computed
+    once at construction and ``_digest`` caches :attr:`content_hash`;
+    neither takes part in equality or hashing, which compare the four
+    constructor fields. The cached digest stays valid because no code
+    assigns a field after construction
+    (``tests/storage/test_immutability.py``).
     """
 
     __slots__ = ("tx_id", "payloads", "submitter", "kind", "size_bytes", "_digest")
+    _FIELDS = ("tx_id", "payloads", "submitter", "kind")
 
-    tx_id: str
-    payloads: typing.Tuple[Payload, ...]
-    submitter: str
-    kind: str
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tx_id: str,
+        payloads: typing.Tuple[Payload, ...],
+        submitter: str,
+        kind: str,
+    ) -> None:
+        self.tx_id = tx_id
+        self.payloads = payloads
+        self.submitter = submitter
+        self.kind = kind
         # Wire size: payload bytes plus a fixed envelope.
-        object.__setattr__(self, "size_bytes", 96 + sum(p.size_bytes for p in self.payloads))
-        object.__setattr__(self, "_digest", None)
-
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        self.size_bytes = 96 + sum([p.size_bytes for p in payloads])
+        self._digest: typing.Optional[str] = None
 
     @classmethod
     def wrap(cls, payloads: typing.Sequence[Payload], submitter: str, kind: str = "generic") -> "Transaction":
         """Wrap payloads into a transaction with a fresh id."""
         if not payloads:
             raise ValueError("a transaction needs at least one payload")
-        return cls(
-            tx_id=f"tx{next(_tx_counter)}",
-            payloads=tuple(payloads),
-            submitter=submitter,
-            kind=kind,
-        )
+        return cls(f"tx{next(_tx_counter)}", tuple(payloads), submitter, kind)
 
     def canonical_tuple(self) -> tuple:
         """Stable tuple for content hashing."""
@@ -148,33 +187,34 @@ class Transaction:
         """
         digest = self._digest
         if digest is None:
-            digest = tuple_digest(self)
-            object.__setattr__(self, "_digest", digest)
+            digest = self._digest = tuple_digest(self)
         return digest
 
 
-@dataclasses.dataclass(frozen=True)
-class Batch:
+class Batch(_Fields):
     """Sawtooth's atomic batch of transactions.
 
     If one transaction in the batch fails, the whole batch is rejected and
-    none of it reaches a block (Section 5.6).
+    none of it reaches a block (Section 5.6). A ``__slots__`` class with
+    a plain ``__init__``, like :class:`Transaction`.
     """
 
-    batch_id: str
-    transactions: typing.Tuple[Transaction, ...]
-    submitter: str
+    __slots__ = ("batch_id", "transactions", "submitter")
+    _FIELDS = __slots__
+
+    def __init__(
+        self, batch_id: str, transactions: typing.Tuple[Transaction, ...], submitter: str
+    ) -> None:
+        self.batch_id = batch_id
+        self.transactions = transactions
+        self.submitter = submitter
 
     @classmethod
     def wrap(cls, transactions: typing.Sequence[Transaction], submitter: str) -> "Batch":
         """Wrap transactions into a batch with a fresh id."""
         if not transactions:
             raise ValueError("a batch needs at least one transaction")
-        return cls(
-            batch_id=f"b{next(_batch_counter)}",
-            transactions=tuple(transactions),
-            submitter=submitter,
-        )
+        return cls(f"b{next(_batch_counter)}", tuple(transactions), submitter)
 
     @property
     def size_bytes(self) -> int:

@@ -1,11 +1,12 @@
 """Online per-phase metric accumulators: how every run is measured.
 
-Rather than keep one :class:`~repro.coconut.client.PayloadRecord` per
-payload for the whole run and post-process the full list, these
-accumulators fold every quantity the Section 4.5 formulas need into
-constant state *as each payload resolves*, so a record is retired the
-moment its confirmation (or rejection) arrives and client memory stays
-bounded by the number of payloads in flight.
+Rather than keep one record per payload for the whole run and
+post-process the full list, these accumulators fold every quantity the
+Section 4.5 formulas need into constant state *as each payload
+resolves*, so the client forgets a payload the moment its confirmation
+(or rejection) arrives and client memory stays bounded by the number
+of payloads in flight. A :class:`~repro.stream.spill.PayloadRecord` is
+built only for a sink.
 
 What is accumulated, and why it is enough:
 
@@ -39,7 +40,6 @@ from repro.faults.metrics import RECOVERY_TOLERANCE, ResilienceReport
 from repro.stream.histogram import LogHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.coconut.client import PayloadRecord
     from repro.stream.spill import RecordSink
 
 
@@ -259,21 +259,23 @@ class PhaseAccumulator:
             for __ in range(count):
                 self.resilience.on_send(start_time)
 
-    def on_retire(self, record: "PayloadRecord") -> None:
-        """A payload resolved (received or failed); fold it in."""
-        if record.received:
+    def on_resolve(
+        self, start_time: float, end_time: float, status: str, invalid: bool = False
+    ) -> None:
+        """A payload sent at ``start_time`` resolved at ``end_time`` as
+        ``"received"`` or ``"failed"``; fold it in."""
+        if status == "received":
             self.received += 1
-            if record.invalid:
+            if invalid:
                 self.invalidated += 1
-            end_time = typing.cast(float, record.end_time)
-            latency = end_time - record.start_time
+            latency = end_time - start_time
             self.latency.add(latency)
             self.histogram.record(latency)
             if self.last_receive is None or end_time > self.last_receive:
                 self.last_receive = end_time
             if self.resilience is not None:
-                self.resilience.on_receive(record.start_time, end_time)
-        elif record.status == "failed":
+                self.resilience.on_receive(start_time, end_time)
+        elif status == "failed":
             self.failed += 1
 
     # ------------------------------------------------------------------
@@ -356,8 +358,8 @@ class ClientStream:
         self.accumulators: typing.Dict[str, PhaseAccumulator] = {}
         #: Optional full-fidelity record sink; shared across clients.
         self.sink: typing.Optional["RecordSink"] = None
-        #: Most records simultaneously tracked (in flight) at any point —
-        #: bounded by the load in flight, not the total offered load.
+        #: Most payloads simultaneously in flight at any point — bounded
+        #: by the load in flight, not the total offered load.
         self.peak_live = 0
         self.spilled = 0
 
@@ -374,23 +376,41 @@ class ClientStream:
         return self.accumulators[phase]
 
     def note_live(self, live: int) -> None:
-        """Track the in-flight record high-water mark."""
+        """Track the in-flight payload high-water mark."""
         if live > self.peak_live:
             self.peak_live = live
 
-    def retire(self, phase: str, record: "PayloadRecord") -> None:
-        """Fold a resolved record in and spill it if a sink is attached."""
-        self.accumulators[phase].on_retire(record)
-        if self.sink is not None:
-            self.sink.write_record(self.client_id, record)
+    def resolve(
+        self,
+        phase: str,
+        payload_id: str,
+        start_time: float,
+        end_time: float,
+        status: str,
+        invalid: bool = False,
+    ) -> None:
+        """Fold a resolved payload in and spill its record if a sink is
+        attached."""
+        self.accumulators[phase].on_resolve(start_time, end_time, status, invalid)
+        sink = self.sink
+        if sink is not None:
+            from repro.stream.spill import PayloadRecord
+
+            sink.write_record(
+                self.client_id,
+                PayloadRecord(payload_id, phase, start_time, end_time, status, invalid),
+            )
             self.spilled += 1
 
-    def expire(self, phase: str, record: "PayloadRecord") -> None:
-        """A record still pending at phase teardown; spill only.
+    def expire(self, phase: str, payload_id: str, start_time: float) -> None:
+        """A payload still pending at phase teardown; spill only.
 
         Pending payloads already count in ``sent`` (and as in-window
         losses when resilience is armed), so no counters move here.
         """
-        if self.sink is not None:
-            self.sink.write_record(self.client_id, record)
+        sink = self.sink
+        if sink is not None:
+            from repro.stream.spill import PayloadRecord
+
+            sink.write_record(self.client_id, PayloadRecord(payload_id, phase, start_time))
             self.spilled += 1

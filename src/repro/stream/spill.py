@@ -4,21 +4,49 @@ Clients deliberately forget individual payloads the moment they
 resolve; analyses that need the raw records (per-transaction latency
 scatter, custom windows, post-hoc resilience slicing) attach a sink
 through ``BenchmarkRunner(spill=...)`` (or ``client.stream.sink`` on a
-hand-driven rig). Every retired record — and every record still pending
-at phase teardown — is handed to the sink exactly once, in simulation
-order. :class:`SpillSink` appends each as one JSON line, so the file is
+hand-driven rig). The record of every resolved payload — and of every
+payload still pending at phase teardown — is built for the sink and
+handed to it exactly once, in simulation order. :class:`SpillSink` appends each as one JSON line, so the file is
 itself deterministic for a fixed seed; :class:`RetainingSink` keeps the
 records in memory, which grows with the offered load.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.coconut.client import PayloadRecord
+
+@dataclasses.dataclass
+class PayloadRecord:
+    """The client-side life of one payload, as a sink receives it.
+
+    Clients build one only when a sink is attached: while a payload is
+    in flight they keep just its start time.
+    """
+
+    payload_id: str
+    phase: str
+    start_time: float
+    end_time: typing.Optional[float] = None
+    status: str = "pending"
+    #: Confirmed but flagged invalid on-chain (Fabric MVCC conflicts);
+    #: still counts as received per Section 5.4.
+    invalid: bool = False
+
+    @property
+    def received(self) -> bool:
+        """Whether a finalization confirmation arrived in time."""
+        return self.status == "received"
+
+    @property
+    def latency(self) -> float:
+        """End-to-end finalization latency (FLS)."""
+        if self.end_time is None:
+            raise ValueError(f"payload {self.payload_id} has no end time")
+        return self.end_time - self.start_time
 
 
 class SpillSink:
@@ -35,7 +63,7 @@ class SpillSink:
         """Replace the per-line context (the runner sets repetition)."""
         self._context = dict(fields)
 
-    def write_record(self, client_id: str, record: "PayloadRecord") -> None:
+    def write_record(self, client_id: str, record: PayloadRecord) -> None:
         """Append one payload record as a JSON line."""
         if self._handle is None:
             self._handle = self.path.open("w", encoding="utf-8")
@@ -84,12 +112,12 @@ class RetainingSink:
     """
 
     def __init__(self) -> None:
-        self.records: typing.List["PayloadRecord"] = []
+        self.records: typing.List[PayloadRecord] = []
 
     def set_context(self, **fields: object) -> None:
         """Context is not stamped onto retained records."""
 
-    def write_record(self, client_id: str, record: "PayloadRecord") -> None:
+    def write_record(self, client_id: str, record: PayloadRecord) -> None:
         """Keep one payload record."""
         self.records.append(record)
 

@@ -56,6 +56,12 @@ class TestShapeCheck:
         assert check.passed
         assert "band" in check.detail
 
+    def test_factor_detail_prints_the_exact_band(self):
+        # A one-decimal rendering would print the 1.35 band as x1.4.
+        for factor, band in ((1.35, "x1.35"), (2.0, "x2.0"), (2, "x2.0"), (1.6, "x1.6")):
+            check = ShapeCheck.factor("t", measured=1.0, reference=1.0, factor=factor)
+            assert check.detail == f"measured=1.00 paper=1.00 band={band}"
+
     def test_ordering_constructor(self):
         check = ShapeCheck.ordering("t", [(10.0, 5.0), (1.0, 0.5)])
         assert check.passed

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coconut.client import PayloadRecord
 from repro.coconut.metrics import (
     MetricSummary,
     PhaseMetrics,
@@ -14,6 +13,7 @@ from repro.coconut.metrics import (
 )
 from repro.stream import LogHistogram
 from repro.stream.accumulator import PhaseAccumulator
+from repro.stream.spill import PayloadRecord
 
 
 def accumulate(records, phase="Set"):
@@ -22,7 +22,8 @@ def accumulate(records, phase="Set"):
     for record in records:
         accumulator.on_send(record.start_time)
         if record.status != "pending":
-            accumulator.on_retire(record)
+            accumulator.on_resolve(record.start_time, record.end_time, record.status,
+                                   record.invalid)
     return accumulator
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coconut.client import PayloadRecord
+from repro.stream.spill import PayloadRecord
 from tests.coconut.test_metrics import phase_metrics
 
 # Random client record sets: (start, latency-or-None) pairs.

@@ -196,3 +196,58 @@ class TestGenerator:
         out = capsys.readouterr().out
         assert datetime.date.today().isoformat() in out and "ran in" in out
         assert datetime.date.today().isoformat() not in text and "ran in" not in text
+
+
+class RecordingExecutor(FakeExecutor):
+    """A :class:`FakeExecutor` that keeps every config it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.configs = []
+
+    def run_units(self, configs):
+        self.configs += configs
+        return super().run_units(configs)
+
+
+class TestScaleNote:
+    @pytest.fixture
+    def no_override(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_REPS", raising=False)
+
+    def test_default_header_is_the_committed_one(self, no_override):
+        header = GENERATOR.HEADER.format(scale_note=GENERATOR.scale_note(), reps="1")
+        committed = (SCRIPT.parents[1] / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert GENERATOR.scale_note() == ""
+        assert committed.startswith(header)
+
+    def test_note_names_exactly_the_sections_the_override_reaches(self, no_override, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.0123")
+        assert GENERATOR.scale_note() == (
+            ", overridden to 0.0123 in the result tables, the workload-model experiments"
+            " and the extensions (every other section keeps its own scale)"
+        )
+        reached = set()
+        for experiment_id in GENERATED_IDS:
+            if experiment_id == "ablation_endtoend":
+                # Runs in-process, not through an executor.
+                assert build_experiment(experiment_id).build_config(4).scale != 0.0123
+                continue
+            executor = RecordingExecutor()
+            build_experiment(experiment_id).run(executor=executor)
+            scales = {config.scale for config in executor.configs}
+            assert scales
+            if scales == {0.0123}:
+                reached.add(experiment_id)
+            else:
+                assert 0.0123 not in scales, experiment_id
+        assert reached == {i for __, ids in GENERATOR.SCALED_SECTIONS for i in ids}
+
+    def test_full_scale_note(self, no_override, monkeypatch):
+        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
+        assert GENERATOR.scale_note().startswith(
+            ", overridden to the paper's full windows in the result tables,"
+        )
+

@@ -12,7 +12,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coconut.client import PayloadRecord
 from repro.stream import ExactSum, LogHistogram, RetainingSink
 from repro.stream.accumulator import PhaseAccumulator
 
@@ -99,13 +98,6 @@ class TestExactSum:
         assert left.value() == direct.value() == math.fsum(values)
 
 
-def record(payload_id, start, end):
-    return PayloadRecord(
-        payload_id=payload_id, phase="Set", start_time=start,
-        end_time=end, status="received",
-    )
-
-
 def client_with_pending_payload(listen_deadline):
     """A client whose "Set" phase has one payload, ``p1``, in flight."""
     from repro.coconut.client import CoconutClient
@@ -115,13 +107,11 @@ def client_with_pending_payload(listen_deadline):
     sim = Simulator(seed=0)
     config = BenchmarkConfig(system="fabric", iel="KeyValue", rate_limit=10)
     client = CoconutClient("client-0", sim, config, gateway_id="gw")
-    client.records["Set"] = {}
+    client.in_flight["Set"] = {}
     accumulator = client.stream.begin_phase("Set")
     client._listen_deadline["Set"] = listen_deadline
     accumulator.on_send(0.0)
-    client.records["Set"]["p1"] = PayloadRecord(
-        payload_id="p1", phase="Set", start_time=0.0
-    )
+    client.in_flight["Set"]["p1"] = 0.0
     client._payload_phase["p1"] = "Set"
     return client, accumulator
 
@@ -140,17 +130,18 @@ class TestRetireIdempotence:
 
     def test_receipt_after_teardown_counts_late(self):
         """A payload still pending at phase teardown is spilled once and
-        its record dropped; a receipt that arrives afterwards is counted
+        its entry dropped; a receipt that arrives afterwards is counted
         as late, not folded in."""
         client, accumulator = client_with_pending_payload(listen_deadline=-1.0)
         sink = RetainingSink()
         client.stream.sink = sink
         assert client.finish_phase("Set") == 1
-        assert client.records["Set"] == {}
+        assert client.in_flight["Set"] == {}
         client._record_end("p1", "received")
         assert client.ignored_late_receipts == 1
         assert accumulator.received == 0
-        assert [(r.payload_id, r.status) for r in sink.records] == [("p1", "pending")]
+        assert [(r.payload_id, r.phase, r.start_time, r.end_time, r.status, r.invalid)
+                for r in sink.records] == [("p1", "Set", 0.0, None, "pending", False)]
 
 
 class TestDeterministicSerialization:
@@ -170,7 +161,7 @@ class TestDeterministicSerialization:
                 accumulator = PhaseAccumulator("Set")
                 for i, start, latency in shuffled:
                     accumulator.on_send(start)
-                    accumulator.on_retire(record(f"p{i}", start, start + latency))
+                    accumulator.on_resolve(start, start + latency, "received")
                 states.append(
                     (accumulator.to_dict(), accumulator.histogram.to_dict())
                 )
