@@ -138,23 +138,34 @@ def bench_net_send(messages: int, repeats: int) -> TimingResult:
     return time_callable(run_network, "net_send", repeats=repeats)
 
 
-def bench_broadcast(group: int, broadcasts: int, repeats: int) -> TimingResult:
+def bench_broadcast(group: int, broadcasts: int, repeats: int, wan: bool = False) -> TimingResult:
     """Whole-group fan-outs from one node of a ``group``-node deployment,
-    each sharing one wire record across its destinations."""
+    each sharing one wire record across its destinations.
+
+    By default every node shares one host, so each route is a
+    jitter-free loopback. With ``wan`` each node has its own host and
+    every link samples the paper's netem WAN (normal, mu 12 ms, jitter
+    2 ms): one ``gauss`` draw per destination (target ``..._wan``).
+    """
     ids = [f"n{i}" for i in range(group)]
 
     def run_network():
         sim = Simulator(seed=1)
-        net = Network(sim, default_latency=ConstantLatency(0.0004))
-        host = Host("h0")
-        for eid in ids:
+        if wan:
+            net = Network(sim, default_latency=NetemLatency(0.012, 0.002))
+            hosts = [Host(f"h{i}") for i in range(group)]
+        else:
+            net = Network(sim, default_latency=ConstantLatency(0.0004))
+            hosts = [Host("h0")] * group
+        for eid, host in zip(ids, hosts):
             net.attach(_Sink(eid), host)
         broadcast = net.broadcast
         for __ in range(broadcasts):
             broadcast("n0", ids, "ping", size_bytes=256)
         sim.run()
 
-    return time_callable(run_network, f"broadcast_n{group}", repeats=repeats)
+    name = f"broadcast_n{group}_wan" if wan else f"broadcast_n{group}"
+    return time_callable(run_network, name, repeats=repeats)
 
 
 def bench_timer_churn(churns: int, repeats: int) -> TimingResult:
@@ -360,6 +371,7 @@ def run_all(
         bench_broadcast(4, 2_000, repeats),
         bench_broadcast(16, 500, repeats),
         bench_broadcast(32, 250, repeats),
+        bench_broadcast(32, 250, repeats, wan=True),
         bench_timer_churn(20_000, repeats),
         bench_cpu_job(10_000, repeats),
         bench_hashing(100, 20, repeats),

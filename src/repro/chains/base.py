@@ -206,6 +206,12 @@ class FinalityTracker:
 class BaseNode(Endpoint):
     """One blockchain node: chain replica, state, CPU, event delivery."""
 
+    #: The consensus engine this node hosts, if any (order-execute
+    #: replicas; the system's ``build()`` sets it, see
+    #: :meth:`SystemModel.engine_context`). :meth:`on_message` hands it
+    #: every message whose kind is in its ``message_kinds``.
+    engine: typing.Optional[ReplicaEngine] = None
+
     def __init__(self, system: "SystemModel", node_id: str) -> None:
         super().__init__(node_id)
         self.system = system
@@ -454,10 +460,12 @@ class BaseNode(Endpoint):
     # Messaging
 
     def on_message(self, message: Message) -> None:
-        if message.kind == "client/submit":
+        kind = message.kind
+        engine = self.engine
+        if engine is not None and kind in engine.message_kinds:
+            engine.on_message(kind, message.src, message.payload)
+        elif kind == "client/submit":
             self.system.handle_submit(self, message)
-        elif message.kind.split("/", 1)[0] in self.system.engine_prefixes:
-            self.system.route_engine_message(self, message)
         else:
             self.system.handle_node_message(self, message)
 
@@ -529,8 +537,6 @@ class ReplicaNode(BaseNode):
 
     def __init__(self, system: "SystemModel", node_id: str) -> None:
         super().__init__(system, node_id)
-        #: Set by the system's ``build()`` (see :meth:`SystemModel.engine_context`).
-        self.engine: typing.Optional[ReplicaEngine] = None
         self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.empty_blocks = 0
         self.sim.schedule(0.0, self._commit_queue.get, self._commit)
@@ -577,8 +583,6 @@ class SystemModel(abc.ABC):
 
     #: Registry name ("fabric", "quorum", ...).
     name: str = ""
-    #: First path segments of this system's consensus message kinds.
-    engine_prefixes: typing.Tuple[str, ...] = ()
     #: Seconds the system needs to stabilise before serving workloads
     #: (Section 4.4: 180 s BitShares/Quorum, 60 s Sawtooth, 0 otherwise).
     stabilization_time: float = 0.0
@@ -661,12 +665,6 @@ class SystemModel(abc.ABC):
             self.sim, self.network, replica_id, peers, decide_fn, self.sim.rng.stream(rng_name)
         )
 
-    def route_engine_message(self, node: BaseNode, message: Message) -> None:
-        """Deliver a consensus message to the node's engine."""
-        engine = typing.cast(ReplicaNode, node).engine
-        assert engine is not None
-        engine.on_message(message.kind, message.src, message.payload)
-
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         """Handle non-engine, non-submit node traffic (override as needed)."""
         raise NotImplementedError(f"{self.name}: unhandled message kind {message.kind!r}")
@@ -681,7 +679,7 @@ class SystemModel(abc.ABC):
         Corda's notaries) override this to cover those endpoints too.
         """
         node = self.nodes.get(endpoint_id)
-        return getattr(node, "engine", None) if node is not None else None
+        return node.engine if node is not None else None
 
     def leader_id(self) -> typing.Optional[str]:
         """The endpoint currently coordinating consensus (Raft leader,

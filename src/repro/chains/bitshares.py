@@ -71,7 +71,6 @@ class BitSharesSystem(SystemModel):
     """A BitShares deployment (Table 4: n nodes, n-1 witnesses)."""
 
     name = "bitshares"
-    engine_prefixes = ("dpos",)
     #: Section 4.4: BitShares needs 180 s to stabilise after start.
     stabilization_time = 180.0
 

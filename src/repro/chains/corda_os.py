@@ -227,7 +227,6 @@ class CordaNotary(Endpoint):
 class CordaSystemBase(SystemModel):
     """Shared machinery of the two Corda editions."""
 
-    engine_prefixes = ()
     stabilization_time = 0.0
     #: Whether counterparties sign serially (OS) or in parallel (Ent).
     serial_signing = True

@@ -93,7 +93,6 @@ class DiemSystem(SystemModel):
     """A Diem deployment (Table 4: four validators)."""
 
     name = "diem"
-    engine_prefixes = ("diem",)
     stabilization_time = 0.0
 
     def default_params(self) -> typing.Dict[str, object]:

@@ -375,7 +375,6 @@ class FabricSystem(SystemModel):
     """A Fabric deployment: peers, orderers, Raft, MVCC validation."""
 
     name = "fabric"
-    engine_prefixes = ()  # peers never receive raw consensus traffic
     stabilization_time = 0.0
 
     def default_params(self) -> typing.Dict[str, object]:

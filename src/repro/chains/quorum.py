@@ -46,7 +46,6 @@ class QuorumSystem(SystemModel):
     """A Quorum deployment (Table 4: four validators, nothing else)."""
 
     name = "quorum"
-    engine_prefixes = ("ibft",)
     #: Section 4.4: Quorum needs 180 s to stabilise after start.
     stabilization_time = 180.0
 

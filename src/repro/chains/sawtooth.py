@@ -81,7 +81,6 @@ class SawtoothSystem(SystemModel):
     """A Sawtooth deployment (Table 4: four validators)."""
 
     name = "sawtooth"
-    engine_prefixes = ("pbft",)
     #: Section 4.4: Sawtooth needs 60 s to stabilise after start.
     stabilization_time = 60.0
 

@@ -90,6 +90,10 @@ class EngineContext:
         self.rng = rng
         if replica_id not in self.peers:
             raise ValueError(f"replica {replica_id!r} missing from peer list {self.peers}")
+        #: Votes a decision needs (see :func:`quorum_size`), fixed with
+        #: the group: BFT engines read ``bft_quorum``, Raft ``crash_quorum``.
+        self.bft_quorum = quorum_size(len(self.peers), "bft")
+        self.crash_quorum = quorum_size(len(self.peers), "crash")
 
     @property
     def n(self) -> int:
@@ -152,8 +156,9 @@ class ReplicaEngine:
     replica leads).
     """
 
-    #: Message kinds handled by this engine (informational).
-    message_kinds: typing.Tuple[str, ...] = ()
+    #: Message kinds handled by this engine: the hosting node hands
+    #: exactly these to :meth:`on_message` (one set lookup per delivery).
+    message_kinds: typing.FrozenSet[str] = frozenset()
 
     def __init__(self, context: EngineContext) -> None:
         self.context = context

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine, quorum_size
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -37,13 +37,13 @@ class _BlockInfo:
 class DiemBftEngine(ReplicaEngine):
     """One DiemBFT validator."""
 
-    message_kinds = (
+    message_kinds = frozenset({
         "diem/proposal",
         "diem/vote",
         "diem/timeout",
         "diem/sync_request",
         "diem/sync_response",
-    )
+    })
 
     def __init__(
         self,
@@ -206,7 +206,7 @@ class DiemBftEngine(ReplicaEngine):
     def _collect_vote(self, voter: str, round_number: int) -> None:
         votes = self._votes.setdefault(round_number, set())
         votes.add(voter)
-        if len(votes) >= quorum_size(self.context.n, "bft"):
+        if len(votes) >= self.context.bft_quorum:
             checker = self.context.checker
             if checker.enabled:
                 checker.on_qc(
@@ -359,5 +359,5 @@ class DiemBftEngine(ReplicaEngine):
 
     def _check_timeout_quorum(self, round_number: int) -> None:
         votes = self._timeout_votes.get(round_number, set())
-        if len(votes) >= quorum_size(self.context.n, "bft") and round_number >= self.current_round:
+        if len(votes) >= self.context.bft_quorum and round_number >= self.current_round:
             self._enter_round(round_number + 1)

@@ -21,7 +21,7 @@ from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 class DposEngine(ReplicaEngine):
     """One BitShares node; a producer when it appears in the witness list."""
 
-    message_kinds = ("dpos/block", "dpos/sync_request", "dpos/sync_blocks")
+    message_kinds = frozenset({"dpos/block", "dpos/sync_request", "dpos/sync_blocks"})
 
     def __init__(
         self,

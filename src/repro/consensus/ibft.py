@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine, quorum_size
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 from repro.consensus.pbft import proposal_digest
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,14 +27,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class IbftEngine(ReplicaEngine):
     """One IBFT validator."""
 
-    message_kinds = (
+    message_kinds = frozenset({
         "ibft/pre_prepare",
         "ibft/prepare",
         "ibft/commit",
         "ibft/round_change",
         "ibft/sync_request",
         "ibft/sync_response",
-    )
+    })
 
     def __init__(
         self,
@@ -209,7 +209,7 @@ class IbftEngine(ReplicaEngine):
     def _check_prepared(self) -> None:
         if self._sent_commit or self.proposal is None:
             return
-        if len(self._prepares) >= quorum_size(self.context.n, "bft"):
+        if len(self._prepares) >= self.context.bft_quorum:
             self._sent_commit = True
             self._commits.add(self.replica_id)
             self.context.broadcast(
@@ -227,7 +227,7 @@ class IbftEngine(ReplicaEngine):
     def _check_committed(self) -> None:
         if self.proposal is None or not self._sent_commit:
             return
-        if len(self._commits) < quorum_size(self.context.n, "bft"):
+        if len(self._commits) < self.context.bft_quorum:
             return
         tracer = self.context.tracer
         if tracer.enabled:
@@ -309,7 +309,7 @@ class IbftEngine(ReplicaEngine):
         if height != self.height or new_round <= self.round:
             return
         votes = self._round_change_votes.get((height, new_round), set())
-        if len(votes) < quorum_size(self.context.n, "bft"):
+        if len(votes) < self.context.bft_quorum:
             return
         tracer = self.context.tracer
         if tracer.enabled:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine, quorum_size
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -51,7 +51,7 @@ def proposal_digest(proposal: object) -> str:
 class PbftEngine(ReplicaEngine):
     """One PBFT replica."""
 
-    message_kinds = (
+    message_kinds = frozenset({
         "pbft/pre_prepare",
         "pbft/prepare",
         "pbft/commit",
@@ -59,7 +59,7 @@ class PbftEngine(ReplicaEngine):
         "pbft/new_view",
         "pbft/sync_request",
         "pbft/sync_response",
-    )
+    })
 
     def __init__(
         self,
@@ -277,7 +277,7 @@ class PbftEngine(ReplicaEngine):
         slot = self._slot(sequence)
         if slot.sent_commit or slot.proposal is None:
             return
-        if len(slot.prepares) >= quorum_size(self.context.n, "bft"):
+        if len(slot.prepares) >= self.context.bft_quorum:
             slot.sent_commit = True
             slot.commits.add(self.replica_id)
             self._trace_phase_end("prepare", sequence)
@@ -300,7 +300,7 @@ class PbftEngine(ReplicaEngine):
         slot = self._slot(sequence)
         if slot.committed or slot.proposal is None or not slot.sent_commit:
             return
-        if len(slot.commits) >= quorum_size(self.context.n, "bft"):
+        if len(slot.commits) >= self.context.bft_quorum:
             slot.committed = True
             self._trace_phase_end("commit", sequence)
             self._execute_in_order()
@@ -402,7 +402,7 @@ class PbftEngine(ReplicaEngine):
 
     def _maybe_enter_view(self, new_view: int) -> None:
         votes = self._view_change_votes.get(new_view, set())
-        if new_view <= self.view or len(votes) < quorum_size(self.context.n, "bft"):
+        if new_view <= self.view or len(votes) < self.context.bft_quorum:
             return
         self.view = new_view
         self.next_sequence = self.executed_through + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine, quorum_size
+from repro.consensus.base import Decision, EngineContext, ReplicaEngine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -38,7 +38,7 @@ LEADER = "leader"
 class RaftEngine(ReplicaEngine):
     """One Raft replica."""
 
-    message_kinds = ("raft/request_vote", "raft/vote", "raft/append", "raft/append_reply")
+    message_kinds = frozenset({"raft/request_vote", "raft/vote", "raft/append", "raft/append_reply"})
 
     def __init__(
         self,
@@ -204,7 +204,7 @@ class RaftEngine(ReplicaEngine):
     def _maybe_win(self) -> None:
         if self.role != CANDIDATE:
             return
-        if len(self._votes) >= quorum_size(self.context.n, "crash"):
+        if len(self._votes) >= self.context.crash_quorum:
             self.role = LEADER
             self.leader_id = self.replica_id
             tracer = self.context.tracer
@@ -303,7 +303,7 @@ class RaftEngine(ReplicaEngine):
     def _advance_commit(self) -> None:
         if self.role != LEADER:
             return
-        majority = quorum_size(self.context.n, "crash")
+        majority = self.context.crash_quorum
         for index in range(len(self.log) - 1, self.commit_index, -1):
             if self.log[index].term != self.current_term:
                 break  # Raft only commits current-term entries by counting

@@ -6,8 +6,10 @@ nodes, clients) attach to hosts and exchange messages through a
 :class:`~repro.net.link.Link` between the two hosts. Link delay is sampled
 from a :mod:`latency model <repro.net.latency>` — including the paper's
 netem emulation (normal distribution, mu = 12 ms) — plus a serialisation
-term proportional to message size. :mod:`repro.net.partition` injects
-partitions and message loss for failure testing.
+term proportional to message size. The network caches each directed
+pair's route and computes constant and netem delays on it, with the
+draws and floats ``Link.delay`` makes. :mod:`repro.net.partition`
+injects partitions and message loss for failure testing.
 """
 
 from repro.net.host import Host

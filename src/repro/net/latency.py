@@ -31,6 +31,16 @@ class LatencyModel(abc.ABC):
         """
         return None
 
+    def normal_parameters(self) -> typing.Optional[typing.Tuple[float, float]]:
+        """``(mean, jitter)`` of a normal model truncated at zero, else ``None``.
+
+        The network caches these per route and draws
+        ``max(0.0, rng.gauss(mean, jitter))`` itself, so the per-message
+        path skips ``sample()``. The draw is the one ``sample()`` makes:
+        the same RNG call, the same float.
+        """
+        return None
+
     def describe(self) -> str:
         """Human-readable summary used in reports."""
         return self.__class__.__name__
@@ -94,9 +104,13 @@ class NetemLatency(LatencyModel):
             raise ValueError(f"invalid netem parameters mean={mean} jitter={jitter}")
         self.mean = mean
         self.jitter = jitter
+        self._normal = (mean, jitter)  # one tuple, shared by every route
 
     def sample(self, rng: random.Random) -> float:
         return max(0.0, rng.gauss(self.mean, self.jitter))
+
+    def normal_parameters(self) -> typing.Optional[typing.Tuple[float, float]]:
+        return self._normal
 
     def describe(self) -> str:
         return f"netem(mu={self.mean * 1000:.1f} ms, jitter={self.jitter * 1000:.1f} ms)"

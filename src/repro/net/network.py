@@ -97,10 +97,15 @@ class _Route:
     One route-table lookup recovers everything :meth:`Network._transmit`
     needs — destination endpoint, link, both hosts, the FIFO clock (an
     attribute here, not a per-message dict get/set with a fresh tuple
-    key) and the precomputed delay of jitter-free latency models.
+    key), the source uplink's bandwidth, and the latency model's
+    precomputed delay (jitter-free models) or ``(mean, jitter)`` (the
+    netem normal model).
     """
 
-    __slots__ = ("endpoint", "link", "src_host", "dst_host", "fifo_clock", "const_delay")
+    __slots__ = (
+        "endpoint", "link", "src_host", "dst_host", "fifo_clock",
+        "bandwidth", "const_delay", "normal",
+    )
 
     def __init__(self, endpoint: Endpoint, link: Link) -> None:
         self.endpoint = endpoint
@@ -108,7 +113,9 @@ class _Route:
         self.src_host = link.src
         self.dst_host = link.dst
         self.fifo_clock = 0.0
+        self.bandwidth = link.src.bandwidth_bps
         self.const_delay = link.latency_model.fixed_delay()
+        self.normal = link.latency_model.normal_parameters()
 
 
 class Network:
@@ -286,11 +293,16 @@ class Network:
             self._drop(message, cause)
             return
         size = message.size_bytes
+        # Propagation + serialisation with the floats and RNG draws
+        # link.delay makes: no draw for a jitter-free model, one gauss()
+        # clamped at 0 as max(0.0, x) clamps it for a normal model; any
+        # other model samples through the link.
         if route.const_delay is not None:
-            # Jitter-free link: the model's sample() never consults the
-            # RNG, so inlining propagation + serialisation draws nothing
-            # and produces the exact floats link.delay would.
-            delay = route.const_delay + size / route.src_host.bandwidth_bps
+            delay = route.const_delay + size / route.bandwidth
+        elif route.normal is not None:
+            mean, jitter = route.normal
+            delay = self._rng.gauss(mean, jitter)
+            delay = (delay if delay > 0.0 else 0.0) + size / route.bandwidth
         else:
             delay = route.link.delay(size, self._rng)
         if self.extra_latency:
@@ -327,8 +339,13 @@ class Network:
         and the trace agrees with ``messages_dropped``.
         """
         message.dst = dst
-        if not self.endpoint_is_up(dst):
-            self._drop(message, "endpoint_down" if dst in self._down_endpoints else "host_down")
+        # endpoint_is_up, inlined: a down endpoint outranks its host.
+        if dst in self._down_endpoints:
+            self._drop(message, "endpoint_down")
+            return
+        host = endpoint.host
+        if host is not None and not host.is_up:
+            self._drop(message, "host_down")
             return
         tracer = self.sim.tracer
         if tracer.enabled and tracer.wants("net"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus.base import max_faulty, quorum_size
+from repro.consensus.base import EngineContext, max_faulty, quorum_size
 
 
 class TestQuorums:
@@ -38,3 +38,10 @@ class TestQuorums:
             max_faulty(0)
         with pytest.raises(ValueError):
             max_faulty(4, "unknown")
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 16, 32])
+    def test_engine_context_caches_both_quorums(self, n):
+        peers = [f"n{index}" for index in range(n)]
+        context = EngineContext(None, None, "n0", peers, lambda decision: None, None)
+        assert context.bft_quorum == quorum_size(n, "bft")
+        assert context.crash_quorum == quorum_size(n, "crash")

@@ -66,6 +66,40 @@ class TestDropCauses:
         assert network.drops_by_cause["host_down"] == 1
         assert_split_sums(network)
 
+    @pytest.mark.parametrize(
+        "endpoint_down, host_down, cause",
+        [
+            (False, False, None),
+            (True, False, "endpoint_down"),
+            (False, True, "host_down"),
+            (True, True, "endpoint_down"),  # counted once, the endpoint first
+        ],
+    )
+    def test_in_flight_precedence(self, rig, endpoint_down, host_down, cause):
+        sim, network, hosts, nodes = rig
+        nodes[0].send("n1", "in flight")
+        if endpoint_down:
+            network.set_endpoint_down("n1")
+        if host_down:
+            hosts[1].fail()
+        sim.run()
+        expected = dict.fromkeys(DROP_CAUSES, 0)
+        if cause is not None:
+            expected[cause] = 1
+        assert network.drops_by_cause == expected
+        assert len(nodes[1].received) == (1 if cause is None else 0)
+        assert_split_sums(network)
+
+    def test_at_send_the_host_outranks_the_endpoint(self, rig):
+        sim, network, hosts, nodes = rig
+        network.set_endpoint_down("n1")
+        hosts[1].fail()
+        nodes[0].send("n1", "to a crashed endpoint on a failed host")
+        sim.run()
+        assert network.drops_by_cause["host_down"] == 1
+        assert network.messages_dropped == 1
+        assert_split_sums(network)
+
     def test_isolation_counts_as_partition_even_when_lossy(self, rig):
         sim, network, __, nodes = rig
         network.partitions.isolate("n1")
