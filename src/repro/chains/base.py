@@ -241,17 +241,15 @@ class BaseNode(Endpoint):
         """
         self.sim.schedule(0.0, self.cpu.hold, cost, callback, *args)
 
-    def execute_cost_of(self, payload: Payload) -> float:
-        """Calibrated execution time of one payload on this system."""
-        return self.profile.execute_cost * self.profile.function_multiplier(payload.function)
-
     def execution_time(self, transactions: typing.Iterable[Transaction]) -> float:
         """Execution + per-tx overhead time for a set of transactions."""
+        per_tx_overhead = self.profile.per_tx_overhead
+        cost_for = self.profile.execute_cost_for
         total = 0.0
         for tx in transactions:
-            total += self.profile.per_tx_overhead
+            total += per_tx_overhead
             for payload in tx.payloads:
-                total += self.execute_cost_of(payload)
+                total += cost_for(payload.function)
         return total
 
     # ------------------------------------------------------------------

@@ -123,7 +123,9 @@ class BitSharesSystem(SystemModel):
         self._expire_pending()
         if not self.pending:
             return None
-        node = self.nodes[witness_id]
+        profile = self.nodes[witness_id].profile
+        per_tx_overhead = profile.per_tx_overhead
+        cost_for = profile.execute_cost_for
         interval = float(self.params["block_interval"])
         budget = interval * EXECUTION_BUDGET_FRACTION
         selected: typing.List[Transaction] = []
@@ -138,9 +140,7 @@ class BitSharesSystem(SystemModel):
             # clogged with interacting transactions therefore starves
             # later benchmarks of the unit (the paper's failing
             # BankingApp-Balance after SendPayment, Section 5.3).
-            cost = node.profile.per_tx_overhead + sum(
-                node.execute_cost_of(p) for p in tx.payloads
-            )
+            cost = per_tx_overhead + sum(cost_for(p.function) for p in tx.payloads)
             if spent + cost > budget:
                 deferred.append((tx, admitted_at))
                 break

@@ -368,7 +368,7 @@ class CordaSystemBase(SystemModel):
     def _flow_service_time(self, node: CordaNode, payload: Payload, scan_work: float) -> float:
         """Local execution + signature collection time for one flow."""
         profile = self.profile
-        execute = profile.execute_cost * profile.function_multiplier(payload.function)
+        execute = profile.execute_cost_for(payload.function)
         counterparties = len(self.signing_counterparties(node.endpoint_id))
         if self.serial_signing:
             # Corda OS signs with each counterparty one after the other.

@@ -71,6 +71,8 @@ class FabricEnvelope:
 class FabricPeer(BaseNode):
     """An endorsing/committing peer."""
 
+    system: "FabricSystem"
+
     def __init__(self, system: "FabricSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.in_flight = 0
@@ -89,8 +91,7 @@ class FabricPeer(BaseNode):
             self._stream_backlog.append(envelope)
 
     def _stream_send(self, envelope: FabricEnvelope) -> None:
-        system = typing.cast("FabricSystem", self.system)
-        target = system.stream_target_for(self.endpoint_id)
+        target = self.system.stream_target_for(self.endpoint_id)
         if target is None:
             return  # whole ordering service down; the envelope is lost
         self._stream_inflight += 1
@@ -114,9 +115,11 @@ class FabricPeer(BaseNode):
 
     def endorsement_cost(self, transaction: Transaction) -> float:
         """CPU time this peer spends endorsing ``transaction``."""
-        return self.profile.admission_cost + sum(
-            self.execute_cost_of(payload) for payload in transaction.payloads
-        )
+        cost_for = self.profile.execute_cost_for
+        execution = 0.0
+        for payload in transaction.payloads:
+            execution += cost_for(payload.function)
+        return self.profile.admission_cost + execution
 
     def endorse(self, transaction: Transaction) -> FabricEnvelope:
         """Simulate the chaincode, producing the envelope; the caller has
@@ -144,9 +147,9 @@ class FabricPeer(BaseNode):
         block can be offered twice.
         """
         if seq > self._next_deliver_seq:
-            system = typing.cast("FabricSystem", self.system)
+            block_log = self.system.block_log
             for missed_seq in range(self._next_deliver_seq, seq):
-                missed, missed_proposer = system.block_log[missed_seq]
+                missed, missed_proposer = block_log[missed_seq]
                 self._admit(missed_seq, missed, missed_proposer)
         self._admit(seq, proposal, proposer)
 
@@ -192,11 +195,10 @@ class FabricPeer(BaseNode):
 
     def _commit(self, delivered: typing.Tuple[BlockProposal, str]) -> None:
         """The committer: validate one delivered block on this peer's
-        CPU (a loop over the delivery queue)."""
+        CPU (a loop over the delivery queue). The block's execution time
+        is computed once and shared by every peer."""
         proposal, proposer = delivered
-        validation_cost = self.profile.block_overhead + self.execution_time(
-            proposal.transactions
-        )
+        validation_cost = self.profile.block_overhead + proposal.execution_time(self)
         self.cpu.hold(validation_cost, self._validated, proposal, proposer)
 
     def _validated(self, proposal: BlockProposal, proposer: str) -> None:
@@ -218,7 +220,7 @@ class FabricOrderer(Endpoint):
     (the default) embeds a Raft replica and the leader cuts blocks;
     ``kafka`` publishes envelopes plus time-to-cut markers to the broker
     and every orderer cuts identical blocks from the totally ordered
-    stream.
+    stream. A Kafka-mode orderer has no engine.
     """
 
     def __init__(self, system: "FabricSystem", orderer_id: str) -> None:
@@ -238,34 +240,34 @@ class FabricOrderer(Endpoint):
         self._kafka_consumed = 0
         self._kafka_future: typing.Dict[int, typing.Tuple[str, object]] = {}
 
-    @property
-    def uses_kafka(self) -> bool:
-        return self.system.ordering_service == "kafka"
-
     def on_message(self, message: Message) -> None:
-        if message.kind.startswith("raft/"):
-            assert self.engine is not None
-            self.engine.on_message(message.kind, message.src, message.payload)
-        elif message.kind == "fabric/envelope":
-            if message.src in self.system.nodes:
+        kind = message.kind
+        # Envelopes first: they outnumber the Raft traffic by far.
+        if kind == "fabric/envelope":
+            src = message.src
+            if src in self.system.nodes:
                 # Acknowledge the peer's stream slot (relays between
                 # orderers are not flow controlled).
-                self.send(message.src, "fabric/envelope_ack", None, size_bytes=32)
+                self.send(src, "fabric/envelope_ack", None, size_bytes=32)
             self._accept_envelope(message.payload)
+            return
+        engine = self.engine
+        if engine is not None and kind in engine.message_kinds:
+            engine.on_message(kind, message.src, message.payload)
         else:
-            raise AssertionError(f"orderer got unexpected {message.kind!r}")
+            raise AssertionError(f"orderer got unexpected {kind!r}")
 
     # ------------------------------------------------------------------
     # Raft mode
 
     def _accept_envelope(self, envelope: FabricEnvelope) -> None:
-        if self.uses_kafka:
-            assert self.system.broker is not None
+        engine = self.engine
+        if engine is None:
+            # Kafka mode: the broker orders every envelope.
             self.system.broker.publish(("envelope", envelope))
             return
-        assert self.engine is not None
-        if not self.engine.is_leader:
-            leader = self.engine.leader_id
+        if not engine.is_leader:
+            leader = engine.leader_id
             if leader and leader != self.endpoint_id:
                 # Relay to the known leader.
                 self.send(leader, "fabric/envelope", envelope, size_bytes=envelope.size_bytes)
@@ -275,8 +277,7 @@ class FabricOrderer(Endpoint):
                 self.sim.schedule(0.1, self._accept_envelope, envelope)
             return
         self.pending.append(envelope)
-        max_count = int(self.system.params["MaxMessageCount"])
-        if len(self.pending) >= max_count:
+        if len(self.pending) >= self.system.max_message_count:
             self.cut_block()
 
     def cut_block(self) -> None:
@@ -284,7 +285,7 @@ class FabricOrderer(Endpoint):
         assert self.engine is not None
         if not self.pending or not self.engine.is_leader:
             return
-        max_count = int(self.system.params["MaxMessageCount"])
+        max_count = self.system.max_message_count
         batch, self.pending = self.pending[:max_count], self.pending[max_count:]
         proposal = BlockProposal.cut([e.transaction for e in batch], self.sim.now)
         proposal.metadata["rwsets"] = {e.transaction.tx_id: e.rwset for e in batch}
@@ -297,8 +298,7 @@ class FabricOrderer(Endpoint):
         Raft mode cuts locally on the leader; Kafka mode publishes a
         time-to-cut marker so all orderers cut at the same log position.
         """
-        if self.uses_kafka:
-            assert self.system.broker is not None
+        if self.engine is None:
             if self._kafka_pending:
                 self.system.broker.publish(("ttc", self.endpoint_id))
         else:
@@ -348,7 +348,7 @@ class FabricOrderer(Endpoint):
             if not self._kafka_pending:
                 self._kafka_first_offset = offset
             self._kafka_pending.append(typing.cast(FabricEnvelope, payload))
-            if len(self._kafka_pending) >= int(self.system.params["MaxMessageCount"]):
+            if len(self._kafka_pending) >= self.system.max_message_count:
                 self._kafka_cut(offset)
         elif kind == "ttc":
             # Only the first marker after the last cut triggers; later
@@ -391,18 +391,17 @@ class FabricSystem(SystemModel):
             "OrderingService": "raft",
         }
 
-    @property
-    def ordering_service(self) -> str:
-        """Which ordering backend this deployment runs."""
-        service = str(self.params["OrderingService"])
-        if service not in ("raft", "kafka"):
-            raise ValueError(f"unknown OrderingService {service!r}")
-        return service
-
     def make_node(self, node_id: str) -> FabricPeer:
         return FabricPeer(self, node_id)
 
     def build(self) -> None:
+        service = str(self.params["OrderingService"])
+        if service not in ("raft", "kafka"):
+            raise ValueError(f"unknown OrderingService {service!r}")
+        #: Which ordering backend this deployment runs.
+        self.ordering_service = service
+        self.max_message_count = int(self.params["MaxMessageCount"])
+        self.endorsement_backlog = int(self.params["EndorsementBacklog"])
         self.orderer_ids = [f"{self.name}-orderer{i}" for i in range(ORDERER_COUNT)]
         self.orderers: typing.Dict[str, FabricOrderer] = {}
         self.broker: typing.Optional[KafkaBroker] = None
@@ -555,10 +554,9 @@ class FabricSystem(SystemModel):
     # ------------------------------------------------------------------
     # Submission path
 
-    def handle_submit(self, node: BaseNode, message: Message) -> None:
-        peer = typing.cast(FabricPeer, node)
-        transaction = typing.cast(Transaction, message.payload)
-        if peer.in_flight >= int(self.params["EndorsementBacklog"]):
+    def handle_submit(self, peer: FabricPeer, message: Message) -> None:
+        transaction: Transaction = message.payload
+        if peer.in_flight >= self.endorsement_backlog:
             peer.reject_client(
                 message.src,
                 [p.payload_id for p in transaction.payloads],
@@ -576,14 +574,15 @@ class FabricSystem(SystemModel):
         peer.in_flight -= 1
         peer.forward_envelope(envelope)
 
-    def handle_node_message(self, node: BaseNode, message: Message) -> None:
-        if message.kind == "fabric/deliver":
+    def handle_node_message(self, peer: FabricPeer, message: Message) -> None:
+        kind = message.kind
+        if kind == "fabric/envelope_ack":
+            peer.on_stream_ack()
+        elif kind == "fabric/deliver":
             seq, proposal, proposer = message.payload
-            typing.cast(FabricPeer, node).enqueue_block(seq, proposal, proposer)
-        elif message.kind == "fabric/envelope_ack":
-            typing.cast(FabricPeer, node).on_stream_ack()
+            peer.enqueue_block(seq, proposal, proposer)
         else:
-            super().handle_node_message(node, message)
+            super().handle_node_message(peer, message)
 
     # ------------------------------------------------------------------
     # The >=16-peer event-service failure (Section 5.8.2)

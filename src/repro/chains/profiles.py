@@ -86,9 +86,24 @@ class PerformanceProfile:
     spike_interval: float = 0.0
     spike_duration: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Memo of execute_cost_for. Not a field: equality and repr ignore
+        # it, and dataclasses.replace starts an empty one.
+        object.__setattr__(self, "_execute_costs", {})
+
     def function_multiplier(self, function: str) -> float:
         """Cost multiplier for one IEL function (1.0 when unlisted)."""
         return self.function_cost.get(function, 1.0)
+
+    def execute_cost_for(self, function: str) -> float:
+        """CPU time to execute one payload of ``function``:
+        ``execute_cost * function_multiplier(function)``, computed once
+        per function name."""
+        cost = self._execute_costs.get(function)
+        if cost is None:
+            cost = self.execute_cost * self.function_multiplier(function)
+            self._execute_costs[function] = cost
+        return cost
 
 
 #: Corda OS: every node signs serially, single-threaded flow workers, H2

@@ -111,7 +111,9 @@ class QuorumSystem(SystemModel):
             self._stall_latched = True
             self.stalled_proposals += 1
             return BlockProposal.cut([], self.sim.now)
-        node = self.nodes[proposer_id]
+        profile = self.nodes[proposer_id].profile
+        per_tx_overhead = profile.per_tx_overhead
+        cost_for = profile.execute_cost_for
         consensus_overhead = IBFT_MESSAGE_COST * 3 * self.spec.node_count
         budget = max(
             0.0,
@@ -121,9 +123,7 @@ class QuorumSystem(SystemModel):
         spent = 0.0
         while self.txpool:
             tx = self.txpool[0]
-            cost = node.profile.per_tx_overhead + sum(
-                node.execute_cost_of(p) for p in tx.payloads
-            )
+            cost = per_tx_overhead + sum(cost_for(p.function) for p in tx.payloads)
             if spent + cost > budget:
                 break
             self.txpool.popleft()

@@ -94,12 +94,17 @@ class CoconutClient(Endpoint):
 
     def on_message(self, message: Message) -> None:
         if message.kind == "client/receipt":
+            record_end = self._record_end
             for receipt in message.payload:
-                self._record_end(
-                    receipt.payload_id,
-                    "received" if receipt.is_success else "failed",
-                    invalid=receipt.status is TxStatus.INVALIDATED,
-                )
+                # Receipt.is_success, read once: INVALIDATED counts as
+                # received (Section 5.4) and is flagged invalid.
+                status = receipt.status
+                if status is TxStatus.COMMITTED:
+                    record_end(receipt.payload_id, "received")
+                elif status is TxStatus.INVALIDATED:
+                    record_end(receipt.payload_id, "received", invalid=True)
+                else:
+                    record_end(receipt.payload_id, "failed")
         elif message.kind == "client/reject":
             reject = message.payload
             for payload_id in reject.payload_ids:

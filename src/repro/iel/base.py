@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-import dataclasses
 import typing
 
 from repro.storage.state import ReadWriteSet, WorldState
@@ -14,19 +13,52 @@ class IELError(Exception):
     """A payload failed inside the IEL (missing key, insufficient funds...)."""
 
 
-@dataclasses.dataclass
 class ExecutionResult:
-    """Outcome and cost accounting of executing one payload."""
+    """Outcome and cost accounting of executing one payload.
 
-    ok: bool
-    error: str = ""
-    #: Abstract work units consumed; the hosting node converts these to
-    #: simulated time using its performance profile. A plain key access is
-    #: 1 unit; a Corda vault scan is one unit per state scanned.
-    work_units: float = 1.0
-    reads: int = 0
-    writes: int = 0
-    value: object = None
+    A ``__slots__`` class with a plain ``__init__`` (one is built per
+    payload execution); field names, defaults, equality, repr and
+    unhashability match a non-frozen dataclass of the same fields.
+    """
+
+    __slots__ = ("ok", "error", "work_units", "reads", "writes", "value")
+
+    def __init__(
+        self,
+        ok: bool,
+        error: str = "",
+        work_units: float = 1.0,
+        reads: int = 0,
+        writes: int = 0,
+        value: object = None,
+    ) -> None:
+        self.ok = ok
+        self.error = error
+        #: Abstract work units consumed; the hosting node converts these
+        #: to simulated time using its performance profile. A plain key
+        #: access is 1 unit; a Corda vault scan is one unit per state
+        #: scanned.
+        self.work_units = work_units
+        self.reads = reads
+        self.writes = writes
+        self.value = value
+
+    def _values(self) -> tuple:
+        return (self.ok, self.error, self.work_units, self.reads, self.writes, self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == typing.cast(ExecutionResult, other)._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionResult(ok={self.ok!r}, error={self.error!r}, "
+            f"work_units={self.work_units!r}, reads={self.reads!r}, "
+            f"writes={self.writes!r}, value={self.value!r})"
+        )
 
 
 class StateInterface(abc.ABC):
@@ -108,6 +140,14 @@ class InterfaceExecutionLayer(abc.ABC):
     #: The IEL's registry name ("DoNothing", "KeyValue", "BankingApp").
     name: str = ""
 
+    def __init__(self) -> None:
+        #: ``function -> handler`` for every listed function, built once:
+        #: ``_fn_<function, lower-cased>``, or ``None`` when missing.
+        self._handlers: typing.Dict[str, typing.Optional[typing.Callable[..., object]]] = {
+            function: getattr(self, f"_fn_{function.lower()}", None)
+            for function in self.functions()
+        }
+
     @abc.abstractmethod
     def functions(self) -> typing.Tuple[str, ...]:
         """The function names this IEL exposes."""
@@ -115,12 +155,12 @@ class InterfaceExecutionLayer(abc.ABC):
     def execute(self, payload: Payload, state: StateInterface) -> ExecutionResult:
         """Run one payload against ``state``.
 
-        Dispatches to ``_fn_<function>``; IEL errors become failed
-        results, never exceptions (the node decides what failure means —
-        discard, invalidate, reject the batch...).
+        Dispatches to ``_fn_<function>``, for listed functions only; IEL
+        errors become failed results, never exceptions (the node decides
+        what failure means — discard, invalidate, reject the batch...).
         """
-        handler = getattr(self, f"_fn_{payload.function.lower()}", None)
-        if handler is None or payload.function not in self.functions():
+        handler = self._handlers.get(payload.function)
+        if handler is None:
             return ExecutionResult(
                 ok=False,
                 error=f"unknown function {payload.function!r} in IEL {self.name!r}",

@@ -279,13 +279,14 @@ class Network:
         """
         route = self._routes[src].get(dst) or self._route_for(src, dst)
         down = self._down_endpoints
+        partitions = self.partitions
         if not route.src_host.is_up or not route.dst_host.is_up:
             cause = "host_down"
         elif down and (src in down or dst in down):
             cause = "endpoint_down"
-        elif not self.partitions.allows(src, dst, self._rng):
+        elif partitions.impaired and not partitions.allows(src, dst, self._rng):
             # A refusal that no cut explains was a loss draw.
-            cause = "partition" if self.partitions.cuts(src, dst) else "loss"
+            cause = "partition" if partitions.cuts(src, dst) else "loss"
         else:
             cause = None
         if cause is not None:

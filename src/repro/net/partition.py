@@ -9,6 +9,9 @@ and the :mod:`repro.faults` subsystem drives it from scheduled
 applies network-wide, per-pair rates (:meth:`set_loss`) affect only one
 bidirectional path. The RNG is only consulted when a rate is actually
 configured, so impairment-free runs draw nothing from the network stream.
+The controller keeps an :attr:`~PartitionController.impaired` flag that
+every change updates, so the network skips the per-message check
+altogether while nothing is configured.
 """
 
 from __future__ import annotations
@@ -24,25 +27,47 @@ class PartitionController:
         self._blocked_pairs: typing.Set[typing.Tuple[str, str]] = set()
         self._isolated: typing.Set[str] = set()
         self._pair_loss: typing.Dict[typing.Tuple[str, str], float] = {}
-        self.drop_probability = 0.0
+        self._drop_probability = 0.0
+        #: Whether any isolation, blocked pair or loss rate is configured;
+        #: while it is False every message is allowed without a check.
+        self.impaired = False
+
+    def _update(self) -> None:
+        self.impaired = bool(
+            self._isolated or self._blocked_pairs or self._pair_loss or self._drop_probability
+        )
+
+    @property
+    def drop_probability(self) -> float:
+        """Network-wide probability of losing any one message."""
+        return self._drop_probability
+
+    @drop_probability.setter
+    def drop_probability(self, probability: float) -> None:
+        self._drop_probability = probability
+        self._update()
 
     def isolate(self, endpoint_id: str) -> None:
         """Cut the endpoint off from everyone."""
         self._isolated.add(endpoint_id)
+        self._update()
 
     def heal_endpoint(self, endpoint_id: str) -> None:
         """Reconnect a previously isolated endpoint."""
         self._isolated.discard(endpoint_id)
+        self._update()
 
     def block(self, a: str, b: str) -> None:
         """Cut the (bidirectional) path between two endpoints."""
         self._blocked_pairs.add((a, b))
         self._blocked_pairs.add((b, a))
+        self._update()
 
     def unblock(self, a: str, b: str) -> None:
         """Restore the path between two endpoints."""
         self._blocked_pairs.discard((a, b))
         self._blocked_pairs.discard((b, a))
+        self._update()
 
     def partition(self, group_a: typing.Iterable[str], group_b: typing.Iterable[str]) -> None:
         """Split the network into two groups that cannot reach each other."""
@@ -54,6 +79,7 @@ class PartitionController:
         """Remove every partition and isolation (loss probabilities stay)."""
         self._blocked_pairs.clear()
         self._isolated.clear()
+        self._update()
 
     def set_loss(self, a: str, b: str, probability: float) -> None:
         """Impair the (bidirectional) path between two endpoints.
@@ -68,11 +94,13 @@ class PartitionController:
             return
         self._pair_loss[(a, b)] = probability
         self._pair_loss[(b, a)] = probability
+        self._update()
 
     def clear_loss(self, a: str, b: str) -> None:
         """Remove the per-pair loss rate between two endpoints."""
         self._pair_loss.pop((a, b), None)
         self._pair_loss.pop((b, a), None)
+        self._update()
 
     def loss_between(self, a: str, b: str) -> float:
         """The per-pair loss rate currently configured for a path."""
@@ -87,17 +115,16 @@ class PartitionController:
 
     def allows(self, src: str, dst: str, rng: random.Random) -> bool:
         """Whether a message from ``src`` to ``dst`` may be delivered now."""
-        # Fast path for the overwhelmingly common unimpaired network: no
-        # RNG is consulted (matching the per-check guards below), so the
-        # early return cannot shift any random stream.
-        if not (self._isolated or self._blocked_pairs or self._pair_loss
-                or self.drop_probability):
+        # An unimpaired network consults no RNG (matching the per-check
+        # guards below), so the early return cannot shift any stream.
+        if not self.impaired:
             return True
         if self.cuts(src, dst):
             return False
         pair_loss = self._pair_loss.get((src, dst)) if self._pair_loss else None
         if pair_loss is not None and rng.random() < pair_loss:
             return False
-        if self.drop_probability > 0 and rng.random() < self.drop_probability:
+        drop_probability = self._drop_probability
+        if drop_probability > 0 and rng.random() < drop_probability:
             return False
         return True

@@ -4,7 +4,9 @@
 in the engine's ``message_kinds``; any other kind goes to the system's
 ``handle_node_message``, which raises on kinds it does not know. So
 every kind an engine sends must be listed, and no chain module may
-name an engine-prefixed kind its engine does not list.
+name an engine-prefixed kind its engine does not list. Fabric's
+orderers route the same way: envelopes first, then the kinds their
+Raft engine lists.
 """
 
 import ast
@@ -14,12 +16,14 @@ import pathlib
 import pytest
 
 from repro.chains.base import ReplicaNode
+from repro.chains.fabric import FabricEnvelope
 from repro.consensus.diembft import DiemBftEngine
 from repro.consensus.dpos import DposEngine
 from repro.consensus.ibft import IbftEngine
 from repro.consensus.pbft import PbftEngine
 from repro.consensus.raft import RaftEngine
 from repro.net import Message
+from repro.storage import Payload, Transaction
 from tests.chains.helpers import deploy
 
 ENGINES = [IbftEngine, PbftEngine, DiemBftEngine, DposEngine, RaftEngine]
@@ -93,3 +97,83 @@ def test_unlisted_kind_falls_through_to_the_system():
 def test_fabric_peers_host_no_engine():
     __, system, __ = deploy("fabric")
     assert all(node.engine is None for node in system.nodes.values())
+
+
+class TestOrdererRouting:
+    """A Fabric orderer takes envelopes first and hands its Raft engine
+    every kind the engine lists; any other kind is an error."""
+
+    @staticmethod
+    def orderer_of(system):
+        orderer_id = system.orderer_ids[0]
+        return orderer_id, system.orderers[orderer_id]
+
+    @staticmethod
+    def envelope():
+        payload = Payload.create("c", "KeyValue", "Set", {"key": "k", "value": "v"})
+        return FabricEnvelope(Transaction.wrap([payload], submitter="c"), None, 0.0)
+
+    def test_every_raft_kind_goes_to_the_engine(self):
+        __, system, __ = deploy("fabric")
+        orderer_id, orderer = self.orderer_of(system)
+        seen = []
+        orderer.engine.on_message = lambda kind, sender, payload: seen.append((kind, sender))
+        sender = system.orderer_ids[1]
+        for kind in sorted(RaftEngine.message_kinds):
+            orderer.on_message(Message(sender, orderer_id, kind, {}))
+        assert seen == [(kind, sender) for kind in sorted(RaftEngine.message_kinds)]
+
+    def test_a_peer_envelope_is_acked_and_accepted(self):
+        __, system, __ = deploy("fabric")
+        orderer_id, orderer = self.orderer_of(system)
+        sent, accepted = [], []
+        orderer.send = lambda dst, kind, payload=None, size_bytes=256: sent.append(
+            (dst, kind, payload, size_bytes)
+        )
+        orderer._accept_envelope = accepted.append
+        envelope = self.envelope()
+        peer_id = system.node_ids[0]
+        orderer.on_message(Message(peer_id, orderer_id, "fabric/envelope", envelope))
+        assert sent == [(peer_id, "fabric/envelope_ack", None, 32)]
+        assert accepted == [envelope]
+
+    def test_a_relayed_envelope_is_accepted_without_an_ack(self):
+        __, system, __ = deploy("fabric")
+        orderer_id, orderer = self.orderer_of(system)
+        sent, accepted = [], []
+        orderer.send = lambda *args, **kwargs: sent.append(args)
+        orderer._accept_envelope = accepted.append
+        envelope = self.envelope()
+        orderer.on_message(
+            Message(system.orderer_ids[1], orderer_id, "fabric/envelope", envelope)
+        )
+        assert sent == []
+        assert accepted == [envelope]
+
+    @pytest.mark.parametrize("ordering", ["raft", "kafka"])
+    @pytest.mark.parametrize("kind", ["fabric/bogus", "raft/bogus", "ibft/prepare"])
+    def test_an_unknown_kind_raises(self, ordering, kind):
+        __, system, __ = deploy("fabric", params={"OrderingService": ordering})
+        orderer_id, orderer = self.orderer_of(system)
+        with pytest.raises(AssertionError, match=f"^orderer got unexpected {kind!r}$"):
+            orderer.on_message(Message(system.orderer_ids[1], orderer_id, kind, {}))
+
+    def test_a_kafka_orderer_takes_envelopes(self):
+        __, system, __ = deploy("fabric", params={"OrderingService": "kafka"})
+        orderer_id, orderer = self.orderer_of(system)
+        assert orderer.engine is None
+        sent, published = [], []
+        orderer.send = lambda dst, kind, payload=None, size_bytes=256: sent.append((dst, kind))
+        system.broker.publish = published.append
+        envelope = self.envelope()
+        peer_id = system.node_ids[0]
+        orderer.on_message(Message(peer_id, orderer_id, "fabric/envelope", envelope))
+        assert sent == [(peer_id, "fabric/envelope_ack")]
+        assert published == [("envelope", envelope)]
+
+    @pytest.mark.parametrize("kind", sorted(RaftEngine.message_kinds))
+    def test_a_kafka_orderer_rejects_raft_traffic(self, kind):
+        __, system, __ = deploy("fabric", params={"OrderingService": "kafka"})
+        orderer_id, orderer = self.orderer_of(system)
+        with pytest.raises(AssertionError, match="orderer got unexpected"):
+            orderer.on_message(Message(system.orderer_ids[1], orderer_id, kind, {}))

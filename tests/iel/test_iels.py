@@ -5,6 +5,7 @@ import pytest
 from repro.iel import (
     BankingAppIEL,
     DoNothingIEL,
+    ExecutionResult,
     KeyValueIEL,
     WorldStateAdapter,
     available_iels,
@@ -227,3 +228,84 @@ class TestRegistry:
 
         with pytest.raises(ValueError):
             register_iel(Anonymous)
+
+
+class TestDispatch:
+    """Each IEL dispatches listed functions through a table built once
+    from ``functions()``; anything else is a failed result."""
+
+    class HalfBuilt(InterfaceExecutionLayer):
+        name = "HalfBuilt"
+
+        def functions(self):
+            return ("Listed", "Missing")
+
+        def _fn_listed(self, payload, state):
+            return "ran"
+
+        def _fn_unlisted(self, payload, state):
+            raise AssertionError("an unlisted function must not run")
+
+    def unknown(self, function, iel_name):
+        return ExecutionResult(
+            ok=False,
+            error=f"unknown function {function!r} in IEL {iel_name!r}",
+            work_units=1.0,
+        )
+
+    def test_listed_function_runs(self, adapter):
+        result = self.HalfBuilt().execute(payload("HalfBuilt", "Listed"), adapter)
+        assert result == ExecutionResult(ok=True, value="ran")
+
+    @pytest.mark.parametrize("function", ["Missing", "Unlisted", "listed", "LISTED", ""])
+    def test_missing_handler_or_unlisted_name_fails(self, adapter, function):
+        result = self.HalfBuilt().execute(payload("HalfBuilt", function), adapter)
+        assert result == self.unknown(function, "HalfBuilt")
+        assert adapter.reads == adapter.writes == 0
+
+    @pytest.mark.parametrize("iel", [DoNothingIEL, KeyValueIEL, BankingAppIEL])
+    def test_unknown_function_error_text(self, adapter, iel):
+        result = iel().execute(payload(iel.name, "set"), adapter)
+        assert result.error == f"unknown function 'set' in IEL {iel.name!r}"
+        assert result == self.unknown("set", iel.name)
+
+    @pytest.mark.parametrize("iel", [DoNothingIEL, KeyValueIEL, BankingAppIEL])
+    def test_every_listed_function_has_a_handler(self, iel):
+        instance = iel()
+        for function in instance.functions():
+            assert callable(getattr(instance, f"_fn_{function.lower()}"))
+
+
+class TestExecutionResult:
+    def test_defaults(self):
+        result = ExecutionResult(ok=True)
+        assert (result.ok, result.error, result.work_units, result.reads, result.writes,
+                result.value) == (True, "", 1.0, 0, 0, None)
+
+    def test_positional_order(self):
+        assert ExecutionResult(False, "e", 2.0, 3, 4, "v") == ExecutionResult(
+            ok=False, error="e", work_units=2.0, reads=3, writes=4, value="v"
+        )
+
+    def test_equality_covers_every_field(self):
+        base = dict(ok=True, error="", work_units=1.0, reads=1, writes=1, value=1)
+        assert ExecutionResult(**base) == ExecutionResult(**base)
+        for field, other in (("ok", False), ("error", "x"), ("work_units", 2.0),
+                             ("reads", 2), ("writes", 2), ("value", 2)):
+            assert ExecutionResult(**base) != ExecutionResult(**{**base, field: other})
+
+    def test_not_equal_to_another_type(self):
+        assert ExecutionResult(ok=True) != (True, "", 1.0, 0, 0, None)
+
+    def test_repr(self):
+        assert repr(ExecutionResult(ok=False, error="boom", reads=2, value="v")) == (
+            "ExecutionResult(ok=False, error='boom', work_units=1.0, reads=2, writes=0,"
+            " value='v')"
+        )
+
+    def test_unhashable_and_slotted(self):
+        result = ExecutionResult(ok=True)
+        with pytest.raises(TypeError):
+            hash(result)
+        with pytest.raises(AttributeError):
+            result.extra = 1
