@@ -6,7 +6,10 @@ and broadcasting protocol messages, timers, RNG, and the upcall that
 delivers a :class:`Decision` to the hosting node. Engines agree on opaque
 *proposals* (the node layer passes block-shaped payloads) identified by a
 monotonically increasing sequence number. The quorum arithmetic the
-voting engines and the quorum oracle share lives here too.
+voting engines and the quorum oracle share lives here too, and so does
+the chassis every engine is built on: one handler table per engine
+(:class:`ReplicaEngine`), one leader-change vote (:class:`VoteTally`)
+and one decided log with its sync replay.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ class EngineContext:
         #: the group: BFT engines read ``bft_quorum``, Raft ``crash_quorum``.
         self.bft_quorum = quorum_size(len(self.peers), "bft")
         self.crash_quorum = quorum_size(len(self.peers), "crash")
+        #: Votes that include at least one correct replica: a BFT replica
+        #: joins a leader change once this many peers demand it.
+        self.f_plus_one = max_faulty(len(self.peers), "bft") + 1
 
     @property
     def n(self) -> int:
@@ -147,14 +153,80 @@ class EngineContext:
         return self.sim.schedule_cancellable(delay, callback, *args)
 
 
+class VoteTally:
+    """One leader-change vote (IBFT's round change, PBFT's view change,
+    DiemBFT's timeout), counted per target.
+
+    A replica casts its own vote for a target when its timer runs out
+    (:meth:`vote`). A joining tally also casts it once f+1 peers have
+    voted for the target, since at least one of them is correct
+    (:meth:`on_vote`). At a BFT quorum the replica enters the target.
+    The engine supplies the two actions: ``cast(key)`` broadcasts its
+    vote and ``enter(key)`` moves it to the new round or view; it drops
+    votes for stale targets before they reach the tally.
+    """
+
+    __slots__ = ("_votes", "_voter", "join_at", "enter_at", "_cast", "_enter")
+
+    def __init__(
+        self,
+        context: EngineContext,
+        cast: typing.Callable[[typing.Hashable], None],
+        enter: typing.Callable[[typing.Hashable], None],
+        joins: bool = True,
+    ) -> None:
+        self._votes: typing.Dict[typing.Hashable, typing.Set[str]] = {}
+        self._voter = context.replica_id
+        self.join_at = context.f_plus_one if joins else None
+        self.enter_at = context.bft_quorum
+        self._cast = cast
+        self._enter = enter
+
+    def add(self, key: typing.Hashable, voter: str) -> int:
+        """Count ``voter`` for ``key``; return the votes ``key`` has."""
+        votes = self._votes.get(key)
+        if votes is None:
+            votes = self._votes[key] = set()
+        votes.add(voter)
+        return len(votes)
+
+    def vote(self, key: typing.Hashable, rebroadcast: bool = False) -> None:
+        """Cast this replica's vote for ``key``; a vote already cast is
+        cast again only with ``rebroadcast``."""
+        if not rebroadcast and self._voter in self._votes.get(key, ()):
+            return
+        votes = self.add(key, self._voter)
+        self._cast(key)
+        if votes >= self.enter_at:
+            self._enter(key)
+
+    def on_vote(self, key: typing.Hashable, voter: str) -> None:
+        """Count a peer's vote: join at f+1, enter at a quorum."""
+        votes = self.add(key, voter)
+        if (
+            self.join_at is not None
+            and votes >= self.join_at
+            and self._voter not in self._votes[key]
+        ):
+            votes = self.add(key, self._voter)
+            self._cast(key)
+        if votes >= self.enter_at:
+            self._enter(key)
+
+
 class ReplicaEngine:
     """Base class for consensus engine replicas.
 
-    Subclasses implement :meth:`start`, :meth:`on_message` and the
-    protocol itself; the hosting node calls :meth:`submit_proposal` when
-    it has a block ready (leader-based engines queue it until this
-    replica leads).
+    Subclasses implement :meth:`start` and the protocol itself, and list
+    their message handlers in :attr:`handlers`; the hosting node calls
+    :meth:`submit_proposal` when it has a block ready (leader-based
+    engines queue it until this replica leads).
     """
+
+    #: Message kind -> handler ``(engine, sender, payload)``. Each engine
+    #: declares its table next to its handlers, and ``message_kinds`` is
+    #: ``frozenset(handlers)``.
+    handlers: typing.Dict[str, typing.Callable[..., None]] = {}
 
     #: Message kinds handled by this engine: the hosting node hands
     #: exactly these to :meth:`on_message` (one set lookup per delivery).
@@ -162,13 +234,18 @@ class ReplicaEngine:
 
     def __init__(self, context: EngineContext) -> None:
         self.context = context
-        self.decided_count = 0
+        self._stopped = False
         #: Arms the engine's partition-recovery aids (vote re-broadcast,
         #: gap sync, non-resetting progress timers). Off by default:
         #: those aids change message and timer schedules, and fault-free
         #: benchmark runs must stay byte-identical to a build without
         #: the faults subsystem. The fault injector arms it at install.
         self.recovery_mode = False
+        #: Decided ``(proposal, proposer)`` pairs in sequence order, for
+        #: engines that decide through :meth:`_decide`; its length is the
+        #: next sequence. Crashes keep it, and it answers peers' sync
+        #: requests.
+        self.decided_log: typing.List[typing.Tuple[object, str]] = []
 
     def enable_recovery(self) -> None:
         """Arm the partition/crash recovery aids (fault runs only)."""
@@ -182,7 +259,7 @@ class ReplicaEngine:
     @property
     def stopped(self) -> bool:
         """Whether the replica is currently crashed."""
-        return bool(getattr(self, "_stopped", False))
+        return self._stopped
 
     def start(self) -> None:
         """Begin protocol operation (timers, first view)."""
@@ -212,24 +289,58 @@ class ReplicaEngine:
         """The hosting node restarted: rejoin and catch up with the group."""
         self.recover()
 
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        """Handle a protocol message from a peer."""
-        raise NotImplementedError
+    def on_message(self, kind: str, sender: str, payload: typing.Any) -> None:
+        """Handle a protocol message from a peer (ignored while crashed)."""
+        if not self._stopped:
+            self.handlers[kind](self, sender, payload)
 
     def submit_proposal(self, proposal: object) -> None:
         """Offer a proposal (a block) for ordering."""
         raise NotImplementedError
 
-    def _record_decision(
-        self, decision: Decision, evidence: typing.Optional[typing.Dict[str, object]] = None
+    # ------------------------------------------------------------------
+    # Decisions
+
+    def _decide(
+        self,
+        proposal: object,
+        proposer: str,
+        evidence: typing.Optional[typing.Dict[str, object]] = None,
     ) -> None:
-        self.decided_count += 1
+        """Append the next entry to the decided log, let the engine move
+        past it (:meth:`_advance`), then record its decision."""
+        sequence = len(self.decided_log)
+        self.decided_log.append((proposal, proposer))
+        self._advance(sequence + 1)
+        self._record_decision(sequence, proposal, proposer, evidence)
+
+    def _advance(self, next_sequence: int) -> None:
+        """Move this engine's own position to ``next_sequence``, before
+        the decision just logged is recorded."""
+
+    def _replay(self, from_sequence: int, entries: typing.Sequence[typing.Tuple[object, str]]) -> None:
+        """Replay a peer's sync answer: the decided-log suffix starting at
+        ``from_sequence``. Entries this replica already holds (a
+        duplicate answer) are skipped."""
+        for sequence, (proposal, proposer) in enumerate(entries, from_sequence):
+            if sequence == len(self.decided_log):
+                evidence = {"kind": "sync"} if self.context.checker.enabled else None
+                self._decide(proposal, proposer, evidence)
+
+    def _record_decision(
+        self,
+        sequence: int,
+        proposal: object,
+        proposer: str,
+        evidence: typing.Optional[typing.Dict[str, object]] = None,
+    ) -> None:
+        """Hand the decision of ``sequence``, decided now, to the node."""
+        decision = Decision(sequence, proposal, proposer, self.context.now)
         tracer = self.context.tracer
         if tracer.enabled and tracer.wants("consensus"):
             tracer.event(
                 "decision", category="consensus", node=self.replica_id,
-                engine=type(self).__name__, seq=decision.sequence,
-                proposer=decision.proposer,
+                engine=type(self).__name__, seq=sequence, proposer=proposer,
             )
             tracer.metrics.counter("consensus.decisions", node=self.replica_id).inc()
         checker = self.context.checker

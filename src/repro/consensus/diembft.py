@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import EngineContext, ReplicaEngine, VoteTally
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -37,14 +37,6 @@ class _BlockInfo:
 class DiemBftEngine(ReplicaEngine):
     """One DiemBFT validator."""
 
-    message_kinds = frozenset({
-        "diem/proposal",
-        "diem/vote",
-        "diem/timeout",
-        "diem/sync_request",
-        "diem/sync_response",
-    })
-
     def __init__(
         self,
         context: EngineContext,
@@ -60,14 +52,17 @@ class DiemBftEngine(ReplicaEngine):
         self.highest_qc_round = -1
         self._blocks: typing.Dict[int, _BlockInfo] = {}
         self._votes: typing.Dict[int, typing.Set[str]] = {}
-        self._timeout_votes: typing.Dict[int, typing.Set[str]] = {}
+        #: Timeout votes per timed-out round: the quorum half of the
+        #: leader-change vote (a validator times out on its own clock).
+        self._timeouts = VoteTally(
+            context, self._broadcast_timeout, self._on_timeout_quorum, joins=False
+        )
         self._committed_through = -1  # highest committed round
         self._commit_sequence = 0
         #: Handle of the pending round timer; rounds advance far more
         #: often than they time out, so re-arming cancels in O(1).
         self._round_timer: typing.Optional["TimerHandle"] = None
         self._voted_rounds: typing.Set[int] = set()
-        self._stopped = False
         self._proposal_pending = False
         self._sync_requested: typing.Set[int] = set()
         self._pending_commit_target = -1
@@ -105,13 +100,9 @@ class DiemBftEngine(ReplicaEngine):
                 round=round_number, leader=self.leader_for(round_number),
             )
 
-    def stop(self) -> None:
-        """Crash this validator."""
-        self._stopped = True
-
     def recover(self) -> None:
         """Restart after a crash."""
-        self._stopped = False
+        super().recover()
         self._arm_round_timer()
 
     # ------------------------------------------------------------------
@@ -151,21 +142,6 @@ class DiemBftEngine(ReplicaEngine):
 
     # ------------------------------------------------------------------
     # Message handling
-
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        if self._stopped:
-            return
-        message = typing.cast(dict, payload)
-        if kind == "diem/proposal":
-            self._on_proposal(sender, message)
-        elif kind == "diem/vote":
-            self._on_vote(sender, message)
-        elif kind == "diem/timeout":
-            self._on_timeout_vote(sender, message)
-        elif kind == "diem/sync_request":
-            self._on_sync_request(sender, message)
-        elif kind == "diem/sync_response":
-            self._on_sync_response(sender, message)
 
     def _on_proposal(self, sender: str, message: dict) -> None:
         round_number = message["round"]
@@ -262,15 +238,7 @@ class DiemBftEngine(ReplicaEngine):
             evidence = None
             if self.context.checker.enabled:
                 evidence = {"kind": "qc", "round": info.round}
-            self._record_decision(
-                Decision(
-                    sequence=self._commit_sequence,
-                    proposal=info.proposal,
-                    proposer=info.proposer,
-                    decided_at=self.context.now,
-                ),
-                evidence,
-            )
+            self._record_decision(self._commit_sequence, info.proposal, info.proposer, evidence)
             self._commit_sequence += 1
 
     # ------------------------------------------------------------------
@@ -347,17 +315,23 @@ class DiemBftEngine(ReplicaEngine):
                 "diem.round_timeout", category="consensus",
                 node=self.replica_id, round=round_number,
             )
-        self._timeout_votes.setdefault(round_number, set()).add(self.replica_id)
-        self.context.broadcast("diem/timeout", {"round": round_number})
-        self._check_timeout_quorum(round_number)
+        self._timeouts.vote(round_number, rebroadcast=True)
         self._arm_round_timer()
 
-    def _on_timeout_vote(self, sender: str, message: dict) -> None:
-        round_number = message["round"]
-        self._timeout_votes.setdefault(round_number, set()).add(sender)
-        self._check_timeout_quorum(round_number)
+    def _broadcast_timeout(self, round_number: int) -> None:
+        self.context.broadcast("diem/timeout", {"round": round_number})
 
-    def _check_timeout_quorum(self, round_number: int) -> None:
-        votes = self._timeout_votes.get(round_number, set())
-        if len(votes) >= self.context.bft_quorum and round_number >= self.current_round:
-            self._enter_round(round_number + 1)
+    def _on_timeout_vote(self, sender: str, message: dict) -> None:
+        self._timeouts.on_vote(message["round"], sender)
+
+    def _on_timeout_quorum(self, round_number: int) -> None:
+        self._enter_round(round_number + 1)
+
+    handlers = {
+        "diem/proposal": _on_proposal,
+        "diem/vote": _on_vote,
+        "diem/timeout": _on_timeout_vote,
+        "diem/sync_request": _on_sync_request,
+        "diem/sync_response": _on_sync_response,
+    }
+    message_kinds = frozenset(handlers)

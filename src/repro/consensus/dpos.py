@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import EngineContext, ReplicaEngine
 
 
 class DposEngine(ReplicaEngine):
     """One BitShares node; a producer when it appears in the witness list."""
-
-    message_kinds = frozenset({"dpos/block", "dpos/sync_request", "dpos/sync_blocks"})
 
     def __init__(
         self,
@@ -41,12 +39,14 @@ class DposEngine(ReplicaEngine):
         self.witnesses = list(witnesses)
         self.block_interval = block_interval
         self.proposal_factory = proposal_factory
-        self.height = 0  # next height to apply
         self.produced_blocks = 0
         self.missed_slots = 0
         self._future_blocks: typing.Dict[int, typing.Tuple[object, str]] = {}
-        self._applied_log: typing.List[typing.Tuple[object, str]] = []
-        self._stopped = False
+
+    @property
+    def height(self) -> int:
+        """The next height to apply: the length of the decided log."""
+        return len(self.decided_log)
 
     # ------------------------------------------------------------------
     # Schedule
@@ -74,13 +74,9 @@ class DposEngine(ReplicaEngine):
         if self.is_witness:
             self._schedule_slot(0)
 
-    def stop(self) -> None:
-        """Crash this node (a producer then misses its slots)."""
-        self._stopped = True
-
     def recover(self) -> None:
         """Restart after a crash: sync missed blocks, then resume slots."""
-        self._stopped = False
+        super().recover()
         peer = next((p for p in self.context.peers if p != self.replica_id), None)
         if peer is not None:
             self.context.send(peer, "dpos/sync_request", {"from_height": self.height})
@@ -111,38 +107,18 @@ class DposEngine(ReplicaEngine):
         if proposal is None:
             self.missed_slots += 1
             return
-        height = self.height
         self.produced_blocks += 1
         self.context.broadcast(
             "dpos/block",
-            {"height": height, "slot": slot, "proposal": proposal},
+            {"height": self.height, "slot": slot, "proposal": proposal},
             size_bytes=getattr(proposal, "size_bytes", 512),
         )
-        self._apply(height, proposal, self.replica_id, slot=slot)
+        self._decide(proposal, self.replica_id, self._slot_evidence(slot))
 
     # ------------------------------------------------------------------
     # Message handling
 
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        if self._stopped:
-            return
-        message = typing.cast(dict, payload)
-        if kind == "dpos/sync_request":
-            blocks = self._applied_log[message["from_height"]:]
-            self.context.send(
-                sender,
-                "dpos/sync_blocks",
-                {"from_height": message["from_height"], "blocks": blocks},
-            )
-            return
-        if kind == "dpos/sync_blocks":
-            for offset, (proposal, proposer) in enumerate(message["blocks"]):
-                height = message["from_height"] + offset
-                if height == self.height:
-                    self._apply(height, proposal, proposer)
-            return
-        if kind != "dpos/block":
-            return
+    def _on_block(self, sender: str, message: dict) -> None:
         if self.witness_for_slot(message["slot"]) != sender:
             return  # not that witness's slot; reject the forgery
         height = message["height"]
@@ -152,40 +128,44 @@ class DposEngine(ReplicaEngine):
             # Out-of-order delivery; hold until the gap fills.
             self._future_blocks[height] = (message["proposal"], sender)
             return
-        self._apply(height, message["proposal"], sender, slot=message["slot"])
+        self._decide(message["proposal"], sender, self._slot_evidence(message["slot"]))
 
-    def _apply(
+    def _on_sync_request(self, sender: str, message: dict) -> None:
+        from_height = message["from_height"]
+        self.context.send(
+            sender,
+            "dpos/sync_blocks",
+            {"from_height": from_height, "blocks": self.decided_log[from_height:]},
+        )
+
+    def _on_sync_blocks(self, sender: str, message: dict) -> None:
+        self._replay(message["from_height"], message["blocks"])
+
+    handlers = {
+        "dpos/block": _on_block,
+        "dpos/sync_request": _on_sync_request,
+        "dpos/sync_blocks": _on_sync_blocks,
+    }
+    message_kinds = frozenset(handlers)
+
+    def _slot_evidence(self, slot: int) -> typing.Optional[typing.Dict[str, object]]:
+        # The schedule travels with the evidence so the oracle can check
+        # slot adherence and cross-replica consistency.
+        if not self.context.checker.enabled:
+            return None
+        return {"kind": "dpos-slot", "slot": slot, "witnesses": tuple(self.witnesses)}
+
+    def _decide(
         self,
-        height: int,
         proposal: object,
         proposer: str,
-        slot: typing.Optional[int] = None,
+        evidence: typing.Optional[typing.Dict[str, object]] = None,
     ) -> None:
-        self.height = height + 1
-        self._applied_log.append((proposal, proposer))
-        evidence = None
-        if self.context.checker.enabled:
-            if slot is not None:
-                # The schedule travels with the evidence so the oracle can
-                # check slot adherence and cross-replica consistency.
-                evidence = {
-                    "kind": "dpos-slot", "slot": slot,
-                    "witnesses": tuple(self.witnesses),
-                }
-            else:
-                # Sync replay / buffered out-of-order blocks: the producer
-                # already recorded the slot-backed decision.
-                evidence = {"kind": "sync"}
-        self._record_decision(
-            Decision(
-                sequence=height,
-                proposal=proposal,
-                proposer=proposer,
-                decided_at=self.context.now,
-            ),
-            evidence,
-        )
-        while self.height in self._future_blocks:
-            proposal, proposer = self._future_blocks.pop(self.height)
-            self._apply(self.height, proposal, proposer)
-            break
+        """Apply the next block, then a buffered block that now follows."""
+        super()._decide(proposal, proposer, evidence)
+        buffered = self._future_blocks.pop(self.height, None)
+        if buffered is not None:
+            # Like a sync replay: its producer recorded the slot-backed
+            # decision.
+            evidence = {"kind": "sync"} if self.context.checker.enabled else None
+            self._decide(*buffered, evidence)

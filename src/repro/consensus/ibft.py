@@ -17,24 +17,33 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import EngineContext, ReplicaEngine, VoteTally
 from repro.consensus.pbft import proposal_digest
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
 
 
+def _in_round(handler: typing.Callable[..., None]) -> typing.Callable[..., None]:
+    """Dispatch step for the in-round kinds: ``handler`` sees only
+    messages of the current (height, round). IBFT is height-sequential,
+    so a message from a later height means this validator missed
+    decisions (a crash-recovery race) and asks the sender for them;
+    stale and future rounds are dropped."""
+
+    def checked(engine: "IbftEngine", sender: str, message: dict) -> None:
+        height = message["height"]
+        if height == engine.height:
+            if message["round"] == engine.round:
+                handler(engine, sender, message)
+        elif height > engine.height:
+            engine._request_sync(sender)
+
+    return checked
+
+
 class IbftEngine(ReplicaEngine):
     """One IBFT validator."""
-
-    message_kinds = frozenset({
-        "ibft/pre_prepare",
-        "ibft/prepare",
-        "ibft/commit",
-        "ibft/round_change",
-        "ibft/sync_request",
-        "ibft/sync_response",
-    })
 
     def __init__(
         self,
@@ -54,14 +63,11 @@ class IbftEngine(ReplicaEngine):
         self._commits: typing.Set[str] = set()
         self._sent_prepare = False
         self._sent_commit = False
-        self._round_change_votes: typing.Dict[typing.Tuple[int, int], typing.Set[str]] = {}
+        #: Round-change votes per (height, round).
+        self._round_changes = VoteTally(context, self._broadcast_round_change, self._enter_round)
         #: Handle of the pending round timer; re-arming cancels the
         #: previous one instead of leaving a stale no-op in the queue.
         self._round_timer: typing.Optional["TimerHandle"] = None
-        self._stopped = False
-        #: Decided (proposal, proposer) per height, answering sync
-        #: requests from validators recovering from a crash.
-        self._decided_log: typing.List[typing.Tuple[object, str]] = []
         self._sync_requested_through = -1
         self._last_sync_request_at: typing.Optional[float] = None
 
@@ -82,10 +88,6 @@ class IbftEngine(ReplicaEngine):
         """Whether this validator proposes the current round."""
         return self.replica_id == self.leader_id and not self._stopped
 
-    def stop(self) -> None:
-        """Crash this validator."""
-        self._stopped = True
-
     def recover(self) -> None:
         """Restart after a crash: re-arm the round timer and catch up.
 
@@ -94,7 +96,7 @@ class IbftEngine(ReplicaEngine):
         arrive it simply drops in-round traffic for heights it has not
         reached (and re-requests sync when it sees one).
         """
-        self._stopped = False
+        super().recover()
         self._arm_round_timer()
         self._sync_requested_through = self.height
         self._last_sync_request_at = self.context.now
@@ -155,32 +157,6 @@ class IbftEngine(ReplicaEngine):
     # ------------------------------------------------------------------
     # Message handling
 
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        if self._stopped:
-            return
-        message = typing.cast(dict, payload)
-        if kind == "ibft/sync_request":
-            self._on_sync_request(sender, message)
-            return
-        if kind == "ibft/sync_response":
-            self._on_sync_response(sender, message)
-            return
-        if kind == "ibft/round_change":
-            self._on_round_change(sender, message)
-            return
-        if message["height"] > self.height:
-            # A peer is ahead — we missed decisions (crash recovery race).
-            self._request_sync(sender)
-            return
-        if message["height"] != self.height or message["round"] != self.round:
-            return  # stale or future round; IBFT is height-sequential
-        if kind == "ibft/pre_prepare":
-            self._on_pre_prepare(sender, message)
-        elif kind == "ibft/prepare":
-            self._on_prepare(sender, message)
-        elif kind == "ibft/commit":
-            self._on_commit(sender, message)
-
     def _on_pre_prepare(self, sender: str, message: dict) -> None:
         if sender != self.proposer_for(self.height, self.round):
             return
@@ -232,21 +208,15 @@ class IbftEngine(ReplicaEngine):
         tracer = self.context.tracer
         if tracer.enabled:
             tracer.end(("ibft", self.replica_id, self.height, self.round), decided=True)
-        decision = Decision(
-            sequence=self.height,
-            proposal=self.proposal,
-            proposer=self.proposer,
-            decided_at=self.context.now,
-        )
-        # Captured before _enter_height resets the round's commit set.
+        # Captured before _advance resets the round's commit set.
         evidence = None
         if self.context.checker.enabled:
             evidence = {"kind": "bft-votes", "votes": len(self._commits)}
-        self._decided_log.append((self.proposal, self.proposer))
-        self._enter_height(self.height + 1)
-        self._record_decision(decision, evidence)
+        self._decide(self.proposal, self.proposer, evidence)
 
-    def _enter_height(self, height: int) -> None:
+    def _advance(self, height: int) -> None:
+        """Enter ``height`` at round 0 (the decided log holds the heights
+        below it)."""
         self.height = height
         self.round = 0
         self._reset_round_state()
@@ -276,7 +246,7 @@ class IbftEngine(ReplicaEngine):
         if self._stopped:
             return
         target = self.round + 1
-        self._vote_round_change(self.height, target, rebroadcast=self.recovery_mode)
+        self._round_changes.vote((self.height, target), rebroadcast=self.recovery_mode)
         if self.recovery_mode and self.round < target:
             # The round change found no quorum yet — e.g. the votes were
             # lost to a partition. Keep the timer running so the vote is
@@ -284,33 +254,17 @@ class IbftEngine(ReplicaEngine):
             # validator already voted and permanently silent.
             self._arm_round_timer()
 
-    def _vote_round_change(
-        self, height: int, new_round: int, rebroadcast: bool = False
-    ) -> None:
-        votes = self._round_change_votes.setdefault((height, new_round), set())
-        if self.replica_id in votes and not rebroadcast:
-            return
-        votes.add(self.replica_id)
+    def _broadcast_round_change(self, key: typing.Tuple[int, int]) -> None:
+        height, new_round = key
         self.context.broadcast("ibft/round_change", {"height": height, "round": new_round})
-        self._maybe_enter_round(height, new_round)
 
     def _on_round_change(self, sender: str, message: dict) -> None:
         height, new_round = message["height"], message["round"]
-        if height != self.height or new_round <= self.round:
-            return
-        votes = self._round_change_votes.setdefault((height, new_round), set())
-        votes.add(sender)
-        f_plus_one = (self.context.n - 1) // 3 + 1
-        if len(votes) >= f_plus_one:
-            self._vote_round_change(height, new_round)
-        self._maybe_enter_round(height, new_round)
+        if height == self.height and new_round > self.round:
+            self._round_changes.on_vote((height, new_round), sender)
 
-    def _maybe_enter_round(self, height: int, new_round: int) -> None:
-        if height != self.height or new_round <= self.round:
-            return
-        votes = self._round_change_votes.get((height, new_round), set())
-        if len(votes) < self.context.bft_quorum:
-            return
+    def _enter_round(self, key: typing.Tuple[int, int]) -> None:
+        height, new_round = key
         tracer = self.context.tracer
         if tracer.enabled:
             tracer.end(("ibft", self.replica_id, self.height, self.round), decided=False)
@@ -345,7 +299,7 @@ class IbftEngine(ReplicaEngine):
 
     def _on_sync_request(self, sender: str, message: dict) -> None:
         from_height = message["from_height"]
-        entries = self._decided_log[from_height:]
+        entries = self.decided_log[from_height:]
         if not entries:
             return
         self.context.send(
@@ -356,17 +310,14 @@ class IbftEngine(ReplicaEngine):
         )
 
     def _on_sync_response(self, sender: str, message: dict) -> None:
-        for offset, (proposal, proposer) in enumerate(message["entries"]):
-            height = message["from_height"] + offset
-            if height != self.height:
-                continue  # duplicate response, already replayed
-            decision = Decision(
-                sequence=height,
-                proposal=proposal,
-                proposer=proposer,
-                decided_at=self.context.now,
-            )
-            evidence = {"kind": "sync"} if self.context.checker.enabled else None
-            self._decided_log.append((proposal, proposer))
-            self._enter_height(height + 1)
-            self._record_decision(decision, evidence)
+        self._replay(message["from_height"], message["entries"])
+
+    handlers = {
+        "ibft/pre_prepare": _in_round(_on_pre_prepare),
+        "ibft/prepare": _in_round(_on_prepare),
+        "ibft/commit": _in_round(_on_commit),
+        "ibft/round_change": _on_round_change,
+        "ibft/sync_request": _on_sync_request,
+        "ibft/sync_response": _on_sync_response,
+    }
+    message_kinds = frozenset(handlers)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import EngineContext, ReplicaEngine, VoteTally
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -51,16 +51,6 @@ def proposal_digest(proposal: object) -> str:
 class PbftEngine(ReplicaEngine):
     """One PBFT replica."""
 
-    message_kinds = frozenset({
-        "pbft/pre_prepare",
-        "pbft/prepare",
-        "pbft/commit",
-        "pbft/view_change",
-        "pbft/new_view",
-        "pbft/sync_request",
-        "pbft/sync_response",
-    })
-
     def __init__(
         self,
         context: EngineContext,
@@ -76,17 +66,14 @@ class PbftEngine(ReplicaEngine):
         self.next_sequence = 0  # next seq this primary will assign
         self.executed_through = -1  # highest sequence delivered in order
         self._slots: typing.Dict[int, _Slot] = {}
-        #: Executed decisions in sequence order, kept to answer peers'
-        #: sync requests after they recover from a crash.
-        self._decided_log: typing.List[typing.Tuple[object, str]] = []
-        self._view_change_votes: typing.Dict[int, typing.Set[str]] = {}
+        #: View-change votes per view.
+        self._view_changes = VoteTally(context, self._broadcast_view_change, self._enter_view)
         #: Handle of the pending progress timer; re-arming cancels the
         #: previous one in O(1) instead of leaving a fire-and-check
         #: no-op behind in the event queue.
         self._progress_timer: typing.Optional["TimerHandle"] = None
         self._timer_active = False
         self._external_pending = False
-        self._stopped = False
         self._last_gap_sync_at: typing.Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -102,10 +89,6 @@ class PbftEngine(ReplicaEngine):
         """Whether this replica leads the current view."""
         return self.replica_id == self.leader_id and not self._stopped
 
-    def stop(self) -> None:
-        """Crash this replica."""
-        self._stopped = True
-
     def recover(self) -> None:
         """Restart after a crash: rejoin and pull missed decisions.
 
@@ -114,7 +97,7 @@ class PbftEngine(ReplicaEngine):
         group executed while this replica was down is fetched from peers
         via ``pbft/sync_request`` and replayed in sequence order.
         """
-        self._stopped = False
+        super().recover()
         self.context.broadcast(
             "pbft/sync_request", {"from_seq": self.executed_through + 1}
         )
@@ -165,25 +148,6 @@ class PbftEngine(ReplicaEngine):
 
     # ------------------------------------------------------------------
     # Message handling
-
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        if self._stopped:
-            return
-        message = typing.cast(dict, payload)
-        if kind == "pbft/pre_prepare":
-            self._on_pre_prepare(sender, message)
-        elif kind == "pbft/prepare":
-            self._on_prepare(sender, message)
-        elif kind == "pbft/commit":
-            self._on_commit(sender, message)
-        elif kind == "pbft/view_change":
-            self._on_view_change(sender, message)
-        elif kind == "pbft/new_view":
-            self._on_new_view(sender, message)
-        elif kind == "pbft/sync_request":
-            self._on_sync_request(sender, message)
-        elif kind == "pbft/sync_response":
-            self._on_sync_response(sender, message)
 
     def _slot(self, sequence: int) -> _Slot:
         if sequence not in self._slots:
@@ -311,22 +275,16 @@ class PbftEngine(ReplicaEngine):
             slot = self._slots.get(next_sequence)
             if slot is None or not slot.committed:
                 break
-            self.executed_through = next_sequence
             self._external_pending = False
-            self._decided_log.append((slot.proposal, slot.proposer))
             evidence = None
             if self.context.checker.enabled:
                 evidence = {"kind": "bft-votes", "votes": len(slot.commits)}
-            self._record_decision(
-                Decision(
-                    sequence=next_sequence,
-                    proposal=slot.proposal,
-                    proposer=slot.proposer,
-                    decided_at=self.context.now,
-                ),
-                evidence,
-            )
-            self.next_sequence = max(self.next_sequence, next_sequence + 1)
+            self._decide(slot.proposal, slot.proposer, evidence)
+
+    def _advance(self, next_sequence: int) -> None:
+        """Mark every slot below ``next_sequence`` executed."""
+        self.executed_through = next_sequence - 1
+        self.next_sequence = max(self.next_sequence, next_sequence)
 
     # ------------------------------------------------------------------
     # View change
@@ -364,7 +322,7 @@ class PbftEngine(ReplicaEngine):
         if not self._has_pending_work():
             return
         target = self.view + 1
-        self._vote_view_change(target, rebroadcast=self.recovery_mode)
+        self._view_changes.vote(target, rebroadcast=self.recovery_mode)
         if self.recovery_mode and self.view < target:
             # The view change found no quorum yet — e.g. the votes were
             # lost to a partition. Keep the timer running so the vote is
@@ -380,30 +338,15 @@ class PbftEngine(ReplicaEngine):
             for seq, slot in self._slots.items()
         )
 
-    def _vote_view_change(self, new_view: int, rebroadcast: bool = False) -> None:
-        votes = self._view_change_votes.setdefault(new_view, set())
-        if self.replica_id in votes and not rebroadcast:
-            return
-        votes.add(self.replica_id)
+    def _broadcast_view_change(self, new_view: int) -> None:
         self.context.broadcast("pbft/view_change", {"new_view": new_view})
-        self._maybe_enter_view(new_view)
 
     def _on_view_change(self, sender: str, message: dict) -> None:
         new_view = message["new_view"]
-        if new_view <= self.view:
-            return
-        votes = self._view_change_votes.setdefault(new_view, set())
-        votes.add(sender)
-        # Join the view change once f+1 replicas demand it.
-        f_plus_one = (self.context.n - 1) // 3 + 1
-        if len(votes) >= f_plus_one:
-            self._vote_view_change(new_view)
-        self._maybe_enter_view(new_view)
+        if new_view > self.view:
+            self._view_changes.on_vote(new_view, sender)
 
-    def _maybe_enter_view(self, new_view: int) -> None:
-        votes = self._view_change_votes.get(new_view, set())
-        if new_view <= self.view or len(votes) < self.context.bft_quorum:
-            return
+    def _enter_view(self, new_view: int) -> None:
         self.view = new_view
         self.next_sequence = self.executed_through + 1
         tracer = self.context.tracer
@@ -424,7 +367,7 @@ class PbftEngine(ReplicaEngine):
     def _on_new_view(self, sender: str, message: dict) -> None:
         if message["view"] > self.view:
             # Catch up with a view change we missed.
-            self._view_change_votes.setdefault(message["view"], set()).add(sender)
+            self._view_changes.add(message["view"], sender)
             self.view = message["view"]
             self.next_sequence = self.executed_through + 1
 
@@ -433,7 +376,7 @@ class PbftEngine(ReplicaEngine):
 
     def _on_sync_request(self, sender: str, message: dict) -> None:
         from_seq = message["from_seq"]
-        entries = self._decided_log[from_seq:]
+        entries = self.decided_log[from_seq:]
         self.context.send(
             sender,
             "pbft/sync_response",
@@ -442,26 +385,21 @@ class PbftEngine(ReplicaEngine):
         )
 
     def _on_sync_response(self, sender: str, message: dict) -> None:
-        for offset, (proposal, proposer) in enumerate(message["entries"]):
-            sequence = message["from_seq"] + offset
-            if sequence != self.executed_through + 1:
-                continue  # duplicate response, already replayed
-            self.executed_through = sequence
-            self.next_sequence = max(self.next_sequence, sequence + 1)
-            self._decided_log.append((proposal, proposer))
-            evidence = {"kind": "sync"} if self.context.checker.enabled else None
-            self._record_decision(
-                Decision(
-                    sequence=sequence,
-                    proposal=proposal,
-                    proposer=proposer,
-                    decided_at=self.context.now,
-                ),
-                evidence,
-            )
+        self._replay(message["from_seq"], message["entries"])
         if message["view"] > self.view:
             self.view = message["view"]
             self.next_sequence = self.executed_through + 1
         # Slots committed locally above the synced watermark may now be
         # executable (e.g. commits that raced the crash).
         self._execute_in_order()
+
+    handlers = {
+        "pbft/pre_prepare": _on_pre_prepare,
+        "pbft/prepare": _on_prepare,
+        "pbft/commit": _on_commit,
+        "pbft/view_change": _on_view_change,
+        "pbft/new_view": _on_new_view,
+        "pbft/sync_request": _on_sync_request,
+        "pbft/sync_response": _on_sync_response,
+    }
+    message_kinds = frozenset(handlers)

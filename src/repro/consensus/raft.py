@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.consensus.base import Decision, EngineContext, ReplicaEngine
+from repro.consensus.base import EngineContext, ReplicaEngine
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import TimerHandle
@@ -37,8 +37,6 @@ LEADER = "leader"
 
 class RaftEngine(ReplicaEngine):
     """One Raft replica."""
-
-    message_kinds = frozenset({"raft/request_vote", "raft/vote", "raft/append", "raft/append_reply"})
 
     def __init__(
         self,
@@ -62,7 +60,6 @@ class RaftEngine(ReplicaEngine):
         #: every AppendEntries, so cancellation (not generation
         #: checking) is what keeps the queue free of dead timers.
         self._election_timer: typing.Optional["TimerHandle"] = None
-        self._stopped = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -71,13 +68,9 @@ class RaftEngine(ReplicaEngine):
         """Arm the first election timer."""
         self._reset_election_timer()
 
-    def stop(self) -> None:
-        """Crash this replica: ignore all traffic and timers."""
-        self._stopped = True
-
     def recover(self) -> None:
         """Restart after a crash (volatile state reset, log retained)."""
-        self._stopped = False
+        super().recover()
         self.role = FOLLOWER
         self.leader_id = None
         self._reset_election_timer()
@@ -159,21 +152,14 @@ class RaftEngine(ReplicaEngine):
     # ------------------------------------------------------------------
     # Message handling
 
-    def on_message(self, kind: str, sender: str, payload: object) -> None:
-        if self._stopped:
-            return
-        message = typing.cast(dict, payload)
-        term = message.get("term", 0)
-        if term > self.current_term:
-            self._step_down(term)
-        if kind == "raft/request_vote":
-            self._on_request_vote(sender, message)
-        elif kind == "raft/vote":
-            self._on_vote(sender, message)
-        elif kind == "raft/append":
-            self._on_append(sender, message)
-        elif kind == "raft/append_reply":
-            self._on_append_reply(sender, message)
+    def on_message(self, kind: str, sender: str, payload: typing.Any) -> None:
+        # Any RPC from a newer term demotes this replica before it is
+        # handled.
+        if not self._stopped:
+            term = payload.get("term", 0)
+            if term > self.current_term:
+                self._step_down(term)
+        super().on_message(kind, sender, payload)
 
     def _step_down(self, term: int) -> None:
         self.current_term = term
@@ -300,6 +286,14 @@ class RaftEngine(ReplicaEngine):
             self._next_index[sender] = max(0, self._next_index.get(sender, 1) - 1)
             self._replicate_to(sender)
 
+    handlers = {
+        "raft/request_vote": _on_request_vote,
+        "raft/vote": _on_vote,
+        "raft/append": _on_append,
+        "raft/append_reply": _on_append_reply,
+    }
+    message_kinds = frozenset(handlers)
+
     def _advance_commit(self) -> None:
         if self.role != LEADER:
             return
@@ -336,12 +330,4 @@ class RaftEngine(ReplicaEngine):
                     # Followers commit on the leader's say-so, which the
                     # leader only sends after its own quorum-backed commit.
                     evidence = {"kind": "follow"}
-            self._record_decision(
-                Decision(
-                    sequence=self.commit_index,
-                    proposal=entry.proposal,
-                    proposer=entry.proposer,
-                    decided_at=self.context.now,
-                ),
-                evidence,
-            )
+            self._record_decision(self.commit_index, entry.proposal, entry.proposer, evidence)

@@ -45,3 +45,4 @@ class TestQuorums:
         context = EngineContext(None, None, "n0", peers, lambda decision: None, None)
         assert context.bft_quorum == quorum_size(n, "bft")
         assert context.crash_quorum == quorum_size(n, "crash")
+        assert context.f_plus_one == max_faulty(n, "bft") + 1

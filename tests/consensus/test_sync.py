@@ -31,25 +31,24 @@ class CheckedDecisions(list):
     """A node's decision list that checks, at each decision, that the
     engine's decided log is as long as its next index."""
 
-    def __init__(self, engine, next_index, log):
+    def __init__(self, engine, next_index):
         super().__init__()
         self.engine = engine
         self.next_index = next_index
-        self.log = log
 
     def append(self, decision):
-        assert len(self.log(self.engine)) == self.next_index(self.engine) == (
+        assert len(self.engine.decided_log) == self.next_index(self.engine) == (
             decision.sequence + 1
         )
         super().append(decision)
 
 
-def checked_cluster(n, factory, next_index, log=lambda engine: engine._decided_log):
+def checked_cluster(n, factory, next_index):
     cluster = Cluster(n, factory)
     checker = EvidenceChecker()
     cluster.sim.set_checker(checker)
     for node in cluster.nodes.values():
-        node.decisions = CheckedDecisions(node.engine, next_index, log)
+        node.decisions = CheckedDecisions(node.engine, next_index)
     return cluster, checker
 
 
@@ -146,7 +145,6 @@ class TestDposSync:
                 proposal_factory=lambda slot: f"block-slot-{slot}",
             ),
             lambda engine: engine.height,
-            lambda engine: engine._applied_log,
         )
         observer = cluster.nodes["n3"].engine
         observer.stop()
