@@ -318,7 +318,9 @@ class ReplicaEngine:
         """Move this engine's own position to ``next_sequence``, before
         the decision just logged is recorded."""
 
-    def _replay(self, from_sequence: int, entries: typing.Sequence[typing.Tuple[object, str]]) -> None:
+    def _replay(
+        self, from_sequence: int, entries: typing.Sequence[typing.Tuple[object, str]]
+    ) -> None:
         """Replay a peer's sync answer: the decided-log suffix starting at
         ``from_sequence``. Entries this replica already holds (a
         duplicate answer) are skipped."""

@@ -44,7 +44,7 @@ def test_join_at_f_plus_one_enter_at_quorum(engine_class, n):
     kind, payload, position = VOTES[engine_class]
     cluster, engine, sent = replica(engine_class, n)
     f = max_faulty(n)
-    quorum = cluster.engines()[0].context.bft_quorum
+    quorum = engine.context.bft_quorum
     for count, voter in enumerate(cluster.node_ids[1:quorum], start=1):
         engine.on_message(kind, voter, dict(payload))
         joined = count >= f + 1

@@ -139,6 +139,22 @@ def partition_heal(cluster):
 FAULTS = {"none": None, "crash": crash_one, "partition": partition_heal}
 
 
+class DecisionLog(list):
+    """A node's decision list that also appends to the shared run log."""
+
+    def __init__(self, log, node_id):
+        super().__init__()
+        self.log = log
+        self.node_id = node_id
+
+    def append(self, decision):
+        super().append(decision)
+        self.log.append((
+            "decision", self.node_id, decision.sequence, decision.proposer,
+            repr(decision.proposal), decision.decided_at,
+        ))
+
+
 def schedule_digest(engine, n, fault, seed=3):
     cluster = BUILDERS[engine](n, seed)
     log = []
@@ -158,22 +174,6 @@ def schedule_digest(engine, n, fault, seed=3):
     cluster.sim.run(until=RUN_UNTIL)
     decided = sum(1 for entry in log if entry[0] == "decision")
     return hashlib.sha256(repr(log).encode()).hexdigest()[:16], decided
-
-
-class DecisionLog(list):
-    """A node's decision list that also appends to the shared run log."""
-
-    def __init__(self, log, node_id):
-        super().__init__()
-        self.log = log
-        self.node_id = node_id
-
-    def append(self, decision):
-        super().append(decision)
-        self.log.append((
-            "decision", self.node_id, decision.sequence, decision.proposer,
-            repr(decision.proposal), decision.decided_at,
-        ))
 
 
 #: (engine, n, fault) -> (digest, decisions in the run), captured once.
