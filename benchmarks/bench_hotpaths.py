@@ -39,6 +39,7 @@ from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_bytes, hash_object, leaf_hash
 from repro.crypto.merkle import MerkleTree
+from repro.faults.plan import FaultPlan
 from repro.iel.base import InterfaceExecutionLayer
 from repro.net.host import Host
 from repro.net.latency import ConstantLatency, NetemLatency
@@ -47,6 +48,7 @@ from repro.perf import TimingResult, check_baseline, load_baseline, time_callabl
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.storage.transaction import Payload, Transaction, reset_id_counters
+from repro.trace.tracer import Tracer
 
 #: Pre-optimization end-to-end timings (seconds, min-of-3 after warmup)
 #: measured on the machine that produced the committed baseline, with the
@@ -93,7 +95,25 @@ E2E_CONFIGS = {
                            params={"istanbul.blockperiod": 5.0}, node_count=32,
                            latency=NetemLatency(mean=0.012, jitter=0.002),
                            scale=0.04, repetitions=1, seed=58),
+    # A checked run, as ``coconut run --faults ... --check-level strict
+    # --trace`` makes it: the Raft leader crashes a quarter into each
+    # phase's send window (30 s at this scale) and restarts halfway.
+    "e2e_fabric_checked": dict(system="fabric", iel="KeyValue", rate_limit=10,
+                               scale=0.1, repetitions=1, seed=3,
+                               fault_plan=FaultPlan().kill_leader(7.5).restart("leader", 15.0)),
 }
+
+#: Extra :class:`BenchmarkRunner` arguments of an end-to-end target, built
+#: fresh per run (a tracer collects one run only).
+E2E_RUNNER_KWARGS: typing.Dict[str, typing.Callable[[], dict]] = {
+    "e2e_fabric_checked": lambda: {"check": True, "check_level": "strict", "tracer": Tracer()},
+}
+
+
+def _runner(name: str, **kwargs: object) -> BenchmarkRunner:
+    """A runner for one end-to-end target, with its extra arguments."""
+    extra = E2E_RUNNER_KWARGS.get(name)
+    return BenchmarkRunner(**kwargs, **(extra() if extra else {}))
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +329,7 @@ def bench_e2e(name: str, repeats: int) -> TimingResult:
 
     def run_unit():
         reset_id_counters()
-        BenchmarkRunner(keep_last_rig=False).run(config)
+        _runner(name, keep_last_rig=False).run(config)
 
     return time_callable(run_unit, name, repeats=repeats, warmup=1)
 
@@ -333,7 +353,7 @@ def exact_counts(name: str) -> typing.Dict[str, int]:
     it."""
     config = BenchmarkConfig(**E2E_CONFIGS[name])
     reset_id_counters()
-    runner = BenchmarkRunner()
+    runner = _runner(name)
     profiler = cProfile.Profile()
     profiler.runcall(runner.run, config)
     profiler.create_stats()

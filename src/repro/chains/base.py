@@ -41,6 +41,7 @@ from repro.storage import (
     Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState,
 )
 from repro.storage.block import MerkleRoot
+from repro.trace.tracer import Instruments
 
 _proposal_counter = itertools.count(1)
 
@@ -226,6 +227,21 @@ class BaseNode(Endpoint):
         self.dropped_notifications = 0
         self.rejected_submissions = 0
         self.executed_payloads = 0
+        system_name = system.name
+        self._trace_iel = Instruments(
+            "iel", payloads=("counter", "iel.payloads", system_name, node_id),
+        )
+        self._trace_storage = Instruments(
+            "storage",
+            blocks=("counter", "storage.blocks", system_name, node_id),
+            block_payloads=("histogram", "storage.block_payloads", system_name, ""),
+        )
+        self._trace_chain = Instruments(
+            "chain",
+            dropped_notifications=(
+                "counter", "chain.dropped_notifications", system_name, node_id,
+            ),
+        )
         self.sim.schedule(0.0, self._event_queue.get, self._emit)
 
     # ------------------------------------------------------------------
@@ -381,13 +397,13 @@ class BaseNode(Endpoint):
     def _trace_execution(self, payload_count: int) -> None:
         """Account one IEL application batch on this node."""
         tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("iel") and payload_count:
-            tracer.event(
-                "iel.apply", category="iel", node=self.endpoint_id,
-                payloads=payload_count, iel=self.system.iel_name,
-            )
-            tracer.metrics.counter("iel.payloads", system=self.system.name,
-                                   node=self.endpoint_id).inc(payload_count)
+        if tracer.enabled and payload_count:
+            trace = self._trace_iel.bind(tracer)
+            if trace.wanted:
+                trace.event("iel.apply", self.endpoint_id, {
+                    "payloads": payload_count, "iel": self.system.iel_name,
+                })
+                trace.payloads.inc(payload_count)
 
     def try_apply_batch(
         self, transactions: typing.Iterable[Transaction]
@@ -441,17 +457,15 @@ class BaseNode(Endpoint):
         if checker.enabled:
             checker.on_block(self.endpoint_id, block)
         tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("storage"):
-            tracer.event(
-                "block.append", category="storage", node=self.endpoint_id,
-                height=block.height, txs=len(proposal.transactions),
-                payloads=proposal.payload_count, bytes=proposal.size_bytes,
-            )
-            tracer.metrics.counter("storage.blocks", system=self.system.name,
-                                   node=self.endpoint_id).inc()
-            tracer.metrics.histogram(
-                "storage.block_payloads", system=self.system.name,
-            ).record(proposal.payload_count)
+        if tracer.enabled:
+            trace = self._trace_storage.bind(tracer)
+            if trace.wanted:
+                trace.event("block.append", self.endpoint_id, {
+                    "height": block.height, "txs": len(proposal.transactions),
+                    "payloads": proposal.payload_count, "bytes": proposal.size_bytes,
+                })
+                trace.blocks.inc()
+                trace.block_payloads.record(proposal.payload_count)
         return block
 
     # ------------------------------------------------------------------
@@ -483,16 +497,14 @@ class BaseNode(Endpoint):
         if capacity is not None and self._event_backlog_payloads + len(receipts) > capacity:
             self.dropped_notifications += len(receipts)
             tracer = self.sim.tracer
-            if tracer.enabled and tracer.wants("chain"):
-                tracer.event(
-                    "notify.drop", category="chain", node=self.endpoint_id,
-                    client=client_id, count=len(receipts),
-                    backlog=self._event_backlog_payloads,
-                )
-                tracer.metrics.counter(
-                    "chain.dropped_notifications",
-                    system=self.system.name, node=self.endpoint_id,
-                ).inc(len(receipts))
+            if tracer.enabled:
+                trace = self._trace_chain.bind(tracer)
+                if trace.wanted:
+                    trace.event("notify.drop", self.endpoint_id, {
+                        "client": client_id, "count": len(receipts),
+                        "backlog": self._event_backlog_payloads,
+                    })
+                    trace.dropped_notifications.inc(len(receipts))
             return
         self._event_backlog_payloads += len(receipts)
         self._event_queue.put((client_id, list(receipts)))

@@ -30,6 +30,7 @@ from repro.sim.kernel import Simulator
 from repro.storage import Payload
 from repro.storage.receipts import TxStatus
 from repro.stream.accumulator import ClientStream
+from repro.trace.tracer import Instruments
 from repro.workloads.arrivals import build_schedule
 
 
@@ -69,6 +70,13 @@ class CoconutClient(Endpoint):
         self.ignored_late_receipts = 0
         #: The per-phase accumulators every metric is computed from.
         self.stream = ClientStream(client_id)
+        self._trace = Instruments(
+            "client",
+            sent=("counter", "client.sent", "", client_id),
+            received=("counter", "client.received", "", client_id),
+            failed=("counter", "client.failed", "", client_id),
+            fls=("histogram", "client.fls", "", client_id),
+        )
 
     # ------------------------------------------------------------------
     # Driving a phase
@@ -128,11 +136,10 @@ class CoconutClient(Endpoint):
         now = self.sim.now
         if tracer.enabled:
             tracer.end(("tx", payload_id), status=status)
-            if tracer.wants("client"):
-                tracer.metrics.counter(f"client.{status}", node=self.endpoint_id).inc()
-                tracer.metrics.histogram("client.fls", node=self.endpoint_id).record(
-                    now - start_time
-                )
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                getattr(trace, status).inc()
+                trace.fls.record(now - start_time)
         # The payload's contribution is folded into the phase accumulator
         # and its entry is dropped: the in-flight map tracks payloads in
         # flight, not offered load.
@@ -216,7 +223,7 @@ class _WorkloadThread:
         )
         # The tracer and its category filter are fixed for the run.
         tracer = sim.tracer
-        self.trace_txs = tracer.enabled and tracer.wants("client")
+        self.trace_txs = tracer.enabled and client._trace.bind(tracer).wanted
         if sim.now < self.start_at:
             sim.resume_after(self.start_at - sim.now, self._begin)
         else:
@@ -265,7 +272,7 @@ class _WorkloadThread:
                     node=endpoint_id, phase=phase,
                 )
         if trace_txs:
-            tracer.metrics.counter("client.sent", node=endpoint_id).inc(len(payloads))
+            client._trace.bind(tracer).sent.inc(len(payloads))
         client.stream.note_live(len(in_flight))
         bundle = client.driver.wrap(payloads)
         client.send(

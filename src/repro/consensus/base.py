@@ -18,6 +18,7 @@ import dataclasses
 import typing
 
 from repro.net.network import Message
+from repro.trace.tracer import Instruments
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
@@ -246,6 +247,10 @@ class ReplicaEngine:
         #: next sequence. Crashes keep it, and it answers peers' sync
         #: requests.
         self.decided_log: typing.List[typing.Tuple[object, str]] = []
+        self._trace = Instruments(
+            "consensus",
+            decisions=("counter", "consensus.decisions", "", context.replica_id),
+        )
 
     def enable_recovery(self) -> None:
         """Arm the partition/crash recovery aids (fault runs only)."""
@@ -339,12 +344,13 @@ class ReplicaEngine:
         """Hand the decision of ``sequence``, decided now, to the node."""
         decision = Decision(sequence, proposal, proposer, self.context.now)
         tracer = self.context.tracer
-        if tracer.enabled and tracer.wants("consensus"):
-            tracer.event(
-                "decision", category="consensus", node=self.replica_id,
-                engine=type(self).__name__, seq=sequence, proposer=proposer,
-            )
-            tracer.metrics.counter("consensus.decisions", node=self.replica_id).inc()
+        if tracer.enabled:
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                trace.event("decision", self.replica_id, {
+                    "engine": type(self).__name__, "seq": sequence, "proposer": proposer,
+                })
+                trace.decisions.inc()
         checker = self.context.checker
         if checker.enabled:
             checker.on_decision(

@@ -7,8 +7,9 @@ the quantities a resilience experiment reports:
 
 * **baseline** — confirmations/second before the first fault action,
 * **dip depth** — how far the worst in-window bucket falls below it,
-* **time to recover** — how long after the last fault effect ends until
-  throughput is back within a tolerance of the baseline,
+* **time to recover** — from the end of the last fault effect to the end
+  of the first later bucket whose throughput reaches
+  ``tolerance x baseline`` (one bucket; later buckets may fall again),
 * **committed / lost in window** — payloads confirmed during the fault
   window vs payloads submitted during it that never confirmed.
 
@@ -43,7 +44,9 @@ class ResilienceReport:
     dip_tps: float
     #: 0.0 (no dip) .. 1.0 (full outage); 0.0 when there is no baseline.
     dip_depth: float
-    #: Seconds from fault end to sustained recovery; None = not recovered.
+    #: Seconds from fault end to the end of the first post-fault bucket
+    #: at or above ``tolerance x baseline_tps``; None = no such bucket.
+    #: One bucket suffices: throughput may drop again after it.
     time_to_recover: typing.Optional[float]
     sent_in_window: int
     committed_in_window: int

@@ -16,6 +16,7 @@ from repro.net.host import Host
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.link import Link
 from repro.net.partition import PartitionController
+from repro.trace.tracer import Instruments
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -140,6 +141,13 @@ class Network:
         #: allocate a fresh bound method (let alone a closure).
         self._deliver_cb = self._deliver
         self._rng = sim.rng.stream(f"network:{name}")
+        self._trace = Instruments(
+            "net",
+            sent=("counter", "net.sent", name, ""),
+            bytes=("counter", "net.bytes", name, ""),
+            latency=("histogram", "net.latency", name, ""),
+            dropped=("counter", "net.dropped", name, ""),
+        )
         self.messages_sent = 0
         self.messages_dropped = 0
         #: ``messages_dropped`` split by cause (see :data:`DROP_CAUSES`);
@@ -203,12 +211,13 @@ class Network:
         self.messages_dropped += 1
         self.drops_by_cause[cause] += 1
         tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.drop", category="net", node=message.src,
-                dst=message.dst, kind=message.kind, size=message.size_bytes,
-            )
-            tracer.metrics.counter("net.dropped", system=self.name).inc()
+        if tracer.enabled:
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                trace.event("net.drop", message.src, {
+                    "dst": message.dst, "kind": message.kind, "size": message.size_bytes,
+                })
+                trace.dropped.inc()
 
     def _route_for(self, src: str, dst: str) -> _Route:
         """Build (and cache) the routing record for one directed pair."""
@@ -317,13 +326,12 @@ class Network:
             route.fifo_clock = arrival
         latency = arrival - now
         tracer = sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.send", category="net", node=src,
-                dst=dst, kind=message.kind, size=size,
-            )
-            tracer.metrics.counter("net.sent", system=self.name).inc()
-            tracer.metrics.counter("net.bytes", system=self.name).inc(size)
+        if tracer.enabled:
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                trace.event("net.send", src, {"dst": dst, "kind": message.kind, "size": size})
+                trace.sent.inc()
+                trace.bytes.inc(size)
         sim.schedule(latency, self._deliver_cb, route.endpoint, message, dst, latency)
 
     def _deliver(self, endpoint: Endpoint, message: Message, dst: str, latency: float) -> None:
@@ -349,10 +357,11 @@ class Network:
             self._drop(message, "host_down")
             return
         tracer = self.sim.tracer
-        if tracer.enabled and tracer.wants("net"):
-            tracer.event(
-                "net.deliver", category="net", node=dst,
-                src=message.src, kind=message.kind, latency=round(latency, 9),
-            )
-            tracer.metrics.histogram("net.latency", system=self.name).record(latency)
+        if tracer.enabled:
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                trace.event("net.deliver", dst, {
+                    "src": message.src, "kind": message.kind, "latency": round(latency, 9),
+                })
+                trace.latency.record(latency)
         endpoint.on_message(message)

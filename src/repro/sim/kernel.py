@@ -194,11 +194,14 @@ class Simulator:
         ``until`` is given, time is advanced to exactly ``until`` even if
         the queue drained earlier, mirroring wall-clock benchmark windows.
 
-        With a live tracer, every pop sets the ``sim.queue_depth`` gauge
-        (entries left in both lanes) and counts once: in
-        ``sim.dispatches``, or in ``sim.timers_cancelled`` when it was a
-        cancelled timer. Each instrument is created on its first use, so
-        a run that pops nothing leaves the metrics untouched.
+        With a live tracer, every pop reads the queue depth (entries left
+        in both lanes) and counts once: as a dispatch, or as a cancelled
+        timer. The loop tallies these in locals and folds them into the
+        ``sim.queue_depth`` gauge and the ``sim.dispatches`` and
+        ``sim.timers_cancelled`` counters once, when it exits by any
+        path: the same final state as one ``Gauge.set`` and one
+        ``Counter.inc`` per pop. An instrument is created only if a pop
+        used it, so a run that pops nothing leaves the metrics untouched.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -220,33 +223,45 @@ class Simulator:
         try:
             if self.tracer.enabled:
                 metrics = self.tracer.metrics
-                depth = dispatches = cancelled = None
-                while True:
-                    if ready:
-                        entry = popleft()
-                    elif queue and queue[0][0] <= bound:
-                        entry = pop(queue)
-                        now = self._now = entry[0]
-                        while queue and queue[0][0] == now:
-                            ready.append(pop(queue))
-                    else:
-                        break
-                    if depth is None:
-                        depth = metrics.gauge("sim.queue_depth", system="sim")
-                    depth.set(len(queue) + len(ready))
-                    __, __, callback, args = entry
-                    if callback is None:
-                        if cancelled is None:
-                            cancelled = metrics.counter("sim.timers_cancelled", system="sim")
-                        cancelled.inc()
-                        continue
-                    if dispatches is None:
-                        dispatches = metrics.counter("sim.dispatches", system="sim")
-                    dispatches.inc()
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
+                dispatched = cancelled = depth = 0
+                low = math.inf
+                high = -math.inf
+                try:
+                    while True:
+                        if ready:
+                            entry = popleft()
+                        elif queue and queue[0][0] <= bound:
+                            entry = pop(queue)
+                            now = self._now = entry[0]
+                            while queue and queue[0][0] == now:
+                                ready.append(pop(queue))
+                        else:
+                            break
+                        depth = len(queue) + len(ready)
+                        if depth > high:
+                            high = depth
+                        if depth < low:
+                            low = depth
+                        __, __, callback, args = entry
+                        if callback is None:
+                            cancelled += 1
+                            continue
+                        dispatched += 1
+                        if args:
+                            callback(*args)
+                        else:
+                            callback()
+                finally:
+                    # One flush per run, on every exit path (a raising
+                    # callback included).
+                    if dispatched or cancelled:
+                        metrics.gauge("sim.queue_depth", system="sim").merge(
+                            depth, low, high, dispatched + cancelled,
+                        )
+                    if cancelled:
+                        metrics.counter("sim.timers_cancelled", system="sim").inc(cancelled)
+                    if dispatched:
+                        metrics.counter("sim.dispatches", system="sim").inc(dispatched)
             else:
                 while True:
                     if ready:

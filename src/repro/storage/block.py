@@ -51,11 +51,12 @@ class MerkleRoot:
     other baggage (Fabric's rwsets) alive.
     """
 
-    __slots__ = ("transactions", "_value")
+    __slots__ = ("transactions", "_value", "_verified")
 
     def __init__(self, transactions: typing.Tuple[Transaction, ...]) -> None:
         self.transactions = transactions
         self._value: typing.Optional[str] = None
+        self._verified: typing.Optional[bool] = None
 
     @property
     def value(self) -> str:
@@ -64,6 +65,17 @@ class MerkleRoot:
         if root is None:
             root = self._value = MerkleTree(self.transactions).root
         return root
+
+    def verify(self) -> bool:
+        """Whether an independent rebuild of the tree gives :attr:`value`.
+
+        The verdict is memoized: transactions and value are fixed, so
+        every replica's block sealed from this root shares one rebuild.
+        """
+        verdict = self._verified
+        if verdict is None:
+            verdict = self._verified = MerkleTree(self.transactions).root == self.value
+        return verdict
 
 
 class Block:
@@ -210,13 +222,20 @@ class Block:
         The verdict is memoized: header and transaction tuple are fixed
         at construction, so the re-verification every replica's append
         and every strict ``--check`` chain pass performs collapses to
-        one tree build per block object.
+        one tree build per block object. A block sealed from a shared
+        :class:`MerkleRoot` (:meth:`linked`) carries that root's value in
+        its header, so while it still holds the root's transactions it
+        takes the root's verdict: one rebuild per distinct root, however
+        many replicas seal it.
         """
         verdict = self._merkle_ok
         if verdict is None:
-            verdict = self._merkle_ok = (
-                MerkleTree(self.transactions).root == self.header.merkle_root
-            )
+            root = self._root
+            if root is not None and self.transactions is root.transactions:
+                verdict = root.verify()
+            else:
+                verdict = MerkleTree(self.transactions).root == self.header.merkle_root
+            self._merkle_ok = verdict
         return verdict
 
     def __repr__(self) -> str:

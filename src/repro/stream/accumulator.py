@@ -90,7 +90,9 @@ class ResilienceAccumulator:
     Armed before the phase runs (fault and phase windows are both known
     then), it ingests send and retire events; every count is a sum and
     the timeline buckets confirmations by end time, so merging the
-    clients' accumulators in any order yields the same report.
+    clients' accumulators in any order yields the same report. Its
+    ``time_to_recover`` ends at the first post-fault bucket at or above
+    ``tolerance x baseline``, not at a sustained recovery.
     """
 
     __slots__ = (
@@ -170,7 +172,12 @@ class ResilienceAccumulator:
         self.pre_fault_commits += other.pre_fault_commits
 
     def report(self) -> ResilienceReport:
-        """The window's report: baseline, dip, recovery and counts."""
+        """The window's report: baseline, dip, recovery and counts.
+
+        Recovery is the first bucket after ``fault_end`` whose
+        throughput is at or above ``tolerance x baseline_tps``; no later
+        bucket is checked, so it does not say throughput stayed there.
+        """
         bucket_width = self.bucket_width
         bucket_count = len(self.counts)
         timeline = [count / bucket_width for count in self.counts]

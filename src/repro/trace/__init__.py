@@ -32,6 +32,7 @@ _EXPORTS = {
     "EventRecord": "repro.trace.tracer",
     "Gauge": "repro.trace.metrics",
     "Histogram": "repro.trace.metrics",
+    "Instruments": "repro.trace.tracer",
     "MetricsRegistry": "repro.trace.metrics",
     "NOOP_TRACER": "repro.trace.tracer",
     "NoopTracer": "repro.trace.tracer",

@@ -57,6 +57,17 @@ class Gauge:
         if value < self.min_value:
             self.min_value = value
 
+    def merge(self, last: float, low: float, high: float, updates: int) -> None:
+        """Record ``updates`` levels at once: their extremes ``low`` and
+        ``high`` and the last one, ``last``. Leaves the state that one
+        :meth:`set` per level would."""
+        self.value = last
+        self.updates += updates
+        if high > self.max_value:
+            self.max_value = high
+        if low < self.min_value:
+            self.min_value = low
+
     def snapshot(self) -> dict:
         """JSON-ready state."""
         if self.updates == 0:

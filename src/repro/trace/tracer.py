@@ -14,7 +14,10 @@ A :class:`Tracer` collects three record kinds:
 The default tracer on every :class:`~repro.sim.kernel.Simulator` is the
 module-level :data:`NOOP_TRACER`, whose ``enabled`` flag lets hot paths
 skip all instrumentation with a single attribute check — a disabled
-trace layer costs one branch per hook.
+trace layer costs one branch per hook. Past that branch, a hot hook goes
+through its component's :class:`Instruments`, which resolve the category
+filter and the instrument keys once per tracer instead of once per
+record.
 """
 
 from __future__ import annotations
@@ -317,3 +320,79 @@ class Tracer:
             return
         self.events.append(EventRecord(name, category, node,
                                        self.now if at is None else at, attrs))
+
+
+class Instruments:
+    """One component's trace hooks for one category, bound once per tracer.
+
+    A component declares its category and the instruments its hooks
+    update once, at construction, each as ``attribute=(kind, name,
+    system, node)`` with ``kind`` a :class:`MetricsRegistry` method
+    (``"counter"``, ``"gauge"`` or ``"histogram"``). A hook then runs::
+
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            trace = self._trace.bind(tracer)
+            if trace.wanted:
+                trace.event("net.send", src, {"dst": dst})
+                trace.sent.inc()
+
+    :meth:`bind` resolves the category filter and the instrument keys
+    on the first traced use and keeps the result until the tracer
+    changes: installing another tracer rebinds on its next use, so its
+    records and metrics never reach the old one. A disabled tracer is
+    never bound (the ``enabled`` branch stays the hook's only cost).
+    """
+
+    __slots__ = ("category", "_specs", "_bound")
+
+    def __init__(self, category: str, **specs: typing.Tuple[str, str, str, str]) -> None:
+        self.category = category
+        self._specs = specs
+        self._bound: typing.Optional[BoundInstruments] = None
+
+    def bind(self, tracer: Tracer) -> "BoundInstruments":
+        """The hooks resolved against the enabled ``tracer`` (cached per
+        tracer)."""
+        bound = self._bound
+        if bound is None or bound.tracer is not tracer:
+            bound = self._bound = BoundInstruments(tracer, self.category, self._specs)
+        return bound
+
+
+class BoundInstruments:
+    """:class:`Instruments` resolved against one tracer.
+
+    ``wanted`` is the tracer's category filter, read once. Each declared
+    instrument is an attribute, created in the registry on its first
+    read, so an instrument no hook updates never appears in a snapshot.
+    :meth:`event` appends an event record the way :meth:`Tracer.event`
+    does for a wanted category: bounded by ``max_records``, stamped
+    with one clock read.
+    """
+
+    def __init__(self, tracer: Tracer, category: str,
+                 specs: typing.Mapping[str, typing.Tuple[str, str, str, str]]) -> None:
+        self.tracer = tracer
+        self.wanted = tracer.wants(category)
+        self._category = category
+        self._specs = specs
+        self._max_records = tracer.config.max_records
+
+    def __getattr__(self, attr: str) -> typing.Any:
+        # Only reached while the instrument is not yet an attribute.
+        if attr.startswith("_") or attr not in self._specs:
+            raise AttributeError(attr)
+        kind, name, system, node = self._specs[attr]
+        instrument = getattr(self.tracer.metrics, kind)(name, system, node)
+        setattr(self, attr, instrument)
+        return instrument
+
+    def event(self, name: str, node: str, attrs: typing.Dict[str, object]) -> None:
+        """Record an instantaneous event of the bound category, now."""
+        tracer = self.tracer
+        events = tracer.events
+        if len(events) >= self._max_records:
+            tracer.dropped_records += 1
+            return
+        events.append(EventRecord(name, self._category, node, tracer._clock(), attrs))

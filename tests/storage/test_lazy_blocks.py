@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.analysis.blockstats import collect_block_stats
 from repro.chains.base import BlockProposal
 from repro.crypto.hashing import GENESIS_HASH, hash_object
+from repro.invariants import InvariantChecker
 from repro.storage import Block, Chain, ChainValidationError, Payload, Transaction
 from repro.storage import block as block_module
 from repro.storage.block import MerkleRoot
@@ -156,3 +157,58 @@ class TestLazyReads:
         del proposal
         assert probe() is None
         assert block.verify_merkle_root()
+
+
+class TestSharedMerkleVerdict:
+    """Every replica seals a decided proposal from its one shared
+    :class:`MerkleRoot`; strict re-validation takes the root's memoized
+    verdict, so each distinct root is built once for its value and once,
+    independently, to verify it."""
+
+    @staticmethod
+    def counting_trees(monkeypatch):
+        builds = []
+
+        class CountingTree(block_module.MerkleTree):
+            def __init__(self, leaves):
+                builds.append(len(leaves))
+                super().__init__(leaves)
+
+        monkeypatch.setattr(block_module, "MerkleTree", CountingTree)
+        return builds
+
+    @staticmethod
+    def txs(count, tag="k"):
+        return [
+            Transaction.wrap([Payload.create("c", "KeyValue", "Set", {"key": f"{tag}{i}"})], "c")
+            for i in range(count)
+        ]
+
+    def test_four_replicas_build_a_proposals_tree_twice(self, monkeypatch):
+        builds = self.counting_trees(monkeypatch)
+        proposal = BlockProposal.cut(self.txs(5), created_at=1.0)
+        checker = InvariantChecker(level="strict")
+        for node in ("n0", "n1", "n2", "n3"):
+            checker.on_block(node, Block.linked(None, proposal.root, "n0", proposal.created_at))
+        assert builds == [5, 5]
+        assert checker.report.ok
+        assert checker.report.checks["hash-chain"] == 4
+
+    def test_a_replicas_swapped_transactions_fail_after_the_root_verified(self):
+        tx, swapped = self.txs(1, "k") + self.txs(1, "j")
+        root = MerkleRoot((tx,))
+        honest = Block.linked(None, root, "n0", 1.0)
+        tampered = Block.linked(None, root, "n0", 1.0)
+        assert honest.verify_merkle_root()
+        tampered.transactions = (swapped,)
+        assert not tampered.verify_merkle_root()
+
+    def test_a_header_over_other_transactions_fails_the_strict_oracle(self):
+        tx, other = self.txs(1, "k") + self.txs(1, "j")
+        forged = Block(Block.seal(0, GENESIS_HASH, [tx], "n0", 1.0).header, [other])
+        assert not forged.verify_merkle_root()
+        checker = InvariantChecker(level="strict")
+        checker.on_block("n0", forged)
+        assert [v.detail for v in checker.report.violations_for("hash-chain")] == [
+            "height 0: merkle root mismatch"
+        ]
