@@ -18,11 +18,11 @@ Usage::
 ``--check`` exits non-zero when any target is slower than ``threshold``
 times the committed best — a wide net that only catches optimizations
 being silently reverted, not machine-to-machine noise — or when the
-SHA-256 calls, scheduled events, messages sent or IEL executions of any
-end-to-end unit differ from its committed count. Those counts come from
-one extra untimed run per unit under stdlib ``cProfile``, so they are
-exact and do not depend on the machine: a changed event count is a
-changed dispatch schedule.
+SHA-256 calls, queue entries, ``schedule`` calls, messages sent or IEL
+executions of any end-to-end unit differ from its committed count.
+Those counts come from one extra untimed run per unit under stdlib
+``cProfile``, so they are exact and do not depend on the machine: a
+changed queue-entry count is a changed dispatch schedule.
 """
 
 from __future__ import annotations
@@ -335,30 +335,45 @@ def bench_e2e(name: str, repeats: int) -> TimingResult:
 
 
 #: Exact counts taken per end-to-end unit, each the summed call counts
-#: of some functions, named as ``benchmarks/e2e`` names them:
-#: ``hash_calls`` is its ``crypto.hash_calls`` (every SHA-256 call) and
-#: ``events_scheduled`` its ``sim.events_scheduled`` (every queue entry).
-#: ``iel_executions`` counts every payload execution, replicas' included.
+#: of some functions: ``hash_calls`` is ``benchmarks/e2e``'s
+#: ``crypto.hash_calls`` (every SHA-256 call), ``schedule_calls`` counts
+#: the Python-level ``schedule`` calls (one per queue entry but for the
+#: hop of a ``resume_after`` wait, which its timer queues) and
+#: ``iel_executions`` every payload execution, replicas' included.
 COUNTED_CALLS = {
     "hash_calls": (hash_bytes, hash_object, leaf_hash),
-    "events_scheduled": (Simulator.schedule, Simulator.schedule_cancellable),
+    "schedule_calls": (Simulator.schedule, Simulator.schedule_cancellable),
     "iel_executions": (InterfaceExecutionLayer.execute,),
 }
 
 
+def queue_entries(sim: Simulator) -> int:
+    """The entries ``sim`` has queued: every sequence number taken, less
+    the hops reserved by ``resume_after`` waits whose timer is still
+    armed (their timer queues them only when it fires)."""
+    hop = sim._ready_append
+    armed = sum(1 for entry in (*sim._queue, *sim._ready) if entry[2] is hop)
+    return sim._sequence - armed
+
+
 def exact_counts(name: str) -> typing.Dict[str, int]:
     """The exact counts of one untimed run of an end-to-end target's
-    unit: the :data:`COUNTED_CALLS`, from ``cProfile`` call counts, and
+    unit: the :data:`COUNTED_CALLS`, from ``cProfile`` call counts;
     ``messages_sent``, read from the network as ``benchmarks/e2e`` reads
-    it."""
+    it; and ``events_scheduled``, every queue entry the run made, read
+    from the kept rig's simulator (every target runs one repetition)."""
     config = BenchmarkConfig(**E2E_CONFIGS[name])
     reset_id_counters()
     runner = _runner(name)
     profiler = cProfile.Profile()
     profiler.runcall(runner.run, config)
     profiler.create_stats()
-    assert runner.last_rig is not None
-    counts = {f"{name}.messages_sent": runner.last_rig.system.network.messages_sent}
+    rig = runner.last_rig
+    assert rig is not None and config.repetitions == 1
+    counts = {
+        f"{name}.messages_sent": rig.system.network.messages_sent,
+        f"{name}.events_scheduled": queue_entries(rig.sim),
+    }
     for count, functions in COUNTED_CALLS.items():
         keys = {
             (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)

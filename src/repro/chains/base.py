@@ -251,9 +251,10 @@ class BaseNode(Endpoint):
         """Start a one-shot CPU job: hold this node's CPU for ``cost``,
         then run ``callback(*args)``.
 
-        One start hop, then :meth:`~repro.sim.resources.Resource.hold`
-        (DESIGN §10 maps every hop). An exception in ``callback``
-        propagates out of ``Simulator.run``.
+        One start hop, then :meth:`~repro.sim.resources.Resource.hold`,
+        whose grant hop goes straight into the cost's wait (DESIGN §10
+        maps every hop). An exception in ``callback`` propagates out of
+        ``Simulator.run``.
         """
         self.sim.schedule(0.0, self.cpu.hold, cost, callback, *args)
 

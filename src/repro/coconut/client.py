@@ -174,9 +174,9 @@ class _WorkloadThread:
     """One workload thread's send loop for one phase, run as callbacks.
 
     Each wait is :meth:`~repro.sim.kernel.Simulator.resume_after`: a
-    timer plus one ready-lane hop. With the start hop that
-    :meth:`CoconutClient.run_phase` schedules, every send lands on the
-    sequence number of a generator send loop (DESIGN §10).
+    timer that queues one ready-lane hop itself. With the start hop that
+    :meth:`CoconutClient.run_phase` schedules, every send dispatches in
+    the place a generator send loop's did (DESIGN §10).
     """
 
     __slots__ = (

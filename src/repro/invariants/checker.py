@@ -65,6 +65,10 @@ class InvariantChecker:
             oracles = default_oracles(level)
         self.oracles = list(oracles)
         self.report = InvariantReport(level=level)
+        #: ``observed(oracle, count=1)`` accounts checks performed by one
+        #: oracle: the report's own ``observe``, bound here so that an
+        #: oracle's check costs one call.
+        self.observed = self.report.observe
         self._finalized = False
         self._hooked = {
             hook: [oracle for oracle in self.oracles if hasattr(oracle, hook)]
@@ -80,10 +84,6 @@ class InvariantChecker:
     def set_phase(self, phase: str) -> None:
         """Stamp subsequent violations with the running phase."""
         self.phase = phase
-
-    def observed(self, oracle: str, count: int = 1) -> None:
-        """Account checks performed by one oracle."""
-        self.report.observe(oracle, count)
 
     def violation(self, oracle: str, node: str, detail: str) -> None:
         """Record one violation with the current phase/repetition."""

@@ -80,11 +80,13 @@ class TimerHandle:
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    Time is a float in seconds, starting at 0. Callbacks run in
-    ``(time, sequence)`` order, where the sequence number counts
-    :meth:`schedule` calls: callbacks scheduled for the same instant run
-    in schedule order (FIFO), which keeps runs fully deterministic for a
-    fixed seed.
+    Time is a float in seconds, starting at 0, read as ``sim.now``: a
+    plain attribute that only :meth:`run` writes. Callbacks run in
+    ``(time, sequence)`` order, where the sequence number counts queue
+    entries (one per :meth:`schedule` call, and one more for the hop of
+    each :meth:`resume_after` wait): callbacks scheduled for the same
+    instant run in schedule order (FIFO), which keeps runs fully
+    deterministic for a fixed seed.
 
     The queue has two lanes. Entries due at the current instant go on a
     FIFO ready lane (a deque: O(1) in and out); later ones go on a heap.
@@ -103,26 +105,28 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute that
+        #: only :meth:`run` writes: every hook reads the clock, and an
+        #: attribute read costs about a fifth of a property call.
+        self.now = 0.0
         #: Entries due after ``now``, a heap ordered by (time, sequence).
         self._queue: list = []
         #: Entries due at ``now``, in sequence order.
         self._ready: collections.deque = collections.deque()
+        #: The ready lane's ``append``: the callback of every
+        #: :meth:`resume_after` timer.
+        self._ready_append = self._ready.append
+        #: Queue entries made so far, a wait's reserved hop included.
         self._sequence = 0
         self._running = False
         self.rng = RngRegistry(seed)
         self.tracer = NOOP_TRACER
         self.checker = NOOP_CHECKER
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def set_tracer(self, tracer: "Tracer") -> None:
         """Install a tracer and bind its clock to this simulator."""
         self.tracer = tracer
-        tracer.bind_clock(lambda: self._now)
+        tracer.bind_clock(lambda: self.now)
 
     def set_checker(self, checker: "InvariantChecker") -> None:
         """Install an invariant checker observing this simulator's run."""
@@ -145,7 +149,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence = sequence = self._sequence + 1
-        now = self._now
+        now = self.now
         time = now + delay
         if time == now:
             self._ready.append((time, sequence, callback, args))
@@ -167,7 +171,7 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence = sequence = self._sequence + 1
         handle = TimerHandle(callback)
-        now = self._now
+        now = self.now
         time = now + delay
         entry = [time, sequence, handle._run, args]
         handle._entry = entry
@@ -179,13 +183,19 @@ class Simulator:
 
     def resume_after(self, delay: float, callback: typing.Callable[..., None], *args: object) -> None:
         """Run ``callback(*args)`` after a ``delay`` timer whose firing
-        schedules one ready-lane hop, in which ``callback`` runs.
+        queues one ready-lane hop, in which ``callback`` runs.
 
-        This is the wait of every loop and flow. Its two hops are those
-        of a generator process waiting on a timeout, which the tests'
-        generator reference makes (DESIGN §10).
+        This is the wait of every loop and flow. Its two queue entries
+        sit where those of a generator process waiting on a timeout sat,
+        which the tests' generator reference makes (DESIGN §10). The hop
+        is built here, on the next sequence number, and the timer (one
+        :meth:`schedule` call) appends it to the ready lane when it
+        fires, where a ``schedule(0.0, ...)`` call would have put it.
+        Ready-lane entries pop in FIFO order and their sequence slot is
+        never read, so the early number moves no dispatch.
         """
-        self.schedule(delay, self.schedule, 0.0, callback, *args)
+        self._sequence = sequence = self._sequence + 1
+        self.schedule(delay, self._ready_append, (self.now + delay, sequence, callback, args))
 
     def run(self, until: typing.Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.
@@ -205,8 +215,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and until < self._now:
-            return self._now  # every entry is due at or after now
+        if until is not None and until < self.now:
+            return self.now  # every entry is due at or after now
         self._running = True
         # Hot loop. Both lanes and their pop methods live in locals, the
         # time bound folds the None check into one float compare, and the
@@ -232,7 +242,7 @@ class Simulator:
                             entry = popleft()
                         elif queue and queue[0][0] <= bound:
                             entry = pop(queue)
-                            now = self._now = entry[0]
+                            now = self.now = entry[0]
                             while queue and queue[0][0] == now:
                                 ready.append(pop(queue))
                         else:
@@ -268,7 +278,7 @@ class Simulator:
                         entry = popleft()
                     elif queue and queue[0][0] <= bound:
                         entry = pop(queue)
-                        now = self._now = entry[0]
+                        now = self.now = entry[0]
                         while queue and queue[0][0] == now:
                             ready.append(pop(queue))
                     else:
@@ -280,11 +290,11 @@ class Simulator:
                         callback(*args)
                     else:
                         callback()
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def pending_events(self) -> int:
         """Number of entries still queued in both lanes (diagnostic).

@@ -74,20 +74,24 @@ class Resource:
         """A one-shot job: hold a slot for ``duration``, then release it
         and run ``callback(*args)``.
 
-        The grant hop, the duration timer, and one ready-lane hop after
-        the timer fires, in which the slot is released and ``callback``
-        runs: the ``schedule`` calls of a generator process that acquired
-        the slot, waited out ``duration`` and released it. A duration
-        that is not positive skips the timer and its hop.
+        The grant hop runs :meth:`Simulator.resume_after
+        <repro.sim.kernel.Simulator.resume_after>` itself: the duration
+        timer, and the ready-lane hop it queues, in which the slot is
+        released and ``callback`` runs. These are the queue entries of a
+        generator process that acquired the slot, waited out
+        ``duration`` and released it. A duration that is not positive
+        skips the timer and its hop: the grant hop releases the slot and
+        runs ``callback``.
         """
-        self.request(self._held, duration, callback, args)
-
-    def _held(self, duration: float, callback: typing.Callable[..., None], args: tuple) -> None:
         if duration > 0:
-            self.sim.resume_after(duration, self._finish, callback, args)
+            self.request(self.sim.resume_after, duration, _finish, self, callback, args)
         else:
-            self._finish(callback, args)
+            self.request(_finish, self, callback, args)
 
-    def _finish(self, callback: typing.Callable[..., None], args: tuple) -> None:
-        self.release()
-        callback(*args)
+
+def _finish(resource: Resource, callback: typing.Callable[..., None], args: tuple) -> None:
+    """The end of a :meth:`Resource.hold` job: release the slot, run
+    ``callback(*args)``. A plain function, so that a job queued for a
+    busy slot holds no bound method of its own."""
+    resource.release()
+    callback(*args)

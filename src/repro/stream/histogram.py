@@ -91,7 +91,8 @@ class LogHistogram:
         if value <= 0.0:
             self.underflow += count
             return
-        index = self.bucket_index(value)
+        # :meth:`bucket_index`, inline: this is every sample's path.
+        index = math.floor(math.log(value) * self._scale)
         self.counts[index] = self.counts.get(index, 0) + count
 
     # ------------------------------------------------------------------

@@ -11,8 +11,11 @@ and which asks for the next item when it is done. Random programs of
 1-2 loops, with producers putting items at tied and distinct times and
 one-shot CPU jobs competing for the loops' CPU, run both ways, the
 callback way on the real :class:`~repro.sim.resources.Resource`; every
-``schedule`` call, every logged action and the CPU's idle state must be
-identical.
+logged action, the number of entries still queued when it ran, the
+number of queue entries the run made and the CPU's idle state must be
+identical. (A callback wait makes one ``schedule`` call where the
+generator made two, so the calls themselves are not compared: its timer
+queues its hop itself.)
 """
 
 import typing
@@ -23,18 +26,6 @@ from hypothesis import strategies as st
 from repro.sim.resources import Resource
 from repro.sim.stores import Store
 from tests.sim.reference import ReferenceResource, ReferenceSimulator, ReferenceStore, busy
-
-
-class _RecordingSimulator(ReferenceSimulator):
-    """Logs every ``schedule`` call as ``(now, delay)``."""
-
-    def __init__(self) -> None:
-        super().__init__(seed=1)
-        self.calls: typing.List[typing.Tuple[float, float]] = []
-
-    def schedule(self, delay, callback, *args):
-        self.calls.append((self.now, delay))
-        super().schedule(delay, callback, *args)
 
 
 #: Exact zeros, a positive cost that rounds to ``now`` at any ``now`` >=
@@ -70,12 +61,12 @@ def programs(draw) -> dict:
 
 def execute(program: dict, callbacks: bool) -> dict:
     """Run ``program`` with its loops as callbacks or as processes."""
-    sim = _RecordingSimulator()
+    sim = ReferenceSimulator(seed=1)
     cpu = (Resource if callbacks else ReferenceResource)(sim, program["capacity"])
     log: list = []
 
     def note(*label: object) -> None:
-        log.append((sim.now, sim._sequence) + label)
+        log.append((sim.now, sim.pending_events()) + label)
 
     def reference_loop(number: int, store: ReferenceStore, on_cpu: bool) -> typing.Generator:
         while True:
@@ -118,7 +109,7 @@ def execute(program: dict, callbacks: bool) -> dict:
     for index, (time, cost) in enumerate(program["jobs"]):
         sim.schedule(time, cpu.hold, cost, note, "job", index)
     sim.run()
-    return {"calls": sim.calls, "log": log, "idle": (cpu.in_use, cpu.queued)}
+    return {"entries": sim._sequence, "log": log, "idle": (cpu.in_use, cpu.queued)}
 
 
 class TestCallbackLoopsMatchGeneratorLoops:
@@ -127,19 +118,26 @@ class TestCallbackLoopsMatchGeneratorLoops:
     def test_store_consumer_matches_get_and_busy_loop(self, program):
         reference = execute(program, callbacks=False)
         loops = execute(program, callbacks=True)
-        assert loops["calls"] == reference["calls"]
+        assert loops["entries"] == reference["entries"]
         assert loops["log"] == reference["log"]
         assert loops["idle"] == reference["idle"] == (0, 0)
 
     def test_items_queued_before_the_loop_starts_are_taken_in_order(self):
+        # Loop 1's plain wait and the job's CPU timer, armed in that
+        # order at 1.0, both fire at 1.25: each hop queues behind the
+        # other timer, so the loop finishes its item before the job.
         program = {
             "capacity": 1,
             "loops": [
                 {"start": 1.0, "on_cpu": True, "items": [(0.0, 0.5), (0.0, 0.0), (1.0, 0.2)]},
+                {"start": 0.0, "on_cpu": False, "items": [(1.0, 0.25)]},
             ],
             "jobs": [(1.0, 0.25)],
         }
         reference = execute(program, callbacks=False)
         assert execute(program, callbacks=True) == reference
-        done = [entry[4] for entry in reference["log"] if entry[2] == "done"]
+        done = [entry[4] for entry in reference["log"] if entry[2:4] == ("done", 0)]
         assert done == [0, 1, 2]
+        assert [entry[2:] for entry in reference["log"] if entry[0] == 1.25] == [
+            ("done", 1, 0), ("job", 0),
+        ]

@@ -5,8 +5,11 @@ whose body is ``yield from busy(cost)`` followed by plain code, driven
 by :mod:`tests.sim.reference`. Random programs of one-shot jobs and
 long-lived ``busy()`` loops share 1- and 2-slot resources; run once with
 the jobs as processes and once as :meth:`Resource.hold` callbacks, every
-``schedule`` call, every logged action and every grant and finish time
-must be identical.
+logged action, the number of entries still queued when it ran, every
+grant and finish time and the number of queue entries the run made must
+be identical. (A job's wait makes one ``schedule`` call where the
+process made two, so the calls themselves are not compared: its timer
+queues its hop itself.)
 """
 
 import typing
@@ -19,18 +22,6 @@ from repro.sim import Resource, Simulator
 from tests.sim.reference import ReferenceResource, ReferenceSimulator, busy
 
 
-class _RecordingSimulator(ReferenceSimulator):
-    """Logs every ``schedule`` call as ``(now, delay)``."""
-
-    def __init__(self) -> None:
-        super().__init__(seed=1)
-        self.calls: typing.List[typing.Tuple[float, float]] = []
-
-    def schedule(self, delay, callback, *args):
-        self.calls.append((self.now, delay))
-        super().schedule(delay, callback, *args)
-
-
 class _GrantLoggingResource(ReferenceResource):
     """Logs the hop in which a callback job is granted its slot."""
 
@@ -38,9 +29,13 @@ class _GrantLoggingResource(ReferenceResource):
         super().__init__(sim, capacity)
         self.grants = grants
 
-    def _held(self, duration, callback, args):
-        self.grants[args[0]] = self.sim.now
-        super()._held(duration, callback, args)
+    def request(self, callback, *args):
+        # ``hold`` asks with ``(..., continuation, (index,))``.
+        super().request(self._granted, args[-1][0], callback, args)
+
+    def _granted(self, index, callback, args):
+        self.grants[index] = self.sim.now
+        callback(*args)
 
 
 #: Exact zeros, a positive cost that rounds to ``now`` at any ``now`` >=
@@ -95,7 +90,7 @@ def programs(draw) -> dict:
 def execute(program: dict, callback_jobs: bool) -> dict:
     """Run ``program`` with its one-shot jobs as callbacks or as
     spawn+``busy()`` processes; returns everything the run observed."""
-    sim = _RecordingSimulator()
+    sim = ReferenceSimulator(seed=1)
     grants: dict = {}
     resources = [
         _GrantLoggingResource(sim, capacity, grants) for capacity in program["capacities"]
@@ -108,7 +103,7 @@ def execute(program: dict, callback_jobs: bool) -> dict:
     log: list = []
 
     def note(*label: object) -> None:
-        log.append((sim.now, sim._sequence) + label)
+        log.append((sim.now, sim.pending_events()) + label)
 
     def finish(index: int) -> None:
         note("finish", index)
@@ -161,7 +156,7 @@ def execute(program: dict, callback_jobs: bool) -> dict:
             sim.schedule(job["delay"], arrive, index)
     sim.run()
     return {
-        "calls": sim.calls,
+        "entries": sim._sequence,
         "log": log,
         "grants": grants,
         "idle": [(resource.in_use, resource.queued) for resource in resources],
@@ -174,25 +169,33 @@ class TestCallbackJobsMatchBusyProcesses:
     def test_dispatch_matches_spawn_and_busy(self, program):
         reference = execute(program, callback_jobs=False)
         jobs = execute(program, callback_jobs=True)
-        assert jobs["calls"] == reference["calls"]
+        assert jobs["entries"] == reference["entries"]
         assert jobs["log"] == reference["log"]
         assert jobs["grants"] == reference["grants"]
         assert jobs["idle"] == reference["idle"] == [(0, 0)] * len(program["capacities"])
 
     def test_tied_arrivals_on_one_slot_are_served_fifo(self):
+        # Job 4 arrives 0.5 after job 0 finishes, at 1.25, ahead of job
+        # 3's CPU timer: its start hop is queued when that timer fires,
+        # so it logs before job 3's finish hop.
+        jobs = [
+            {"resource": 0, "cost": cost, "delay": 0.0, "parent": None, "pre": False}
+            for cost in (0.5, 0.0, 1e-300, 0.5)
+        ]
+        jobs.append({"resource": 0, "cost": 0.0, "delay": 0.5, "parent": 0, "pre": True})
         program = {
             "capacities": [1],
-            "jobs": [
-                {"resource": 0, "cost": cost, "delay": 0.0, "parent": None, "pre": False}
-                for cost in (0.5, 0.0, 1e-300, 0.5)
-            ],
+            "jobs": jobs,
             "loops": [{"resource": 0, "delay": 0.0, "costs": [0.25]}],
         }
         reference = execute(program, callback_jobs=False)
         assert execute(program, callback_jobs=True) == reference
         finishes = [entry[3] for entry in reference["log"] if entry[2] == "finish"]
-        assert finishes == [0, 1, 2, 3]
-        assert reference["grants"] == {0: 0.25, 1: 0.75, 2: 0.75, 3: 0.75}
+        assert finishes == [0, 1, 2, 3, 4]
+        assert reference["grants"] == {0: 0.25, 1: 0.75, 2: 0.75, 3: 0.75, 4: 1.25}
+        assert [entry[2:] for entry in reference["log"] if entry[0] == 1.25] == [
+            ("arrive", 4), ("pre", 4), ("finish", 3), ("finish", 4),
+        ]
 
 
 class TestHold:

@@ -219,3 +219,71 @@ class TestReadyLane:
         depth = tracer.metrics.gauge("sim.queue_depth", system="sim")
         assert (depth.updates, depth.max_value, depth.value) == (3, 2, 0)
         assert "sim/sim.timers_cancelled" not in tracer.metrics.snapshot()["counters"]
+
+
+class TestWaits:
+    """A ``resume_after`` wait is a timer that queues its own ready-lane hop."""
+
+    @pytest.mark.parametrize("delay", [0.0, 1e-300, 1.0])
+    def test_hop_runs_behind_the_ready_lane_and_before_what_it_schedules(self, delay):
+        # The timer sits ahead of ``a`` and ``b`` in the ready lane, so
+        # when it fires both are queued: its hop goes behind them, and
+        # ahead of the children they schedule for the same instant.
+        sim = Simulator()
+        order = []
+
+        def parent(label):
+            order.append(label)
+            sim.schedule(0.0, order.append, f"{label}-child")
+
+        sim.resume_after(delay, order.append, "hop")
+        sim.schedule(delay, parent, "a")
+        sim.schedule(delay, parent, "b")
+        sim.run()
+        assert order == ["a", "b", "hop", "a-child", "b-child"]
+
+    def test_sequence_counts_every_queue_entry(self):
+        from repro.sim import Resource
+        from repro.trace.config import TraceConfig
+        from repro.trace.tracer import Tracer
+
+        sim = Simulator()
+        tracer = Tracer(TraceConfig())
+        sim.set_tracer(tracer)
+        cpu = Resource(sim, capacity=1)
+        seen = []
+        sim.resume_after(0.5, seen.append, "wait")
+        assert (sim._sequence, sim.pending_events()) == (2, 1)  # a timer and its hop
+        sim.schedule(0.0, cpu.hold, 0.25, seen.append, "job")
+        sim.schedule(0.0, cpu.hold, 0.0, seen.append, "free job")
+        sim.schedule_cancellable(1.0, seen.append, "cancelled").cancel()
+        sim.resume_after(1e-300, sim.resume_after, 0.0, seen.append, "nested")
+        sim.run()
+        assert seen == ["nested", "job", "free job", "wait"]
+        metrics = tracer.metrics
+        popped = (
+            metrics.counter("sim.dispatches", system="sim").value
+            + metrics.counter("sim.timers_cancelled", system="sim").value
+        )
+        # Waits 2 + 4 (two nested), job 4, free job 2, cancelled timer 1.
+        assert sim.pending_events() == 0
+        assert sim._sequence == popped == 13
+
+    def test_clock_is_monotonic_across_run_until_calls(self):
+        sim = Simulator()
+        seen = []
+
+        def tick(left):
+            seen.append(sim.now)
+            if left:
+                sim.resume_after(0.3, tick, left - 1)
+
+        sim.resume_after(0.0, tick, 10)
+        sim.schedule(0.45, tick, 0)
+        stops = []
+        for until in (0.0, 0.5, 0.2, 0.5, 1.0, 1.7, 1.7, 0.9, 5.0):
+            stops.append(sim.run(until=until))
+            assert sim.now == stops[-1]
+        assert stops == sorted(stops)
+        assert seen == sorted(seen)
+        assert stops[-1] == 5.0 and len(seen) == 12

@@ -21,8 +21,8 @@ from repro.trace.tracer import Tracer
 def per_pop_run(sim, until=None):
     """``Simulator.run`` with a live tracer, updating the instruments at
     every pop (the reference; no reentrancy guard)."""
-    if until is not None and until < sim._now:
-        return sim._now
+    if until is not None and until < sim.now:
+        return sim.now
     bound = math.inf if until is None else until
     queue = sim._queue
     ready = sim._ready
@@ -33,7 +33,7 @@ def per_pop_run(sim, until=None):
             entry = ready.popleft()
         elif queue and queue[0][0] <= bound:
             entry = heapq.heappop(queue)
-            now = sim._now = entry[0]
+            now = sim.now = entry[0]
             while queue and queue[0][0] == now:
                 ready.append(heapq.heappop(queue))
         else:
@@ -51,9 +51,9 @@ def per_pop_run(sim, until=None):
             dispatches = metrics.counter("sim.dispatches", system="sim")
         dispatches.inc()
         callback(*args)
-    if until is not None and sim._now < until:
-        sim._now = until
-    return sim._now
+    if until is not None and sim.now < until:
+        sim.now = until
+    return sim.now
 
 
 class Boom(Exception):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.stream import BASE, RESOLUTION, LogHistogram
+from repro.trace.metrics import Histogram
 
 
 class TestBucketing:
@@ -21,6 +22,24 @@ class TestBucketing:
                 low <= value < high
             )
             assert h.bucket_index(value) == index
+
+    @pytest.mark.parametrize("histogram", [LogHistogram, Histogram])
+    def test_record_lands_in_bucket_index(self, histogram):
+        # ``record`` computes the bucket inline; it must agree with
+        # ``bucket_index`` wherever the float log is least forgiving.
+        h = histogram()
+        powers = [h.base ** (k / h.resolution) for k in range(-900, 900, 7)]
+        subnormals = [5e-324, 1e-320, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0)]
+        edges = [
+            math.nextafter(bound, direction)
+            for index in (-1000, -91, -1, 0, 1, 89, 90, 540)
+            for bound in h.bucket_bounds(index)
+            for direction in (0.0, math.inf)
+        ]
+        for value in powers + subnormals + edges:
+            one = histogram()
+            one.record(value)
+            assert one.counts == {h.bucket_index(value): 1}, value
 
     def test_relative_width_matches_scheme(self):
         h = LogHistogram()

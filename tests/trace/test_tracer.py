@@ -21,7 +21,7 @@ class TestLexicalSpans:
 
         def body():
             with tracer.span("work", category="sim", step=1):
-                sim._now = 2.5  # the clock is the simulator's
+                sim.now = 2.5  # the clock is the simulator's
 
         sim.schedule(1.0, body)
         sim.run()
