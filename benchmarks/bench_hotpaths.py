@@ -18,8 +18,9 @@ Usage::
 ``--check`` exits non-zero when any target is slower than ``threshold``
 times the committed best — a wide net that only catches optimizations
 being silently reverted, not machine-to-machine noise — or when the
-SHA-256 calls, queue entries, ``schedule`` calls, messages sent or IEL
-executions of any end-to-end unit differ from its committed count.
+SHA-256 calls, queue entries, ``schedule`` calls, messages sent, IEL
+executions or client-path calls of any end-to-end unit differ from its
+committed count.
 Those counts come from one extra untimed run per unit under stdlib
 ``cProfile``, so they are exact and do not depend on the machine: a
 changed queue-entry count is a changed dispatch schedule.
@@ -29,10 +30,13 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import sys
 import types
 import typing
 
+import repro.coconut
+import repro.storage.transaction
 from repro.chains.base import BaseNode
 from repro.coconut.bal import BitSharesDriver, SawtoothDriver, SingleTransactionDriver
 from repro.coconut.config import BenchmarkConfig
@@ -356,12 +360,37 @@ def queue_entries(sim: Simulator) -> int:
     return sim._sequence - armed
 
 
+#: The per-payload client path: the COCONUT client, workload plan and
+#: BAL, and the payload/transaction/batch classes. ``client_calls``
+#: counts the Python calls of the functions defined in these files.
+CLIENT_PATH_DIR = os.path.join(os.path.dirname(repro.coconut.__file__), "")
+CLIENT_PATH_FILE = repro.storage.transaction.__file__
+
+#: Frames ``client_calls`` leaves out. Python 3.12 inlines list, dict
+#: and set comprehensions (PEP 709), so counting comprehension and
+#: generator-expression frames would tie the count to the interpreter.
+UNCOUNTED_FRAMES = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
+
+
+def client_calls(stats: dict) -> int:
+    """The Python calls a profile made of functions on the client path
+    (:data:`CLIENT_PATH_DIR`, :data:`CLIENT_PATH_FILE`), comprehensions
+    and generator expressions aside."""
+    return sum(
+        entry[1]
+        for (filename, __, function), entry in stats.items()
+        if (filename.startswith(CLIENT_PATH_DIR) or filename == CLIENT_PATH_FILE)
+        and function not in UNCOUNTED_FRAMES
+    )
+
+
 def exact_counts(name: str) -> typing.Dict[str, int]:
     """The exact counts of one untimed run of an end-to-end target's
-    unit: the :data:`COUNTED_CALLS`, from ``cProfile`` call counts;
-    ``messages_sent``, read from the network as ``benchmarks/e2e`` reads
-    it; and ``events_scheduled``, every queue entry the run made, read
-    from the kept rig's simulator (every target runs one repetition)."""
+    unit: the :data:`COUNTED_CALLS` and ``client_calls``, from
+    ``cProfile`` call counts; ``messages_sent``, read from the network
+    as ``benchmarks/e2e`` reads it; and ``events_scheduled``, every
+    queue entry the run made, read from the kept rig's simulator (every
+    target runs one repetition)."""
     config = BenchmarkConfig(**E2E_CONFIGS[name])
     reset_id_counters()
     runner = _runner(name)
@@ -382,6 +411,7 @@ def exact_counts(name: str) -> typing.Dict[str, int]:
         counts[f"{name}.{count}"] = sum(
             entry[1] for func, entry in profiler.stats.items() if func in keys
         )
+    counts[f"{name}.client_calls"] = client_calls(profiler.stats)
     return counts
 
 

@@ -658,9 +658,49 @@ class SystemModel(abc.ABC):
     def start(self) -> None:
         """Begin operation (engines, block timers)."""
 
-    @abc.abstractmethod
     def handle_submit(self, node: BaseNode, message: Message) -> None:
-        """Admit one client submission arriving at ``node``."""
+        """Admit one client submission arriving at ``node``.
+
+        The default is pooled admission, shared by Quorum, Diem and
+        BitShares: ``node`` spends the profile's admission cost per
+        payload on its CPU, then :meth:`_admit` pools the transaction or
+        rejects it. Systems with their own submission path (Fabric,
+        Corda, Sawtooth) override this.
+        """
+        transaction = typing.cast(Transaction, message.payload)
+        node.start_job(
+            self.profile.admission_cost * len(transaction.payloads),
+            self._admit, node, message.src, transaction,
+        )
+
+    # ------------------------------------------------------------------
+    # Pooled admission hooks
+
+    #: ``params`` key of the pool's capacity (pooled admission only).
+    pool_capacity_param: str = ""
+    #: The reason a rejection notice gives when the pool is full.
+    pool_full_reason: str = ""
+
+    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
+        """Pool ``transaction``, or reject it to ``client_id`` when the
+        pool has no room for it (counted in ``pool_rejections``)."""
+        if self.pool_full(transaction, int(self.params[self.pool_capacity_param])):
+            self.pool_rejections += 1
+            node.reject_client(
+                client_id, [p.payload_id for p in transaction.payloads], self.pool_full_reason
+            )
+            return
+        self.remember_owner(transaction.payloads)
+        self.pool_add(transaction)
+
+    def pool_full(self, transaction: Transaction, capacity: int) -> bool:
+        """Whether the pool, holding at most ``capacity``, has no room
+        for ``transaction`` (pooled admission only)."""
+        raise NotImplementedError(f"{self.name}: no pooled admission")
+
+    def pool_add(self, transaction: Transaction) -> None:
+        """Put an admitted transaction in the pool (pooled admission only)."""
+        raise NotImplementedError(f"{self.name}: no pooled admission")
 
     def engine_context(
         self,

@@ -24,9 +24,8 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
+from repro.chains.base import BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.dpos import DposEngine
-from repro.net import Message
 from repro.storage import Transaction
 
 #: Fraction of the block interval budgeted for applying transactions.
@@ -73,6 +72,8 @@ class BitSharesSystem(SystemModel):
     name = "bitshares"
     #: Section 4.4: BitShares needs 180 s to stabilise after start.
     stabilization_time = 180.0
+    pool_capacity_param = "PendingPoolCapacity"
+    pool_full_reason = "pending pool full"
 
     def default_params(self) -> typing.Dict[str, object]:
         return {
@@ -179,23 +180,12 @@ class BitSharesSystem(SystemModel):
             self.expired_transactions += 1
 
     # ------------------------------------------------------------------
-    # Message routing and submission
+    # Pooled admission (SystemModel.handle_submit)
 
-    def handle_submit(self, node: BaseNode, message: Message) -> None:
-        transaction = typing.cast(Transaction, message.payload)
-        node.start_job(
-            self.profile.admission_cost * len(transaction.payloads),
-            self._admit, node, message.src, transaction,
-        )
+    def pool_full(self, transaction: Transaction, capacity: int) -> bool:
+        # Capacity counts payloads (operations), not transactions.
+        return self.pending_payloads + len(transaction.payloads) > capacity
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
-        capacity = int(self.params["PendingPoolCapacity"])
-        if self.pending_payloads + len(transaction.payloads) > capacity:
-            self.pool_rejections += 1
-            node.reject_client(
-                client_id, [p.payload_id for p in transaction.payloads], "pending pool full"
-            )
-            return
-        self.remember_owner(transaction.payloads)
+    def pool_add(self, transaction: Transaction) -> None:
         self.pending.append((transaction, self.sim.now))
         self.pending_payloads += len(transaction.payloads)

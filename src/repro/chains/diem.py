@@ -22,9 +22,8 @@ import collections
 import random
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
+from repro.chains.base import BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.diembft import DiemBftEngine
-from repro.net import Message
 from repro.storage import Transaction
 
 #: Pacing between chained rounds.
@@ -94,6 +93,8 @@ class DiemSystem(SystemModel):
 
     name = "diem"
     stabilization_time = 0.0
+    pool_capacity_param = "MempoolCapacity"
+    pool_full_reason = "mempool full"
 
     def default_params(self) -> typing.Dict[str, object]:
         return {
@@ -164,22 +165,10 @@ class DiemSystem(SystemModel):
             self._in_flight.discard(tx.tx_id)
 
     # ------------------------------------------------------------------
-    # Message routing and submission
+    # Pooled admission (SystemModel.handle_submit)
 
-    def handle_submit(self, node: BaseNode, message: Message) -> None:
-        transaction = typing.cast(Transaction, message.payload)
-        node.start_job(
-            self.profile.admission_cost * len(transaction.payloads),
-            self._admit, node, message.src, transaction,
-        )
+    def pool_full(self, transaction: Transaction, capacity: int) -> bool:
+        return len(self.mempool) >= capacity
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
-        capacity = int(self.params["MempoolCapacity"])
-        if len(self.mempool) >= capacity:
-            self.pool_rejections += 1
-            node.reject_client(
-                client_id, [p.payload_id for p in transaction.payloads], "mempool full"
-            )
-            return
-        self.remember_owner(transaction.payloads)
+    def pool_add(self, transaction: Transaction) -> None:
         self.mempool[transaction.tx_id] = transaction

@@ -19,9 +19,8 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.chains.base import BaseNode, BlockProposal, ReplicaNode, SystemModel
+from repro.chains.base import BlockProposal, ReplicaNode, SystemModel
 from repro.consensus.ibft import IbftEngine
-from repro.net import Message
 from repro.storage import Transaction
 
 #: Seconds of proposer CPU per pooled transaction scanned during block
@@ -48,6 +47,8 @@ class QuorumSystem(SystemModel):
     name = "quorum"
     #: Section 4.4: Quorum needs 180 s to stabilise after start.
     stabilization_time = 180.0
+    pool_capacity_param = "TxPoolCapacity"
+    pool_full_reason = "txpool full"
 
     def default_params(self) -> typing.Dict[str, object]:
         return {
@@ -132,22 +133,10 @@ class QuorumSystem(SystemModel):
         return BlockProposal.cut(selected, self.sim.now)
 
     # ------------------------------------------------------------------
-    # Message routing and submission
+    # Pooled admission (SystemModel.handle_submit)
 
-    def handle_submit(self, node: BaseNode, message: Message) -> None:
-        transaction = typing.cast(Transaction, message.payload)
-        node.start_job(
-            self.profile.admission_cost * len(transaction.payloads),
-            self._admit, node, message.src, transaction,
-        )
+    def pool_full(self, transaction: Transaction, capacity: int) -> bool:
+        return len(self.txpool) >= capacity
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
-        capacity = int(self.params["TxPoolCapacity"])
-        if len(self.txpool) >= capacity:
-            self.pool_rejections += 1
-            node.reject_client(
-                client_id, [p.payload_id for p in transaction.payloads], "txpool full"
-            )
-            return
-        self.remember_owner(transaction.payloads)
+    def pool_add(self, transaction: Transaction) -> None:
         self.txpool.append(transaction)

@@ -110,7 +110,7 @@ class CoconutClient(Endpoint):
                 if status is TxStatus.COMMITTED:
                     record_end(receipt.payload_id, "received")
                 elif status is TxStatus.INVALIDATED:
-                    record_end(receipt.payload_id, "received", invalid=True)
+                    record_end(receipt.payload_id, "received", True)
                 else:
                     record_end(receipt.payload_id, "failed")
         elif message.kind == "client/reject":
@@ -122,8 +122,11 @@ class CoconutClient(Endpoint):
         phase = self._payload_phase.get(payload_id)
         if phase is None:
             return
-        tracer = self.sim.tracer
-        if self.sim.now > self._listen_deadline.get(phase, float("inf")):
+        sim = self.sim
+        now = sim.now
+        tracer = sim.tracer
+        # run_phase set the deadline of every phase a payload was sent in.
+        if now > self._listen_deadline[phase]:
             self.ignored_late_receipts += 1
             if tracer.enabled:
                 tracer.end(("tx", payload_id), status="late")
@@ -133,7 +136,6 @@ class CoconutClient(Endpoint):
             # Already expired at phase teardown.
             return
         del self._payload_phase[payload_id]
-        now = self.sim.now
         if tracer.enabled:
             tracer.end(("tx", payload_id), status=status)
             trace = self._trace.bind(tracer)
@@ -142,8 +144,13 @@ class CoconutClient(Endpoint):
                 trace.fls.record(now - start_time)
         # The payload's contribution is folded into the phase accumulator
         # and its entry is dropped: the in-flight map tracks payloads in
-        # flight, not offered load.
-        self.stream.resolve(phase, payload_id, start_time, now, status, invalid)
+        # flight, not offered load. Only a sink needs the stream's
+        # resolve, which also spills the payload's record.
+        stream = self.stream
+        if stream.sink is None:
+            stream.accumulators[phase].on_resolve(start_time, now, status, invalid)
+        else:
+            stream.resolve(phase, payload_id, start_time, now, status, invalid)
 
     # ------------------------------------------------------------------
     # Phase teardown
@@ -177,11 +184,18 @@ class _WorkloadThread:
     timer that queues one ready-lane hop itself. With the start hop that
     :meth:`CoconutClient.run_phase` schedules, every send dispatches in
     the place a generator send loop's did (DESIGN §10).
+
+    :meth:`start` binds what stays fixed for the run into slots: the
+    IEL, the plan's ``payload_for``, the driver's group size and
+    ``wrap``, and the gateway. A send then builds each payload from the
+    plan's canonical argument pairs and wraps the group with no
+    per-send lookups through the client's configuration or driver.
     """
 
     __slots__ = (
         "client", "sim", "phase", "thread", "start_at", "send_deadline", "schedule",
         "trace_txs", "in_flight", "accumulator",
+        "iel", "payload_for", "group_size", "wrap", "gateway_id",
     )
 
     def __init__(
@@ -203,14 +217,21 @@ class _WorkloadThread:
         self.accumulator = client.stream.accumulator(phase)
 
     def start(self) -> None:
-        """The start hop: build the arrival schedule, wait for the phase."""
+        """The start hop: bind the run's constants, build the arrival
+        schedule, wait for the phase."""
         client = self.client
         config = client.config
         sim = self.sim
+        driver = client.driver
+        self.iel = config.iel
+        self.payload_for = client.plan.payload_for
+        self.group_size = driver.group_size
+        self.wrap = driver.wrap
+        self.gateway_id = client.gateway_id
         # Each thread carries its share of the client's rate limit; a
         # submission carries `group` payloads, so submissions are spaced
         # by group * threads / rate.
-        interval = client.driver.group_size * config.workload_threads / config.rate_limit
+        interval = self.group_size * config.workload_threads / config.rate_limit
         endpoint_id = client.endpoint_id
         thread = self.thread
         self.schedule = build_schedule(
@@ -249,13 +270,13 @@ class _WorkloadThread:
         endpoint_id = client.endpoint_id
         phase = self.phase
         thread = self.thread
-        iel = client.config.iel
-        payload_for = client.plan.payload_for
+        iel = self.iel
+        payload_for = self.payload_for
         payloads = []
-        for __ in range(client.driver.group_size):
+        for __ in range(self.group_size):
             function, args = payload_for(iel, phase, thread)
             payloads.append(Payload.create(endpoint_id, iel, function, args))
-        self.accumulator.on_send(now, count=len(payloads))
+        self.accumulator.on_send(now, len(payloads))
         in_flight = self.in_flight
         payload_phase = client._payload_phase
         trace_txs = self.trace_txs
@@ -274,13 +295,8 @@ class _WorkloadThread:
         if trace_txs:
             client._trace.bind(tracer).sent.inc(len(payloads))
         client.stream.note_live(len(in_flight))
-        bundle = client.driver.wrap(payloads)
-        client.send(
-            client.gateway_id,
-            "client/submit",
-            bundle,
-            size_bytes=getattr(bundle, "size_bytes", 256),
-        )
+        bundle = self.wrap(payloads)
+        client.send(self.gateway_id, "client/submit", bundle, bundle.size_bytes)
         delay = self.schedule.next_delay(sim.now - self.start_at)
         if delay is not None:
             sim.resume_after(delay, self._send)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import typing
 
+from repro.storage.transaction import Args
 from repro.workloads.access import Sampler, build_sampler
 from repro.workloads.mixes import READ_FALLBACK, MixSampler
 from repro.workloads.spec import DEFAULT_WORKLOAD, ResolvedPhase, WorkloadSpec
@@ -68,46 +69,66 @@ class WorkloadPlan:
 
     def _next_index(self, thread: int, phase: str) -> int:
         key = (thread, phase)
-        self._counters[key] = self._counters.get(key, 0) + 1
-        return self._counters[key]
+        index = self._counters.get(key, 0) + 1
+        self._counters[key] = index
+        return index
 
     def _key(self, thread: int, index: int) -> str:
+        """A disjoint key name, as :meth:`_legacy_pairs` writes it."""
         return f"{self.client_id}:t{thread}:k{index}"
 
     def _account(self, thread: int, index: int) -> str:
+        """A disjoint account name, as :meth:`_legacy_pairs` writes it."""
         return f"{self.client_id}:t{thread}:a{index}"
 
-    def args_for(self, iel: str, phase: str, thread: int) -> typing.Dict[str, object]:
-        """The next payload's arguments for one thread in one phase."""
+    def _legacy_pairs(self, iel: str, phase: str, thread: int) -> Args:
+        """The legacy generator: the next payload's arguments as the
+        canonical pairs :attr:`~repro.storage.Payload.args` stores, each
+        tuple written out in sorted name order."""
         if not 0 <= thread < self.threads:
             raise IndexError(f"thread {thread} out of range 0..{self.threads - 1}")
-        index = self._next_index(thread, phase)
+        # The counter and the names are written out here, not through
+        # _next_index, _key and _account: this runs once per offered
+        # payload, and the calls would double its Python calls.
+        counters = self._counters
+        key = (thread, phase)
+        index = counters.get(key, 0) + 1
+        counters[key] = index
         if iel == "DoNothing":
-            return {}
+            return ()
         if iel == "KeyValue":
             if phase == "Set":
-                return {"key": self._key(thread, index), "value": f"value-{index}"}
+                return (("key", f"{self.client_id}:t{thread}:k{index}"), ("value", f"value-{index}"))
             if phase == "Get":
-                return {"key": self._key(thread, index)}
+                return (("key", f"{self.client_id}:t{thread}:k{index}"),)
         if iel == "BankingApp":
             if phase == "CreateAccount":
-                return {
-                    "account": self._account(thread, index),
-                    "checking": 1_000,
-                    "saving": 500,
-                }
+                return (
+                    ("account", f"{self.client_id}:t{thread}:a{index}"),
+                    ("checking", 1_000),
+                    ("saving", 500),
+                )
             if phase == "SendPayment":
                 # account_n pays account_{n+1}: consecutive payments share
                 # an account, producing overwriting transactions within a
                 # block (or consumed states on Corda) — Section 4.1.
-                return {
-                    "source": self._account(thread, index),
-                    "destination": self._account(thread, index + 1),
-                    "amount": 1,
-                }
+                return (
+                    ("amount", 1),
+                    ("destination", f"{self.client_id}:t{thread}:a{index + 1}"),
+                    ("source", f"{self.client_id}:t{thread}:a{index}"),
+                )
             if phase == "Balance":
-                return {"account": self._account(thread, index)}
+                return (("account", f"{self.client_id}:t{thread}:a{index}"),)
         raise ValueError(f"no workload for IEL {iel!r} phase {phase!r}")
+
+    def args_for(self, iel: str, phase: str, thread: int) -> typing.Dict[str, object]:
+        """The next payload's arguments for one thread in one phase, as a
+        dict, from the legacy generator whatever the spec.
+
+        It advances the same counter as :meth:`payload_for`, whose pairs
+        under the default spec are the sorted items of this dict.
+        """
+        return dict(self._legacy_pairs(iel, phase, thread))
 
     # ------------------------------------------------------------------
     # Spec-driven streams
@@ -205,25 +226,29 @@ class WorkloadPlan:
                 return {"account": self._read_key(resolved, phase, thread, seq)}
         raise ValueError(f"no workload for IEL {iel!r} operation {function!r}")
 
-    def payload_for(
-        self, iel: str, phase: str, thread: int
-    ) -> typing.Tuple[str, typing.Dict[str, object]]:
-        """The next payload's (function, args) for one thread in one phase.
+    def payload_for(self, iel: str, phase: str, thread: int) -> typing.Tuple[str, Args]:
+        """The next payload's ``(function, pairs)`` for one thread in one
+        phase.
 
-        The default spec resolves to the legacy generator verbatim:
-        the phase name is the function and ``args_for`` builds the
-        arguments, with no RNG stream ever created.
+        ``pairs`` is the canonical ``((name, value), ...)`` tuple, sorted
+        by name, that :attr:`~repro.storage.Payload.args` stores, so
+        :meth:`~repro.storage.Payload.create` takes it without sorting.
+        The default spec resolves to the legacy generator verbatim: the
+        phase name is the function, the pairs are built literally in
+        sorted order, and no RNG stream is ever created. A spec-driven
+        draw builds a dict and sorts its items once, here.
         """
         resolved = self._resolved.get(phase)
         if resolved is None:
             resolved = self._resolved[phase] = self.spec.for_phase(phase)
         if resolved.mix is None and resolved.access.kind == "disjoint":
-            return phase, self.args_for(iel, phase, thread)
+            return phase, self._legacy_pairs(iel, phase, thread)
         if not 0 <= thread < self.threads:
             raise IndexError(f"thread {thread} out of range 0..{self.threads - 1}")
         function = self._choose_function(resolved, phase, thread)
         seq = self._next_index(thread, phase)
-        return function, self._spec_args(iel, resolved, function, phase, thread, seq)
+        args = self._spec_args(iel, resolved, function, phase, thread, seq)
+        return function, tuple(sorted(args.items()))
 
     def generated_count(self, phase: str) -> int:
         """Payloads generated so far in one phase, across threads."""

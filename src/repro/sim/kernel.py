@@ -146,7 +146,7 @@ class Simulator:
         tombstoned in place). Heap order only ever compares the
         ``(time, sequence)`` prefix, and sequence is unique.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence = sequence = self._sequence + 1
         now = self.now
@@ -167,7 +167,7 @@ class Simulator:
         engines use this for progress/view-change timers that are
         re-armed far more often than they fire.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence = sequence = self._sequence + 1
         handle = TimerHandle(callback)

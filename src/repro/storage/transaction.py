@@ -21,6 +21,9 @@ import typing
 
 from repro.crypto.hashing import tuple_digest
 
+#: A payload's canonical arguments: ``(name, value)`` pairs sorted by name.
+Args = typing.Tuple[typing.Tuple[str, object], ...]
+
 _payload_counter = itertools.count(1)
 _tx_counter = itertools.count(1)
 _batch_counter = itertools.count(1)
@@ -90,7 +93,7 @@ class Payload(_Fields):
         client_id: str,
         iel: str,
         function: str,
-        args: typing.Tuple[typing.Tuple[str, object], ...],
+        args: Args,
         size_bytes: int = 128,
     ) -> None:
         self.payload_id = payload_id
@@ -106,18 +109,21 @@ class Payload(_Fields):
         client_id: str,
         iel: str,
         function: str,
-        args: typing.Optional[dict] = None,
+        args: typing.Union[typing.Mapping[str, object], Args, None] = None,
         size_bytes: int = 128,
     ) -> "Payload":
-        """Build a payload with a fresh globally unique id."""
-        return cls(
-            f"p{next(_payload_counter)}",
-            client_id,
-            iel,
-            function,
-            tuple(sorted(args.items())) if args else (),
-            size_bytes,
-        )
+        """Build a payload with a fresh globally unique id.
+
+        ``args`` is either a mapping, whose items are sorted here, or a
+        tuple of ``(name, value)`` pairs already sorted by name (what
+        :meth:`~repro.coconut.workload.WorkloadPlan.payload_for` yields),
+        which is stored as it is. Either way :attr:`args` ends up the
+        same canonical tuple. The id counter is read from the module on
+        every call: :func:`reset_id_counters` rebinds it.
+        """
+        if args.__class__ is not tuple:
+            args = tuple(sorted(args.items())) if args else ()
+        return cls(f"p{next(_payload_counter)}", client_id, iel, function, args, size_bytes)
 
     def arg(self, name: str, default: object = None) -> object:
         """Look up one named argument."""
@@ -162,8 +168,12 @@ class Transaction(_Fields):
         self.payloads = payloads
         self.submitter = submitter
         self.kind = kind
-        # Wire size: payload bytes plus a fixed envelope.
-        self.size_bytes = 96 + sum([p.size_bytes for p in payloads])
+        # Wire size: payload bytes plus a fixed envelope. A plain loop:
+        # a comprehension would add a frame to every wrap.
+        size = 96
+        for payload in payloads:
+            size += payload.size_bytes
+        self.size_bytes = size
         self._digest: typing.Optional[str] = None
 
     @classmethod
@@ -196,11 +206,14 @@ class Batch(_Fields):
 
     If one transaction in the batch fails, the whole batch is rejected and
     none of it reaches a block (Section 5.6). A ``__slots__`` class with
-    a plain ``__init__``, like :class:`Transaction`.
+    a plain ``__init__``, like :class:`Transaction`. ``size_bytes`` (the
+    wire size: transaction bytes plus a fixed envelope) is computed once
+    at construction, as :class:`Transaction`'s is, and takes no part in
+    equality or hashing, which compare the three constructor fields.
     """
 
-    __slots__ = ("batch_id", "transactions", "submitter")
-    _FIELDS = __slots__
+    __slots__ = ("batch_id", "transactions", "submitter", "size_bytes")
+    _FIELDS = ("batch_id", "transactions", "submitter")
 
     def __init__(
         self, batch_id: str, transactions: typing.Tuple[Transaction, ...], submitter: str
@@ -208,6 +221,10 @@ class Batch(_Fields):
         self.batch_id = batch_id
         self.transactions = transactions
         self.submitter = submitter
+        size = 64
+        for transaction in transactions:
+            size += transaction.size_bytes
+        self.size_bytes = size
 
     @classmethod
     def wrap(cls, transactions: typing.Sequence[Transaction], submitter: str) -> "Batch":
@@ -215,11 +232,6 @@ class Batch(_Fields):
         if not transactions:
             raise ValueError("a batch needs at least one transaction")
         return cls(f"b{next(_batch_counter)}", tuple(transactions), submitter)
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire size: transaction bytes plus a fixed envelope."""
-        return 64 + sum(tx.size_bytes for tx in self.transactions)
 
     @property
     def payload_count(self) -> int:

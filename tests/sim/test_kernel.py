@@ -33,6 +33,21 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_cancellable", "resume_after"])
+    def test_nan_delay_is_refused(self, method):
+        # A NaN entry at the heap top stopped run() as if the queue had
+        # drained: it returned 0.0 with every later entry still queued.
+        sim = Simulator()
+        fired = []
+        with pytest.raises(ValueError):
+            getattr(sim, method)(float("nan"), fired.append, "nan")
+        assert sim.pending_events() == 0
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        assert sim.run() == 2.0
+        assert fired == ["a", "b"]
+        assert sim.pending_events() == 0
+
     def test_run_until_stops_and_advances_clock(self):
         sim = Simulator()
         fired = []
