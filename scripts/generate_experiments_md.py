@@ -17,7 +17,9 @@ CPU (4.3 minutes of wall time with ``--jobs 2`` on two cores);
 are identical for any jobs count) and ``--cache-dir`` skips every unit
 whose config fingerprint is already cached from a prior run.
 
-Every experiment with shape checks
+Each section's table is its experiment's own ``table(run)``, the text
+``coconut experiment <id>`` prints for the same run. Every experiment
+with shape checks
 (``repro.experiments.registry.shape_checks``: the tables, the figures,
 the parameter sweeps but Diem's, the capacity grid oracle, the ablation
 and the extensions) ends its section with them, evaluated on the same
@@ -34,8 +36,6 @@ import sys
 import time
 
 from repro.analysis.compare import render_checks
-from repro.chains.registry import SYSTEM_LABELS
-from repro.experiments.figures import BENCHMARK_ROWS, FIG5_EXPECTATIONS
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment, shape_checks
 from repro.experiments.sweeps import SWEEPS
 from repro.parallel.cache import ResultCache
@@ -153,7 +153,7 @@ Percentiles are nearest-rank to one latency-histogram bucket
 SWEEPS_INTRO = """
 ## Parameter sweeps (Tables 5-6, Section 4.4)
 
-Each table below is produced by `coconut sweep <id>`: one parameter
+Each table below is produced by `coconut experiment <id>`: one parameter
 varied over the values the paper evaluates, with the workload held
 fixed. The paper's finding (Section 6): the parameters play "a rather
 minor role" in Fabric, Sawtooth and Diem, while BitShares and
@@ -201,107 +201,17 @@ network (`coconut experiment ext_kafka_ordering`,
 `ext_corda_subset_signing`).
 """
 
-#: Heading of each heat map's section.
-GRID_TITLES = {
-    "fig3": "Figure 3 — best MTPS, data-centre latency "
-            "(cells: measured MTPS; paper values where printed)",
-    "fig4": "Figure 4 — best configs under netem WAN latency (mu=12 ms)",
-}
-
-
-def write_table(run, writer):
-    writer.write(f"\n### {run.title}\n\n")
-    writer.write("| Case | Paper | Measured |\n|---|---|---|\n")
-    for result in run.case_results:
-        case_id, paper, measured = result.comparison_row()
-        writer.write(f"| {case_id} | {paper} | {measured} |\n")
-    scale_used = ", ".join(
-        f"{result.case.case_id}: x{result.case.build_config().scale}"
-        for result in run.case_results
-    )
-    writer.write(f"\nWindow scales — {scale_used}.\n")
-
-
-def write_grid(run, writer):
-    systems = run.systems
-    writer.write(f"\n### {GRID_TITLES[run.experiment_id]}\n\n")
-    writer.write("| Benchmark | " + " | ".join(SYSTEM_LABELS[s] for s in systems) + " |\n")
-    writer.write("|" + "---|" * (len(systems) + 1) + "\n")
-    for __, phase in BENCHMARK_ROWS:
-        row = [f"**{phase}**"]
-        for system in systems:
-            result = run.cells.get((phase, system))
-            paper = run.paper_cells.get((phase, system))
-            paper_text = (
-                f"paper {paper.mtps:.2f}" if paper and paper.mtps is not None else "paper n/a"
-            )
-            if result is None:
-                row.append("—")
-            elif result.received.mean == 0:
-                row.append(f"FAIL ({paper_text})")
-            else:
-                row.append(f"{result.mtps.mean:.2f} ({paper_text})")
-        writer.write("| " + " | ".join(row) + " |\n")
-
-
-def write_scalability(run, writer):
-    writer.write("\n### Figure 5 — DoNothing MTPS vs network size (netem latency)\n\n")
-    writer.write("| System | n=8 | n=16 | n=32 | Paper expectation |\n|---|---|---|---|---|\n")
-    for system in run.systems:
-        cells = []
-        for n in run.node_counts:
-            result = run.cells[(system, n)]
-            cells.append("FAIL" if result.received.mean == 0 else f"{result.mtps.mean:.2f}")
-        writer.write(f"| {SYSTEM_LABELS[system]} | " + " | ".join(cells)
-                     + f" | {FIG5_EXPECTATIONS[system]} |\n")
-
-
-def write_capacity(run, writer):
-    writer.write(f"\n### {run.title}\n\n")
-    writer.write("| System | Knee RL | MTPS | MFLS (s) | Probes | Verdict |\n")
-    writer.write("|---|---|---|---|---|---|\n")
-    for row in run.rows:
-        writer.write("| " + " | ".join(row.cells()) + " |\n")
-    total = sum(row.report.probe_count for row in run.rows)
-    writer.write(f"\n(total probes: {total})\n")
-
-
-def write_sweep(run, writer):
-    writer.write(f"\n### {run.title}\n\n")
-    writer.write("| Setting | MTPS | MFLS (s) | NoT |\n|---|---|---|---|\n")
-    for row in run.rows():
-        writer.write("| " + " | ".join(row) + " |\n")
-    writer.write(f"\nMTPS spread, (max - min) / max: {run.spread():.2f}.\n")
-
-
-def write_ablation(run, writer):
-    writer.write(f"\n### {run.title}\n\n")
-    writer.write("| Peers | Node-side TPS | Client-side TPS | Received |\n|---|---|---|---|\n")
-    for point in run.points:
-        writer.write("| " + " | ".join(point.cells()) + " |\n")
-
-
-def write_workload(run, writer):
-    writer.write(f"\n### {run.title}\n\n")
-    writer.write("| Case | MTPS | MFLS (s) | p50 (s) | p99 (s) | NoT | Invalid |\n")
-    writer.write("|---|---|---|---|---|---|---|\n")
-    for result in run.case_results:
-        writer.write("| " + " | ".join(result.row()) + " |\n")
-
-
-#: The file's sections in order: the text that opens each, its
-#: experiments, and the function that writes one experiment's run.
+#: The file's sections in order: the text that opens each, and its
+#: experiments, each of which writes its own table.
 SECTIONS = (
-    ("\n## Result tables (Tables 7-20)\n", TABLE_IDS, write_table),
-    ("", ("fig3", "fig4"), write_grid),
-    ("", ("fig5",), write_scalability),
-    (SWEEPS_INTRO, tuple(SWEEPS), write_sweep),
-    (CAPACITY_INTRO, ("capacity_donothing", "capacity_keyvalue", "capacity_bankingapp"),
-     write_capacity),
-    (ORACLE_INTRO, ("capacity_keyvalue_grid",), write_capacity),
-    (WORKLOADS_INTRO, WORKLOAD_IDS, write_workload),
-    (ABLATION_INTRO, ("ablation_endtoend",), write_ablation),
-    (EXTENSIONS_INTRO, EXTENSION_IDS, write_table),
+    ("\n## Result tables (Tables 7-20)\n", TABLE_IDS),
+    ("", ("fig3", "fig4", "fig5")),
+    (SWEEPS_INTRO, tuple(SWEEPS)),
+    (CAPACITY_INTRO, ("capacity_donothing", "capacity_keyvalue", "capacity_bankingapp")),
+    (ORACLE_INTRO, ("capacity_keyvalue_grid",)),
+    (WORKLOADS_INTRO, WORKLOAD_IDS),
+    (ABLATION_INTRO, ("ablation_endtoend",)),
+    (EXTENSIONS_INTRO, EXTENSION_IDS),
 )
 
 
@@ -348,13 +258,14 @@ def main(argv=None):
 
     runs = {}
     failed = []
-    for intro, experiment_ids, write in SECTIONS:
+    for intro, experiment_ids in SECTIONS:
         out.write(intro)
         for experiment_id in experiment_ids:
             start = time.time()
             print(f"=== {experiment_id}", flush=True)
-            run = runs[experiment_id] = build_experiment(experiment_id).run(executor=executor)
-            write(run, out)
+            experiment = build_experiment(experiment_id)
+            run = runs[experiment_id] = experiment.run(executor=executor)
+            out.write(experiment.table(run))
             checks = shape_checks(experiment_id, runs)
             if checks:
                 out.write(f"\n```\n{render_checks(checks)}\n```\n")

@@ -4,7 +4,9 @@ Subcommands:
 
 * ``coconut list`` — systems, IELs and experiments available.
 * ``coconut run`` — one benchmark unit with explicit settings.
-* ``coconut experiment`` — reproduce one paper table or figure.
+* ``coconut experiment`` — run one experiment (a paper table, figure or
+  parameter sweep, or an extension) and print its EXPERIMENTS.md table.
+* ``coconut search`` — find one system's maximum sustainable throughput.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, UNIT_PHASES
 from repro.coconut.report import unit_summary
 from repro.coconut.results import ResultStore
+from repro.experiments.base import SelectionError
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment
-from repro.experiments.sweeps import SWEEPS, build_sweep
 
 
 def _positive_int(text: str) -> int:
@@ -59,7 +61,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("systems:     " + ", ".join(SYSTEM_NAMES))
     print("iels:        " + ", ".join(sorted(UNIT_PHASES)))
     print("experiments: " + ", ".join(EXPERIMENT_IDS))
-    print("sweeps:      " + ", ".join(sorted(SWEEPS)))
     print("strategies:  " + ", ".join(sorted(STRATEGIES)))
     return 0
 
@@ -203,25 +204,12 @@ def _executor(args: argparse.Namespace, check_level: typing.Optional[str] = None
 def _cmd_experiment(args: argparse.Namespace) -> int:
     experiment = build_experiment(args.experiment_id)
     executor = _executor(args)
-    kwargs: typing.Dict[str, object] = {"executor": executor}
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    import inspect
-
-    run_parameters = inspect.signature(experiment.run).parameters
-    if args.systems and "systems" in run_parameters:
-        kwargs["systems"] = args.systems.split(",")
-    run = experiment.run(**kwargs)
-    print(run.render())
-    print(executor.summary())
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = build_sweep(args.sweep_id)
-    executor = _executor(args)
-    run = sweep.run(executor=executor, scale=args.scale)
-    print(run.render())
+    systems = args.systems.split(",") if args.systems is not None else None
+    try:
+        run = experiment.run(executor=executor, scale=args.scale, systems=systems)
+    except SelectionError as error:
+        raise SystemExit(f"coconut experiment: error: {error}")
+    print(experiment.table(run), end="")
     print(executor.summary())
     return 0
 
@@ -412,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument("experiment_id", choices=EXPERIMENT_IDS)
     experiment_parser.add_argument("--scale", type=float, default=None)
-    experiment_parser.add_argument("--systems", help="comma-separated subset (figures only)")
+    experiment_parser.add_argument("--systems",
+                                   help="comma-separated systems; run only their units")
     experiment_parser.add_argument("--jobs", type=_positive_int, default=1,
                                    help="worker processes for independent cases "
                                         "(1 = in-process; results are identical "
@@ -423,18 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "not re-run")
     experiment_parser.add_argument("--verbose", action="store_true")
     experiment_parser.set_defaults(handler=_cmd_experiment)
-
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="run one Table 5/6 parameter sweep"
-    )
-    sweep_parser.add_argument("sweep_id", choices=sorted(SWEEPS))
-    sweep_parser.add_argument("--scale", type=float, default=None)
-    sweep_parser.add_argument("--jobs", type=_positive_int, default=1,
-                              help="worker processes for independent sweep points")
-    sweep_parser.add_argument("--cache-dir", metavar="PATH",
-                              help="content-addressed result cache directory")
-    sweep_parser.add_argument("--verbose", action="store_true")
-    sweep_parser.set_defaults(handler=_cmd_sweep)
 
     search_parser = subparsers.add_parser(
         "search", help="find a system's maximum sustainable throughput"

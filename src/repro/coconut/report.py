@@ -1,4 +1,4 @@
-"""Text rendering of results: the paper's tables and heat maps."""
+"""Text rendering of results: plain and markdown tables, unit summaries."""
 
 from __future__ import annotations
 
@@ -20,32 +20,20 @@ def format_table(
     return "\n".join(lines)
 
 
-def heatmap(
-    cell_results: typing.Mapping[typing.Tuple[str, str], PhaseResult],
-    row_labels: typing.Sequence[str],
-    column_labels: typing.Sequence[str],
+def markdown_section(
+    title: str,
+    headers: typing.Sequence[str],
+    rows: typing.Sequence[typing.Sequence[str]],
+    note: typing.Optional[str] = None,
 ) -> str:
-    """The Figure 3/4 heat-map grid: benchmarks x systems.
-
-    ``cell_results`` maps (row, column) to the phase result whose best
-    MTPS the cell shows; missing cells render as failed (0.00).
-    """
-    headers = ["Benchmark"] + list(column_labels)
-    rows = []
-    for row_label in row_labels:
-        cells = [row_label]
-        for column_label in column_labels:
-            phase = cell_results.get((row_label, column_label))
-            if phase is None or phase.received.mean == 0:
-                cells.append("MTPS=0.00 FAIL")
-                continue
-            cells.append(
-                f"MTPS={phase.mtps.mean:.2f} "
-                f"MFLS={phase.mfls.mean:.2f}s "
-                f"D={phase.duration.mean:.2f}s"
-            )
-        rows.append(cells)
-    return format_table(headers, rows)
+    """An experiment's section of EXPERIMENTS.md: a ``###`` heading, a
+    markdown table and an optional closing note. ``coconut experiment``
+    prints the same text."""
+    lines = [f"\n### {title}\n", "| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    if note is not None:
+        lines += ["", note]
+    return "\n".join(lines) + "\n"
 
 
 def latency_table(results: typing.Sequence[typing.Tuple[str, PhaseResult]]) -> str:

@@ -1,9 +1,12 @@
-"""Experiment machinery: cases, paper values, comparison rendering.
+"""Experiment machinery: the batch runner, cases and paper values.
 
-An experiment is a list of cases; each case is one benchmark
-configuration plus the phase whose numbers the paper reports and,
-where the paper prints them, the reported values. Running an experiment
-produces measured-vs-paper rows, which EXPERIMENTS.md records.
+Every experiment has an id, a title, a ``run(executor=None, scale=None,
+systems=None)`` and a ``table(run)``: the run's EXPERIMENTS.md section,
+which ``coconut experiment <id>`` prints too. Most run their units as
+one executor batch through :meth:`BatchExperiment.run`, supplying only
+their labelled configs, how the labelled results fold into a run, and
+the table. An experiment built from :class:`Case` s produces
+measured-vs-paper rows.
 
 Scaling: simulated windows default to each case's ``recommended_scale``
 (chosen so the case's dynamics — queue growth, stalls, deep-latency
@@ -19,11 +22,90 @@ import dataclasses
 import os
 import typing
 
+from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig
-from repro.coconut.results import PhaseResult
+from repro.coconut.report import markdown_section
+from repro.coconut.results import PhaseResult, UnitResult
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.executor import Executor
+
+_Item = typing.TypeVar("_Item")
+
+#: One unit of a batch: the experiment's label, its config and its result.
+LabelledResult = typing.Tuple[typing.Any, BenchmarkConfig, UnitResult]
+
+
+class SelectionError(ValueError):
+    """A ``systems`` selection that names no system or keeps no unit."""
+
+
+def select_systems(
+    items: typing.Sequence[_Item],
+    systems: typing.Optional[typing.Sequence[str]],
+    system_of: typing.Callable[[_Item], str],
+) -> typing.List[_Item]:
+    """The ``items`` whose system ``systems`` lists; all when it is None.
+
+    Raises :class:`SelectionError` for a name that is no system and for
+    a selection that keeps nothing, before any unit runs.
+    """
+    if systems is None:
+        return list(items)
+    for system in systems:
+        if system not in SYSTEM_NAMES:
+            raise SelectionError(
+                f"unknown system {system!r}; known: {', '.join(SYSTEM_NAMES)}"
+            )
+    kept = [item for item in items if system_of(item) in systems]
+    if not kept:
+        raise SelectionError(f"no unit of this experiment runs on {', '.join(systems)}")
+    return kept
+
+
+class BatchExperiment:
+    """An experiment whose units run as one executor batch."""
+
+    experiment_id: str
+    title: str
+
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[typing.Any, BenchmarkConfig]]:
+        """The labelled configs of every unit, at ``scale`` when given."""
+        raise NotImplementedError
+
+    def collect(self, results: typing.List[LabelledResult]) -> typing.Any:
+        """The run the labelled results fold into."""
+        raise NotImplementedError
+
+    def table(self, run: typing.Any) -> str:
+        """The run's section of EXPERIMENTS.md."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        executor: typing.Optional["Executor"] = None,
+        scale: typing.Optional[float] = None,
+        systems: typing.Optional[typing.Sequence[str]] = None,
+    ) -> typing.Any:
+        """Run the units of the listed ``systems`` (all by default).
+
+        They run as one batch through ``executor`` (by default an
+        in-process :class:`~repro.parallel.executor.Executor`); every
+        jobs count gives byte-identical results, because each unit owns
+        its seeded RNG streams, and units that share a config run once.
+        """
+        if executor is None:
+            from repro.parallel.executor import Executor
+
+            executor = Executor()
+        labelled = select_systems(self.configs(scale), systems, lambda item: item[1].system)
+        outcomes = executor.run_units([config for __, config in labelled])
+        return self.collect([
+            (label, config, outcome.result)
+            for (label, config), outcome in zip(labelled, outcomes)
+        ])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,22 +188,12 @@ class CaseResult:
 
     case: Case
     phase_result: PhaseResult
+    #: The window scale the case ran at.
+    scale: float
 
     @property
     def measured_mtps(self) -> float:
         return self.phase_result.mtps.mean
-
-    def comparison_row(self) -> typing.List[str]:
-        """One row of the paper-vs-measured table."""
-        phase = self.phase_result
-        measured = (
-            f"MTPS={phase.mtps.mean:.2f} MFLS={phase.mfls.mean:.2f}s "
-            f"NoT={phase.received.mean:.0f}/{phase.expected.mean:.0f} "
-            f"D={phase.duration.mean:.1f}s"
-        )
-        if phase.received.mean == 0 and self.case.window_note:
-            measured = f"{measured} ({self.case.window_note})"
-        return [self.case.case_id, self.case.paper.describe(), measured]
 
 
 @dataclasses.dataclass
@@ -129,7 +201,6 @@ class ExperimentRun:
     """The outcome of running an experiment."""
 
     experiment_id: str
-    title: str
     case_results: typing.List[CaseResult]
 
     def case(self, case_id: str) -> CaseResult:
@@ -139,22 +210,9 @@ class ExperimentRun:
                 return result
         raise KeyError(f"no case {case_id!r} in {self.experiment_id}")
 
-    def render(self) -> str:
-        """The paper-vs-measured comparison table."""
-        from repro.coconut.report import format_table
 
-        rows = [result.comparison_row() for result in self.case_results]
-        table = format_table(["Case", "Paper", "Measured"], rows)
-        return f"{self.title}\n{table}"
-
-
-class Experiment:
+class Experiment(BatchExperiment):
     """A reproducible paper artifact: a named list of cases."""
-
-    #: The per-case result and the run types :meth:`run` builds; a
-    #: subclass that renders cases differently swaps these two.
-    result_type: typing.Type[CaseResult] = CaseResult
-    run_type: typing.Type[ExperimentRun] = ExperimentRun
 
     def __init__(self, experiment_id: str, title: str, cases: typing.Sequence[Case]) -> None:
         if not cases:
@@ -166,39 +224,33 @@ class Experiment:
         self.title = title
         self.cases = list(cases)
 
-    def run(
-        self,
-        scale: typing.Optional[float] = None,
-        repetitions: typing.Optional[int] = None,
-        case_filter: typing.Optional[typing.Callable[[Case], bool]] = None,
-        executor: typing.Optional["Executor"] = None,
-    ) -> ExperimentRun:
-        """Execute (a subset of) the experiment's cases.
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[Case, BenchmarkConfig]]:
+        return [(case, case.build_config(scale=scale)) for case in self.cases]
 
-        The cases run as one batch through ``executor`` (by default an
-        in-process :class:`~repro.parallel.executor.Executor`); every
-        jobs count gives byte-identical per-case results, because each
-        case owns its seeded RNG streams.
-        """
-        if executor is None:
-            from repro.parallel.executor import Executor
+    def collect(self, results: typing.List[LabelledResult]) -> ExperimentRun:
+        return ExperimentRun(self.experiment_id, [
+            CaseResult(case, unit.phase(case.phase), config.scale)
+            for case, config, unit in results
+        ])
 
-            executor = Executor()
-        selected = [
-            case
-            for case in self.cases
-            if case_filter is None or case_filter(case)
-        ]
-        configs = [
-            case.build_config(scale=scale, repetitions=repetitions)
-            for case in selected
-        ]
-        units = [outcome.result for outcome in executor.run_units(configs)]
-        return self.run_type(
-            experiment_id=self.experiment_id,
-            title=self.title,
-            case_results=[
-                self.result_type(case=case, phase_result=unit.phase(case.phase))
-                for case, unit in zip(selected, units)
-            ],
+    def table(self, run: ExperimentRun) -> str:
+        """Paper vs measured per case, and the scale each case ran at."""
+        rows = []
+        for result in run.case_results:
+            phase = result.phase_result
+            measured = (
+                f"MTPS={phase.mtps.mean:.2f} MFLS={phase.mfls.mean:.2f}s "
+                f"NoT={phase.received.mean:.0f}/{phase.expected.mean:.0f} "
+                f"D={phase.duration.mean:.1f}s"
+            )
+            if phase.received.mean == 0 and result.case.window_note:
+                measured = f"{measured} ({result.case.window_note})"
+            rows.append([result.case.case_id, result.case.paper.describe(), measured])
+        scales = ", ".join(
+            f"{result.case.case_id}: x{result.scale}" for result in run.case_results
+        )
+        return markdown_section(
+            self.title, ["Case", "Paper", "Measured"], rows, note=f"Window scales — {scales}."
         )

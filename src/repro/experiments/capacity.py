@@ -27,6 +27,8 @@ import typing
 
 from repro.analysis.compare import ShapeCheck
 from repro.chains.registry import SYSTEM_NAMES
+from repro.coconut.report import markdown_section
+from repro.experiments.base import select_systems
 from repro.search.engine import REPORTED_PHASES, CapacitySearch
 from repro.search.report import CapacityReport
 from repro.search.space import SearchSpace, rate_space
@@ -84,7 +86,6 @@ class CapacityRun:
     """The outcome of one capacity experiment."""
 
     experiment_id: str
-    title: str
     rows: typing.List[CapacityRow]
 
     def row(self, system: str) -> CapacityRow:
@@ -94,19 +95,14 @@ class CapacityRun:
                 return row
         raise KeyError(f"no row for {system!r} in {self.experiment_id}")
 
-    def render(self) -> str:
-        from repro.coconut.report import format_table
-
-        table = format_table(
-            ["System", "Knee RL", "MTPS", "MFLS (s)", "Probes", "Verdict"],
-            [row.cells() for row in self.rows],
-        )
-        total = sum(row.report.probe_count for row in self.rows)
-        return f"{self.title}\n{table}\ntotal probes: {total}"
-
 
 class CapacityExperiment:
-    """One IEL's automated capacity comparison across all systems."""
+    """One IEL's automated capacity comparison across all systems.
+
+    A search decides each round's probes from the last round's verdicts,
+    so this experiment runs its searches one after another, each round
+    one batch through the executor, instead of one batch in all.
+    """
 
     def __init__(
         self,
@@ -146,20 +142,25 @@ class CapacityExperiment:
 
     def run(
         self,
-        systems: typing.Optional[typing.Sequence[str]] = None,
-        scale: typing.Optional[float] = None,
         executor: typing.Optional["Executor"] = None,
-        progress: typing.Optional[typing.Callable[[str], None]] = None,
+        scale: typing.Optional[float] = None,
+        systems: typing.Optional[typing.Sequence[str]] = None,
     ) -> CapacityRun:
-        """Search every system's knee (strategies converge per system)."""
-        systems = tuple(systems or self.systems)
-        rows: typing.List[CapacityRow] = []
-        for system in systems:
-            search = self.search_for(system, scale=scale)
-            report = search.run(executor=executor, progress=progress)
-            rows.append(CapacityRow(system=system, report=report))
-        return CapacityRun(
-            experiment_id=self.experiment_id, title=self.title, rows=rows
+        """Search the knee of each listed system (all of the experiment's
+        by default)."""
+        rows = [
+            CapacityRow(system, self.search_for(system, scale=scale).run(executor=executor))
+            for system in select_systems(self.systems, systems, lambda system: system)
+        ]
+        return CapacityRun(self.experiment_id, rows)
+
+    def table(self, run: CapacityRun) -> str:
+        total = sum(row.report.probe_count for row in run.rows)
+        return markdown_section(
+            self.title,
+            ["System", "Knee RL", "MTPS", "MFLS (s)", "Probes", "Verdict"],
+            [row.cells() for row in run.rows],
+            note=f"(total probes: {total})",
         )
 
 

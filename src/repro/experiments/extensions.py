@@ -21,8 +21,9 @@ import typing
 
 from repro.analysis.compare import ShapeCheck, within_factor
 from repro.coconut.config import BenchmarkConfig
+from repro.coconut.report import markdown_section
 from repro.coconut.results import PhaseResult
-from repro.experiments.base import Case, Experiment, ExperimentRun
+from repro.experiments.base import Case, Experiment, ExperimentRun, select_systems
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.executor import Executor
@@ -47,7 +48,6 @@ class AblationRun:
     """The outcome of the end-to-end measurement ablation."""
 
     experiment_id: str
-    title: str
     points: typing.List[VantagePoint]
 
     def point(self, peers: int) -> VantagePoint:
@@ -56,15 +56,6 @@ class AblationRun:
             if point.peers == peers:
                 return point
         raise KeyError(f"no {peers}-peer point in {self.experiment_id}")
-
-    def render(self) -> str:
-        from repro.coconut.report import format_table
-
-        table = format_table(
-            ["Peers", "Node-side TPS", "Client-side TPS", "Received"],
-            [point.cells() for point in self.points],
-        )
-        return f"{self.title}\n{table}"
 
 
 class EndToEndAblation:
@@ -82,17 +73,23 @@ class EndToEndAblation:
     title = "Ablation: node-side vs client-side throughput - Fabric DoNothing, RL=400"
     peer_counts = (4, 16)
 
-    def build_config(self, peers: int, scale: typing.Optional[float] = None) -> BenchmarkConfig:
-        """The benchmark configuration of one network size."""
-        return BenchmarkConfig(
-            system="fabric", iel="DoNothing", rate_limit=100, node_count=peers,
-            scale=0.1 if scale is None else scale, repetitions=1, seed=42,
-        )
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[int, BenchmarkConfig]]:
+        """Each network size's benchmark configuration."""
+        return [
+            (peers, BenchmarkConfig(
+                system="fabric", iel="DoNothing", rate_limit=100, node_count=peers,
+                scale=0.1 if scale is None else scale, repetitions=1, seed=42,
+            ))
+            for peers in self.peer_counts
+        ]
 
     def run(
         self,
-        scale: typing.Optional[float] = None,
         executor: typing.Optional["Executor"] = None,
+        scale: typing.Optional[float] = None,
+        systems: typing.Optional[typing.Sequence[str]] = None,
     ) -> AblationRun:
         """Run both network sizes in-process; ``executor`` is accepted
         like every experiment's and not used (see the class docstring)."""
@@ -100,8 +97,8 @@ class EndToEndAblation:
 
         runner = BenchmarkRunner(keep_last_rig=True)
         points = []
-        for peers in self.peer_counts:
-            config = self.build_config(peers, scale=scale)
+        for peers, config in select_systems(self.configs(scale), systems,
+                                            lambda item: item[1].system):
             metrics = runner.run(config).phase("DoNothing").repetitions[0]
             system = runner.last_rig.system
             committed = system.nodes[system.node_ids[0]].chain.total_payloads()
@@ -110,7 +107,14 @@ class EndToEndAblation:
                 peers=peers, node_tps=committed / duration, client_tps=metrics.tps,
                 received=metrics.received,
             ))
-        return AblationRun(experiment_id=self.experiment_id, title=self.title, points=points)
+        return AblationRun(self.experiment_id, points)
+
+    def table(self, run: AblationRun) -> str:
+        return markdown_section(
+            self.title,
+            ["Peers", "Node-side TPS", "Client-side TPS", "Received"],
+            [point.cells() for point in run.points],
+        )
 
 
 def ablation_endtoend_checks(run: AblationRun) -> typing.List[ShapeCheck]:

@@ -19,12 +19,12 @@ import typing
 from repro.analysis.compare import ShapeCheck
 from repro.chains.registry import SYSTEM_LABELS, SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig, unit_for_iel
+from repro.coconut.report import markdown_section
 from repro.coconut.results import PhaseResult
-from repro.experiments.base import PaperValue
+from repro.experiments.base import BatchExperiment, LabelledResult, PaperValue
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.latency import LatencyModel
-    from repro.parallel.executor import Executor
 
 #: The benchmark rows of the heat maps, in figure order.
 BENCHMARK_ROWS: typing.Tuple[typing.Tuple[str, str], ...] = (
@@ -35,6 +35,11 @@ BENCHMARK_ROWS: typing.Tuple[typing.Tuple[str, str], ...] = (
     ("BankingApp", "SendPayment"),
     ("BankingApp", "Balance"),
 )
+
+
+#: The seeds of every Figure 3/4 and every Figure 5 unit.
+GRID_SEED = 34
+SCALABILITY_SEED = 58
 
 
 def best_config_kwargs(system: str) -> typing.Dict[str, object]:
@@ -94,46 +99,16 @@ def recommended_scale(system: str) -> float:
 class GridRun:
     """Results of one heat-map experiment."""
 
-    experiment_id: str
-    title: str
     #: (phase, system) -> result.
     cells: typing.Dict[typing.Tuple[str, str], PhaseResult]
-    paper_cells: typing.Dict[typing.Tuple[str, str], PaperValue]
     systems: typing.Tuple[str, ...]
 
     def cell(self, phase: str, system: str) -> PhaseResult:
         """One grid cell's result."""
         return self.cells[(phase, system)]
 
-    def render(self) -> str:
-        """The heat-map grid plus paper-vs-measured MTPS comparison."""
-        from repro.coconut.report import format_table, heatmap
 
-        grid = heatmap(
-            {
-                (phase, SYSTEM_LABELS[system]): result
-                for (phase, system), result in self.cells.items()
-            },
-            row_labels=[phase for __, phase in BENCHMARK_ROWS],
-            column_labels=[SYSTEM_LABELS[s] for s in self.systems],
-        )
-        rows = []
-        for (phase, system), paper in sorted(self.paper_cells.items()):
-            if (phase, system) not in self.cells:
-                continue
-            measured = self.cells[(phase, system)]
-            rows.append(
-                [
-                    f"{SYSTEM_LABELS[system]} {phase}",
-                    paper.describe(),
-                    f"MTPS={measured.mtps.mean:.2f} MFLS={measured.mfls.mean:.2f}s",
-                ]
-            )
-        comparison = format_table(["Cell", "Paper", "Measured"], rows)
-        return f"{self.title}\n{grid}\n\nPaper comparison:\n{comparison}"
-
-
-class HeatmapExperiment:
+class HeatmapExperiment(BatchExperiment):
     """Figures 3 and 4: the benchmarks x systems grid."""
 
     def __init__(
@@ -148,51 +123,57 @@ class HeatmapExperiment:
         self.latency = latency
         self.paper_cells = paper_cells
 
-    def run(
-        self,
-        systems: typing.Optional[typing.Sequence[str]] = None,
-        iels: typing.Optional[typing.Sequence[str]] = None,
-        scale: typing.Optional[float] = None,
-        repetitions: int = 1,
-        seed: int = 34,
-        executor: typing.Optional["Executor"] = None,
-    ) -> GridRun:
-        """Run one unit per (system, IEL) and collect every phase."""
-        if executor is None:
-            from repro.parallel.executor import Executor
-
-            executor = Executor()
-        systems = tuple(systems or SYSTEM_NAMES)
-        iels = tuple(iels or ("DoNothing", "KeyValue", "BankingApp"))
-        specs: typing.List[typing.Tuple[str, str, BenchmarkConfig]] = []
-        for system in systems:
-            for iel in iels:
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[str, BenchmarkConfig]]:
+        """One unit per (system, IEL, best-config variant), labelled by
+        its IEL."""
+        labelled = []
+        for system in SYSTEM_NAMES:
+            for iel in ("DoNothing", "KeyValue", "BankingApp"):
                 for kwargs in best_config_variants(system, iel):
-                    config = BenchmarkConfig(
+                    labelled.append((iel, BenchmarkConfig(
                         system=system,
                         iel=iel,
                         latency=self.latency,
                         scale=scale if scale is not None else recommended_scale(system),
-                        repetitions=repetitions,
-                        seed=seed,
+                        repetitions=1,
+                        seed=GRID_SEED,
                         **kwargs,
-                    )
-                    specs.append((system, iel, config))
-        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
+                    )))
+        return labelled
+
+    def collect(self, results: typing.List[LabelledResult]) -> GridRun:
+        """Each (phase, system) cell keeps its best variant's result."""
         cells: typing.Dict[typing.Tuple[str, str], PhaseResult] = {}
-        for (system, iel, __), unit in zip(specs, units):
+        for iel, config, unit in results:
             for phase in unit_for_iel(iel):
                 candidate = unit.phase(phase)
-                incumbent = cells.get((phase, system))
+                incumbent = cells.get((phase, config.system))
                 if incumbent is None or candidate.mtps.mean > incumbent.mtps.mean:
-                    cells[(phase, system)] = candidate
-        return GridRun(
-            experiment_id=self.experiment_id,
-            title=self.title,
-            cells=cells,
-            paper_cells=self.paper_cells,
-            systems=systems,
-        )
+                    cells[(phase, config.system)] = candidate
+        systems = tuple(dict.fromkeys(config.system for __, config, __ in results))
+        return GridRun(cells=cells, systems=systems)
+
+    def table(self, run: GridRun) -> str:
+        """Measured MTPS per cell, beside the paper's where printed."""
+        rows = []
+        for __, phase in BENCHMARK_ROWS:
+            row = [f"**{phase}**"]
+            for system in run.systems:
+                result = run.cell(phase, system)
+                paper = self.paper_cells.get((phase, system))
+                paper_text = (
+                    f"paper {paper.mtps:.2f}" if paper and paper.mtps is not None
+                    else "paper n/a"
+                )
+                if result.received.mean == 0:
+                    row.append(f"FAIL ({paper_text})")
+                else:
+                    row.append(f"{result.mtps.mean:.2f} ({paper_text})")
+            rows.append(row)
+        headers = ["Benchmark"] + [SYSTEM_LABELS[system] for system in run.systems]
+        return markdown_section(self.title, headers, rows)
 
 
 #: Figure 3 values quoted in Section 5's prose (best MTPS per system).
@@ -264,7 +245,8 @@ def fig3_heatmap() -> HeatmapExperiment:
     """Figure 3: best MTPS/MFLS/Duration, no added latency."""
     return HeatmapExperiment(
         "fig3",
-        "Figure 3: best MTPS per benchmark and system (data-centre latency)",
+        "Figure 3 — best MTPS, data-centre latency "
+        "(cells: measured MTPS; paper values where printed)",
         latency=None,
         paper_cells=FIG3_PAPER_CELLS,
     )
@@ -353,7 +335,7 @@ def fig4_latency_heatmap() -> HeatmapExperiment:
 
     return HeatmapExperiment(
         "fig4",
-        "Figure 4: best-config grid under emulated European WAN latency",
+        "Figure 4 — best configs under netem WAN latency (mu=12 ms)",
         latency=EUROPEAN_WAN_LATENCY,
         paper_cells=FIG4_PAPER_CELLS,
     )
@@ -422,29 +404,11 @@ class ScalabilityRun:
 
     #: (system, node_count) -> result.
     cells: typing.Dict[typing.Tuple[str, int], PhaseResult]
-    node_counts: typing.Tuple[int, ...]
     systems: typing.Tuple[str, ...]
 
     def mtps(self, system: str, node_count: int) -> float:
         """Measured MTPS of one cell."""
         return self.cells[(system, node_count)].mtps.mean
-
-    def render(self) -> str:
-        """A node-count x system MTPS table (log-style, like Fig. 5)."""
-        from repro.coconut.report import format_table
-
-        headers = ["System"] + [f"n={n}" for n in self.node_counts]
-        rows = []
-        for system in self.systems:
-            row = [SYSTEM_LABELS[system]]
-            for node_count in self.node_counts:
-                result = self.cells.get((system, node_count))
-                if result is None or result.received.mean == 0:
-                    row.append("FAIL")
-                else:
-                    row.append(f"{result.mtps.mean:.2f}")
-            rows.append(row)
-        return "Figure 5: DoNothing MTPS vs network size\n" + format_table(headers, rows)
 
 
 #: Paper Figure 5 expectations (Section 5.8.2, qualitative).
@@ -459,46 +423,56 @@ FIG5_EXPECTATIONS: typing.Dict[str, str] = {
 }
 
 
-class ScalabilityExperiment:
+class ScalabilityExperiment(BatchExperiment):
     """Figure 5: DoNothing across 8/16/32 nodes (netem latency)."""
 
     experiment_id = "fig5"
+    title = "Figure 5 — DoNothing MTPS vs network size (netem latency)"
+    node_counts = (8, 16, 32)
 
-    def run(
-        self,
-        systems: typing.Optional[typing.Sequence[str]] = None,
-        node_counts: typing.Sequence[int] = (8, 16, 32),
-        scale: typing.Optional[float] = None,
-        seed: int = 58,
-        executor: typing.Optional["Executor"] = None,
-    ) -> ScalabilityRun:
-        """Run DoNothing at each network size (same settings as 5.8.1)."""
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[int, BenchmarkConfig]]:
+        """DoNothing at each network size, with the settings of 5.8.1,
+        labelled by node count."""
         from repro.net.latency import EUROPEAN_WAN_LATENCY
 
-        if executor is None:
-            from repro.parallel.executor import Executor
+        return [
+            (node_count, BenchmarkConfig(
+                system=system,
+                iel="DoNothing",
+                latency=EUROPEAN_WAN_LATENCY,
+                node_count=node_count,
+                scale=scale if scale is not None else recommended_scale(system),
+                repetitions=1,
+                seed=SCALABILITY_SEED,
+                **best_config_kwargs(system),
+            ))
+            for system in SYSTEM_NAMES
+            for node_count in self.node_counts
+        ]
 
-            executor = Executor()
-        systems = tuple(systems or SYSTEM_NAMES)
-        specs: typing.List[typing.Tuple[str, int, BenchmarkConfig]] = []
-        for system in systems:
-            for node_count in node_counts:
-                config = BenchmarkConfig(
-                    system=system,
-                    iel="DoNothing",
-                    latency=EUROPEAN_WAN_LATENCY,
-                    node_count=node_count,
-                    scale=scale if scale is not None else recommended_scale(system),
-                    repetitions=1,
-                    seed=seed,
-                    **best_config_kwargs(system),
-                )
-                specs.append((system, node_count, config))
-        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
-        cells: typing.Dict[typing.Tuple[str, int], PhaseResult] = {}
-        for (system, node_count, __), unit in zip(specs, units):
-            cells[(system, node_count)] = unit.phase("DoNothing")
-        return ScalabilityRun(cells=cells, node_counts=tuple(node_counts), systems=systems)
+    def collect(self, results: typing.List[LabelledResult]) -> ScalabilityRun:
+        return ScalabilityRun(
+            cells={
+                (config.system, node_count): unit.phase("DoNothing")
+                for node_count, config, unit in results
+            },
+            systems=tuple(dict.fromkeys(config.system for __, config, __ in results)),
+        )
+
+    def table(self, run: ScalabilityRun) -> str:
+        """MTPS per system and network size, with the paper's expectation."""
+        rows = []
+        for system in run.systems:
+            cells = [
+                "FAIL" if run.cells[(system, n)].received.mean == 0
+                else f"{run.mtps(system, n):.2f}"
+                for n in self.node_counts
+            ]
+            rows.append([SYSTEM_LABELS[system], *cells, FIG5_EXPECTATIONS[system]])
+        headers = ["System", *(f"n={n}" for n in self.node_counts), "Paper expectation"]
+        return markdown_section(self.title, headers, rows)
 
 
 def fig5_checks(run: ScalabilityRun) -> typing.List[ShapeCheck]:

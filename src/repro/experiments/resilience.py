@@ -30,11 +30,10 @@ import typing
 
 from repro.chains.registry import SYSTEM_NAMES
 from repro.coconut.config import BenchmarkConfig
+from repro.coconut.report import markdown_section
 from repro.coconut.results import PhaseResult
+from repro.experiments.base import BatchExperiment, LabelledResult
 from repro.faults import FaultPlan, ResilienceReport
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import Executor
 
 #: Payloads/second per client — low enough that every system runs well
 #: below saturation (Quorum's selection stall, Sawtooth's admission
@@ -44,6 +43,9 @@ RATE_LIMIT = 5
 #: Default window scale (send window 60 s: room for a fault at 15 s, a
 #: repair at 30 s and a recovery tail).
 DEFAULT_SCALE = 0.2
+
+#: Every resilience unit's seed.
+SEED = 61
 
 #: Fault start / repair as fractions of the scaled send window.
 FAULT_AT_FRACTION = 0.25
@@ -124,29 +126,10 @@ class ResilienceRow:
 class ResilienceRun:
     """The outcome of one resilience experiment."""
 
-    experiment_id: str
-    title: str
     rows: typing.List[ResilienceRow]
 
-    def row(self, system: str, scenario: str) -> ResilienceRow:
-        """Look one (system, scenario) row up."""
-        for row in self.rows:
-            if row.system == system and row.scenario == scenario:
-                return row
-        raise KeyError(f"no row for ({system!r}, {scenario!r})")
 
-    def render(self) -> str:
-        from repro.coconut.report import format_table
-
-        table = format_table(
-            ["System", "Scenario", "MTPS", "Base tps", "Dip", "Recovery",
-             "Win comm/lost", "Verdict"],
-            [row.cells() for row in self.rows],
-        )
-        return f"{self.title}\n{table}"
-
-
-class ResilienceExperiment:
+class ResilienceExperiment(BatchExperiment):
     """Fault scenarios applied uniformly to every system."""
 
     def __init__(
@@ -161,20 +144,12 @@ class ResilienceExperiment:
         self.title = title
         self.scenarios = list(scenarios)
 
-    def run(
-        self,
-        systems: typing.Optional[typing.Sequence[str]] = None,
-        scale: typing.Optional[float] = None,
-        seed: int = 61,
-        executor: typing.Optional["Executor"] = None,
-    ) -> ResilienceRun:
-        if executor is None:
-            from repro.parallel.executor import Executor
-
-            executor = Executor()
-        systems = tuple(systems or SYSTEM_NAMES)
-        specs: typing.List[typing.Tuple[str, str, BenchmarkConfig]] = []
-        for system in systems:
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[str, BenchmarkConfig]]:
+        """One unit per (system, scenario), labelled by its scenario."""
+        labelled = []
+        for system in SYSTEM_NAMES:
             for scenario, plan_factory in self.scenarios:
                 config = BenchmarkConfig(
                     system=system,
@@ -182,24 +157,30 @@ class ResilienceExperiment:
                     rate_limit=RATE_LIMIT,
                     repetitions=1,
                     scale=scale if scale is not None else DEFAULT_SCALE,
-                    seed=seed,
+                    seed=SEED,
                 )
                 config.fault_plan = plan_factory(config)
-                specs.append((system, scenario, config))
-        units = [o.result for o in executor.run_units([c for __, __, c in specs])]
+                labelled.append((scenario, config))
+        return labelled
+
+    def collect(self, results: typing.List[LabelledResult]) -> ResilienceRun:
         rows = []
-        for (system, scenario, __), unit in zip(specs, units):
+        for scenario, config, unit in results:
             phase_result = unit.phase("DoNothing")
-            rows.append(
-                ResilienceRow(
-                    system=system,
-                    scenario=scenario,
-                    phase_result=phase_result,
-                    report=phase_result.resilience_report(),
-                )
-            )
-        return ResilienceRun(
-            experiment_id=self.experiment_id, title=self.title, rows=rows
+            rows.append(ResilienceRow(
+                system=config.system,
+                scenario=scenario,
+                phase_result=phase_result,
+                report=phase_result.resilience_report(),
+            ))
+        return ResilienceRun(rows)
+
+    def table(self, run: ResilienceRun) -> str:
+        return markdown_section(
+            self.title,
+            ["System", "Scenario", "MTPS", "Base tps", "Dip", "Recovery",
+             "Win comm/lost", "Verdict"],
+            [row.cells() for row in run.rows],
         )
 
 

@@ -20,10 +20,9 @@ import typing
 
 from repro.analysis.compare import ShapeCheck
 from repro.coconut.config import BenchmarkConfig
+from repro.coconut.report import markdown_section
 from repro.coconut.results import PhaseResult
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import Executor
+from repro.experiments.base import BatchExperiment, LabelledResult
 
 
 @dataclasses.dataclass
@@ -39,8 +38,6 @@ class SweepRun:
     """A completed one-parameter sweep."""
 
     sweep_id: str
-    title: str
-    parameter: str
     points: typing.List[SweepPoint]
 
     def at(self, value: object) -> PhaseResult:
@@ -66,29 +63,9 @@ class SweepRun:
             return 0.0
         return (top - min(values)) / top
 
-    def rows(self) -> typing.List[typing.List[str]]:
-        """Setting, MTPS, MFLS and NoT cells, one row per swept setting."""
-        return [
-            [
-                f"{self.parameter}={point.value}",
-                f"{point.phase_result.mtps.mean:.2f}",
-                f"{point.phase_result.mfls.mean:.2f}",
-                f"{point.phase_result.received.mean:.0f}/"
-                f"{point.phase_result.expected.mean:.0f}",
-            ]
-            for point in self.points
-        ]
-
-    def render(self) -> str:
-        """A per-setting MTPS/MFLS table."""
-        from repro.coconut.report import format_table
-
-        table = format_table(["Setting", "MTPS", "MFLS (s)", "NoT"], self.rows())
-        return f"{self.title}\n{table}\nspread={self.spread():.2f}"
-
 
 @dataclasses.dataclass
-class ParameterSweep:
+class ParameterSweep(BatchExperiment):
     """Definition of a one-parameter sweep."""
 
     sweep_id: str
@@ -102,55 +79,48 @@ class ParameterSweep:
     is_system_param: bool = True
     recommended_scale: float = 0.1
 
-    def build_config(
-        self,
-        value: object,
-        scale: typing.Optional[float] = None,
-        repetitions: int = 1,
-    ) -> BenchmarkConfig:
-        """The benchmark configuration of one swept setting."""
-        kwargs = dict(self.config_kwargs)
-        if self.is_system_param:
-            params = dict(typing.cast(dict, kwargs.get("params", {})))
-            params[self.parameter] = value
-            kwargs["params"] = params
-        else:
-            kwargs[self.parameter] = value
-        return BenchmarkConfig(
-            scale=scale if scale is not None else self.recommended_scale,
-            repetitions=repetitions,
-            **kwargs,
-        )
+    def configs(
+        self, scale: typing.Optional[float]
+    ) -> typing.List[typing.Tuple[object, BenchmarkConfig]]:
+        """One unit per swept setting. Overlapping values (repeated, or
+        collapsing to one config) run once: the executor dedupes units
+        by fingerprint."""
+        labelled = []
+        for value in self.values:
+            kwargs = dict(self.config_kwargs)
+            if self.is_system_param:
+                params = dict(typing.cast(dict, kwargs.get("params", {})))
+                params[self.parameter] = value
+                kwargs["params"] = params
+            else:
+                kwargs[self.parameter] = value
+            labelled.append((value, BenchmarkConfig(
+                scale=scale if scale is not None else self.recommended_scale,
+                repetitions=1,
+                **kwargs,
+            )))
+        return labelled
 
-    def run(
-        self,
-        scale: typing.Optional[float] = None,
-        repetitions: int = 1,
-        executor: typing.Optional["Executor"] = None,
-    ) -> SweepRun:
-        """Execute the sweep, one unit per point, as one executor batch.
+    def collect(self, results: typing.List[LabelledResult]) -> SweepRun:
+        return SweepRun(self.sweep_id, [
+            SweepPoint(value, unit.phase(self.phase)) for value, __, unit in results
+        ])
 
-        Overlapping values (repeated, or collapsing to one config) run
-        once: the executor dedupes units by fingerprint.
-        """
-        if executor is None:
-            from repro.parallel.executor import Executor
-
-            executor = Executor()
-        configs = [
-            self.build_config(value, scale=scale, repetitions=repetitions)
-            for value in self.values
+    def table(self, run: SweepRun) -> str:
+        """MTPS, MFLS and NoT per swept setting, and the MTPS spread."""
+        rows = [
+            [
+                f"{self.parameter}={point.value}",
+                f"{point.phase_result.mtps.mean:.2f}",
+                f"{point.phase_result.mfls.mean:.2f}",
+                f"{point.phase_result.received.mean:.0f}/"
+                f"{point.phase_result.expected.mean:.0f}",
+            ]
+            for point in run.points
         ]
-        units = [outcome.result for outcome in executor.run_units(configs)]
-        points = [
-            SweepPoint(value=value, phase_result=unit.phase(self.phase))
-            for value, unit in zip(self.values, units)
-        ]
-        return SweepRun(
-            sweep_id=self.sweep_id,
-            title=self.title,
-            parameter=self.parameter,
-            points=points,
+        return markdown_section(
+            self.title, ["Setting", "MTPS", "MFLS (s)", "NoT"], rows,
+            note=f"MTPS spread, (max - min) / max: {run.spread():.2f}.",
         )
 
 
@@ -383,9 +353,3 @@ SWEEP_CHECKS: typing.Dict[str, typing.Callable[[SweepRun], typing.List[ShapeChec
     "sweep_sawtooth_batch": sawtooth_batch_checks,
 }
 
-
-def build_sweep(sweep_id: str) -> ParameterSweep:
-    """Construct one sweep by id."""
-    if sweep_id not in SWEEPS:
-        raise KeyError(f"unknown sweep {sweep_id!r}; known: {sorted(SWEEPS)}")
-    return SWEEPS[sweep_id]()

@@ -24,10 +24,10 @@ shows up first.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
-from repro.experiments.base import Case, CaseResult, Experiment, ExperimentRun
+from repro.coconut.report import markdown_section
+from repro.experiments.base import Case, Experiment, ExperimentRun
 from repro.workloads import AccessSpec, ArrivalSpec, PhaseOverride, WorkloadSpec
 
 #: Moderate per-client rates, comfortably under each system's knee at
@@ -53,44 +53,27 @@ SKEW_ACCESS: typing.Dict[str, AccessSpec] = {
 }
 
 
-@dataclasses.dataclass
-class WorkloadCaseResult(CaseResult):
-    """Measured numbers for one workload case, tails included."""
-
-    def row(self) -> typing.List[str]:
-        phase = self.phase_result
-        return [
-            self.case.case_id,
-            f"{phase.mtps.mean:.2f}",
-            f"{phase.mfls.mean:.2f}",
-            f"{phase.p50.mean:.2f}",
-            f"{phase.p99.mean:.2f}",
-            f"{phase.received.mean:.0f}/{phase.expected.mean:.0f}",
-            f"{phase.invalidated.mean:.0f}",
-        ]
-
-
-@dataclasses.dataclass
-class WorkloadRun(ExperimentRun):
-    """The outcome of one workload experiment."""
-
-    case_results: typing.List[WorkloadCaseResult]
-
-    def render(self) -> str:
-        from repro.coconut.report import format_table
-
-        table = format_table(
-            ["Case", "MTPS", "MFLS (s)", "p50 (s)", "p99 (s)", "NoT", "Invalid"],
-            [result.row() for result in self.case_results],
-        )
-        return f"{self.title}\n{table}"
-
-
 class WorkloadExperiment(Experiment):
     """A named list of cases rendered with latency tails and conflicts."""
 
-    result_type = WorkloadCaseResult
-    run_type = WorkloadRun
+    def table(self, run: ExperimentRun) -> str:
+        rows = []
+        for result in run.case_results:
+            phase = result.phase_result
+            rows.append([
+                result.case.case_id,
+                f"{phase.mtps.mean:.2f}",
+                f"{phase.mfls.mean:.2f}",
+                f"{phase.p50.mean:.2f}",
+                f"{phase.p99.mean:.2f}",
+                f"{phase.received.mean:.0f}/{phase.expected.mean:.0f}",
+                f"{phase.invalidated.mean:.0f}",
+            ])
+        return markdown_section(
+            self.title,
+            ["Case", "MTPS", "MFLS (s)", "p50 (s)", "p99 (s)", "NoT", "Invalid"],
+            rows,
+        )
 
 
 def _case(

@@ -188,14 +188,18 @@ class Simulator:
         This is the wait of every loop and flow. Its two queue entries
         sit where those of a generator process waiting on a timeout sat,
         which the tests' generator reference makes (DESIGN §10). The hop
-        is built here, on the next sequence number, and the timer (one
-        :meth:`schedule` call) appends it to the ready lane when it
-        fires, where a ``schedule(0.0, ...)`` call would have put it.
-        Ready-lane entries pop in FIFO order and their sequence slot is
-        never read, so the early number moves no dispatch.
+        is built here, and the timer (one :meth:`schedule` call) appends
+        it to the ready lane when it fires, where a ``schedule(0.0,
+        ...)`` call would have put it. The timer takes the next sequence
+        number and the hop the one after, claimed only once
+        :meth:`schedule` has accepted the delay, so a refused wait
+        leaves the counter as it was. Ready-lane entries pop in FIFO
+        order and their sequence slot is never read, so the hop's
+        number moves no dispatch.
         """
-        self._sequence = sequence = self._sequence + 1
+        sequence = self._sequence + 2
         self.schedule(delay, self._ready_append, (self.now + delay, sequence, callback, args))
+        self._sequence = sequence
 
     def run(self, until: typing.Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.

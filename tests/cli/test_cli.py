@@ -137,10 +137,11 @@ class TestRunCommand:
         assert "block stats:" in capsys.readouterr().out
 
     def test_sweep_command(self, capsys):
-        code = main(["sweep", "sweep_fabric_mm", "--scale", "0.02"])
+        code = main(["experiment", "sweep_fabric_mm", "--scale", "0.02"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "MaxMessageCount=100" in out and "spread=" in out
+        assert "| MaxMessageCount=100 |" in out
+        assert "MTPS spread, (max - min) / max: " in out
 
     def test_bitshares_ops_flag(self, capsys):
         code = main([
@@ -209,12 +210,38 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig5", "--systems", "nosuch"], "unknown system 'nosuch'; known: corda_os, "),
+        (["table15_16", "--systems", "fabric"],
+         "no unit of this experiment runs on fabric"),
+        (["capacity_keyvalue_grid", "--systems", "diem"],
+         "no unit of this experiment runs on diem"),
+    ], ids=["unknown-name", "table-keeps-nothing", "capacity-keeps-nothing"])
+    def test_bad_systems_selection_is_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(["experiment", *argv, "--scale", "0.01"])
+        text = str(error.value.code)
+        assert text.startswith(f"coconut experiment: error: {message}")
+        assert "\n" not in text
+        assert "executor:" not in capsys.readouterr().out
+
+    def test_leader_crash_recovers_on_five_systems(self, capsys):
+        """Fault injection stays wired up: the crashed leader's system
+        recovers on Fabric and on the four order-execute systems."""
+        systems = ["quorum", "fabric", "diem", "bitshares", "sawtooth"]
+        assert main(["experiment", "resilience_leader_crash",
+                     "--systems", ",".join(systems), "--scale", "0.2"]) == 0
+        rows = [line.strip("| ").split(" | ")
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| ") and not line.startswith("| System ")]
+        assert {row[0]: row[-1] for row in rows} == dict.fromkeys(systems, "recovered")
+
 
 class TestParallelFlags:
     @pytest.mark.parametrize("bad", ["0", "-2", "two"])
     @pytest.mark.parametrize("verb", [
         ["experiment", "table15_16"],
-        ["sweep", "sweep_fabric_mm"],
+        ["experiment", "sweep_fabric_mm"],
         ["search", "--system", "quorum"],
     ])
     def test_jobs_below_one_rejected_at_parse_time(self, verb, bad, capsys):
@@ -249,15 +276,15 @@ class TestParallelFlags:
         assert warm_out.split("executor:")[0] == cold_out.split("executor:")[0]
 
     def test_sweep_with_jobs_matches_serial(self, capsys):
-        assert main(["sweep", "sweep_fabric_mm", "--scale", "0.02"]) == 0
+        assert main(["experiment", "sweep_fabric_mm", "--scale", "0.02"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(["sweep", "sweep_fabric_mm", "--scale", "0.02", "--jobs", "2"]) == 0
+        assert main(["experiment", "sweep_fabric_mm", "--scale", "0.02", "--jobs", "2"]) == 0
         parallel_out = capsys.readouterr().out
         assert "executor: 4 ran, 0 cached (jobs=2)" in parallel_out
         assert parallel_out.split("executor:")[0] == serial_out.split("executor:")[0]
 
     def test_serial_cache_dir_without_jobs(self, tmp_path, capsys):
-        args = ["sweep", "sweep_fabric_mm", "--scale", "0.02",
+        args = ["experiment", "sweep_fabric_mm", "--scale", "0.02",
                 "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         assert "executor: 4 ran, 0 cached (jobs=1)" in capsys.readouterr().out

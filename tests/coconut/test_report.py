@@ -1,7 +1,7 @@
 """Unit tests for the text report renderers."""
 
 from repro.coconut.metrics import PhaseMetrics
-from repro.coconut.report import format_table, heatmap
+from repro.coconut.report import format_table, markdown_section
 from repro.coconut.results import PhaseResult
 
 
@@ -38,17 +38,16 @@ class TestFormatTable:
         assert len(divider) >= len("a-very-wide-cell")
 
 
-class TestMetricTables:
-    def test_heatmap_failure_cells(self):
-        dead = phase_result(received=0, expected=100, tps=0.0)
-        grid = heatmap(
-            {("Set", "A"): phase_result(), ("Set", "B"): dead},
-            row_labels=["Set"],
-            column_labels=["A", "B", "C"],
-        )
-        assert "MTPS=11.00" in grid
-        assert grid.count("FAIL") == 2  # the dead cell and the absent one
+class TestMarkdownSection:
+    def test_heading_table_and_note(self):
+        text = markdown_section("T", ["A", "B"], [["1", "2"], ["3", "4"]], note="n.")
+        assert text == "\n### T\n\n| A | B |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n\nn.\n"
 
+    def test_no_note(self):
+        assert markdown_section("T", ["A"], [["1"]]) == "\n### T\n\n| A |\n|---|\n| 1 |\n"
+
+
+class TestMetricTables:
     def test_latency_table_tail_columns(self):
         from repro.coconut.report import latency_table
 

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.coconut import BenchmarkConfig, BenchmarkRunner, ResultStore
-from repro.coconut.report import heatmap, unit_summary
+from repro.coconut.report import unit_summary
 from repro.coconut.results import UnitResult
 from repro.faults import FaultPlan
 from repro.sim.kernel import Simulator
@@ -269,12 +269,3 @@ class TestReport:
     def test_unit_summary_mentions_phases(self, fabric_result):
         text = unit_summary(fabric_result)
         assert "Set" in text and "Get" in text
-
-    def test_heatmap_marks_failures(self, fabric_result):
-        grid = heatmap(
-            {("Set", "Fabric"): fabric_result.phase("Set")},
-            row_labels=["Set", "Get"],
-            column_labels=["Fabric", "Quorum"],
-        )
-        assert "MTPS=" in grid
-        assert "FAIL" in grid  # the missing cells

@@ -167,22 +167,25 @@ class TestExperimentMachinery:
         assert "MTPS=10.00" in text and "NoT=5/10" in text
 
 
+def one_case_table13_14() -> Experiment:
+    """Table 13-14's RL=800 case alone."""
+    table = build_experiment("table13_14")
+    case = next(case for case in table.cases if case.case_id == "RL=800 MM=100")
+    return Experiment(table.experiment_id, table.title, [case])
+
+
 class TestTinyRun:
     def test_table_experiment_runs_end_to_end(self):
-        experiment = build_experiment("table13_14")
-        run = experiment.run(
-            scale=0.02, repetitions=1,
-            case_filter=lambda case: case.case_id == "RL=800 MM=100",
-        )
+        experiment = one_case_table13_14()
+        run = experiment.run(scale=0.02)
         assert len(run.case_results) == 1
         result = run.case("RL=800 MM=100")
         assert result.measured_mtps > 0
-        rendered = run.render()
-        assert "Paper" in rendered and "Measured" in rendered
+        table = experiment.table(run)
+        assert "| Case | Paper | Measured |" in table
+        assert "Window scales — RL=800 MM=100: x0.02." in table
 
     def test_unknown_case_lookup(self):
-        experiment = build_experiment("table13_14")
-        run = experiment.run(scale=0.02, repetitions=1,
-                             case_filter=lambda case: case.case_id == "RL=800 MM=100")
+        run = one_case_table13_14().run(scale=0.02)
         with pytest.raises(KeyError):
             run.case("RL=9999")

@@ -3,21 +3,23 @@
 No real experiment runs here: runs are built by each experiment's own
 ``run`` over an executor that answers every unit with made-up numbers
 (the in-process ablation's run is made up whole), and the generator is
-driven over a stubbed section.
+driven over stubbed sections.
 """
 
 import datetime
 import importlib.util
+import os
 import pathlib
 import types
 
 import pytest
 
+from repro import cli
 from repro.analysis.compare import ShapeCheck
 from repro.coconut.metrics import PhaseMetrics
 from repro.coconut.results import PhaseResult
-from repro.experiments.extensions import AblationRun, VantagePoint
-from repro.experiments.registry import build_experiment, shape_checks
+from repro.experiments.extensions import AblationRun, EndToEndAblation, VantagePoint
+from repro.experiments.registry import EXPERIMENT_IDS, build_experiment, shape_checks
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "generate_experiments_md.py"
 
@@ -32,7 +34,7 @@ def load_generator():
 GENERATOR = load_generator()
 
 #: Every experiment the generator writes a section for, in file order.
-GENERATED_IDS = [i for __, ids, __ in GENERATOR.SECTIONS for i in ids]
+GENERATED_IDS = [i for __, ids in GENERATOR.SECTIONS for i in ids]
 
 #: The paper's tables and figures among them.
 PAPER_IDS = [i for i in GENERATED_IDS if i.startswith(("table", "fig"))]
@@ -70,6 +72,17 @@ class FakeExecutor:
             outcomes.append(types.SimpleNamespace(config=config, cached=False, result=unit))
         return outcomes
 
+    def summary(self):
+        return "executor: made up"
+
+
+#: The ablation's run, made up whole: it runs in-process, not through
+#: an executor.
+ABLATION_RUN = AblationRun("ablation_endtoend", [
+    VantagePoint(peers=4, node_tps=400.0, client_tps=390.0, received=100),
+    VantagePoint(peers=16, node_tps=400.0, client_tps=0.0, received=0),
+])
+
 
 @pytest.fixture(scope="module")
 def runs():
@@ -79,10 +92,7 @@ def runs():
         for i in GENERATED_IDS
         if i != "ablation_endtoend"
     }
-    built["ablation_endtoend"] = AblationRun("ablation_endtoend", "made up", [
-        VantagePoint(peers=4, node_tps=400.0, client_tps=390.0, received=100),
-        VantagePoint(peers=16, node_tps=400.0, client_tps=0.0, received=0),
-    ])
+    built["ablation_endtoend"] = ABLATION_RUN
     return built
 
 
@@ -165,16 +175,16 @@ class TestGenerator:
         """The generator over one stubbed experiment with a failing check."""
         run = object()
 
-        def write(written, writer):
+        def table(written):
             assert written is run
-            writer.write("\n### Stub experiment\n")
+            return "\n### Stub experiment\n"
 
         def checks(experiment_id, runs):
             assert runs[experiment_id] is run
             return [ShapeCheck("holds", True, "fine"), ShapeCheck("breaks", False, "inverted")]
 
-        experiment = types.SimpleNamespace(run=lambda executor: run)
-        monkeypatch.setattr(GENERATOR, "SECTIONS", (("", ("stub",), write),))
+        experiment = types.SimpleNamespace(run=lambda executor: run, table=table)
+        monkeypatch.setattr(GENERATOR, "SECTIONS", (("", ("stub",)),))
         monkeypatch.setattr(GENERATOR, "build_experiment", lambda experiment_id: experiment)
         monkeypatch.setattr(GENERATOR, "shape_checks", checks)
         return GENERATOR
@@ -233,7 +243,7 @@ class TestScaleNote:
         for experiment_id in GENERATED_IDS:
             if experiment_id == "ablation_endtoend":
                 # Runs in-process, not through an executor.
-                assert build_experiment(experiment_id).build_config(4).scale != 0.0123
+                assert dict(build_experiment(experiment_id).configs(None))[4].scale != 0.0123
                 continue
             executor = RecordingExecutor()
             build_experiment(experiment_id).run(executor=executor)
@@ -251,3 +261,27 @@ class TestScaleNote:
             ", overridden to the paper's full windows in the result tables,"
         )
 
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+def test_cli_prints_the_table_the_generator_writes(experiment_id, monkeypatch, tmp_path, capsys):
+    """One renderer: ``coconut experiment <id>`` prints the section the
+    generator writes for the same run, then the executor's line."""
+    monkeypatch.setattr(EndToEndAblation, "run", lambda self, **kwargs: ABLATION_RUN)
+    monkeypatch.setattr(cli, "_executor", lambda args: FakeExecutor())
+    assert cli.main(["experiment", experiment_id]) == 0
+    printed = capsys.readouterr().out
+
+    monkeypatch.setattr(GENERATOR, "Executor", lambda **kwargs: FakeExecutor())
+    monkeypatch.setattr(GENERATOR, "SECTIONS", (("", (experiment_id,)),))
+    monkeypatch.setattr(GENERATOR, "shape_checks", lambda experiment_id, runs: [])
+    output = tmp_path / "EXPERIMENTS.md"
+    assert GENERATOR.main([str(output)]) == 0
+    written = output.read_text(encoding="utf-8")
+    header = GENERATOR.HEADER.format(
+        scale_note=GENERATOR.scale_note(), reps=os.environ.get("REPRO_REPS", "1")
+    )
+    assert written.startswith(header) and written.endswith(GENERATOR.FOOTER)
+    section = written[len(header):-len(GENERATOR.FOOTER)]
+    assert section.startswith("\n### ") and "\n|---|" in section
+    assert printed == section + "executor: made up\n"

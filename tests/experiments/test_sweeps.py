@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.sweeps import SWEEPS, ParameterSweep, build_sweep
+from repro.experiments.registry import build_experiment
+from repro.experiments.sweeps import SWEEPS, ParameterSweep
 
 
 class TestSweepDefinitions:
@@ -15,16 +16,16 @@ class TestSweepDefinitions:
 
     def test_unknown_sweep(self):
         with pytest.raises(KeyError):
-            build_sweep("sweep_bitcoin_difficulty")
+            build_experiment("sweep_bitcoin_difficulty")
 
     def test_paper_values_match_tables_5_and_6(self):
-        assert tuple(build_sweep("sweep_fabric_mm").values) == (100, 500, 1000, 2000)
-        assert tuple(build_sweep("sweep_diem_bs").values) == (100, 500, 1000, 2000)
-        assert tuple(build_sweep("sweep_bitshares_bi").values) == (1.0, 2.0, 5.0, 10.0)
-        assert tuple(build_sweep("sweep_quorum_bp").values) == (1.0, 2.0, 5.0, 10.0)
-        assert tuple(build_sweep("sweep_sawtooth_pd").values) == (1.0, 2.0, 5.0, 10.0)
-        assert tuple(build_sweep("sweep_bitshares_ops").values) == (1, 50, 100)
-        assert tuple(build_sweep("sweep_sawtooth_batch").values) == (1, 50, 100)
+        assert tuple(SWEEPS["sweep_fabric_mm"]().values) == (100, 500, 1000, 2000)
+        assert tuple(SWEEPS["sweep_diem_bs"]().values) == (100, 500, 1000, 2000)
+        assert tuple(SWEEPS["sweep_bitshares_bi"]().values) == (1.0, 2.0, 5.0, 10.0)
+        assert tuple(SWEEPS["sweep_quorum_bp"]().values) == (1.0, 2.0, 5.0, 10.0)
+        assert tuple(SWEEPS["sweep_sawtooth_pd"]().values) == (1.0, 2.0, 5.0, 10.0)
+        assert tuple(SWEEPS["sweep_bitshares_ops"]().values) == (1, 50, 100)
+        assert tuple(SWEEPS["sweep_sawtooth_batch"]().values) == (1, 50, 100)
 
 
 class TestSweepExecution:
@@ -41,9 +42,9 @@ class TestSweepExecution:
         assert len(run.points) == 2
         assert all(point.phase_result.mtps.mean > 0 for point in run.points)
         assert 0.0 <= run.spread() <= 1.0
-        rendered = run.render()
-        assert "MaxMessageCount=50" in rendered
-        assert "spread=" in rendered
+        table = sweep.table(run)
+        assert "| MaxMessageCount=50 |" in table
+        assert f"MTPS spread, (max - min) / max: {run.spread():.2f}." in table
 
     def test_config_field_sweep(self):
         sweep = ParameterSweep(
@@ -89,5 +90,5 @@ class TestSweepExecution:
             phase="x", repetition=0, expected=10, received=0, failed=0,
             t_first_send=0, t_last_receive=0, duration=0, tps=0, mean_fls=0,
         )])
-        run = SweepRun("s", "t", "p", [SweepPoint(1, dead)])
+        run = SweepRun("s", [SweepPoint(1, dead)])
         assert run.spread() == 0.0

@@ -37,10 +37,13 @@ class TestScheduling:
     def test_nan_delay_is_refused(self, method):
         # A NaN entry at the heap top stopped run() as if the queue had
         # drained: it returned 0.0 with every later entry still queued.
+        # A refused delay, NaN or negative, takes no sequence number.
         sim = Simulator()
         fired = []
-        with pytest.raises(ValueError):
-            getattr(sim, method)(float("nan"), fired.append, "nan")
+        for delay in (float("nan"), -0.1):
+            with pytest.raises(ValueError):
+                getattr(sim, method)(delay, fired.append, "refused")
+            assert sim._sequence == 0
         assert sim.pending_events() == 0
         sim.schedule(1.0, fired.append, "a")
         sim.schedule(2.0, fired.append, "b")
