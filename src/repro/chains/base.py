@@ -45,6 +45,11 @@ from repro.trace.tracer import Instruments
 
 _proposal_counter = itertools.count(1)
 
+#: Attribute names of the node's trace events, shared by every record.
+_APPLY_KEYS = ("payloads", "iel")
+_APPEND_KEYS = ("height", "txs", "payloads", "bytes")
+_NOTIFY_DROP_KEYS = ("client", "count", "backlog")
+
 
 def reset_proposal_counter() -> None:
     """Restart the proposal-id sequence (deterministic ids for tests)."""
@@ -401,9 +406,8 @@ class BaseNode(Endpoint):
         if tracer.enabled and payload_count:
             trace = self._trace_iel.bind(tracer)
             if trace.wanted:
-                trace.event("iel.apply", self.endpoint_id, {
-                    "payloads": payload_count, "iel": self.system.iel_name,
-                })
+                trace.event("iel.apply", self.endpoint_id, _APPLY_KEYS,
+                            (payload_count, self.system.iel_name))
                 trace.payloads.inc(payload_count)
 
     def try_apply_batch(
@@ -461,10 +465,10 @@ class BaseNode(Endpoint):
         if tracer.enabled:
             trace = self._trace_storage.bind(tracer)
             if trace.wanted:
-                trace.event("block.append", self.endpoint_id, {
-                    "height": block.height, "txs": len(proposal.transactions),
-                    "payloads": proposal.payload_count, "bytes": proposal.size_bytes,
-                })
+                trace.event("block.append", self.endpoint_id, _APPEND_KEYS, (
+                    block.height, len(proposal.transactions),
+                    proposal.payload_count, proposal.size_bytes,
+                ))
                 trace.blocks.inc()
                 trace.block_payloads.record(proposal.payload_count)
         return block
@@ -501,10 +505,9 @@ class BaseNode(Endpoint):
             if tracer.enabled:
                 trace = self._trace_chain.bind(tracer)
                 if trace.wanted:
-                    trace.event("notify.drop", self.endpoint_id, {
-                        "client": client_id, "count": len(receipts),
-                        "backlog": self._event_backlog_payloads,
-                    })
+                    trace.event("notify.drop", self.endpoint_id, _NOTIFY_DROP_KEYS, (
+                        client_id, len(receipts), self._event_backlog_payloads,
+                    ))
                     trace.dropped_notifications.inc(len(receipts))
             return
         self._event_backlog_payloads += len(receipts)

@@ -20,6 +20,9 @@ import typing
 from repro.net.network import Message
 from repro.trace.tracer import Instruments
 
+#: Attribute names of the ``decision`` trace event.
+_DECISION_KEYS = ("engine", "seq", "proposer")
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
 
@@ -347,9 +350,8 @@ class ReplicaEngine:
         if tracer.enabled:
             trace = self._trace.bind(tracer)
             if trace.wanted:
-                trace.event("decision", self.replica_id, {
-                    "engine": type(self).__name__, "seq": sequence, "proposer": proposer,
-                })
+                trace.event("decision", self.replica_id, _DECISION_KEYS,
+                            (type(self).__name__, sequence, proposer))
                 trace.decisions.inc()
         checker = self.context.checker
         if checker.enabled:

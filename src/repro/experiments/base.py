@@ -14,6 +14,10 @@ confirmation — fit the shortened windows). ``REPRO_FULL_SCALE=1`` in the
 environment restores the paper's full 300 s send windows;
 ``REPRO_SCALE=<x>`` forces a specific scale; ``REPRO_REPS=<n>`` forces a
 repetition count (the paper uses 3; experiments default to 1 for speed).
+The first that is set wins, in this order: an explicit ``scale`` (as
+``coconut experiment --scale`` passes), ``REPRO_FULL_SCALE=1``,
+``REPRO_SCALE``, the case's recommended scale. An explicit
+``repetitions`` likewise wins over ``REPRO_REPS``.
 """
 
 from __future__ import annotations
@@ -152,10 +156,10 @@ class Case:
     ) -> BenchmarkConfig:
         """Materialise the benchmark configuration, applying overrides."""
         env_scale = os.environ.get("REPRO_SCALE")
-        if os.environ.get("REPRO_FULL_SCALE") == "1":
-            effective_scale = 1.0
-        elif scale is not None:
+        if scale is not None:
             effective_scale = scale
+        elif os.environ.get("REPRO_FULL_SCALE") == "1":
+            effective_scale = 1.0
         elif env_scale:
             try:
                 effective_scale = float(env_scale)

@@ -26,6 +26,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: pair, or a random loss draw.
 DROP_CAUSES = ("host_down", "endpoint_down", "partition", "loss")
 
+#: Attribute names of the ``net.send``/``net.drop`` and ``net.deliver``
+#: trace events, shared by every record (see ``EventRecord``).
+_SEND_KEYS = ("dst", "kind", "size")
+_DELIVER_KEYS = ("src", "kind", "latency")
+
 
 class Message:
     """An envelope routed by the network.
@@ -214,9 +219,8 @@ class Network:
         if tracer.enabled:
             trace = self._trace.bind(tracer)
             if trace.wanted:
-                trace.event("net.drop", message.src, {
-                    "dst": message.dst, "kind": message.kind, "size": message.size_bytes,
-                })
+                trace.event("net.drop", message.src, _SEND_KEYS,
+                            (message.dst, message.kind, message.size_bytes))
                 trace.dropped.inc()
 
     def _route_for(self, src: str, dst: str) -> _Route:
@@ -329,7 +333,7 @@ class Network:
         if tracer.enabled:
             trace = self._trace.bind(tracer)
             if trace.wanted:
-                trace.event("net.send", src, {"dst": dst, "kind": message.kind, "size": size})
+                trace.event("net.send", src, _SEND_KEYS, (dst, message.kind, size))
                 trace.sent.inc()
                 trace.bytes.inc(size)
         sim.schedule(latency, self._deliver_cb, route.endpoint, message, dst, latency)
@@ -360,8 +364,7 @@ class Network:
         if tracer.enabled:
             trace = self._trace.bind(tracer)
             if trace.wanted:
-                trace.event("net.deliver", dst, {
-                    "src": message.src, "kind": message.kind, "latency": round(latency, 9),
-                })
+                trace.event("net.deliver", dst, _DELIVER_KEYS,
+                            (message.src, message.kind, round(latency, 9)))
                 trace.latency.record(latency)
         endpoint.on_message(message)

@@ -207,12 +207,14 @@ class Batch(_Fields):
     If one transaction in the batch fails, the whole batch is rejected and
     none of it reaches a block (Section 5.6). A ``__slots__`` class with
     a plain ``__init__``, like :class:`Transaction`. ``size_bytes`` (the
-    wire size: transaction bytes plus a fixed envelope) is computed once
-    at construction, as :class:`Transaction`'s is, and takes no part in
-    equality or hashing, which compare the three constructor fields.
+    wire size: transaction bytes plus a fixed envelope) and
+    ``payload_count`` (the payloads across all member transactions) are
+    computed once at construction, as :class:`Transaction`'s size is,
+    and take no part in equality or hashing, which compare the three
+    constructor fields.
     """
 
-    __slots__ = ("batch_id", "transactions", "submitter", "size_bytes")
+    __slots__ = ("batch_id", "transactions", "submitter", "size_bytes", "payload_count")
     _FIELDS = ("batch_id", "transactions", "submitter")
 
     def __init__(
@@ -222,9 +224,12 @@ class Batch(_Fields):
         self.transactions = transactions
         self.submitter = submitter
         size = 64
+        count = 0
         for transaction in transactions:
             size += transaction.size_bytes
+            count += len(transaction.payloads)
         self.size_bytes = size
+        self.payload_count = count
 
     @classmethod
     def wrap(cls, transactions: typing.Sequence[Transaction], submitter: str) -> "Batch":
@@ -232,11 +237,6 @@ class Batch(_Fields):
         if not transactions:
             raise ValueError("a batch needs at least one transaction")
         return cls(f"b{next(_batch_counter)}", tuple(transactions), submitter)
-
-    @property
-    def payload_count(self) -> int:
-        """Total payloads across all member transactions."""
-        return sum(len(tx.payloads) for tx in self.transactions)
 
     def canonical_tuple(self) -> tuple:
         """Stable tuple for content hashing."""

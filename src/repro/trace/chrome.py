@@ -36,10 +36,16 @@ def _thread_ids(tracer: Tracer) -> typing.Dict[str, int]:
     return tids
 
 
-def chrome_trace(tracer: Tracer, process_name: str = "coconut-sim") -> dict:
-    """Build the Chrome trace-event JSON object for a tracer's records."""
+def chrome_events(tracer: Tracer, process_name: str = "coconut-sim") -> typing.Iterator[dict]:
+    """The document's trace events in order: stably by ``(ts, tid)``,
+    where metadata rows have no ``ts`` and sort as -1.
+
+    Ties keep metadata, spans, events and record order. Only the sort
+    keys are built up front; a record's trace event is built as it is
+    yielded, so writing a trace holds one of them at a time.
+    """
     tids = _thread_ids(tracer)
-    trace_events: typing.List[dict] = [
+    metadata = [
         {
             "ph": "M",
             "pid": _PID,
@@ -49,7 +55,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "coconut-sim") -> dict:
         }
     ]
     for node, tid in tids.items():
-        trace_events.append(
+        metadata.append(
             {
                 "ph": "M",
                 "pid": _PID,
@@ -58,40 +64,59 @@ def chrome_trace(tracer: Tracer, process_name: str = "coconut-sim") -> dict:
                 "args": {"name": node or "(global)"},
             }
         )
-    for span in tracer.spans:
-        trace_events.append(
-            {
+    spans, events = tracer.spans, tracer.events
+    order = [(-1.0, row["tid"], 0, index) for index, row in enumerate(metadata)]
+    order.extend((span.start * _US_PER_SECOND, tids[span.node], 1, index)
+                 for index, span in enumerate(spans))
+    order.extend((event.time * _US_PER_SECOND, tids[event.node], 2, index)
+                 for index, event in enumerate(events))
+    order.sort()
+    for ts, tid, kind, index in order:
+        if kind == 0:
+            yield metadata[index]
+        elif kind == 1:
+            span = spans[index]
+            yield {
                 "ph": "X",
                 "pid": _PID,
-                "tid": tids[span.node],
+                "tid": tid,
                 "name": span.name,
                 "cat": span.category,
-                "ts": span.start * _US_PER_SECOND,
+                "ts": ts,
                 "dur": max(0.0, span.duration) * _US_PER_SECOND,
                 "args": span.attrs,
             }
-        )
-    for event in tracer.events:
-        trace_events.append(
-            {
+        else:
+            event = events[index]
+            yield {
                 "ph": "i",
                 "s": "t",
                 "pid": _PID,
-                "tid": tids[event.node],
+                "tid": tid,
                 "name": event.name,
                 "cat": event.category,
-                "ts": event.time * _US_PER_SECOND,
+                "ts": ts,
                 "args": event.attrs,
             }
-        )
-    # Stable time order makes the output diffable and stream-friendly.
-    trace_events.sort(key=lambda e: (e.get("ts", -1.0), e["tid"]))
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+
+
+def chrome_trace(tracer: Tracer, process_name: str = "coconut-sim") -> dict:
+    """Build the Chrome trace-event JSON object for a tracer's records."""
+    return {
+        "traceEvents": list(chrome_events(tracer, process_name)),
+        "displayTimeUnit": "ms",
+    }
 
 
 def write_chrome_trace(tracer: Tracer, path: typing.Union[str, "typing.Any"],
                        process_name: str = "coconut-sim") -> None:
-    """Serialise :func:`chrome_trace` to ``path``."""
-    payload = chrome_trace(tracer, process_name=process_name)
+    """Serialise :func:`chrome_trace` to ``path``, the same bytes as
+    ``json.dump`` writes, one trace event at a time."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, default=str)
+        handle.write('{"traceEvents": [')
+        separator = ""
+        for event in chrome_events(tracer, process_name):
+            handle.write(separator)
+            handle.write(json.dumps(event, default=str))
+            separator = ", "
+        handle.write('], "displayTimeUnit": "ms"}')

@@ -15,12 +15,19 @@ from repro.trace.tracer import Tracer
 
 
 def jsonl_lines(tracer: Tracer) -> typing.Iterator[dict]:
-    """All records as JSON-ready dicts, spans/events merged in time order."""
-    records = [(span.start, 0, span.to_dict()) for span in tracer.spans]
-    records.extend((event.time, 1, event.to_dict()) for event in tracer.events)
-    records.sort(key=lambda item: item[:2])
-    for __, __, record in records:
-        yield record
+    """All records as JSON-ready dicts, spans/events merged in time order.
+
+    Only ``(time, kind, index)`` keys are sorted (spans before events at
+    the same time, each in record order), and a record's dict is built
+    as it is yielded, so writing a trace holds one record's dict at a
+    time, not one per record.
+    """
+    spans, events = tracer.spans, tracer.events
+    order = [(span.start, 0, index) for index, span in enumerate(spans)]
+    order.extend((event.time, 1, index) for index, event in enumerate(events))
+    order.sort()
+    for __, kind, index in order:
+        yield (events if kind else spans)[index].to_dict()
     yield {"type": "metrics", "metrics": tracer.metrics.snapshot(),
            "dropped_records": tracer.dropped_records}
 

@@ -76,25 +76,36 @@ class SpanRecord:
         }
 
 
-@dataclasses.dataclass(init=False)
 class EventRecord:
-    """One instantaneous occurrence (slotted like :class:`SpanRecord`)."""
+    """One instantaneous occurrence.
 
-    __slots__ = ("name", "category", "node", "time", "attrs")
+    A traced run retains every event, and most of them are per-message
+    ``net.send``/``net.deliver`` records, so an event keeps its
+    attributes as two tuples rather than a dict: ``keys``, which a hot
+    hook passes as one shared module-level constant, and ``values``. A
+    record is then one slotted object and one small tuple. :attr:`attrs`
+    builds the dict, in ``keys`` order, on each read. Equality and
+    ``repr`` read it too, so both are what they would be for a record
+    holding that dict: two records with the same attributes in another
+    order are equal, as their dicts are.
+    """
 
-    name: str
-    category: str
-    node: str
-    time: float
-    attrs: typing.Dict[str, object]
+    __slots__ = ("name", "category", "node", "time", "keys", "values")
 
     def __init__(self, name: str, category: str, node: str, time: float,
-                 attrs: typing.Optional[typing.Dict[str, object]] = None) -> None:
+                 keys: typing.Tuple[str, ...] = (),
+                 values: typing.Tuple[object, ...] = ()) -> None:
         self.name = name
         self.category = category
         self.node = node
         self.time = time
-        self.attrs = {} if attrs is None else attrs
+        self.keys = keys
+        self.values = values
+
+    @property
+    def attrs(self) -> typing.Dict[str, object]:
+        """The attributes as a fresh dict, in ``keys`` order."""
+        return dict(zip(self.keys, self.values))
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -106,6 +117,20 @@ class EventRecord:
             "time": self.time,
             "attrs": self.attrs,
         }
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        that = typing.cast(EventRecord, other)
+        return (self.name, self.category, self.node, self.time, self.attrs) == (
+            that.name, that.category, that.node, that.time, that.attrs)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like an eq dataclass
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(name={self.name!r}, "
+                f"category={self.category!r}, node={self.node!r}, "
+                f"time={self.time!r}, attrs={self.attrs!r})")
 
 
 class _NullSpan:
@@ -319,7 +344,8 @@ class Tracer:
             self.dropped_records += 1
             return
         self.events.append(EventRecord(name, category, node,
-                                       self.now if at is None else at, attrs))
+                                       self.now if at is None else at,
+                                       tuple(attrs), tuple(attrs.values())))
 
 
 class Instruments:
@@ -328,13 +354,14 @@ class Instruments:
     A component declares its category and the instruments its hooks
     update once, at construction, each as ``attribute=(kind, name,
     system, node)`` with ``kind`` a :class:`MetricsRegistry` method
-    (``"counter"``, ``"gauge"`` or ``"histogram"``). A hook then runs::
+    (``"counter"``, ``"gauge"`` or ``"histogram"``). A hook then runs,
+    with ``_SEND_KEYS = ("dst",)`` defined once in its module::
 
         tracer = self.sim.tracer
         if tracer.enabled:
             trace = self._trace.bind(tracer)
             if trace.wanted:
-                trace.event("net.send", src, {"dst": dst})
+                trace.event("net.send", src, _SEND_KEYS, (dst,))
                 trace.sent.inc()
 
     :meth:`bind` resolves the category filter and the instrument keys
@@ -368,7 +395,9 @@ class BoundInstruments:
     read, so an instrument no hook updates never appears in a snapshot.
     :meth:`event` appends an event record the way :meth:`Tracer.event`
     does for a wanted category: bounded by ``max_records``, stamped
-    with one clock read.
+    with one clock read. A hook passes its attribute names as one
+    module-level tuple and its values as a tuple, so a record shares
+    its ``keys`` with every other record of its hook.
     """
 
     def __init__(self, tracer: Tracer, category: str,
@@ -388,11 +417,13 @@ class BoundInstruments:
         setattr(self, attr, instrument)
         return instrument
 
-    def event(self, name: str, node: str, attrs: typing.Dict[str, object]) -> None:
-        """Record an instantaneous event of the bound category, now."""
+    def event(self, name: str, node: str, keys: typing.Tuple[str, ...],
+              values: typing.Tuple[object, ...]) -> None:
+        """Record an instantaneous event of the bound category, now,
+        with attributes ``dict(zip(keys, values))``."""
         tracer = self.tracer
         events = tracer.events
         if len(events) >= self._max_records:
             tracer.dropped_records += 1
             return
-        events.append(EventRecord(name, self._category, node, tracer._clock(), attrs))
+        events.append(EventRecord(name, self._category, node, tracer._clock(), keys, values))

@@ -157,6 +157,8 @@ class TestExperimentMachinery:
         assert case.build_config().scale == 0.5
         monkeypatch.setenv("REPRO_FULL_SCALE", "1")
         assert case.build_config().scale == 1.0
+        # An explicit scale wins over both environment overrides.
+        assert case.build_config(scale=0.07).scale == 0.07
         monkeypatch.setenv("REPRO_REPS", "5")
         assert case.build_config().repetitions == 5
         assert case.build_config(repetitions=1).repetitions == 1

@@ -70,7 +70,7 @@ class TestBoundEvents:
         tracer = Tracer(TraceConfig())
         tracer.bind_clock(lambda: 2.5)
         bound = Instruments("net").bind(tracer)
-        bound.event("net.send", "a", {"dst": "b", "size": 3})
+        bound.event("net.send", "a", ("dst", "size"), ("b", 3))
         tracer.event("net.send", category="net", node="a", dst="b", size=3)
         first, second = tracer.events
         assert first.to_dict() == second.to_dict()
