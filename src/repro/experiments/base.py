@@ -8,16 +8,12 @@ their labelled configs, how the labelled results fold into a run, and
 the table. An experiment built from :class:`Case` s produces
 measured-vs-paper rows.
 
-Scaling: simulated windows default to each case's ``recommended_scale``
-(chosen so the case's dynamics — queue growth, stalls, deep-latency
-confirmation — fit the shortened windows). ``REPRO_FULL_SCALE=1`` in the
-environment restores the paper's full 300 s send windows;
-``REPRO_SCALE=<x>`` forces a specific scale; ``REPRO_REPS=<n>`` forces a
-repetition count (the paper uses 3; experiments default to 1 for speed).
-The first that is set wins, in this order: an explicit ``scale`` (as
-``coconut experiment --scale`` passes), ``REPRO_FULL_SCALE=1``,
-``REPRO_SCALE``, the case's recommended scale. An explicit
-``repetitions`` likewise wins over ``REPRO_REPS``.
+Scaling: a case runs at the paper's windows (300 s send, 330 s listen,
+Section 4.3) unless told otherwise. ``REPRO_SCALE=<x>`` shortens them
+for a quick local run, and an explicit ``scale`` (as ``coconut
+experiment --scale`` passes) wins over it. ``REPRO_REPS=<n>`` forces a
+repetition count (the paper uses 3; cases default to 1 for speed), and
+an explicit ``repetitions`` wins over it.
 """
 
 from __future__ import annotations
@@ -142,12 +138,6 @@ class Case:
     config_kwargs: typing.Dict[str, object]
     phase: str
     paper: PaperValue = dataclasses.field(default_factory=PaperValue)
-    recommended_scale: float = 0.1
-    recommended_repetitions: int = 1
-    #: Set when the case's phenomenon is slower than the scaled listen
-    #: window: a zero-received measurement is then annotated as
-    #: unobservable rather than presented as a bare zero.
-    window_note: typing.Optional[str] = None
 
     def build_config(
         self,
@@ -158,8 +148,6 @@ class Case:
         env_scale = os.environ.get("REPRO_SCALE")
         if scale is not None:
             effective_scale = scale
-        elif os.environ.get("REPRO_FULL_SCALE") == "1":
-            effective_scale = 1.0
         elif env_scale:
             try:
                 effective_scale = float(env_scale)
@@ -168,7 +156,7 @@ class Case:
                     f"REPRO_SCALE must be a number in (0, 1], got {env_scale!r}"
                 ) from None
         else:
-            effective_scale = self.recommended_scale
+            effective_scale = 1.0
         env_reps = os.environ.get("REPRO_REPS")
         if repetitions is not None:
             effective_reps = repetitions
@@ -180,7 +168,7 @@ class Case:
                     f"REPRO_REPS must be a positive integer, got {env_reps!r}"
                 ) from None
         else:
-            effective_reps = self.recommended_repetitions
+            effective_reps = 1
         return BenchmarkConfig(
             scale=effective_scale, repetitions=effective_reps, **self.config_kwargs
         )
@@ -213,6 +201,13 @@ class ExperimentRun:
             if result.case.case_id == case_id:
                 return result
         raise KeyError(f"no case {case_id!r} in {self.experiment_id}")
+
+    def window_scales(self) -> str:
+        """The table note naming the window scale each case ran at."""
+        scales = ", ".join(
+            f"{result.case.case_id}: x{result.scale}" for result in self.case_results
+        )
+        return f"Window scales — {scales}."
 
 
 class Experiment(BatchExperiment):
@@ -249,12 +244,7 @@ class Experiment(BatchExperiment):
                 f"NoT={phase.received.mean:.0f}/{phase.expected.mean:.0f} "
                 f"D={phase.duration.mean:.1f}s"
             )
-            if phase.received.mean == 0 and result.case.window_note:
-                measured = f"{measured} ({result.case.window_note})"
             rows.append([result.case.case_id, result.case.paper.describe(), measured])
-        scales = ", ".join(
-            f"{result.case.case_id}: x{result.scale}" for result in run.case_results
-        )
         return markdown_section(
-            self.title, ["Case", "Paper", "Measured"], rows, note=f"Window scales — {scales}."
+            self.title, ["Case", "Paper", "Measured"], rows, note=run.window_scales()
         )

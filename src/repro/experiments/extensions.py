@@ -159,7 +159,6 @@ def ext_kafka_ordering() -> Experiment:
                     params={"OrderingService": ordering, "MaxMessageCount": 100}, seed=54,
                 ),
                 phase="Set",
-                recommended_scale=0.05,
             )
             for rate in (200, 400)
             for ordering in ("raft", "kafka")
@@ -217,19 +216,17 @@ def ext_corda_subset_signing() -> Experiment:
         "Extension: subset signing at 32 nodes - DoNothing",
         [
             Case(case_id="Corda Enterprise RL=160, all sign", config_kwargs=corda,
-                 phase="DoNothing", recommended_scale=0.15),
+                 phase="DoNothing"),
             Case(
                 case_id="Corda Enterprise RL=160, 3 signers",
                 config_kwargs=dict(corda, params={"RequiredSigners": 3}),
                 phase="DoNothing",
-                recommended_scale=0.15,
             ),
             Case(
                 case_id="Fabric RL=1600",
                 config_kwargs=dict(system="fabric", iel="DoNothing", rate_limit=400,
                                    node_count=32, seed=65),
                 phase="DoNothing",
-                recommended_scale=0.15,
             ),
         ],
     )

@@ -37,7 +37,6 @@ def table7_8_corda_os() -> Experiment:
                                    phases=("Set",), seed=78),
                 phase="Set",
                 paper=PaperValue(mtps=4.08, mfls=151.93, received=1439.0, expected=6000.0),
-                recommended_scale=0.25,
             ),
             Case(
                 case_id="RL=160",
@@ -45,7 +44,6 @@ def table7_8_corda_os() -> Experiment:
                                    phases=("Set",), seed=78),
                 phase="Set",
                 paper=PaperValue(mtps=1.04, mfls=227.39, received=374.33, expected=48000.0),
-                recommended_scale=0.25,
             ),
         ],
     )
@@ -84,7 +82,6 @@ def table9_10_corda_enterprise() -> Experiment:
                                    phases=("Set",), seed=910),
                 phase="Set",
                 paper=PaperValue(mtps=12.84, mfls=22.81, received=4249.67, expected=6000.0),
-                recommended_scale=0.25,
             ),
             Case(
                 case_id="RL=160",
@@ -92,7 +89,6 @@ def table9_10_corda_enterprise() -> Experiment:
                                    phases=("Set",), seed=910),
                 phase="Set",
                 paper=PaperValue(mtps=13.51, mfls=31.59, received=4571.0, expected=48000.0),
-                recommended_scale=0.25,
             ),
         ],
     )
@@ -133,7 +129,6 @@ def table11_12_bitshares() -> Experiment:
                                    ops_per_transaction=100, seed=1112),
                 phase="DoNothing",
                 paper=PaperValue(mtps=1599.89, mfls=1.09, received=487966.67, expected=480000.0),
-                recommended_scale=0.1,
             ),
         ],
     )
@@ -172,14 +167,12 @@ def table13_14_fabric() -> Experiment:
                 config_kwargs=dict(rate_limit=200, **common),
                 phase="SendPayment",
                 paper=PaperValue(mtps=801.36, mfls=0.22, received=240140.67, expected=240000.0),
-                recommended_scale=0.1,
             ),
             Case(
                 case_id="RL=1600 MM=100",
                 config_kwargs=dict(rate_limit=400, **common),
                 phase="SendPayment",
                 paper=PaperValue(mtps=1285.29, mfls=6.66, received=408749.0, expected=480000.0),
-                recommended_scale=0.1,
             ),
         ],
     )
@@ -220,14 +213,12 @@ def table15_16_quorum() -> Experiment:
                 config_kwargs=dict(params={"istanbul.blockperiod": 2.0}, **common),
                 phase="Balance",
                 paper=PaperValue(mtps=0.0, mfls=0.0, received=0.0, expected=120000.0),
-                recommended_scale=0.15,
             ),
             Case(
                 case_id="RL=400 BP=5s",
                 config_kwargs=dict(params={"istanbul.blockperiod": 5.0}, **common),
                 phase="Balance",
                 paper=PaperValue(mtps=365.85, mfls=12.34, received=69476.33, expected=120000.0),
-                recommended_scale=0.15,
             ),
         ],
     )
@@ -265,7 +256,6 @@ def table17_18_sawtooth() -> Experiment:
                                    params={"block_publishing_delay": 1.0}, **common),
                 phase="CreateAccount",
                 paper=PaperValue(mtps=66.70, mfls=26.40, received=23033.33, expected=60000.0),
-                recommended_scale=0.2,
             ),
             Case(
                 case_id="RL=1600 PD=1s",
@@ -273,7 +263,6 @@ def table17_18_sawtooth() -> Experiment:
                                    params={"block_publishing_delay": 1.0}, **common),
                 phase="CreateAccount",
                 paper=PaperValue(mtps=14.27, mfls=238.45, received=4666.67, expected=480000.0),
-                recommended_scale=0.2,
             ),
             Case(
                 case_id="RL=200 PD=10s",
@@ -281,7 +270,6 @@ def table17_18_sawtooth() -> Experiment:
                                    params={"block_publishing_delay": 10.0}, **common),
                 phase="CreateAccount",
                 paper=PaperValue(mtps=67.57, mfls=25.84, received=23266.67, expected=60000.0),
-                recommended_scale=0.2,
             ),
             Case(
                 case_id="RL=1600 PD=10s",
@@ -289,7 +277,6 @@ def table17_18_sawtooth() -> Experiment:
                                    params={"block_publishing_delay": 10.0}, **common),
                 phase="CreateAccount",
                 paper=PaperValue(mtps=15.65, mfls=225.73, received=5133.33, expected=480000.0),
-                recommended_scale=0.2,
             ),
         ],
     )
@@ -329,11 +316,7 @@ def table17_18_checks(run: ExperimentRun) -> typing.List[ShapeCheck]:
 
 
 def table19_20_diem() -> Experiment:
-    """Tables 19-20: Diem, KeyValue-Get, max_block_size sweep.
-
-    Diem's ~100 s finalization latencies only fit near-full windows, so
-    these cases recommend scale 0.6.
-    """
+    """Tables 19-20: Diem, KeyValue-Get, max_block_size sweep."""
     common = dict(system="diem", iel="KeyValue", seed=1920)
     return Experiment(
         "table19_20",
@@ -345,32 +328,25 @@ def table19_20_diem() -> Experiment:
                 phase="Get",
                 paper=PaperValue(mfls=67.97, received=7365.33, expected=60000.0),
                 # BS=100 drains the Set backlog at only ~35 payloads/s, so
-                # Get confirmations start very late; they need a nearly
-                # full window to be observable.
-                recommended_scale=0.8,
-                window_note="not observable at this scale, see REPRO_FULL_SCALE=1",
+                # Get confirmations start late in the listen window.
             ),
             Case(
                 case_id="RL=1600 BS=100",
                 config_kwargs=dict(rate_limit=400, params={"max_block_size": 100}, **common),
                 phase="Get",
                 paper=PaperValue(mtps=11.83, mfls=81.30, received=3887.67, expected=480000.0),
-                recommended_scale=0.6,
-                window_note="not observable at this scale, see REPRO_FULL_SCALE=1",
             ),
             Case(
                 case_id="RL=200 BS=2000",
                 config_kwargs=dict(rate_limit=50, params={"max_block_size": 2000}, **common),
                 phase="Get",
                 paper=PaperValue(mtps=64.22, mfls=107.78, received=16752.67, expected=60000.0),
-                recommended_scale=0.6,
             ),
             Case(
                 case_id="RL=1600 BS=2000",
                 config_kwargs=dict(rate_limit=400, params={"max_block_size": 2000}, **common),
                 phase="Get",
                 paper=PaperValue(mtps=36.65, mfls=150.35, received=11172.67, expected=480000.0),
-                recommended_scale=0.6,
             ),
         ],
     )

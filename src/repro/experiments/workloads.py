@@ -30,8 +30,8 @@ from repro.coconut.report import markdown_section
 from repro.experiments.base import Case, Experiment, ExperimentRun
 from repro.workloads import AccessSpec, ArrivalSpec, PhaseOverride, WorkloadSpec
 
-#: Moderate per-client rates, comfortably under each system's knee at
-#: the default scale, so workload effects are not drowned by saturation.
+#: Moderate per-client rates, under each system's knee, so workload
+#: effects are not drowned by saturation.
 WORKLOAD_RATES: typing.Dict[str, int] = {
     "corda_os": 4,
     "corda_enterprise": 4,
@@ -73,6 +73,7 @@ class WorkloadExperiment(Experiment):
             self.title,
             ["Case", "MTPS", "MFLS (s)", "p50 (s)", "p99 (s)", "NoT", "Invalid"],
             rows,
+            note=run.window_scales(),
         )
 
 
@@ -95,7 +96,6 @@ def _case(
             seed=seed,
         ),
         phase=phase,
-        recommended_scale=0.05,
     )
 
 

@@ -3,23 +3,26 @@
 A fingerprint captures everything that determines a unit's result: the
 full :class:`~repro.coconut.config.BenchmarkConfig` — including scale,
 repetitions and seed, the exact fields a worker rebuilds its rig from —
-plus a code-version marker so a cache populated by one release of the
-simulator is never replayed against another. The simulation is
+plus a code marker so a cache populated by one version of the simulator
+is never replayed against another. The simulation is
 deterministic, so equal fingerprints imply byte-identical
 ``UnitResult.to_dict()`` payloads; that equivalence is what makes the
 :class:`~repro.parallel.cache.ResultCache` safe to consult.
 
-The marker defaults to ``repro.__version__``. A cache directory
-therefore survives re-runs within one checkout but is invalidated by a
-version bump; callers that want a finer grain (e.g. a git commit hash)
-can pass their own ``code_version``.
+The marker defaults to :func:`code_digest` of the installed ``repro``
+package, so a cache entry is valid only for the code that wrote it: any
+edit to any module of the package invalidates every entry. Callers that
+want another grain (e.g. a git commit hash) can pass their own
+``code_version``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import pathlib
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,14 +36,29 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: 4: ``stream_metrics`` is gone: every result is measured through the
 #:    accumulators and carries a latency histogram, so no result cached
 #:    by an older scheme may be replayed.
-FINGERPRINT_SCHEMA = 4
+#: 5: the code marker is the package's source digest, not its version.
+FINGERPRINT_SCHEMA = 5
 
 
+def code_digest(package_dir: pathlib.Path) -> str:
+    """Hex SHA-256 over the sorted relative paths and bytes of every
+    ``.py`` file under ``package_dir``."""
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(package_dir).as_posix(), path) for path in package_dir.rglob("*.py")
+    ):
+        digest.update(relative.encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
 def _default_code_version() -> str:
-    """The package version, read lazily to avoid an import cycle."""
+    """The installed package's :func:`code_digest`, computed on the
+    first fingerprint of a process rather than at import."""
     import repro
 
-    return getattr(repro, "__version__", "0")
+    return code_digest(pathlib.Path(repro.__file__).parent)
 
 
 def config_payload(config: "BenchmarkConfig") -> typing.Dict[str, object]:

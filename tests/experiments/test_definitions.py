@@ -147,17 +147,16 @@ class TestExperimentMachinery:
             Experiment("x", "t", [])
 
     def test_scale_overrides(self, monkeypatch):
-        case = Case(
-            "a", dict(system="fabric", iel="DoNothing", rate_limit=10), "DoNothing",
-            recommended_scale=0.3, recommended_repetitions=2,
-        )
-        assert case.build_config().scale == 0.3
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_REPS", raising=False)
+        case = Case("a", dict(system="fabric", iel="DoNothing", rate_limit=10), "DoNothing")
+        # The paper's windows and one repetition unless overridden.
+        assert case.build_config().scale == 1.0
+        assert case.build_config().repetitions == 1
         assert case.build_config(scale=0.07).scale == 0.07
         monkeypatch.setenv("REPRO_SCALE", "0.5")
         assert case.build_config().scale == 0.5
-        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        assert case.build_config().scale == 1.0
-        # An explicit scale wins over both environment overrides.
+        # An explicit scale wins over the environment.
         assert case.build_config(scale=0.07).scale == 0.07
         monkeypatch.setenv("REPRO_REPS", "5")
         assert case.build_config().repetitions == 5

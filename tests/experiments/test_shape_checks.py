@@ -18,6 +18,7 @@ from repro import cli
 from repro.analysis.compare import ShapeCheck
 from repro.coconut.metrics import PhaseMetrics
 from repro.coconut.results import PhaseResult
+from repro.experiments.base import Experiment
 from repro.experiments.extensions import AblationRun, EndToEndAblation, VantagePoint
 from repro.experiments.registry import EXPERIMENT_IDS, build_experiment, shape_checks
 
@@ -221,24 +222,30 @@ class RecordingExecutor(FakeExecutor):
 
 
 class TestScaleNote:
+    #: The generated experiments that are lists of ``Case`` s.
+    CASE_IDS = {*GENERATOR.TABLE_IDS, *GENERATOR.WORKLOAD_IDS, *GENERATOR.EXTENSION_IDS}
+
     @pytest.fixture
     def no_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         monkeypatch.delenv("REPRO_REPS", raising=False)
 
     def test_default_header_is_the_committed_one(self, no_override):
-        header = GENERATOR.HEADER.format(scale_note=GENERATOR.scale_note(), reps="1")
+        header = GENERATOR.HEADER.format(reps="1")
         committed = (SCRIPT.parents[1] / "EXPERIMENTS.md").read_text(encoding="utf-8")
-        assert GENERATOR.scale_note() == ""
         assert committed.startswith(header)
 
-    def test_note_names_exactly_the_sections_the_override_reaches(self, no_override, monkeypatch):
+    def test_cases_build_at_the_papers_windows(self, no_override):
+        case_ids = set()
+        for experiment_id in GENERATED_IDS:
+            experiment = build_experiment(experiment_id)
+            if isinstance(experiment, Experiment):
+                case_ids.add(experiment_id)
+                assert {case.build_config().scale for case in experiment.cases} == {1.0}
+        assert case_ids == self.CASE_IDS
+
+    def test_repro_scale_reaches_exactly_the_cases(self, no_override, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.0123")
-        assert GENERATOR.scale_note() == (
-            ", overridden to 0.0123 in the result tables, the workload-model experiments"
-            " and the extensions (every other section keeps its own scale)"
-        )
         reached = set()
         for experiment_id in GENERATED_IDS:
             if experiment_id == "ablation_endtoend":
@@ -253,14 +260,7 @@ class TestScaleNote:
                 reached.add(experiment_id)
             else:
                 assert 0.0123 not in scales, experiment_id
-        assert reached == {i for __, ids in GENERATOR.SCALED_SECTIONS for i in ids}
-
-    def test_full_scale_note(self, no_override, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        assert GENERATOR.scale_note().startswith(
-            ", overridden to the paper's full windows in the result tables,"
-        )
-
+        assert reached == self.CASE_IDS
 
 
 @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
@@ -278,9 +278,7 @@ def test_cli_prints_the_table_the_generator_writes(experiment_id, monkeypatch, t
     output = tmp_path / "EXPERIMENTS.md"
     assert GENERATOR.main([str(output)]) == 0
     written = output.read_text(encoding="utf-8")
-    header = GENERATOR.HEADER.format(
-        scale_note=GENERATOR.scale_note(), reps=os.environ.get("REPRO_REPS", "1")
-    )
+    header = GENERATOR.HEADER.format(reps=os.environ.get("REPRO_REPS", "1"))
     assert written.startswith(header) and written.endswith(GENERATOR.FOOTER)
     section = written[len(header):-len(GENERATOR.FOOTER)]
     assert section.startswith("\n### ") and "\n|---|" in section

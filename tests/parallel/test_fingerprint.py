@@ -1,9 +1,16 @@
 """Tests for the unit-fingerprint scheme."""
 
+import pathlib
+import shutil
+
+import pytest
+
+import repro
 from repro.coconut.config import BenchmarkConfig
 from repro.faults import FaultPlan
 from repro.net.latency import EUROPEAN_WAN_LATENCY
 from repro.parallel import config_payload, unit_fingerprint
+from repro.parallel.fingerprint import code_digest
 
 
 def config(**overrides):
@@ -54,9 +61,29 @@ class TestSensitivity:
             config(), code_version="b"
         )
 
-    def test_default_marker_is_the_package_version(self):
-        import repro
 
+class TestCodeMarker:
+    """The default code marker is the digest of the package's source."""
+
+    @pytest.fixture
+    def package_copy(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent, copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return copy
+
+    def test_unchanged_copy_gives_the_same_fingerprint(self, package_copy):
         assert unit_fingerprint(config()) == unit_fingerprint(
-            config(), code_version=repro.__version__
+            config(), code_version=code_digest(package_copy)
+        )
+
+    def test_one_changed_byte_gives_another_fingerprint(self, package_copy):
+        module = package_copy / "sim" / "kernel.py"
+        source = bytearray(module.read_bytes())
+        source[0] ^= 1
+        module.write_bytes(bytes(source))
+        assert unit_fingerprint(config()) != unit_fingerprint(
+            config(), code_version=code_digest(package_copy)
         )
