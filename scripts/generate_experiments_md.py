@@ -160,11 +160,13 @@ an exponential-ramp + bisection search (`repro.search`) over a
 per-system rate window, judged on lost transactions and
 listen-window drain. The knee RL is the aggregate offered rate of
 the highest sustainable probe; "no sustainable point" rows are
-findings, not errors (see the Diem divergence note above). The
-BankingApp table is dominated by the scaled-window caveat: on
-most systems SendPayment losses at reduced scale exceed the 2%
-budget at *every* rate (the paper's own BankingApp tables report
-heavy losses), so only full windows yield a knee there.
+findings, not errors. The searches probe at x0.05 windows, so a
+system whose latency exceeds the shortened listen window (Diem's)
+confirms almost nothing at any rate (see Known divergences below).
+In the BankingApp table, SendPayment losses at that scale exceed
+the 2% budget at *every* rate on every system but Fabric (the
+paper's own BankingApp tables report heavy losses), so only Fabric
+has a knee there.
 """
 
 WORKLOADS_INTRO = """

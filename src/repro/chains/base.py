@@ -91,8 +91,6 @@ class BlockProposal:
     proposal_id: str
     transactions: typing.Tuple[Transaction, ...]
     created_at: float
-    #: System-specific annotations riding along (e.g. Fabric's rwsets).
-    metadata: typing.Dict[str, object] = dataclasses.field(default_factory=dict)
 
     @classmethod
     def cut(

@@ -34,7 +34,7 @@ from repro.iel.base import ReadWriteSetAdapter
 from repro.net import Endpoint, Message
 from repro.sim.kernel import Simulator
 from repro.sim.stores import Store
-from repro.storage import Transaction, TxStatus
+from repro.storage import ReadWriteSet, Transaction, TxStatus
 
 if typing.TYPE_CHECKING:  # pragma: no cover - imported by Kafka-ordered deployments
     from repro.consensus.kafka import KafkaBroker
@@ -54,11 +54,17 @@ BROADCAST_WINDOW = 6
 
 
 class FabricEnvelope:
-    """An endorsed transaction on its way to the orderers."""
+    """An endorsed transaction on its way to the orderers.
+
+    The cut that puts it in a block moves its read/write set into the
+    system's :attr:`FabricSystem.rwsets` (``rwset`` is then ``None``).
+    """
 
     __slots__ = ("transaction", "rwset", "endorsed_at")
 
-    def __init__(self, transaction: Transaction, rwset, endorsed_at: float) -> None:
+    def __init__(
+        self, transaction: Transaction, rwset: typing.Optional[ReadWriteSet], endorsed_at: float
+    ) -> None:
         self.transaction = transaction
         self.rwset = rwset
         self.endorsed_at = endorsed_at
@@ -177,7 +183,7 @@ class FabricPeer(BaseNode):
         outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
         touched: typing.Dict[str, object] = {}
         executed = commits = 0
-        rwsets = proposal.metadata["rwsets"]
+        rwsets = self.system.rwsets[proposal.proposal_id]
         for tx in proposal.transactions:
             rwset = rwsets[tx.tx_id]
             if state.apply(rwset):
@@ -288,7 +294,7 @@ class FabricOrderer(Endpoint):
         max_count = self.system.max_message_count
         batch, self.pending = self.pending[:max_count], self.pending[max_count:]
         proposal = BlockProposal.cut([e.transaction for e in batch], self.sim.now)
-        proposal.metadata["rwsets"] = {e.transaction.tx_id: e.rwset for e in batch}
+        self.system.hold_rwsets(proposal.proposal_id, batch)
         self.blocks_cut += 1
         self.engine.submit_proposal(proposal)
 
@@ -364,7 +370,7 @@ class FabricOrderer(Endpoint):
             self.sim.now,
             proposal_id=f"kafka-{self._kafka_first_offset}-{offset}",
         )
-        proposal.metadata["rwsets"] = {e.transaction.tx_id: e.rwset for e in batch}
+        self.system.hold_rwsets(proposal.proposal_id, batch)
         self.blocks_cut += 1
         # The proposer must be deterministic across orderers or the
         # sealed blocks would hash differently on different peers.
@@ -429,6 +435,9 @@ class FabricSystem(SystemModel):
         #: ledger is durable on the orderers).
         self.block_log: typing.List[typing.Tuple[BlockProposal, str]] = []
         self._block_log_index: typing.Dict[str, int] = {}
+        #: proposal id -> ``{tx_id: ReadWriteSet}`` of a cut block, from
+        #: the cut until the block is final (:meth:`hold_rwsets`).
+        self.rwsets: typing.Dict[str, typing.Dict[str, ReadWriteSet]] = {}
 
     def start(self) -> None:
         self.started = True
@@ -451,6 +460,25 @@ class FabricSystem(SystemModel):
             self._block_log_index[proposal.proposal_id] = seq
             self.block_log.append((proposal, proposer))
         return seq
+
+    def hold_rwsets(self, proposal_id: str, batch: typing.Sequence[FabricEnvelope]) -> None:
+        """Keep the endorsed read/write sets of the block just cut from
+        ``batch`` until the block is final, moving each out of its
+        envelope (the Kafka broker's log keeps the envelopes).
+
+        The sets serve only the peers' MVCC check. Finality means every
+        peer validated the block, so :meth:`_on_final` drops them; a
+        crashed peer keeps its missed blocks' sets until it has
+        validated them after its restart. Under Kafka every orderer cuts
+        every block with the same id from the same envelopes: a cut of a
+        block already delivered (:meth:`note_block`) adds nothing.
+        """
+        if proposal_id in self._block_log_index:
+            return
+        sets = self.rwsets[proposal_id] = {}
+        for envelope in batch:
+            sets[envelope.transaction.tx_id] = envelope.rwset
+            envelope.rwset = None
 
     def live_orderer_ids(self) -> typing.List[str]:
         """Orderers currently able to serve deliver streams."""
@@ -585,9 +613,11 @@ class FabricSystem(SystemModel):
             super().handle_node_message(peer, message)
 
     # ------------------------------------------------------------------
-    # The >=16-peer event-service failure (Section 5.8.2)
+    # Finality; the >=16-peer event-service failure (Section 5.8.2)
 
     def _on_final(self, key: str, commit_time: float) -> None:
+        # Every peer has validated the block: its sets have no reader left.
+        self.rwsets.pop(key, None)
         if self._event_service_broken:
             outcome = self._pending_final.pop(key, None)
             self._pending_height.pop(key, None)

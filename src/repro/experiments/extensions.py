@@ -63,10 +63,10 @@ class EndToEndAblation:
 
     The node-side count is the first peer's committed payloads over the
     phase, read off the deployment itself. That is why this experiment
-    runs its two units in-process on one
-    :class:`~repro.coconut.runner.BenchmarkRunner`, which keeps the last
-    rig, instead of through an executor: an executor's units return
-    only their client-side results and drop the deployment.
+    runs its two units through
+    :meth:`~repro.parallel.executor.Executor.run_keeping_rig`, in this
+    process and uncached: an executor's batch units return only their
+    client-side results and drop the deployment.
     """
 
     experiment_id = "ablation_endtoend"
@@ -91,16 +91,19 @@ class EndToEndAblation:
         scale: typing.Optional[float] = None,
         systems: typing.Optional[typing.Sequence[str]] = None,
     ) -> AblationRun:
-        """Run both network sizes in-process; ``executor`` is accepted
-        like every experiment's and not used (see the class docstring)."""
-        from repro.coconut.runner import BenchmarkRunner
+        """Run both network sizes in-process, keeping each deployment
+        (by default on an in-process
+        :class:`~repro.parallel.executor.Executor`)."""
+        if executor is None:
+            from repro.parallel.executor import Executor
 
-        runner = BenchmarkRunner(keep_last_rig=True)
+            executor = Executor()
         points = []
         for peers, config in select_systems(self.configs(scale), systems,
                                             lambda item: item[1].system):
-            metrics = runner.run(config).phase("DoNothing").repetitions[0]
-            system = runner.last_rig.system
+            result, rig = executor.run_keeping_rig(config)
+            metrics = result.phase("DoNothing").repetitions[0]
+            system = rig.system
             committed = system.nodes[system.node_ids[0]].chain.total_payloads()
             duration = max(metrics.duration, config.scaled_send)
             points.append(VantagePoint(

@@ -25,6 +25,7 @@ import multiprocessing
 import typing
 
 from repro.coconut.config import BenchmarkConfig
+from repro.coconut.provisioner import Rig
 from repro.coconut.results import UnitResult
 from repro.coconut.runner import BenchmarkRunner
 from repro.parallel.cache import ResultCache
@@ -101,6 +102,8 @@ class Executor:
         self.ran = 0
         #: Units restored from the cache instead of executed.
         self.from_cache = 0
+        #: Units run through :meth:`run_keeping_rig`.
+        self.kept_rigs = 0
 
     def run_units(
         self, configs: typing.Iterable[BenchmarkConfig]
@@ -141,6 +144,24 @@ class Executor:
             outcomes.append(UnitOutcome(config, result, cached, fingerprint))
         return outcomes
 
+    def run_keeping_rig(self, config: BenchmarkConfig) -> typing.Tuple[UnitResult, Rig]:
+        """Run one unit in this process and return its result with the
+        deployment it ran on, for a caller that reads the nodes.
+
+        A worker or the cache can hand back only the result, so such a
+        unit bypasses both; it is counted apart, in :attr:`kept_rigs`.
+        """
+        runner = BenchmarkRunner(
+            keep_last_rig=True,
+            check=self.check_level is not None,
+            check_level=self.check_level or "basic",
+        )
+        result = runner.run(config)
+        assert runner.last_rig is not None
+        self.kept_rigs += 1
+        self.progress(f"{config.label()} (in-process, rig kept)")
+        return result, runner.last_rig
+
     def _execute(
         self, pending: typing.Sequence[typing.Tuple[int, BenchmarkConfig]]
     ) -> typing.Iterator[typing.Tuple[int, typing.Dict[str, typing.Any]]]:
@@ -160,7 +181,10 @@ class Executor:
 
     def summary(self) -> str:
         """One-line accounting for CLI output."""
-        text = f"executor: {self.ran} ran, {self.from_cache} cached (jobs={self.jobs})"
+        text = f"executor: {self.ran} ran, {self.from_cache} cached"
+        if self.kept_rigs:
+            text += f", {self.kept_rigs} ran in-process keeping the rig"
+        text += f" (jobs={self.jobs})"
         if self.cache is not None:
             text += f"; {self.cache.summary()}"
         return text

@@ -47,8 +47,9 @@ class MerkleRoot:
     A decided proposal holds one, and every replica that seals the
     proposal shares it: the tree is built at most once per proposal,
     and not at all when nothing reads a block header. It holds the
-    transactions, not the proposal, so a block never keeps a proposal's
-    other baggage (Fabric's rwsets) alive.
+    transactions, not the proposal, so a sealed block does not keep its
+    proposal alive. (Fabric's read/write sets are not on the proposal:
+    ``FabricSystem.rwsets`` holds them until the block is final.)
     """
 
     __slots__ = ("transactions", "_value", "_verified")

@@ -206,6 +206,17 @@ class TestExperimentCommand:
         assert "Quorum" in out
         assert "Paper" in out and "Measured" in out
 
+    def test_ablation_counts_the_units_it_runs_in_process(self, capsys):
+        """The ablation reads each deployment's nodes, so its two units
+        run in this process with their rigs kept, not in the workers;
+        the executor line says so instead of reading "0 ran"."""
+        assert main(["experiment", "ablation_endtoend", "--scale", "0.02", "--jobs", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(" | ")[0] for line in lines if line.startswith("| ")]
+        assert rows == ["| Peers", "| 4", "| 16"]
+        assert lines[-1] == (
+            "executor: 0 ran, 0 cached, 2 ran in-process keeping the rig (jobs=2)")
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])

@@ -151,7 +151,6 @@ class TestLazyReads:
     def test_block_does_not_keep_its_proposal_alive(self):
         tx = Transaction.wrap([Payload.create("c", "KeyValue", "Set", {"key": "k"})], "c")
         proposal = BlockProposal.cut([tx], created_at=1.0)
-        proposal.metadata["rwsets"] = object()
         block = Block.linked(None, proposal.root, "n0", proposal.created_at)
         probe = weakref.ref(proposal)
         del proposal
