@@ -31,8 +31,8 @@ def _thread_ids(tracer: Tracer) -> typing.Dict[str, int]:
     tids: typing.Dict[str, int] = {"": 0}
     for record in tracer.spans:
         tids.setdefault(record.node, len(tids))
-    for record in tracer.events:
-        tids.setdefault(record.node, len(tids))
+    for node in tracer.events.nodes():
+        tids.setdefault(node, len(tids))
     return tids
 
 
@@ -41,8 +41,9 @@ def chrome_events(tracer: Tracer, process_name: str = "coconut-sim") -> typing.I
     where metadata rows have no ``ts`` and sort as -1.
 
     Ties keep metadata, spans, events and record order. Only the sort
-    keys are built up front; a record's trace event is built as it is
-    yielded, so writing a trace holds one of them at a time.
+    keys are built up front, the events' straight from the log's
+    columns; a record (and its trace event) is built as it is yielded,
+    so writing a trace holds one of them at a time.
     """
     tids = _thread_ids(tracer)
     metadata = [
@@ -68,8 +69,8 @@ def chrome_events(tracer: Tracer, process_name: str = "coconut-sim") -> typing.I
     order = [(-1.0, row["tid"], 0, index) for index, row in enumerate(metadata)]
     order.extend((span.start * _US_PER_SECOND, tids[span.node], 1, index)
                  for index, span in enumerate(spans))
-    order.extend((event.time * _US_PER_SECOND, tids[event.node], 2, index)
-                 for index, event in enumerate(events))
+    order.extend((time * _US_PER_SECOND, tids[node], 2, index)
+                 for index, (node, time) in enumerate(zip(events.nodes(), events.times())))
     order.sort()
     for ts, tid, kind, index in order:
         if kind == 0:

@@ -18,13 +18,14 @@ def jsonl_lines(tracer: Tracer) -> typing.Iterator[dict]:
     """All records as JSON-ready dicts, spans/events merged in time order.
 
     Only ``(time, kind, index)`` keys are sorted (spans before events at
-    the same time, each in record order), and a record's dict is built
-    as it is yielded, so writing a trace holds one record's dict at a
-    time, not one per record.
+    the same time, each in record order; event times are read straight
+    from the log), and a record and its dict are built as they are
+    yielded, so writing a trace holds one record's dict at a time, not
+    one per record.
     """
     spans, events = tracer.spans, tracer.events
     order = [(span.start, 0, index) for index, span in enumerate(spans)]
-    order.extend((event.time, 1, index) for index, event in enumerate(events))
+    order.extend((time, 1, index) for index, time in enumerate(events.times()))
     order.sort()
     for __, kind, index in order:
         yield (events if kind else spans)[index].to_dict()

@@ -8,7 +8,8 @@ A :class:`Tracer` collects three record kinds:
   :meth:`Tracer.end`, keyed by an arbitrary hashable — the natural shape
   for a DES, where a consensus round or a transaction's life is not a
   lexical scope).
-* **Events** — instants with attributes (message sent, block appended).
+* **Events** — instants with attributes (message sent, block appended),
+  stored flat in one :class:`EventLog` and read as :class:`EventRecord` objects.
 * **Metrics** — counters/gauges/histograms via :attr:`Tracer.metrics`.
 
 The default tracer on every :class:`~repro.sim.kernel.Simulator` is the
@@ -22,6 +23,7 @@ record.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import time
 import typing
@@ -77,17 +79,15 @@ class SpanRecord:
 
 
 class EventRecord:
-    """One instantaneous occurrence.
+    """One instantaneous occurrence, as a reader of :class:`EventLog` sees it.
 
-    A traced run retains every event, and most of them are per-message
-    ``net.send``/``net.deliver`` records, so an event keeps its
-    attributes as two tuples rather than a dict: ``keys``, which a hot
-    hook passes as one shared module-level constant, and ``values``. A
-    record is then one slotted object and one small tuple. :attr:`attrs`
-    builds the dict, in ``keys`` order, on each read. Equality and
-    ``repr`` read it too, so both are what they would be for a record
-    holding that dict: two records with the same attributes in another
-    order are equal, as their dicts are.
+    The log stores no records: it builds one per read from its flat
+    storage. A record keeps its attributes as two tuples, ``keys`` (the
+    one key tuple every event of its hook shares) and ``values``;
+    :attr:`attrs` builds the dict, in ``keys`` order, on each read.
+    Equality and ``repr`` read it too, so both are what they would be
+    for a record holding that dict: two records with the same
+    attributes in another order are equal, as their dicts are.
     """
 
     __slots__ = ("name", "category", "node", "time", "keys", "values")
@@ -131,6 +131,98 @@ class EventRecord:
         return (f"{type(self).__qualname__}(name={self.name!r}, "
                 f"category={self.category!r}, node={self.node!r}, "
                 f"time={self.time!r}, attrs={self.attrs!r})")
+
+
+#: An event's ``(name, category, keys)``, shared by every event of its hook.
+Kind = typing.Tuple[str, str, typing.Tuple[str, ...]]
+
+
+class EventLog(collections.abc.Sequence):
+    """A tracer's events in one flat list, read as :class:`EventRecord` objects.
+
+    A traced run keeps every event until it is exported, and most are
+    per-message ``net.send``/``net.deliver`` events, so an event is no
+    object of its own. :meth:`append` extends one list with the event's
+    shared :data:`Kind` tuple, its ``node``, its ``time`` and its values,
+    and puts the event's start offset in an ``array('Q')``. A
+    three-value event then costs six list slots and one offset, 56
+    bytes, where a record object and its value tuple cost 152. ``time``
+    and the values are kept as the objects the hook passed.
+
+    Reads build records: the log is a read-only sequence (``len``, int
+    and negative indexes, slices as lists, iteration), and it compares
+    equal to a list or another log holding equal records. The exporters
+    sort by :meth:`nodes` and :meth:`times`, which read those fields
+    without building a record.
+    """
+
+    __slots__ = ("_items", "_starts", "_kinds", "_max_records")
+
+    def __init__(self, max_records: int) -> None:
+        # Imported here, not at module level: an untraced run builds no
+        # log, and loading the extension module would add to its peak RSS.
+        import array
+
+        self._items: typing.List[object] = []
+        self._starts = array.array("Q")
+        self._kinds: typing.Dict[Kind, Kind] = {}
+        self._max_records = max_records
+
+    def kind(self, name: str, category: str, keys: typing.Tuple[str, ...]) -> Kind:
+        """The one shared kind tuple for ``(name, category, keys)``."""
+        kind = (name, category, keys)
+        return self._kinds.setdefault(kind, kind)
+
+    def append(self, kind: Kind, node: str, time: float,
+               values: typing.Iterable[object]) -> bool:
+        """Append one event; ``False`` (and nothing kept) once the log
+        holds ``max_records`` events."""
+        starts = self._starts
+        if len(starts) >= self._max_records:
+            return False
+        items = self._items
+        starts.append(len(items))
+        items += (kind, node, time)
+        items += values
+        return True
+
+    def _record(self, start: int) -> EventRecord:
+        items = self._items
+        (name, category, keys), node, time = items[start:start + 3]
+        start += 3
+        return EventRecord(name, category, node, time, keys,
+                           tuple(items[start:start + len(keys)]))
+
+    def nodes(self) -> typing.Iterator[str]:
+        """Each event's ``node``, in record order."""
+        items = self._items
+        return (items[start + 1] for start in self._starts)
+
+    def times(self) -> typing.Iterator[float]:
+        """Each event's ``time``, in record order."""
+        items = self._items
+        return (items[start + 2] for start in self._starts)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index: typing.Union[int, slice]) -> typing.Any:
+        if isinstance(index, slice):
+            return [self._record(start) for start in self._starts[index]]
+        return self._record(self._starts[index])
+
+    def __iter__(self) -> typing.Iterator[EventRecord]:
+        return map(self._record, self._starts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({list(self)!r})"
 
 
 class _NullSpan:
@@ -236,6 +328,12 @@ class Tracer:
     The tracer is clock-agnostic until :meth:`bind_clock` hands it a
     ``() -> float`` reading simulated seconds; the hosting simulator does
     this in :meth:`~repro.sim.kernel.Simulator.set_tracer`.
+
+    ``spans`` is a list of :class:`SpanRecord` objects. ``events`` is an
+    :class:`EventLog`: every event's fields sit in one flat list, with
+    no object per event, and a read builds the :class:`EventRecord`.
+    Each is capped at ``config.max_records``; a record past the cap is
+    counted in ``dropped_records``.
     """
 
     enabled = True
@@ -243,7 +341,7 @@ class Tracer:
     def __init__(self, config: typing.Optional[TraceConfig] = None) -> None:
         self.config = config or TraceConfig()
         self.spans: typing.List[SpanRecord] = []
-        self.events: typing.List[EventRecord] = []
+        self.events = EventLog(self.config.max_records)
         self.metrics = MetricsRegistry()
         self.dropped_records = 0
         self._clock: typing.Callable[[], float] = lambda: 0.0
@@ -340,12 +438,10 @@ class Tracer:
         """Record an instantaneous event."""
         if not self.config.wants(category):
             return
-        if len(self.events) >= self.config.max_records:
+        events = self.events
+        if not events.append(events.kind(name, category, tuple(attrs)), node,
+                             self.now if at is None else at, attrs.values()):
             self.dropped_records += 1
-            return
-        self.events.append(EventRecord(name, category, node,
-                                       self.now if at is None else at,
-                                       tuple(attrs), tuple(attrs.values())))
 
 
 class Instruments:
@@ -393,11 +489,12 @@ class BoundInstruments:
     ``wanted`` is the tracer's category filter, read once. Each declared
     instrument is an attribute, created in the registry on its first
     read, so an instrument no hook updates never appears in a snapshot.
-    :meth:`event` appends an event record the way :meth:`Tracer.event`
-    does for a wanted category: bounded by ``max_records``, stamped
-    with one clock read. A hook passes its attribute names as one
-    module-level tuple and its values as a tuple, so a record shares
-    its ``keys`` with every other record of its hook.
+    :meth:`event` appends to the tracer's :class:`EventLog` through the
+    append path :meth:`Tracer.event` uses: bounded by ``max_records``,
+    stamped with one clock read. A hook passes its attribute names as
+    one module-level tuple and its values as a tuple; the bound hook
+    caches each event name's :data:`Kind` tuple, so every event of a
+    hook shares one kind and one ``keys`` tuple.
     """
 
     def __init__(self, tracer: Tracer, category: str,
@@ -406,7 +503,8 @@ class BoundInstruments:
         self.wanted = tracer.wants(category)
         self._category = category
         self._specs = specs
-        self._max_records = tracer.config.max_records
+        self._log = tracer.events
+        self._kinds: typing.Dict[str, Kind] = {}
 
     def __getattr__(self, attr: str) -> typing.Any:
         # Only reached while the instrument is not yet an attribute.
@@ -421,9 +519,9 @@ class BoundInstruments:
               values: typing.Tuple[object, ...]) -> None:
         """Record an instantaneous event of the bound category, now,
         with attributes ``dict(zip(keys, values))``."""
+        kind = self._kinds.get(name)
+        if kind is None or kind[2] is not keys:
+            kind = self._kinds[name] = self._log.kind(name, self._category, keys)
         tracer = self.tracer
-        events = tracer.events
-        if len(events) >= self._max_records:
+        if not self._log.append(kind, node, tracer._clock(), values):
             tracer.dropped_records += 1
-            return
-        events.append(EventRecord(name, self._category, node, tracer._clock(), keys, values))

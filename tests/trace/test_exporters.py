@@ -25,7 +25,7 @@ def eager_chrome_trace(tracer: Tracer) -> dict:
     """The reference document: every trace event built first, then
     sorted stably by ``(ts, tid)``, metadata rows (no ``ts``) first."""
     tids = {"": 0}
-    for record in tracer.spans + tracer.events:
+    for record in [*tracer.spans, *tracer.events]:
         tids.setdefault(record.node, len(tids))
     trace_events = [{"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
                      "args": {"name": "coconut-sim"}}]

@@ -145,7 +145,7 @@ def test_every_hot_site_honours_its_category(category):
     BenchmarkRunner(tracer=tracer).run(config)
     names = {name.rsplit("/", 1)[-1] for name in metric_names(tracer)}
     assert not any(name.startswith(PREFIXES[category]) for name in names)
-    assert not any(record.category == category for record in tracer.events + tracer.spans)
+    assert not any(record.category == category for record in [*tracer.events, *tracer.spans])
     for other, prefix in PREFIXES.items():
         if other != category:
             assert any(name.startswith(prefix) for name in names), other
